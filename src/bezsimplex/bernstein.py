@@ -5,9 +5,11 @@ polynomial sum_k f(R(k/n)) B_k^n(x), where B_k^n(x) is the multinomial
 coefficient times prod_j s_j(x)^k_j over the barycentric weights s of x.
 
 Two evaluators are provided. Direct summation computes each basis value in
-log space and is the correctness reference. De Casteljau reduction repeats
-convex combinations of the net and is the production path: no large
-coefficients ever appear, so it stays stable at high order.
+log space and is the correctness reference. The production path, named
+``decasteljau``, sums the net out one collapsed coordinate at a time
+(Ainsworth-Andriamaro-Davydov 2011, Kirby 2011): each axis is a 1-D de
+Casteljau, so only convex combinations appear and it stays stable at high
+order, and a point costs O(n^D) instead of O(n^{D+1}).
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from .errors import (
     DimensionMismatchError,
     EmptyGridError,
     FunctionEvaluationError,
-    NegativeWeightError,
 )
-from .geometry import COORDINATE_TOL, Simplex, validate_barycentric
+from .geometry import Simplex, clip_weights, validate_barycentric
 from .lattice import (
     control_points,
     count_multi_indices,
@@ -35,8 +36,9 @@ DIRECT = "direct"
 DE_CASTELJAU = "decasteljau"
 DEFAULT_EVALUATOR = DE_CASTELJAU
 
-# Points per de Casteljau slab; keeps round buffers cache-friendly.
-_CHUNK = 128
+# Largest lattice size x chunk points either evaluator holds at once; bounds
+# the working set independently of the grid size.
+_ENTRY_BUDGET = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -158,20 +160,12 @@ def _basis_tables(order: int, dimension: int):
     return indices, k_float, log_multinomials
 
 
-def _checked_weights(weights: np.ndarray, tol: float = COORDINATE_TOL) -> np.ndarray:
-    if np.any(weights < -tol):
-        raise NegativeWeightError(
-            f"barycentric weight {weights.min():.3e} below -{tol:g}: point outside simplex"
-        )
-    return np.clip(weights, 0.0, None)
-
-
 def _basis_matrix(order: int, weights: np.ndarray) -> np.ndarray:
     # B[i, p] = B_{k_i}^order at weight row p, computed in log space with the
     # 0*log(0) = 0 convention handled by masking.
     dimension = weights.shape[1] - 1
     indices, k_float, logm = _basis_tables(order, dimension)
-    w = _checked_weights(weights)
+    w = clip_weights(weights)
     zero = w == 0.0
     logw = np.where(zero, 0.0, np.log(np.where(zero, 1.0, w)))
     log_basis = k_float @ logw.T + logm[:, None]
@@ -200,7 +194,7 @@ def basis_value(simplex: Simplex, index, x) -> float:
     order = int(k.sum())
     if order < 1:
         raise DimensionMismatchError("basis order |k| must be >= 1")
-    w = _checked_weights(simplex.barycentric(x))
+    w = clip_weights(simplex.barycentric(x))
     if np.any(w[k > 0] == 0.0):
         return 0.0
     logm = multinomial_log_table(k[None, :])[0]
@@ -208,66 +202,51 @@ def basis_value(simplex: Simplex, index, x) -> float:
     return float(np.exp(logm + k[live] @ np.log(w[live])))
 
 
-@lru_cache(maxsize=512)
-def _reduction_table(order: int, dimension: int) -> np.ndarray:
-    # Row i: positions in M_order of k + e_j for the i-th index k of M_{order-1}.
-    # Colex order on the tails (k_1..k_D) equals numeric order of their
-    # mixed-radix keys, so positions come from a vectorized searchsorted.
-    lower = enumerate_multi_indices(order - 1, dimension)
-    upper = enumerate_multi_indices(order, dimension)
-    table = np.empty((lower.shape[0], dimension + 1), dtype=np.int64)
-    base = order + 1
-    if dimension * np.log2(base) < 62:
-        powers = base ** np.arange(dimension, dtype=np.int64)
-        upper_keys = upper[:, 1:] @ powers
-        lower_keys = lower[:, 1:] @ powers
-        table[:, 0] = np.searchsorted(upper_keys, lower_keys)  # +e_0 keeps the tail
-        for j in range(1, dimension + 1):
-            table[:, j] = np.searchsorted(upper_keys, lower_keys + powers[j - 1])
-    else:
-        position = {tuple(row): i for i, row in enumerate(upper.tolist())}
-        for i, row in enumerate(lower.tolist()):
-            for j in range(dimension + 1):
-                row[j] += 1
-                table[i, j] = position[tuple(row)]
-                row[j] -= 1
-    table.setflags(write=False)
-    return table
+def _stage_plan(order: int, dimension: int) -> list:
+    # Stage j sums out k_j. In colex order every run of rows sharing
+    # (k_{j+1}..k_D) is one contiguous block k_j = 0..m_j, starting where
+    # k_j = 0; its sum is one row of the next stage. Each stage keeps the
+    # flat Pascal-triangle position of (m_j, k_j) per row and the block starts.
+    tails = enumerate_multi_indices(order, dimension)[:, 1:]
+    plan = []
+    for _ in range(dimension):
+        k = tails[:, 0]
+        m = order - tails[:, 1:].sum(axis=1)
+        starts = np.flatnonzero(k == 0)
+        plan.append((m * (m + 1) // 2 + k, starts))
+        tails = tails[starts, 1:]
+    return plan
 
 
-def _de_casteljau_chunk(coefficients: np.ndarray, order: int, dimension: int,
-                        weights: np.ndarray) -> np.ndarray:
-    n_pts = weights.shape[0]
-    w_cols = [np.ascontiguousarray(weights[:, j]) for j in range(dimension + 1)]
+def _pascal_triangle(u: np.ndarray, order: int) -> np.ndarray:
+    # Rows m = 0..order of b^m_k(u) = C(m, k) u^k (1-u)^(m-k), one column per
+    # point, row m starting at m(m+1)/2. Built by convex combinations only:
+    # b^m_k = (1-u) b^(m-1)_k + u b^(m-1)_(k-1).
+    v = 1.0 - u
+    tri = np.empty(((order + 1) * (order + 2) // 2, u.shape[0]))
+    tri[0] = 1.0
+    for m in range(1, order + 1):
+        prev = tri[(m - 1) * m // 2:m * (m + 1) // 2]
+        row = tri[m * (m + 1) // 2:(m + 1) * (m + 2) // 2]
+        np.multiply(prev, v, out=row[:m])
+        row[m] = 0.0
+        row[1:] += prev * u
+    return tri
 
-    # First reduction reads the coefficient vector; later rounds ping-pong
-    # between preallocated buffers so the loop never allocates.
-    table = _reduction_table(order, dimension)
-    top = table.shape[0]
-    values = np.empty((top, n_pts))
-    scratch = np.empty((top, n_pts))
-    np.multiply(coefficients[table[:, 0]][:, None], w_cols[0], out=values)
-    for j in range(1, dimension + 1):
-        np.multiply(coefficients[table[:, j]][:, None], w_cols[j], out=scratch)
-        values += scratch
 
-    if order == 1:
-        return values[0].copy()
-
-    other = np.empty((top, n_pts))
-    for m in range(order - 1, 0, -1):
-        table = _reduction_table(m, dimension)
-        rows = table.shape[0]
-        dst = other[:rows]
-        np.take(values, table[:, 0], axis=0, out=dst)
-        dst *= w_cols[0]
-        for j in range(1, dimension + 1):
-            gathered = scratch[:rows]
-            np.take(values, table[:, j], axis=0, out=gathered)
-            gathered *= w_cols[j]
-            dst += gathered
-        values, other = other, values
-    return values[0].copy()
+def _collapsed_chunk(coefficients: np.ndarray, order: int, plan: list,
+                     weights: np.ndarray) -> np.ndarray:
+    # Collapsed coordinates u_j = s_j / (s_0 + .. + s_j) turn the basis into
+    # prod_j b^(m_j)_(k_j)(u_j). Where the denominator is 0 every factor in
+    # u_j has degree 0, so u_j = 0 keeps faces, edges and vertices exact.
+    partial = np.cumsum(weights, axis=1).T
+    u = np.divide(weights.T, partial, out=np.zeros(partial.shape), where=partial > 0.0)
+    values = coefficients[:, None]
+    for j, (flat, starts) in enumerate(plan, start=1):
+        terms = _pascal_triangle(u[j], order)[flat]
+        terms *= values
+        values = np.add.reduceat(terms, starts, axis=0)
+    return values[0]
 
 
 def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALUATOR) -> np.ndarray:
@@ -277,18 +256,23 @@ def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALU
         raise DimensionMismatchError(
             f"expected weights of shape (P, {net.simplex.dimension + 1}), got {w.shape}"
         )
+    order, count = net.order, len(net.coefficients)
     if evaluator == DIRECT:
-        return _basis_matrix(net.order, w).T @ net.coefficients
-    if evaluator == DE_CASTELJAU:
-        w = _checked_weights(w)
-        out = np.empty(w.shape[0])
-        for start in range(0, w.shape[0], _CHUNK):
-            stop = min(start + _CHUNK, w.shape[0])
-            out[start:stop] = _de_casteljau_chunk(
-                net.coefficients, net.order, net.simplex.dimension, w[start:stop]
-            )
-        return out
-    raise ValueError(f"unknown evaluator {evaluator!r}; use {DIRECT!r} or {DE_CASTELJAU!r}")
+        entries = count
+        kernel = lambda part: _basis_matrix(order, part).T @ net.coefficients
+    elif evaluator == DE_CASTELJAU:
+        w = clip_weights(w)
+        plan = _stage_plan(order, net.simplex.dimension)
+        # For D = 1 the Pascal triangle outgrows the lattice.
+        entries = max(count, (order + 1) * (order + 2) // 2)
+        kernel = lambda part: _collapsed_chunk(net.coefficients, order, plan, part)
+    else:
+        raise ValueError(f"unknown evaluator {evaluator!r}; use {DIRECT!r} or {DE_CASTELJAU!r}")
+    out = np.empty(w.shape[0])
+    step = max(1, _ENTRY_BUDGET // entries)
+    for start in range(0, w.shape[0], step):
+        out[start:start + step] = kernel(w[start:start + step])
+    return out
 
 
 def apply_direct(net: ControlNet, x) -> float:

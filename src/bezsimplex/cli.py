@@ -95,6 +95,8 @@ def _cmd_basis(args) -> int:
         point = np.array([float(v) for v in args.point.split(",")])
     except ValueError as exc:
         raise ConfigError(f"--point: non-numeric entry in {args.point!r}") from exc
+    if not np.all(np.isfinite(point)):
+        raise ConfigError(f"--point: non-finite entry in {args.point!r}")
     values = basis_vector(simplex, args.n, point)
     indices = enumerate_multi_indices(args.n, simplex.dimension)
     header = [f"k_{j}" for j in range(simplex.dimension + 1)] + ["basis_value"]

@@ -66,6 +66,34 @@ class TestFunction:
         return None
 
 
+def _load_json(spec, what: str):
+    # A dict passes through; text starting with "{" is inline JSON; anything
+    # else is the path of a JSON file.
+    if isinstance(spec, dict):
+        return spec
+    text = str(spec).strip()
+    try:
+        if text.startswith("{"):
+            return json.loads(text)
+        with open(text) as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        where = what if text.startswith("{") else f"{what} file {text!r}"
+        raise ConfigError(
+            f"{where}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+
+
+def _parse_exp_polynomial(spec) -> ExpPolynomial:
+    data = _load_json(spec, "function")
+    try:
+        return ExpPolynomial.from_dict(data)
+    except KeyError as exc:
+        raise ConfigError(f"function: exponential term is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"function: malformed exponential polynomial: {exc}") from exc
+
+
 def make_function(spec, simplex: Simplex) -> TestFunction:
     """Build a test function from a builtin name or exponential-polynomial JSON.
 
@@ -81,7 +109,7 @@ def make_function(spec, simplex: Simplex) -> TestFunction:
     if isinstance(spec, ExpPolynomial):
         poly = spec
     elif isinstance(spec, dict):
-        poly = ExpPolynomial.from_dict(spec)
+        poly = _parse_exp_polynomial(spec)
     elif isinstance(spec, str):
         text = spec.strip()
         if text == "const1":
@@ -113,22 +141,12 @@ def make_function(spec, simplex: Simplex) -> TestFunction:
             return TestFunction(
                 spec, lambda x: float(x @ v) + b, batch=lambda pts: pts @ v + b
             )
-        if text.startswith("{"):
-            try:
-                poly = ExpPolynomial.from_json(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"function: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-        elif text.endswith(".json"):
-            try:
-                with open(text) as handle:
-                    poly = ExpPolynomial.from_dict(json.load(handle))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"function file {text!r}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-        else:
+        if not (text.startswith("{") or text.endswith(".json")):
             raise ConfigError(
                 f"unknown function spec {text!r}; expected const1, abs, runge, affine:..., "
                 "or an exponential polynomial as JSON"
             )
+        poly = _parse_exp_polynomial(text)
     else:
         raise ConfigError(f"function spec must be a string or mapping, got {type(spec).__name__}")
 
@@ -156,38 +174,28 @@ class ExperimentConfig:
 
 
 def _load_simplex_spec(spec) -> Simplex:
-    if isinstance(spec, dict):
-        return Simplex.from_dict(spec)
-    if isinstance(spec, str):
-        text = spec.strip()
-        if text.startswith("{"):
-            return Simplex.from_json(text)
-        with open(text) as handle:
-            return Simplex.from_dict(json.load(handle))
-    raise ConfigError(f"simplex spec must be a mapping or path, got {type(spec).__name__}")
+    """Simplex from a mapping, inline JSON or a JSON file path."""
+    if not isinstance(spec, (dict, str)):
+        raise ConfigError(f"simplex spec must be a mapping or path, got {type(spec).__name__}")
+    data = _load_json(spec, "simplex")
+    try:
+        return Simplex.from_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid simplex: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not counts.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_config(source) -> ExperimentConfig:
     """Parse an experiment config from a dict, a JSON string, or a file path."""
-    origin = "config"
-    if isinstance(source, dict):
-        data = source
-    elif isinstance(source, (str, os.PathLike)):
-        text = str(source).strip()
-        if text.startswith("{"):
-            raw = text
-        else:
-            origin = str(source)
-            with open(source) as handle:
-                raw = handle.read()
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    else:
+    if not isinstance(source, (dict, str, os.PathLike)):
         raise ConfigError(f"config must be a mapping or path, got {type(source).__name__}")
+    data = _load_json(source, "config")
+    inline = isinstance(source, dict) or str(source).strip().startswith("{")
+    origin = "config" if inline else str(source)
 
     if not isinstance(data, dict):
         raise ConfigError(f"{origin}: top level must be a JSON object")
@@ -210,18 +218,18 @@ def load_config(source) -> ExperimentConfig:
     if (
         not isinstance(n_values, (list, tuple))
         or not n_values
-        or not all(isinstance(n, int) and n >= 1 for n in n_values)
+        or not all(_is_int(n) and n >= 1 for n in n_values)
     ):
         raise ConfigError(f"{origin}: field 'n_values': need a non-empty list of integers >= 1")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ConfigError(f"{origin}: field 'n_values': must be strictly increasing")
 
     resolution = data.get("grid_resolution", default_grid_resolution(simplex.dimension))
-    if not isinstance(resolution, int) or resolution < 2:
+    if not _is_int(resolution) or resolution < 2:
         raise ConfigError(f"{origin}: field 'grid_resolution': need an integer >= 2")
 
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError(f"{origin}: field 'seed': need an integer")
 
     evaluator = data.get("evaluator", DEFAULT_EVALUATOR)

@@ -22,9 +22,8 @@ from .errors import (
     DimensionMismatchError,
     EmptyGridError,
     ExpOverflowError,
-    NegativeWeightError,
 )
-from .geometry import COORDINATE_TOL, Simplex
+from .geometry import Simplex, clip_weights
 
 # exp() overflows double precision near 709; stay clear with a round guard.
 EXP_ARG_LIMIT = 700.0
@@ -158,14 +157,6 @@ def _vertex_dots(simplex: Simplex, direction) -> np.ndarray:
     return dots
 
 
-def _clipped_weights(weights: np.ndarray) -> np.ndarray:
-    if np.any(weights < -COORDINATE_TOL):
-        raise NegativeWeightError(
-            f"barycentric weight {weights.min():.3e} below tolerance: outside simplex"
-        )
-    return np.clip(weights, 0.0, None)
-
-
 def closed_form_at_weights(simplex: Simplex, order: int, direction,
                            weights: np.ndarray) -> np.ndarray:
     """Bernstein image of exp(a.x) at a (P, D+1) batch of barycentric weights.
@@ -176,7 +167,7 @@ def closed_form_at_weights(simplex: Simplex, order: int, direction,
     if order < 1:
         raise DimensionMismatchError("order must be >= 1")
     dots = _vertex_dots(simplex, direction)
-    w = _clipped_weights(np.asarray(weights, dtype=float))
+    w = clip_weights(np.asarray(weights, dtype=float))
     inner = w @ np.exp(dots / order)
     return np.exp(order * np.log(inner))
 
@@ -194,7 +185,7 @@ def residual_at_weights(simplex: Simplex, order: int, direction,
         raise DimensionMismatchError("order must be >= 1")
     a = _direction(simplex, direction)
     dots = _vertex_dots(simplex, a)
-    w = _clipped_weights(np.asarray(weights, dtype=float))
+    w = clip_weights(np.asarray(weights, dtype=float))
     x_dots = (w @ simplex.vertices) @ a
     return w @ np.exp(dots / order) - 1.0 - x_dots / order
 
@@ -207,7 +198,7 @@ def first_order_residual(simplex: Simplex, order: int, direction, x) -> float:
     """
     a = _direction(simplex, direction)
     dots = _vertex_dots(simplex, a)
-    w = _clipped_weights(simplex.barycentric(x))
+    w = clip_weights(simplex.barycentric(x))
     x_arr = np.asarray(x, dtype=float)
     return float(w @ np.exp(dots / order) - 1.0 - (x_arr @ a) / order)
 
@@ -253,7 +244,7 @@ def relative_error_report(simplex: Simplex, direction, order: int,
     a = _direction(simplex, direction)
     weights = simplex.barycentric_many(points)
     dots = _vertex_dots(simplex, a)
-    w = _clipped_weights(weights)
+    w = clip_weights(weights)
     inner = w @ np.exp(dots / order)
     # closed_form / exp(a.x) computed without forming either huge factor
     log_ratio = order * np.log(inner) - points @ a

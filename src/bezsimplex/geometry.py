@@ -17,6 +17,7 @@ from .errors import (
     DegenerateSimplexError,
     DimensionMismatchError,
     InvalidBarycentricError,
+    NegativeWeightError,
 )
 
 # Absolute slack on barycentric non-negativity. Admits face points produced
@@ -49,6 +50,15 @@ def validate_barycentric(weights, dimension: int) -> np.ndarray:
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise InvalidBarycentricError(f"weights sum to {total!r}, expected 1")
     return t
+
+
+def clip_weights(weights: np.ndarray) -> np.ndarray:
+    """Weights with round-off negatives set to 0; NegativeWeightError below -COORDINATE_TOL."""
+    if np.any(weights < -COORDINATE_TOL):
+        raise NegativeWeightError(
+            f"barycentric weight {weights.min():.3e} below -{COORDINATE_TOL:g}: point outside simplex"
+        )
+    return np.clip(weights, 0.0, None)
 
 
 class Simplex:

@@ -1,8 +1,12 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from bezsimplex import bernstein
 
 from bezsimplex import (
     BernsteinOperator,
@@ -17,10 +21,13 @@ from bezsimplex import (
     apply_direct,
     basis_value,
     basis_vector,
+    closed_form_at_weights,
     control_points,
+    count_multi_indices,
     enumerate_multi_indices,
     error_budget,
     evaluate_at_weights,
+    grid_weights,
     operator_sup_error,
     read_control_net_csv,
     sample_control_net,
@@ -28,6 +35,9 @@ from bezsimplex import (
 )
 
 from conftest import interior_weights, random_simplex
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def brute_force_operator(vertices, order, f, x):
@@ -218,6 +228,92 @@ class TestDeCasteljau:
         net = ControlNet(triangle, 2, np.zeros(6))
         with pytest.raises(ValueError):
             evaluate_at_weights(net, np.full((1, 3), 1 / 3), evaluator="horner")
+
+
+def face_weights(rng, dimension, interior):
+    """One point on each non-empty vertex subset (vertices, edges, faces and
+    the interior), then `interior` interior points. Subsets without vertex 0
+    make the leading weights vanish together: the 0/0 collapsed coordinate."""
+    rows = []
+    for size in range(1, dimension + 2):
+        for support in itertools.combinations(range(dimension + 1), size):
+            w = np.zeros(dimension + 1)
+            w[list(support)] = rng.dirichlet(np.ones(size))
+            rows.append(w)
+    return np.vstack(rows + [interior_weights(rng, dimension, interior)])
+
+
+def random_net(rng, dimension, order):
+    s = random_simplex(rng, dimension)
+    count = count_multi_indices(order, dimension)
+    return ControlNet(s, order, rng.normal(size=count) * rng.uniform(0.1, 10))
+
+
+class TestCollapsedKernel:
+    @PROPERTY
+    @given(dimension=st.integers(1, 4), order=st.integers(1, 20),
+           interior=st.integers(0, 40), seed=SEEDS)
+    def test_agrees_with_direct_on_faces_and_interior(self, dimension, order, interior, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, dimension, order)
+        w = face_weights(rng, dimension, interior)
+        stable = evaluate_at_weights(net, w, evaluator="decasteljau")
+        direct = evaluate_at_weights(net, w, evaluator="direct")
+        scale = float(np.abs(net.coefficients).max())
+        np.testing.assert_allclose(stable, direct, rtol=0, atol=1e-10 * scale)
+
+    def test_vertices_are_exact(self, rng):
+        for dimension in (1, 2, 3, 4):
+            net = random_net(rng, dimension, 7)
+            corners = np.eye(dimension + 1)
+            values = evaluate_at_weights(net, corners, evaluator="decasteljau")
+            indices = enumerate_multi_indices(7, dimension)
+            expected = [net.coefficients[np.flatnonzero(indices[:, j] == 7)[0]]
+                        for j in range(dimension + 1)]
+            np.testing.assert_array_equal(values, expected)
+
+    @PROPERTY
+    @given(dimension=st.integers(2, 4), order=st.integers(1, 12), chunk=st.integers(2, 9),
+           full=st.integers(0, 3), data=st.data(), seed=SEEDS)
+    def test_point_counts_off_the_chunk_size(self, dimension, order, chunk, full, data, seed):
+        # For D >= 2 the lattice is the largest per-point buffer, so this
+        # budget gives chunks of exactly `chunk` points plus a remainder.
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, dimension, order)
+        points = full * chunk + data.draw(st.integers(1, chunk - 1))
+        w = rng.permutation(face_weights(rng, dimension, points))[:points]
+        one_by_one = np.array([evaluate_at_weights(net, row[None, :])[0] for row in w])
+        budget = chunk * count_multi_indices(order, dimension)
+        with mock.patch.object(bernstein, "_ENTRY_BUDGET", budget):
+            chunked = evaluate_at_weights(net, w, evaluator="decasteljau")
+            direct = evaluate_at_weights(net, w, evaluator="direct")
+        np.testing.assert_array_equal(chunked, one_by_one)
+        scale = float(np.abs(net.coefficients).max())
+        np.testing.assert_allclose(direct, one_by_one, rtol=0, atol=1e-10 * scale)
+
+    @PROPERTY
+    @given(dimension=st.integers(1, 4), order=st.integers(1, 20), seed=SEEDS)
+    def test_monotone_in_the_net(self, dimension, order, seed):
+        rng = np.random.default_rng(seed)
+        upper = random_net(rng, dimension, order)
+        gap = np.abs(rng.normal(size=upper.coefficients.shape))
+        lower = ControlNet(upper.simplex, order, upper.coefficients - gap)
+        w = face_weights(rng, dimension, 20)
+        hi = evaluate_at_weights(upper, w, evaluator="decasteljau")
+        lo = evaluate_at_weights(lower, w, evaluator="decasteljau")
+        scale = float(np.abs(lower.coefficients).max())
+        assert np.all(hi - lo >= -1e-12 * scale)
+
+    def test_order_160_matches_closed_form(self, triangle):
+        a = np.array([1.0, 1.0])
+        net = sample_control_net(triangle, 160, lambda p: math.exp(float(a @ p)))
+        w = grid_weights(30, 2)
+        exact = closed_form_at_weights(triangle, 160, a, w)
+        stable = evaluate_at_weights(net, w, evaluator="decasteljau")
+        direct = evaluate_at_weights(net, w, evaluator="direct")
+        scale = float(np.abs(exact).max())
+        assert np.abs(stable - exact).max() <= 1e-12 * scale
+        assert np.abs(stable - direct).max() <= 1e-12 * scale
 
 
 class TestOperatorProperties:

@@ -88,6 +88,12 @@ class TestConverge:
         assert main(["converge", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("term, missing", [({"a": [1.0, 1.0]}, "'c'"), ({"c": 1.0}, "'a'")])
+    def test_exp_term_missing_key(self, tmp_path, capsys, term, missing):
+        config = write_config(tmp_path, function={"terms": [term]})
+        assert main(["converge", "--config", config]) == 1
+        assert f"missing {missing}" in capsys.readouterr().err
+
     def test_bad_config_field(self, tmp_path, capsys):
         config = write_config(tmp_path, n_values=[4, 2])
         assert main(["converge", "--config", config]) == 1
@@ -179,6 +185,21 @@ class TestBasis:
         assert main(["basis", "--simplex", json.dumps(TRIANGLE), "--n", "2",
                      "--point", "a,b"]) == 1
         assert "point" in capsys.readouterr().err
+
+    def test_non_finite_point(self, capsys):
+        assert main(["basis", "--simplex", json.dumps(TRIANGLE), "--n", "2",
+                     "--point", "nan,0.2"]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_malformed_simplex_json(self, capsys):
+        assert main(["basis", "--simplex", "{bad", "--n", "2", "--point", "0.2,0.2"]) == 1
+        assert "simplex: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_vertex(self, capsys, bad):
+        spec = '{"vertices": [[0, 0], [1, %s], [0, 1]]}' % bad
+        assert main(["basis", "--simplex", spec, "--n", "2", "--point", "0.2,0.2"]) == 1
+        assert "finite" in capsys.readouterr().err
 
 
 class TestControlPoints:

@@ -120,6 +120,22 @@ class TestMakeFunction:
         with pytest.raises(ConfigError, match="dimension"):
             make_function(EXP_1, self.triangle)
 
+    @pytest.mark.parametrize("term, message", [
+        ({"a": [1.0, 1.0]}, "missing 'c'"),
+        ({"c": 1.0}, "missing 'a'"),
+        ({"c": "x", "a": [1.0, 1.0]}, "malformed"),
+        ({"c": float("nan"), "a": [1.0, 1.0]}, "finite"),
+    ])
+    def test_malformed_exp_term(self, term, message):
+        with pytest.raises(ConfigError, match=message):
+            make_function({"terms": [term]}, self.triangle)
+        with pytest.raises(ConfigError, match=message):
+            make_function(json.dumps({"terms": [term]}), self.triangle)
+
+    def test_terms_not_a_list(self):
+        with pytest.raises(ConfigError, match="malformed"):
+            make_function({"terms": 3}, self.triangle)
+
 
 class TestLoadConfig:
     def test_from_dict(self):
@@ -156,7 +172,9 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="orders"):
             load_config(config_dict(orders=[1, 2, 3]))
 
-    @pytest.mark.parametrize("bad", [[], [3, 3], [4, 2], [0, 1], ["2", "4"]])
+    @pytest.mark.parametrize(
+        "bad", [[], [3, 3], [4, 2], [0, 1], ["2", "4"], [True, 2]]
+    )
     def test_bad_n_values(self, bad):
         with pytest.raises(ConfigError, match="n_values"):
             load_config(config_dict(n_values=bad))
@@ -164,6 +182,13 @@ class TestLoadConfig:
     def test_bad_resolution(self):
         with pytest.raises(ConfigError, match="grid_resolution"):
             load_config(config_dict(grid_resolution=1))
+        with pytest.raises(ConfigError, match="grid_resolution"):
+            load_config(config_dict(grid_resolution=True))
+
+    @pytest.mark.parametrize("bad", [True, False, 1.5, "0"])
+    def test_bad_seed(self, bad):
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(config_dict(seed=bad))
 
     def test_default_resolution_by_dimension(self):
         config = load_config({k: v for k, v in config_dict().items() if k != "grid_resolution"})
