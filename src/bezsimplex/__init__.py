@@ -6,7 +6,8 @@ Library layout:
 - lattice: multi-index enumeration, multinomials, control points
 - bernstein: basis evaluation and the sampling operator (two evaluators)
 - exponentials: closed-form images of exp(a.x) and error budgets
-- experiments: convergence sweeps, rate fits, bound checks, CSV emission
+- experiments: convergence sweeps, rate fits, bound checks, scaling studies
+- csvio: deterministic CSV emission
 - cli: the ``bezsimplex`` command
 """
 
@@ -26,6 +27,7 @@ from .bernstein import (
     sample_control_net,
     write_control_net_csv,
 )
+from .csvio import emit_csv
 from .errors import (
     BezSimplexError,
     ConfigError,
@@ -50,6 +52,7 @@ from .exponentials import (
     closed_form_at_weights,
     error_budget,
     first_order_residual,
+    relative_error_at_weights,
     relative_error_report,
     residual_at_weights,
 )
@@ -61,10 +64,10 @@ from .experiments import (
     RateFit,
     ScalingRow,
     TestFunction,
-    emit_csv,
     fit_power_law,
     fit_rate,
     load_config,
+    load_simplex,
     make_function,
     run_bound_check,
     run_convergence,

@@ -14,17 +14,14 @@ order, and a point costs O(n^D) instead of O(n^{D+1}).
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyGridError,
-    FunctionEvaluationError,
-)
-from .geometry import Simplex, clip_weights, validate_barycentric
+from .csvio import emit_csv, open_csv
+from .errors import DimensionMismatchError, FunctionEvaluationError
+from .geometry import Simplex, clip_weights, grid_points, validate_barycentric
 from .lattice import (
     control_points,
     count_multi_indices,
@@ -111,8 +108,6 @@ class BernsteinOperator:
 
 def write_control_net_csv(net: ControlNet, destination) -> None:
     """Columns k_0..k_D then coefficient, one row per lattice entry."""
-    from .experiments import emit_csv  # local import avoids a cycle
-
     d1 = net.simplex.dimension + 1
     header = [f"k_{j}" for j in range(d1)] + ["coefficient"]
     indices = enumerate_multi_indices(net.order, net.simplex.dimension)
@@ -126,22 +121,24 @@ def read_control_net_csv(simplex: Simplex, source) -> ControlNet:
     The multi-index columns must reproduce the enumeration order exactly;
     that is the portability contract for coefficient vectors.
     """
-    import csv
-    import os
-
-    own = isinstance(source, (str, os.PathLike))
-    handle = open(source, newline="") if own else source
-    try:
+    with open_csv(source, "r") as handle:
         rows = list(csv.reader(handle))
-    finally:
-        if own:
-            handle.close()
     d1 = simplex.dimension + 1
     if len(rows) < 2:
         raise DimensionMismatchError("control net CSV has no data rows")
-    data = rows[1:]
-    indices = np.array([[int(v) for v in row[:d1]] for row in data], dtype=np.int64)
-    coefficients = np.array([float(row[d1]) for row in data])
+    indices = np.empty((len(rows) - 1, d1), dtype=np.int64)
+    coefficients = np.empty(len(rows) - 1)
+    for i, row in enumerate(rows[1:]):
+        where = f"control net CSV line {i + 2}"
+        if len(row) != d1 + 1:
+            raise DimensionMismatchError(f"{where}: expected {d1 + 1} cells, got {len(row)}")
+        try:
+            indices[i] = [int(v) for v in row[:d1]]
+            coefficients[i] = float(row[d1])
+        except (ValueError, OverflowError) as exc:
+            raise DimensionMismatchError(f"{where}: {exc}") from exc
+        if not np.isfinite(coefficients[i]):
+            raise DimensionMismatchError(f"{where}: non-finite coefficient {row[d1]!r}")
     order = int(indices[0].sum())
     if order < 1 or not np.array_equal(indices, enumerate_multi_indices(order, simplex.dimension)):
         raise DimensionMismatchError(
@@ -150,25 +147,15 @@ def read_control_net_csv(simplex: Simplex, source) -> ControlNet:
     return ControlNet(simplex=simplex, order=order, coefficients=coefficients)
 
 
-@lru_cache(maxsize=64)
-def _basis_tables(order: int, dimension: int):
-    indices = enumerate_multi_indices(order, dimension)
-    log_multinomials = multinomial_log_table(indices)
-    k_float = indices.astype(float)
-    for arr in (indices, log_multinomials, k_float):
-        arr.setflags(write=False)
-    return indices, k_float, log_multinomials
-
-
-def _basis_matrix(order: int, weights: np.ndarray) -> np.ndarray:
-    # B[i, p] = B_{k_i}^order at weight row p, computed in log space with the
-    # 0*log(0) = 0 convention handled by masking.
-    dimension = weights.shape[1] - 1
-    indices, k_float, logm = _basis_tables(order, dimension)
+def _basis_matrix(indices: np.ndarray, log_multinomials: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    # B[i, p] = B_{k_i} at weight row p, computed in log space with the
+    # 0*log(0) = 0 convention handled by masking. The multinomial logs are
+    # passed in so a chunked caller computes them once.
     w = clip_weights(weights)
     zero = w == 0.0
     logw = np.where(zero, 0.0, np.log(np.where(zero, 1.0, w)))
-    log_basis = k_float @ logw.T + logm[:, None]
+    log_basis = indices.astype(float) @ logw.T + log_multinomials[:, None]
     # Entries with k_j > 0 at a zero weight are exactly zero, not exp(placeholder).
     dead = ((indices > 0).astype(np.int8) @ zero.T.astype(np.int8)) > 0
     if dead.any():
@@ -180,8 +167,9 @@ def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
     """All basis values B_k^order(x) in enumeration order."""
     if order < 1:
         raise DimensionMismatchError("basis order must be >= 1")
+    indices = enumerate_multi_indices(order, simplex.dimension)
     w = simplex.barycentric(x)
-    return _basis_matrix(order, w[None, :])[:, 0]
+    return _basis_matrix(indices, multinomial_log_table(indices), w[None, :])[:, 0]
 
 
 def basis_value(simplex: Simplex, index, x) -> float:
@@ -194,12 +182,8 @@ def basis_value(simplex: Simplex, index, x) -> float:
     order = int(k.sum())
     if order < 1:
         raise DimensionMismatchError("basis order |k| must be >= 1")
-    w = clip_weights(simplex.barycentric(x))
-    if np.any(w[k > 0] == 0.0):
-        return 0.0
-    logm = multinomial_log_table(k[None, :])[0]
-    live = k > 0
-    return float(np.exp(logm + k[live] @ np.log(w[live])))
+    w = simplex.barycentric(x)
+    return float(_basis_matrix(k[None, :], multinomial_log_table(k[None, :]), w[None, :])[0, 0])
 
 
 def _stage_plan(order: int, dimension: int) -> list:
@@ -258,8 +242,10 @@ def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALU
         )
     order, count = net.order, len(net.coefficients)
     if evaluator == DIRECT:
+        indices = enumerate_multi_indices(order, net.simplex.dimension)
+        logm = multinomial_log_table(indices)
         entries = count
-        kernel = lambda part: _basis_matrix(order, part).T @ net.coefficients
+        kernel = lambda part: _basis_matrix(indices, logm, part).T @ net.coefficients
     elif evaluator == DE_CASTELJAU:
         w = clip_weights(w)
         plan = _stage_plan(order, net.simplex.dimension)
@@ -289,11 +275,7 @@ def apply_de_casteljau(net: ControlNet, weights) -> float:
 
 def operator_sup_error(net: ControlNet, f, grid, evaluator: str = DEFAULT_EVALUATOR) -> float:
     """Max over the grid of |net(x) - f(x)|; the discretized sup-norm error."""
-    points = np.asarray(grid, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None] if net.simplex.dimension == 1 else points[None, :]
-    if points.shape[0] == 0:
-        raise EmptyGridError("sup error requested over an empty grid")
+    points = grid_points(net.simplex, grid)
     weights = net.simplex.barycentric_many(points)
     values = evaluate_at_weights(net, weights, evaluator=evaluator)
     exact = np.array([float(f(p)) for p in points])

@@ -13,28 +13,25 @@ import sys
 import numpy as np
 
 from .bernstein import basis_vector
+from .csvio import emit_csv
 from .errors import BezSimplexError, ConfigError
 from .experiments import (
     BOUND_CHECK_COLUMNS,
     CONVERGENCE_COLUMNS,
     EVALUATORS,
     SCALING_COLUMNS,
-    emit_csv,
     load_config,
+    load_simplex,
     run_bound_check,
     run_convergence,
     run_metadata,
     run_scaling_study,
 )
 from .lattice import control_points, enumerate_multi_indices
-from .experiments import _load_simplex_spec
 
 
 def _emit(rows, columns, out_path) -> None:
-    if out_path:
-        emit_csv(rows, out_path, columns)
-    else:
-        emit_csv(rows, sys.stdout, columns)
+    emit_csv(rows, out_path or sys.stdout, columns)
 
 
 def _print_metadata(payload: dict) -> None:
@@ -90,7 +87,7 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    simplex = _load_simplex_spec(args.simplex)
+    simplex = load_simplex(args.simplex)
     try:
         point = np.array([float(v) for v in args.point.split(",")])
     except ValueError as exc:
@@ -106,12 +103,8 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_control_points(args) -> int:
-    simplex = _load_simplex_spec(args.simplex)
-    cps = control_points(simplex, args.n)
-    if args.out:
-        cps.write_csv(args.out)
-    else:
-        cps.write_csv(sys.stdout)
+    simplex = load_simplex(args.simplex)
+    control_points(simplex, args.n).write_csv(args.out or sys.stdout)
     return 0
 
 

@@ -9,7 +9,6 @@ and is recorded in the run metadata.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -20,8 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .bernstein import DEFAULT_EVALUATOR, DE_CASTELJAU, DIRECT, ControlNet, evaluate_at_weights
+from .csvio import emit_csv  # re-exported: experiments.emit_csv is public
 from .errors import ConfigError, InsufficientDataError, ZeroError
-from .exponentials import ExpPolynomial, error_budget, relative_error_report
+from .exponentials import ExpPolynomial, error_budget, relative_error_at_weights
 from .geometry import Simplex
 from .lattice import control_points, default_grid_resolution, grid_weights
 
@@ -42,21 +42,18 @@ SCALING_COLUMNS = (
 
 @dataclass
 class TestFunction:
-    """A named target function with optional batch path and exponential terms."""
+    """A named target function, evaluated on (P, D) batches of points, with
+    its exponential terms when it is an exponential polynomial."""
 
     name: str
-    scalar: Callable
-    batch: Callable | None = None
+    batch: Callable
     exp_terms: ExpPolynomial | None = None
 
     def __call__(self, x) -> float:
-        return float(self.scalar(np.asarray(x, dtype=float)))
+        return float(self.evaluate(np.asarray(x, dtype=float)[None, :])[0])
 
     def evaluate(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if self.batch is not None:
-            return np.asarray(self.batch(pts), dtype=float)
-        return np.array([float(self.scalar(p)) for p in pts])
+        return np.asarray(self.batch(np.asarray(points, dtype=float)), dtype=float)
 
     def single_exponential(self) -> ExpPolynomial | None:
         """The underlying term when this is one exponential with c != 0."""
@@ -113,19 +110,13 @@ def make_function(spec, simplex: Simplex) -> TestFunction:
     elif isinstance(spec, str):
         text = spec.strip()
         if text == "const1":
-            return TestFunction("const1", lambda x: 1.0, batch=lambda pts: np.ones(len(pts)))
+            return TestFunction("const1", lambda pts: np.ones(len(pts)))
         if text == "abs":
             u = np.ones(dim) / math.sqrt(dim)
-            return TestFunction(
-                "abs",
-                lambda x: abs(float((x - centroid) @ u)),
-                batch=lambda pts: np.abs((pts - centroid) @ u),
-            )
+            return TestFunction("abs", lambda pts: np.abs((pts - centroid) @ u))
         if text == "runge":
             return TestFunction(
-                "runge",
-                lambda x: 1.0 / (1.0 + 25.0 * float(((x - centroid) ** 2).sum())),
-                batch=lambda pts: 1.0 / (1.0 + 25.0 * ((pts - centroid) ** 2).sum(axis=1)),
+                "runge", lambda pts: 1.0 / (1.0 + 25.0 * ((pts - centroid) ** 2).sum(axis=1))
             )
         if text.startswith("affine:"):
             try:
@@ -138,9 +129,7 @@ def make_function(spec, simplex: Simplex) -> TestFunction:
                 )
             v = np.array(values[:dim])
             b = values[dim]
-            return TestFunction(
-                spec, lambda x: float(x @ v) + b, batch=lambda pts: pts @ v + b
-            )
+            return TestFunction(spec, lambda pts: pts @ v + b)
         if not (text.startswith("{") or text.endswith(".json")):
             raise ConfigError(
                 f"unknown function spec {text!r}; expected const1, abs, runge, affine:..., "
@@ -154,7 +143,7 @@ def make_function(spec, simplex: Simplex) -> TestFunction:
         raise ConfigError(
             f"function dimension {poly.dimension} does not match simplex dimension {dim}"
         )
-    return TestFunction("exp-polynomial", poly.evaluate, batch=poly.evaluate_many, exp_terms=poly)
+    return TestFunction("exp-polynomial", poly.evaluate_many, exp_terms=poly)
 
 
 @dataclass(frozen=True)
@@ -173,7 +162,7 @@ class ExperimentConfig:
         return replace(self, evaluator=evaluator)
 
 
-def _load_simplex_spec(spec) -> Simplex:
+def load_simplex(spec) -> Simplex:
     """Simplex from a mapping, inline JSON or a JSON file path."""
     if not isinstance(spec, (dict, str)):
         raise ConfigError(f"simplex spec must be a mapping or path, got {type(spec).__name__}")
@@ -208,7 +197,7 @@ def load_config(source) -> ExperimentConfig:
             raise ConfigError(f"{origin}: missing required field {field!r}")
 
     try:
-        simplex = _load_simplex_spec(data["simplex"])
+        simplex = load_simplex(data["simplex"])
     except (ValueError, OSError) as exc:
         raise ConfigError(f"{origin}: field 'simplex': {exc}") from exc
 
@@ -393,8 +382,8 @@ def run_bound_check(config: ExperimentConfig, margin: float = 0.25) -> BoundChec
     at order >= BOUND_CHECK_MIN_ORDER; below that the neglected second-order
     term may legitimately dominate.
     """
-    if margin < 0:
-        raise ConfigError("margin must be non-negative")
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ConfigError(f"margin must be finite and non-negative, got {margin!r}")
     single = config.function.single_exponential()
     if single is None:
         raise ConfigError(
@@ -403,11 +392,10 @@ def run_bound_check(config: ExperimentConfig, margin: float = 0.25) -> BoundChec
     direction = single.terms[0].direction_array
     simplex = config.simplex
     weights = grid_weights(config.grid_resolution, simplex.dimension)
-    points = weights @ simplex.vertices
 
     rows = []
     for n in config.n_values:
-        report = relative_error_report(simplex, direction, n, points)
+        report = relative_error_at_weights(simplex, direction, n, weights)
         violation = n >= BOUND_CHECK_MIN_ORDER and report.ratio > 1.0 + margin
         rows.append(
             BoundCheckRow(
@@ -429,18 +417,18 @@ def run_scaling_study(simplex: Simplex, direction, order: int, resolution: int,
     observed growth is roughly quadratic per doubling of either factor.
     """
     factors = [float(s) for s in scales]
-    if not factors or any(s <= 0 for s in factors):
-        raise ConfigError("scale factors must be positive")
+    if not factors or not all(math.isfinite(s) and s > 0 for s in factors):
+        raise ConfigError(f"scale factors must be finite and positive, got {factors}")
     base_direction = np.asarray(direction, dtype=float)
+    # Barycentric weights do not change when the simplex is scaled.
+    weights = grid_weights(resolution, simplex.dimension)
 
     rows = []
     for d_scale in factors:
         scaled = simplex.scaled(d_scale)
-        weights = grid_weights(resolution, scaled.dimension)
-        points = weights @ scaled.vertices
         for m_scale in factors:
             a = base_direction * m_scale
-            report = relative_error_report(scaled, a, order, points)
+            report = relative_error_at_weights(scaled, a, order, weights)
             rows.append(
                 ScalingRow(
                     diameter_scale=d_scale,
@@ -452,39 +440,3 @@ def run_scaling_study(simplex: Simplex, direction, order: int, resolution: int,
                 )
             )
     return rows
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
-def emit_csv(rows, destination, columns) -> None:
-    """Write header + rows as CSV: newline-terminated, '.' decimal points.
-
-    Rows may be dataclass instances (fields looked up by column name) or
-    plain sequences matching the column order. Output is byte-stable for
-    identical inputs.
-    """
-    def cells(row):
-        if hasattr(row, "__dataclass_fields__"):
-            return [getattr(row, name) for name in columns]
-        return list(row)
-
-    own_handle = isinstance(destination, (str, os.PathLike))
-    handle = open(destination, "w", newline="") if own_handle else destination
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in cells(row)])
-    finally:
-        if own_handle:
-            handle.close()

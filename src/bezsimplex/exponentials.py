@@ -7,8 +7,14 @@ theorem, to the closed form
 
 over the barycentric weights s_j of x. Exponentials are therefore the one
 family whose operator error carries an a-priori first-order rate constant;
-``error_budget`` computes that constant and ``relative_error_report``
+``error_budget`` computes that constant and ``relative_error_at_weights``
 measures the observed error against it.
+
+The closed form, its first-order residual and the relative error depend on
+the weights alone: a.x is sum_j s_j a.x_j, so the ``*_at_weights`` kernels
+take a (P, D+1) batch of barycentric weights and never form cartesian
+points. The single-point and cartesian-grid functions are adapters that
+solve for the weights and call a kernel.
 """
 
 from __future__ import annotations
@@ -18,12 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyGridError,
-    ExpOverflowError,
-)
-from .geometry import Simplex, clip_weights
+from .errors import DimensionMismatchError, EmptyGridError, ExpOverflowError
+from .geometry import Simplex, clip_weights, grid_points
 
 # exp() overflows double precision near 709; stay clear with a round guard.
 EXP_ARG_LIMIT = 700.0
@@ -183,11 +185,9 @@ def residual_at_weights(simplex: Simplex, order: int, direction,
     """First-order residual sum_j s_j exp(a.x_j/n) - 1 - a.x/n, batched."""
     if order < 1:
         raise DimensionMismatchError("order must be >= 1")
-    a = _direction(simplex, direction)
-    dots = _vertex_dots(simplex, a)
+    dots = _vertex_dots(simplex, direction)
     w = clip_weights(np.asarray(weights, dtype=float))
-    x_dots = (w @ simplex.vertices) @ a
-    return w @ np.exp(dots / order) - 1.0 - x_dots / order
+    return w @ np.exp(dots / order) - 1.0 - (w @ dots) / order
 
 
 def first_order_residual(simplex: Simplex, order: int, direction, x) -> float:
@@ -196,11 +196,8 @@ def first_order_residual(simplex: Simplex, order: int, direction, x) -> float:
     Zero for a = 0 and O(1/n^2) in the order; its n^2-scaled magnitude is
     capped by the remainder coefficient of ``error_budget``.
     """
-    a = _direction(simplex, direction)
-    dots = _vertex_dots(simplex, a)
-    w = clip_weights(simplex.barycentric(x))
-    x_arr = np.asarray(x, dtype=float)
-    return float(w @ np.exp(dots / order) - 1.0 - (x_arr @ a) / order)
+    w = simplex.barycentric(x)
+    return float(residual_at_weights(simplex, order, direction, w[None, :])[0])
 
 
 def error_budget(simplex: Simplex, direction, order: int) -> ErrorBudget:
@@ -228,28 +225,30 @@ def error_budget(simplex: Simplex, direction, order: int) -> ErrorBudget:
     )
 
 
-def relative_error_report(simplex: Simplex, direction, order: int,
-                          grid) -> RelativeErrorReport:
-    """Max pointwise relative error of the closed form against exp(a.x).
+def relative_error_at_weights(simplex: Simplex, direction, order: int,
+                              weights: np.ndarray) -> RelativeErrorReport:
+    """Max relative error of the closed form against exp(a.x) over a (P, D+1)
+    batch of barycentric weights.
 
     The ratio field compares the observation with the predicted first-order
     bound; observations at the zero floor give ratio 0 even when the
     prediction is exactly zero.
     """
-    points = np.asarray(grid, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None] if simplex.dimension == 1 else points[None, :]
-    if points.shape[0] == 0:
-        raise EmptyGridError("relative error requested over an empty grid")
-    a = _direction(simplex, direction)
-    weights = simplex.barycentric_many(points)
-    dots = _vertex_dots(simplex, a)
-    w = clip_weights(weights)
-    inner = w @ np.exp(dots / order)
+    if order < 1:
+        raise DimensionMismatchError("order must be >= 1")
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[1] != simplex.dimension + 1:
+        raise DimensionMismatchError(
+            f"expected weights of shape (P, {simplex.dimension + 1}), got {w.shape}"
+        )
+    if w.shape[0] == 0:
+        raise EmptyGridError("relative error requested over no weights")
+    dots = _vertex_dots(simplex, direction)
+    w = clip_weights(w)
     # closed_form / exp(a.x) computed without forming either huge factor
-    log_ratio = order * np.log(inner) - points @ a
+    log_ratio = order * np.log(w @ np.exp(dots / order)) - w @ dots
     observed = float(np.abs(np.expm1(log_ratio)).max())
-    predicted = error_budget(simplex, a, order).predicted_rel_error
+    predicted = error_budget(simplex, direction, order).predicted_rel_error
     if predicted > 0.0:
         ratio = observed / predicted
     else:
@@ -260,6 +259,13 @@ def relative_error_report(simplex: Simplex, direction, order: int,
         predicted_rel_error=predicted,
         ratio=ratio,
     )
+
+
+def relative_error_report(simplex: Simplex, direction, order: int,
+                          grid) -> RelativeErrorReport:
+    """relative_error_at_weights over a grid of cartesian points."""
+    weights = simplex.barycentric_many(grid_points(simplex, grid))
+    return relative_error_at_weights(simplex, direction, order, weights)
 
 
 def bezier_of_exp_polynomial(simplex: Simplex, order: int, poly: ExpPolynomial, x) -> float:

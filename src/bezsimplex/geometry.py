@@ -16,6 +16,7 @@ from scipy.linalg import lu_factor, lu_solve
 from .errors import (
     DegenerateSimplexError,
     DimensionMismatchError,
+    EmptyGridError,
     InvalidBarycentricError,
     NegativeWeightError,
 )
@@ -59,6 +60,17 @@ def clip_weights(weights: np.ndarray) -> np.ndarray:
             f"barycentric weight {weights.min():.3e} below -{COORDINATE_TOL:g}: point outside simplex"
         )
     return np.clip(weights, 0.0, None)
+
+
+def grid_points(simplex: Simplex, grid) -> np.ndarray:
+    """A non-empty grid as (P, D) points; a 1-d grid is P points of an
+    interval, or one point of a higher-dimensional simplex."""
+    points = np.asarray(grid, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None] if simplex.dimension == 1 else points[None, :]
+    if points.shape[0] == 0:
+        raise EmptyGridError("sup requested over an empty grid")
+    return points
 
 
 class Simplex:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .csvio import emit_csv
 from .errors import DimensionMismatchError, SizeOverflowError
 from .geometry import Simplex
 
@@ -32,35 +33,6 @@ def count_multi_indices(order: int, dimension: int) -> int:
     return math.comb(order + dimension, dimension)
 
 
-# Shared sub-blocks of the enumeration, reused across orders; only blocks up
-# to this many rows are kept so the cache stays desk-scale.
-_TAIL_CACHE: dict = {}
-_TAIL_CACHE_ROW_LIMIT = 500_000
-_EMPTY_TAIL = np.zeros((1, 0), dtype=np.int64)
-
-
-def _tail_blocks(budget: int, length: int) -> np.ndarray:
-    # All (k_1..k_length) with sum <= budget, colexicographic ascending:
-    # the last coordinate is most significant. Returned arrays are shared
-    # and read-only; callers must copy before mutating.
-    if length == 0:
-        return _EMPTY_TAIL
-    key = (budget, length)
-    cached = _TAIL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    blocks = []
-    for last in range(budget + 1):
-        head = _tail_blocks(budget - last, length - 1)
-        col = np.full((head.shape[0], 1), last, dtype=np.int64)
-        blocks.append(np.hstack([head, col]))
-    out = np.vstack(blocks)
-    out.setflags(write=False)
-    if out.shape[0] <= _TAIL_CACHE_ROW_LIMIT:
-        _TAIL_CACHE[key] = out
-    return out
-
-
 def enumerate_multi_indices(order: int, dimension: int) -> np.ndarray:
     """All multi-indices of the given order, one per row, shape (count, D+1).
 
@@ -73,9 +45,18 @@ def enumerate_multi_indices(order: int, dimension: int) -> np.ndarray:
             f"lattice of order {order} in dimension {dimension} has {count} entries"
             f" (cap {SIZE_CAP})"
         )
-    tails = _tail_blocks(order, dimension)
-    k0 = order - tails.sum(axis=1, keepdims=True)
-    return np.hstack([k0, tails])
+    # Place k_D, then k_(D-1), .. k_1: every row with `left` still to place
+    # gets one child per value 0..left, in ascending order, so the most
+    # significant coordinate is placed first and the rows come out colex.
+    left = np.array([order], dtype=np.int64)
+    tails = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(dimension):
+        parent = np.repeat(np.arange(left.shape[0]), left + 1)
+        first = np.cumsum(left + 1) - (left + 1)
+        value = np.arange(parent.shape[0]) - first[parent]
+        left = left[parent] - value
+        tails = np.hstack([value[:, None], tails[parent]])
+    return np.hstack([left[:, None], tails])
 
 
 def _check_index(index) -> np.ndarray:
@@ -154,8 +135,6 @@ class ControlPointSet:
 
     def write_csv(self, destination) -> None:
         """Write columns k_0..k_D, x_1..x_D; one row per control point."""
-        from .experiments import emit_csv  # local import avoids a cycle
-
         d1 = self.indices.shape[1]
         header = [f"k_{j}" for j in range(d1)] + [f"x_{j}" for j in range(1, d1)]
         rows = [tuple(k) + tuple(p) for k, p in self]

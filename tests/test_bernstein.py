@@ -396,6 +396,24 @@ class TestNetSerialization:
         with pytest.raises(DimensionMismatchError):
             read_control_net_csv(triangle, io.StringIO(scrambled))
 
+    @pytest.mark.parametrize("line,cell", [
+        ("1.5,0,0,1.0", "invalid literal"),
+        ("2,0,0", "expected 4 cells, got 3"),
+        ("2,0,0,abc", "could not convert"),
+        ("2,0,0,nan", "non-finite coefficient"),
+        ("2,0,0,1.0,7", "expected 4 cells, got 5"),
+    ])
+    def test_rejects_malformed_row(self, triangle, line, cell):
+        import io
+
+        net = ControlNet(triangle, 2, np.arange(6.0))
+        buf = io.StringIO()
+        write_control_net_csv(net, buf)
+        lines = buf.getvalue().splitlines()
+        lines[3] = line
+        with pytest.raises(DimensionMismatchError, match=f"line 4: {cell}"):
+            read_control_net_csv(triangle, io.StringIO("\n".join(lines) + "\n"))
+
     def test_rejects_empty(self, triangle):
         import io
 

@@ -127,6 +127,14 @@ class TestBoundCheck:
         assert main(["bound-check", "--config", config]) == 2
         assert json.loads(capsys.readouterr().err)["passed"] is False
 
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-0.5"])
+    def test_bad_margin(self, tmp_path, capsys, margin):
+        config = write_config(tmp_path)
+        assert main(["bound-check", "--config", config, f"--margin={margin}"]) == 1
+        captured = capsys.readouterr()
+        assert "margin" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_rejects_non_exponential(self, tmp_path, capsys):
         config = write_config(tmp_path, function="runge")
         assert main(["bound-check", "--config", config]) == 1
@@ -149,6 +157,12 @@ class TestScaling:
         config = write_config(tmp_path)
         assert main(["scaling", "--config", config, "--scales", "1,zwei"]) == 1
         assert "scales" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scales", ["nan,1", "1,inf", "1e400"])
+    def test_non_finite_scales(self, tmp_path, capsys, scales):
+        config = write_config(tmp_path)
+        assert main(["scaling", "--config", config, "--scales", scales]) == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_requires_exponential(self, tmp_path, capsys):
         config = write_config(tmp_path, function="abs")

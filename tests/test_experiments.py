@@ -16,8 +16,10 @@ from bezsimplex import (
     emit_csv,
     fit_power_law,
     fit_rate,
+    grid_weights,
     load_config,
     make_function,
+    relative_error_report,
     run_bound_check,
     run_convergence,
     run_metadata,
@@ -29,6 +31,8 @@ from bezsimplex.experiments import (
     CONVERGENCE_COLUMNS,
     SCALING_COLUMNS,
 )
+
+from conftest import random_simplex
 
 TRIANGLE_SPEC = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
 INTERVAL_SPEC = {"vertices": [[0.0], [1.0]]}
@@ -343,8 +347,9 @@ class TestBoundCheck:
 
     def test_negative_margin_rejected(self):
         config = load_config(config_dict(function=EXP_11))
-        with pytest.raises(ConfigError):
-            run_bound_check(config, margin=-0.1)
+        for margin in (-0.1, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="margin"):
+                run_bound_check(config, margin=margin)
 
     def test_violation_flag_controls_passed(self):
         rows = (
@@ -384,6 +389,25 @@ class TestScalingStudy:
             run_scaling_study(s, [1.0, 0.0], 10, 8, [0.0, 1.0])
         with pytest.raises(ConfigError):
             run_scaling_study(s, [1.0, 0.0], 10, 8, [])
+        for scales in ([math.nan, 1.0], [1.0, math.inf], [float("1e400")]):
+            with pytest.raises(ConfigError, match="finite"):
+                run_scaling_study(s, [1.0, 0.0], 10, 8, scales)
+
+    def test_rows_match_report_on_each_scaled_grid(self, rng):
+        # The study shares one weight grid across scales; the reference
+        # rebuilds the cartesian grid of every scaled simplex.
+        s = random_simplex(rng, 3)
+        direction = rng.normal(size=3)
+        order, resolution, scales = 160, 9, [0.25, 1.0, 3.0]
+        rows = run_scaling_study(s, direction, order, resolution, scales)
+        assert len(rows) == len(scales) ** 2
+        for row in rows:
+            scaled = s.scaled(row.diameter_scale)
+            points = grid_weights(resolution, 3) @ scaled.vertices
+            expected = relative_error_report(
+                scaled, direction * row.magnitude_scale, order, points
+            ).max_rel_error
+            assert abs(row.sup_relative_error - expected) <= 1e-12 * expected + order * 1e-14
 
 
 class TestEmitCsv:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bezsimplex import (
     ControlNet,
@@ -15,11 +16,13 @@ from bezsimplex import (
     apply_direct,
     bezier_exp_closed_form,
     bezier_of_exp_polynomial,
+    closed_form_at_weights,
     control_points,
     error_budget,
     evaluate_at_weights,
     first_order_residual,
     grid_weights,
+    relative_error_at_weights,
     relative_error_report,
     residual_at_weights,
     standard_simplex,
@@ -233,6 +236,24 @@ class TestRelativeErrorReport:
     def test_empty_grid(self, triangle):
         with pytest.raises(EmptyGridError):
             relative_error_report(triangle, [1.0, 1.0], 10, np.empty((0, 2)))
+        with pytest.raises(EmptyGridError):
+            relative_error_at_weights(triangle, [1.0, 1.0], 10, np.empty((0, 3)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dimension=st.integers(1, 4), order=st.integers(1, 640),
+           interior=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+    def test_kernel_matches_closed_form_over_exp(self, dimension, order, interior, seed):
+        # Independent reference: the closed form divided by exp(a.x) at the
+        # cartesian points of the weights.
+        rng = np.random.default_rng(seed)
+        s = random_simplex(rng, dimension)
+        a = rng.normal(size=dimension) * rng.uniform(0.1, 3.0)
+        w = np.vstack([np.eye(dimension + 1), interior_weights(rng, dimension, interior)])
+        report = relative_error_at_weights(s, a, order, w)
+        closed = closed_form_at_weights(s, order, a, w)
+        expected = float(np.abs(closed / np.exp((w @ s.vertices) @ a) - 1.0).max())
+        assert abs(report.max_rel_error - expected) <= 1e-12 * expected + order * 1e-14
+        assert report.predicted_rel_error == error_budget(s, a, order).predicted_rel_error
 
 
 class TestExpPolynomialImage:

@@ -52,10 +52,15 @@ class TestEnumeration:
         assert len({tuple(r) for r in got.tolist()}) == got.shape[0]
 
     def test_colexicographic_order(self):
-        # Colex on the tails equals lexicographic on the reversed tails.
-        got = enumerate_multi_indices(4, 3)
-        tails = [tuple(row[1:][::-1]) for row in got.tolist()]
-        assert tails == sorted(tails)
+        # Colex on the tails equals lexicographic on the reversed tails. The
+        # sizes include the benchmark's (80, 2) and (30, 5).
+        for order, dim in [(4, 3), (0, 1), (1, 3), (7, 1), (12, 2), (6, 4), (80, 2), (30, 5)]:
+            got = enumerate_multi_indices(order, dim)
+            assert got.shape == (math.comb(order + dim, dim), dim + 1)
+            assert got.dtype == np.int64
+            assert np.all(got >= 0) and np.all(got.sum(axis=1) == order)
+            tails = [tuple(row[1:][::-1]) for row in got.tolist()]
+            assert tails == sorted(set(tails)), (order, dim)
 
     def test_size_cap(self):
         assert math.comb(110, 5) > 100_000_000
