@@ -59,8 +59,14 @@ class ControlNet:
             raise DimensionMismatchError(
                 f"net of order {self.order} needs {expected} coefficients, got shape {c.shape}"
             )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("control net coefficients must be finite")
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            i = int(bad[0])
+            k = enumerate_multi_indices(self.order, self.simplex.dimension)[i]
+            raise FunctionEvaluationError(
+                f"control net coefficient {i} (multi-index {tuple(k.tolist())}) is {float(c[i])!r};"
+                " coefficients must be finite"
+            )
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)

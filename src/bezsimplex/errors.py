@@ -41,8 +41,8 @@ class ZeroError(BezSimplexError, ValueError):
     """All residuals sit at the noise floor: reproduction is exact, no rate to fit."""
 
 
-class FunctionEvaluationError(BezSimplexError, RuntimeError):
-    """A user-supplied function failed at a control point."""
+class FunctionEvaluationError(BezSimplexError, RuntimeError, ValueError):
+    """A user-supplied function failed at, or gave a non-finite value at, a control point."""
 
 
 class ConfigError(BezSimplexError, ValueError):

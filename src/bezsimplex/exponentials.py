@@ -94,7 +94,10 @@ class ExpPolynomial:
         pts = np.asarray(points, dtype=float)
         dots = self._dots(pts)
         coeffs = np.array([t.coefficient for t in self.terms])
-        return np.exp(dots) @ coeffs
+        # Huge coefficients may sum past the largest double: the value is
+        # then inf, which a control net rejects with a typed error.
+        with np.errstate(over="ignore"):
+            return np.exp(dots) @ coeffs
 
     def __call__(self, x) -> float:
         return self.evaluate(x)
@@ -151,10 +154,14 @@ def _direction(simplex: Simplex, direction) -> np.ndarray:
 
 
 def _vertex_dots(simplex: Simplex, direction) -> np.ndarray:
-    dots = simplex.vertices @ _direction(simplex, direction)
-    if np.any(dots > EXP_ARG_LIMIT):
+    # Huge vertices times a huge direction overflow to inf (or inf - inf =
+    # nan); both fail the guard below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = simplex.vertices @ _direction(simplex, direction)
+    if not np.all(dots <= EXP_ARG_LIMIT):
         raise ExpOverflowError(
-            f"a.x reaches {dots.max():.3g} at a vertex, beyond the guard {EXP_ARG_LIMIT:g}"
+            f"a.x reaches {np.nan_to_num(dots, nan=np.inf, posinf=np.inf).max():.3g} at a vertex,"
+            f" beyond the guard {EXP_ARG_LIMIT:g}"
         )
     return dots
 

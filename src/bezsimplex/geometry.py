@@ -9,9 +9,9 @@ the solve still succeeds and callers use the signs for containment.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (
     DegenerateSimplexError,
@@ -19,6 +19,7 @@ from .errors import (
     EmptyGridError,
     InvalidBarycentricError,
     NegativeWeightError,
+    SizeOverflowError,
 )
 
 # Absolute slack on barycentric non-negativity. Admits face points produced
@@ -77,8 +78,8 @@ class Simplex:
     """Closed, non-degenerate simplex spanned by D+1 vertices in R^D.
 
     The (D+1)x(D+1) affine system (ones row stacked on the vertex columns)
-    that maps cartesian to barycentric coordinates is LU-factorized once at
-    construction and reused for every query. Vertex order is fixed for the
+    that maps cartesian to barycentric coordinates is built once at
+    construction and solved per query. Vertex order is fixed for the
     lifetime of the instance; instances are immutable and safe to share
     across threads.
     """
@@ -97,23 +98,35 @@ class Simplex:
         if not np.all(np.isfinite(vtx)):
             raise ValueError("simplex vertices must be finite")
 
-        deltas = vtx[:, None, :] - vtx[None, :, :]
-        diameter = float(np.sqrt((deltas**2).sum(axis=2)).max())
+        # Diameter and degeneracy test on the vertices scaled by a power of
+        # two to at most 1 in magnitude: the scaling is exact, so ordinary
+        # diameters are unchanged, and huge vertices overflow no square or det.
+        e = int(np.frexp(np.abs(vtx).max())[1])
+        unit = np.ldexp(vtx, -e)
+        deltas = unit[:, None, :] - unit[None, :, :]
+        unit_diameter = float(np.sqrt((deltas**2).sum(axis=2)).max())
+        try:
+            diameter = math.ldexp(unit_diameter, e)
+        except OverflowError as exc:
+            raise SizeOverflowError(
+                f"simplex diameter {unit_diameter!r} * 2**{e} overflows a double"
+            ) from exc
 
-        # Column i of the system matrix is (1, x_i).
+        # Column i of the system matrix is (1, x_i). Scale-relative
+        # degeneracy threshold, on the scaled system: insensitive to units.
         system = np.vstack([np.ones(n_vertices), vtx.T])
-        det = float(np.linalg.det(system))
-        # Scale-relative degeneracy threshold: insensitive to units.
-        if abs(det) <= 1e-12 * diameter**dim:
+        det = float(np.linalg.det(np.vstack([np.ones(n_vertices), unit.T])))
+        if abs(det) <= 1e-12 * unit_diameter**dim:
             raise DegenerateSimplexError(
-                f"vertices are affinely dependent (|det| = {abs(det):.3e})"
+                f"vertices are affinely dependent (|det| = {abs(det):.3e} at scale 2**{-e})"
             )
 
         vtx.setflags(write=False)
         self._vertices = vtx
         self._dimension = dim
         self._diameter = diameter
-        self._lu = lu_factor(system)
+        system.setflags(write=False)
+        self._system = system
 
     @property
     def dimension(self) -> int:
@@ -148,11 +161,7 @@ class Simplex:
 
     def barycentric(self, x) -> np.ndarray:
         """Barycentric coordinates of x; signed, so valid outside the simplex too."""
-        p = self._check_point(x)
-        rhs = np.empty(self._dimension + 1)
-        rhs[0] = 1.0
-        rhs[1:] = p
-        return lu_solve(self._lu, rhs)
+        return self.barycentric_many(self._check_point(x)[None, :])[0]
 
     def barycentric_many(self, points) -> np.ndarray:
         """Barycentric coordinates of a (P, D) batch of points, shape (P, D+1)."""
@@ -164,7 +173,7 @@ class Simplex:
         rhs = np.empty((self._dimension + 1, pts.shape[0]))
         rhs[0] = 1.0
         rhs[1:] = pts.T
-        return lu_solve(self._lu, rhs).T
+        return np.linalg.solve(self._system, rhs).T
 
     def point_from_barycentric(self, weights) -> np.ndarray:
         """Map validated barycentric weights back to a cartesian point."""
@@ -179,7 +188,11 @@ class Simplex:
 
     def scaled(self, factor: float) -> "Simplex":
         """Simplex with all vertices scaled about the origin."""
-        return Simplex(self._vertices * float(factor))
+        with np.errstate(over="ignore"):
+            vertices = self._vertices * float(factor)
+        if not np.all(np.isfinite(vertices)):
+            raise SizeOverflowError(f"scaling by {factor!r} overflows the vertex coordinates")
+        return Simplex(vertices)
 
     def to_dict(self) -> dict:
         return {"vertices": self._vertices.tolist()}

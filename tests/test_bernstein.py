@@ -143,6 +143,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             ControlNet(triangle, 2, np.array([1.0, np.nan, 0, 0, 0, 0]))
 
+    def test_non_finite_net_is_typed(self, triangle):
+        # The first non-finite entry is named by position and multi-index.
+        values = np.array([1.0, 2.0, 3.0, np.inf, np.nan, 0.0])
+        with pytest.raises(FunctionEvaluationError,
+                           match=r"coefficient 3 \(multi-index \(1, 0, 1\)\) is inf"):
+            ControlNet(triangle, 2, values)
+        with pytest.raises(FunctionEvaluationError, match="nan"):
+            sample_control_net(triangle, 3, lambda p: float("nan"))
+
 
 class TestApplyDirect:
     def test_constant_is_reproduced(self, rng):
@@ -314,6 +323,17 @@ class TestCollapsedKernel:
         scale = float(np.abs(exact).max())
         assert np.abs(stable - exact).max() <= 1e-12 * scale
         assert np.abs(stable - direct).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("order", [160, 400])
+    def test_direct_at_high_order_matches_closed_form(self, triangle, rng, order):
+        # The direct evaluator carries the log-multinomial table to |k| = order.
+        a = np.array([1.0, 1.0])
+        cps = control_points(triangle, order)
+        net = ControlNet(triangle, order, np.exp(cps.points @ a))
+        w = np.vstack([grid_weights(10, 2), interior_weights(rng, 2, 20)])
+        exact = closed_form_at_weights(triangle, order, a, w)
+        direct = evaluate_at_weights(net, w, evaluator="direct")
+        assert np.abs(direct / exact - 1.0).max() <= 1e-12
 
 
 class TestOperatorProperties:

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bezsimplex
 from bezsimplex import basis_vector, count_multi_indices, standard_simplex
 from bezsimplex.cli import main
 from bezsimplex.experiments import BoundCheckResult, BoundCheckRow
@@ -94,6 +98,14 @@ class TestConverge:
         assert main(["converge", "--config", config]) == 1
         assert f"missing {missing}" in capsys.readouterr().err
 
+    def test_overflowing_function_values(self, tmp_path, capsys):
+        # Each term is finite; their sum is not, at every control point.
+        terms = [{"c": 1e308, "a": [0, 0]}, {"c": 1e308, "a": [0, 0]}]
+        config = write_config(tmp_path, function={"terms": terms})
+        assert main(["converge", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+
     def test_bad_config_field(self, tmp_path, capsys):
         config = write_config(tmp_path, n_values=[4, 2])
         assert main(["converge", "--config", config]) == 1
@@ -163,6 +175,13 @@ class TestScaling:
         config = write_config(tmp_path)
         assert main(["scaling", "--config", config, "--scales", scales]) == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scales", ["1e200,1", "1,1e200"])
+    def test_huge_scales_overflow_the_exponent(self, tmp_path, capsys, scales):
+        config = write_config(tmp_path)
+        assert main(["scaling", "--config", config, "--scales", scales]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a.x reaches") and "affinely" not in err
 
     def test_requires_exponential(self, tmp_path, capsys):
         config = write_config(tmp_path, function="abs")
@@ -237,3 +256,15 @@ class TestControlPoints:
         bad = json.dumps({"vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]})
         assert main(["control-points", "--simplex", bad, "--n", "2"]) == 1
         assert "affinely dependent" in capsys.readouterr().err
+
+
+def test_import_loads_numpy_and_stdlib_only():
+    # scipy's import cost was most of every CLI call's start-up time.
+    source = str(Path(bezsimplex.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {source!r}); import bezsimplex.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, timeout=60)
+    assert result.stdout.strip() == "[]"

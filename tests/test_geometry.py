@@ -9,6 +9,7 @@ from bezsimplex import (
     DimensionMismatchError,
     InvalidBarycentricError,
     Simplex,
+    SizeOverflowError,
     standard_simplex,
     validate_barycentric,
 )
@@ -58,6 +59,23 @@ class TestConstruction:
             Simplex([[0.0, 0.0], [1.0, 0.0], [0.5, eps]])
         # The same shape inflated well past tolerance is fine.
         Simplex([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-3]])
+
+    def test_huge_vertices(self, rng):
+        # Diameter and degeneracy test run on vertices scaled by a power of
+        # two, so nothing overflows and the diameter scales exactly.
+        s = random_simplex(rng, 3)
+        for factor in (2.0**600, 2.0**-600):
+            big = Simplex(s.vertices * factor)
+            assert big.diameter == s.diameter * factor
+        assert standard_simplex(2).scaled(1e200).diameter == pytest.approx(np.sqrt(2) * 1e200)
+        with pytest.raises(DegenerateSimplexError):
+            Simplex([[0.0, 0.0], [1e300, 0.0], [2e300, 0.0]])
+
+    def test_diameter_overflow(self, triangle):
+        with pytest.raises(SizeOverflowError, match="overflows"):
+            Simplex([[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308]])
+        with pytest.raises(SizeOverflowError, match="overflows"):
+            Simplex(2.0 * triangle.vertices).scaled(1e308)
 
 
 class TestBarycentric:

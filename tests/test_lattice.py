@@ -120,6 +120,26 @@ class TestMultinomials:
         for i in rng.integers(0, len(indices), size=25):
             assert table[i] == pytest.approx(multinomial_log(indices[i]), abs=1e-12)
 
+    def test_log_table_against_exact_integers(self):
+        # Every multi-index with |k| <= 60 on a triangle, against the log of
+        # the exact integer; corner coefficients (value 1) must give 0 exactly.
+        # log M = log n! - sum log k_j! cancels, so the error scale is log n!:
+        # within two units of 2**-52 of it (scipy's gammaln reached 2.2).
+        indices = np.vstack([enumerate_multi_indices(n, 2) for n in range(61)])
+        table = multinomial_log_table(indices)
+        exact = np.array([math.log(multinomial_exact(k)) for k in indices])
+        log_n_factorial = np.array([math.log(math.factorial(n)) for n in indices.sum(axis=1)])
+        assert np.all(table[exact == 0.0] == 0.0)
+        assert np.all(np.abs(table - exact) <= 2.0**-51 * log_n_factorial)
+        scalar = np.array([multinomial_log(k) for k in indices])
+        assert np.array_equal(table, scalar)
+
+    def test_log_table_past_the_factorial_limit(self):
+        # Orders above 170 read lgamma; compare with the exact integer.
+        for k in ([171, 0], [170, 1], [200, 150, 50], [1000, 1, 999]):
+            exact = math.log(exact_multinomial(k))
+            assert multinomial_log_table(np.array([k]))[0] == pytest.approx(exact, rel=1e-14)
+
     def test_exp_log_matches_exact(self):
         for order, dim in [(10, 2), (25, 3), (18, 4)]:
             indices = enumerate_multi_indices(order, dim)
