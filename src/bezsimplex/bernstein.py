@@ -5,7 +5,10 @@ polynomial sum_k f(R(k/n)) B_k^n(x), where B_k^n(x) is the multinomial
 coefficient times prod_j s_j(x)^k_j over the barycentric weights s of x.
 
 Two evaluators are provided. Direct summation computes each basis value in
-log space and is the correctness reference. The production path, named
+log space and is the correctness reference: per chunk of points, one matrix
+product of log weights and indices, one add and one in-place exp, where a
+finite log-0 sentinel makes zero weights give exact zeros without a mask.
+The production path, named
 ``decasteljau``, sums the net out one collapsed coordinate at a time
 (Ainsworth-Andriamaro-Davydov 2011, Kirby 2011): each axis is a 1-D de
 Casteljau, so only convex combinations appear and it stays stable at high
@@ -153,20 +156,18 @@ def read_control_net_csv(simplex: Simplex, source) -> ControlNet:
     return ControlNet(simplex=simplex, order=order, coefficients=coefficients)
 
 
-def _basis_matrix(indices: np.ndarray, log_multinomials: np.ndarray,
+def _basis_matrix(indices_t: np.ndarray, log_multinomials: np.ndarray,
                   weights: np.ndarray) -> np.ndarray:
-    # B[i, p] = B_{k_i} at weight row p, computed in log space with the
-    # 0*log(0) = 0 convention handled by masking. The multinomial logs are
-    # passed in so a chunked caller computes them once.
+    # B[p, i] = B_{k_i} at weight row p, in log space from the float (D+1, N)
+    # index table and the multinomial logs (passed in, computed once per call).
+    # log 0 reads as the sentinel S = -(max log multinomial + 1000): k_j * S is
+    # exactly 0 for k_j = 0 and puts exp at exactly 0 for k_j >= 1; no mask.
     w = clip_weights(weights)
-    zero = w == 0.0
-    logw = np.where(zero, 0.0, np.log(np.where(zero, 1.0, w)))
-    log_basis = indices.astype(float) @ logw.T + log_multinomials[:, None]
-    # Entries with k_j > 0 at a zero weight are exactly zero, not exp(placeholder).
-    dead = ((indices > 0).astype(np.int8) @ zero.T.astype(np.int8)) > 0
-    if dead.any():
-        log_basis[dead] = -np.inf
-    return np.exp(log_basis)
+    logw = np.full(w.shape, -(log_multinomials.max() + 1000.0))
+    np.log(w, out=logw, where=w != 0.0)
+    log_basis = logw @ indices_t
+    log_basis += log_multinomials
+    return np.exp(log_basis, out=log_basis)
 
 
 def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
@@ -175,7 +176,7 @@ def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
         raise DimensionMismatchError("basis order must be >= 1")
     indices = enumerate_multi_indices(order, simplex.dimension)
     w = simplex.barycentric(x)
-    return _basis_matrix(indices, multinomial_log_table(indices), w[None, :])[:, 0]
+    return _basis_matrix(indices.T.astype(float), multinomial_log_table(indices), w[None, :])[0]
 
 
 def basis_value(simplex: Simplex, index, x) -> float:
@@ -189,7 +190,8 @@ def basis_value(simplex: Simplex, index, x) -> float:
     if order < 1:
         raise DimensionMismatchError("basis order |k| must be >= 1")
     w = simplex.barycentric(x)
-    return float(_basis_matrix(k[None, :], multinomial_log_table(k[None, :]), w[None, :])[0, 0])
+    return float(_basis_matrix(k[:, None].astype(float), multinomial_log_table(k[None, :]),
+                               w[None, :])[0, 0])
 
 
 def _stage_plan(order: int, dimension: int) -> list:
@@ -250,8 +252,9 @@ def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALU
     if evaluator == DIRECT:
         indices = enumerate_multi_indices(order, net.simplex.dimension)
         logm = multinomial_log_table(indices)
+        indices_t = indices.T.astype(float)
         entries = count
-        kernel = lambda part: _basis_matrix(indices, logm, part).T @ net.coefficients
+        kernel = lambda part: _basis_matrix(indices_t, logm, part) @ net.coefficients
     elif evaluator == DE_CASTELJAU:
         w = clip_weights(w)
         plan = _stage_plan(order, net.simplex.dimension)

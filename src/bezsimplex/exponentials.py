@@ -30,6 +30,9 @@ from .geometry import Simplex, clip_weights, grid_points
 # exp() overflows double precision near 709; stay clear with a round guard.
 EXP_ARG_LIMIT = 700.0
 
+# log of the largest finite double; a relative error past exp of it overflows.
+_LOG_DOUBLE_MAX = float(np.log(np.finfo(float).max))
+
 # Observed relative errors at or below this are treated as exactly zero when
 # forming observed/predicted ratios (the predicted bound may be exactly 0).
 ZERO_OBSERVED_FLOOR = 1e-12
@@ -166,6 +169,26 @@ def _vertex_dots(simplex: Simplex, direction) -> np.ndarray:
     return dots
 
 
+def _log_weighted_mean(w: np.ndarray, dots: np.ndarray, order: int) -> np.ndarray:
+    # log(sum_j s_j exp(a.x_j / n)) per weight row. A sum of weights 1 stays
+    # above the smallest normal double unless some a.x_j / n is below
+    # -EXP_ARG_LIMIT; only then is each row that falls below it summed again,
+    # shifted by its largest weighted a.x_j / n. Every other row keeps the
+    # plain sum.
+    scaled = dots / order
+    inner = w @ np.exp(scaled)
+    if scaled.min() >= -EXP_ARG_LIMIT:
+        return np.log(inner)
+    low = np.flatnonzero(inner < np.finfo(float).tiny)
+    sub = w[low]
+    peak = np.where(sub > 0.0, scaled, -np.inf)
+    shift = peak.max(axis=1)
+    inner[low] = (sub * np.exp(peak - shift[:, None])).sum(axis=1)
+    log_mean = np.log(inner)
+    log_mean[low] += shift
+    return log_mean
+
+
 def closed_form_at_weights(simplex: Simplex, order: int, direction,
                            weights: np.ndarray) -> np.ndarray:
     """Bernstein image of exp(a.x) at a (P, D+1) batch of barycentric weights.
@@ -177,8 +200,7 @@ def closed_form_at_weights(simplex: Simplex, order: int, direction,
         raise DimensionMismatchError("order must be >= 1")
     dots = _vertex_dots(simplex, direction)
     w = clip_weights(np.asarray(weights, dtype=float))
-    inner = w @ np.exp(dots / order)
-    return np.exp(order * np.log(inner))
+    return np.exp(order * _log_weighted_mean(w, dots, order))
 
 
 def bezier_exp_closed_form(simplex: Simplex, order: int, direction, x) -> float:
@@ -239,7 +261,8 @@ def relative_error_at_weights(simplex: Simplex, direction, order: int,
 
     The ratio field compares the observation with the predicted first-order
     bound; observations at the zero floor give ratio 0 even when the
-    prediction is exactly zero.
+    prediction is exactly zero. A relative error past the largest double
+    raises ExpOverflowError.
     """
     if order < 1:
         raise DimensionMismatchError("order must be >= 1")
@@ -253,7 +276,10 @@ def relative_error_at_weights(simplex: Simplex, direction, order: int,
     dots = _vertex_dots(simplex, direction)
     w = clip_weights(w)
     # closed_form / exp(a.x) computed without forming either huge factor
-    log_ratio = order * np.log(w @ np.exp(dots / order)) - w @ dots
+    log_ratio = order * _log_weighted_mean(w, dots, order) - w @ dots
+    largest = log_ratio.max()
+    if largest > _LOG_DOUBLE_MAX:
+        raise ExpOverflowError(f"relative error reaches exp({largest:.6g}), beyond the largest double")
     observed = float(np.abs(np.expm1(log_ratio)).max())
     predicted = error_budget(simplex, direction, order).predicted_rel_error
     if predicted > 0.0:

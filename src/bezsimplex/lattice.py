@@ -77,10 +77,18 @@ def multinomial_log_table(indices: np.ndarray) -> np.ndarray:
     k = np.asarray(indices, dtype=np.int64)
     n = k.sum(axis=1)
     # log(i!) from the exact integer while i! is a finite double (correctly
-    # rounded), lgamma beyond; lgamma alone is 1 ulp low at i = 2..6.
-    log_factorial = np.array([math.log(math.factorial(i)) if i <= 170 else math.lgamma(i + 1)
-                              for i in range(int(n.max(initial=0)) + 1)])
-    return log_factorial[n] - log_factorial[k].sum(axis=1)
+    # rounded), lgamma beyond; lgamma alone is 1 ulp low at i = 2..6. The
+    # table is dense up to 170 or the row count, whichever is larger (a
+    # lattice of order n has more than n rows); above that lgamma is read
+    # once per distinct value of n or k, so one huge index costs one call.
+    dense = min(int(n.max(initial=0)), max(170, n.shape[0]))
+    big = np.unique(np.concatenate([n[n > dense], k[k > dense]]))
+    log_factorial = np.array(
+        [math.log(math.factorial(i)) if i <= 170 else math.lgamma(i + 1) for i in range(dense + 1)]
+        + [math.lgamma(v + 1) for v in big.tolist()])
+    # Table position of i: i itself up to `dense`, then past it by its rank in `big`.
+    position = lambda i: np.where(i <= dense, i, dense + 1 + np.searchsorted(big, i))
+    return log_factorial[position(n)] - log_factorial[position(k)].sum(axis=1)
 
 
 def multinomial_exact(index) -> int:

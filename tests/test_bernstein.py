@@ -336,6 +336,33 @@ class TestCollapsedKernel:
         assert np.abs(direct / exact - 1.0).max() <= 1e-12
 
 
+class TestDirectKernel:
+    @pytest.mark.parametrize("dimension, order", [(1, 5000), (2, 400), (3, 60)])
+    def test_vertices_return_the_pure_index_coefficients(self, rng, dimension, order):
+        # Each k_j >= 1 at a zero weight must give an exact 0 up to the order
+        # where log C(5000, 2500) is about 3461, so the vertex value is one
+        # coefficient bit for bit.
+        net = random_net(rng, dimension, order)
+        indices = enumerate_multi_indices(order, dimension)
+        values = evaluate_at_weights(net, np.eye(dimension + 1), evaluator="direct")
+        expected = [net.coefficients[np.flatnonzero(indices[:, j] == order)[0]]
+                    for j in range(dimension + 1)]
+        np.testing.assert_array_equal(values, expected)
+
+    def test_basis_vector_at_a_vertex(self, triangle):
+        values = basis_vector(triangle, 300, triangle.vertices[2])
+        [hit] = np.flatnonzero(values)
+        assert values[hit] == 1.0
+        assert enumerate_multi_indices(300, 2)[hit].tolist() == [0, 0, 300]
+
+    def test_nan_weight_stays_nan(self, rng):
+        # A NaN weight must not be read as a zero weight.
+        net = random_net(rng, 2, 6)
+        w = np.array([[np.nan, 0.5, 0.5], [0.2, 0.3, 0.5]])
+        values = evaluate_at_weights(net, w, evaluator="direct")
+        assert np.isnan(values[0]) and np.isfinite(values[1])
+
+
 class TestOperatorProperties:
     def test_vertex_interpolation(self, rng):
         s = random_simplex(rng, 2)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,15 @@ class TestScaling:
         err = capsys.readouterr().err
         assert err.startswith("error: a.x reaches") and "affinely" not in err
 
+    def test_overflowing_relative_error(self, tmp_path, capsys):
+        # The (1e3, 1e3) row's relative error is about e^950000.
+        config = write_config(tmp_path, function={"terms": [{"c": 1.0, "a": [-1.0, -1.0]}]},
+                              n_values=[10], grid_resolution=20)
+        assert main(["scaling", "--config", config, "--scales", "1e3,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: relative error reaches exp(")
+        assert captured.out == ""
+
     def test_requires_exponential(self, tmp_path, capsys):
         config = write_config(tmp_path, function="abs")
         assert main(["scaling", "--config", config, "--scales", "1,2"]) == 1
@@ -268,3 +278,26 @@ def test_import_loads_numpy_and_stdlib_only():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             check=True, timeout=60)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("evaluator", ["direct", "decasteljau"])
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, evaluator):
+    # The direct evaluator is a matrix product per chunk; the CSV must be the
+    # same whatever number of threads the BLAS splits it over.
+    tetrahedron = {"vertices": [[0.1, -0.2, 0.0], [1.2, 0.1, 0.3], [-0.1, 0.9, 0.2],
+                                [0.2, 0.3, 1.1]]}
+    config = write_config(tmp_path, simplex=tetrahedron, function="runge",
+                          n_values=[10, 20], grid_resolution=8)
+    source = str(Path(bezsimplex.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=source, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-m", "bezsimplex.cli", "converge", "--config", config,
+             "--evaluator", evaluator],
+            capture_output=True, check=True, env=env, timeout=120,
+        )
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
+    assert next(iter(outputs)).startswith(b"n,sup_error,")

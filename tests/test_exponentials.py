@@ -239,6 +239,25 @@ class TestRelativeErrorReport:
         with pytest.raises(EmptyGridError):
             relative_error_at_weights(triangle, [1.0, 1.0], 10, np.empty((0, 3)))
 
+    def test_translation_invariance(self, triangle):
+        # a = (-1, -1) on the triangle moved by t(1, 1): from t = 1e4 on,
+        # every exp(a.x_j / n) underflows and the weighted mean needs a shift.
+        w = grid_weights(20, 2)
+        errors = {t: relative_error_at_weights(Simplex(triangle.vertices + t), [-1.0, -1.0],
+                                               10, w).max_rel_error
+                  for t in (0.0, 1e2, 1e3, 1e4)}
+        for t, error in errors.items():
+            assert error == pytest.approx(errors[0.0], rel=1e-8), t
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            closed = closed_form_at_weights(Simplex(triangle.vertices + 1e4), 10, [-1.0, -1.0], w)
+        assert np.all(closed == 0.0)
+
+    def test_overflowing_relative_error_is_typed(self, triangle):
+        # At the weight (0.05, 0.95, 0) of the 1e3-scaled triangle with
+        # a = (-1e3, -1e3) the closed form over exp(a.x) is about e^950000.
+        with pytest.raises(ExpOverflowError, match="largest double"):
+            relative_error_at_weights(triangle.scaled(1e3), [-1e3, -1e3], 10, grid_weights(20, 2))
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dimension=st.integers(1, 4), order=st.integers(1, 640),
            interior=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))

@@ -1,5 +1,6 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,6 +140,30 @@ class TestMultinomials:
         for k in ([171, 0], [170, 1], [200, 150, 50], [1000, 1, 999]):
             exact = math.log(exact_multinomial(k))
             assert multinomial_log_table(np.array([k]))[0] == pytest.approx(exact, rel=1e-14)
+
+    def test_huge_index_reads_lgamma_once_per_value(self):
+        # Above 170 only the values that occur are read, not every order.
+        with mock.patch.object(math, "lgamma", mock.Mock(wraps=math.lgamma)) as calls:
+            got = multinomial_log([10**6 - 3, 3])
+            assert calls.call_count <= 2
+            calls.reset_mock()
+            assert multinomial_log([10**6, 0]) == 0.0
+            assert calls.call_count <= 1
+        exact = math.log(math.comb(10**6, 3))
+        assert abs(got - exact) <= 2.0**-51 * math.lgamma(10**6 + 1)
+
+    def test_log_table_matches_a_per_entry_reference(self):
+        # Reference: log(i!) entry by entry, the exact integer up to 170 and
+        # lgamma above, summed in the same order. Lattices take the dense
+        # table; the last case has few rows and reads lgamma per value.
+        log_factorial = lambda i: math.log(math.factorial(i)) if i <= 170 else math.lgamma(i + 1)
+        cases = [enumerate_multi_indices(60, 3), enumerate_multi_indices(171, 1),
+                 enumerate_multi_indices(300, 2),
+                 np.array([[10**6 - 3, 3], [500, 400], [171, 0], [2, 5], [180, 180]])]
+        for indices in cases:
+            expected = [log_factorial(sum(k)) - sum(log_factorial(v) for v in k)
+                        for k in indices.tolist()]
+            assert np.array_equal(multinomial_log_table(indices), expected)
 
     def test_exp_log_matches_exact(self):
         for order, dim in [(10, 2), (25, 3), (18, 4)]:
