@@ -39,6 +39,7 @@ DEFAULT_EVALUATOR = DE_CASTELJAU
 # Largest lattice size x chunk points either evaluator holds at once; bounds
 # the working set independently of the grid size.
 _ENTRY_BUDGET = 1 << 19
+_LOG_ZERO = -1000.0  # the direct evaluator's finite log 0; see _basis_matrix
 
 
 @dataclass(frozen=True)
@@ -158,12 +159,11 @@ def read_control_net_csv(simplex: Simplex, source) -> ControlNet:
 
 def _basis_matrix(indices_t: np.ndarray, log_multinomials: np.ndarray,
                   weights: np.ndarray) -> np.ndarray:
-    # B[p, i] = B_{k_i} at weight row p, in log space from the float (D+1, N)
-    # index table and the multinomial logs (passed in, computed once per call).
-    # log 0 reads as the sentinel S = -(max log multinomial + 1000): k_j * S is
-    # exactly 0 for k_j = 0 and puts exp at exactly 0 for k_j >= 1; no mask.
+    # B[p, i] = B_{k_i} at weight row p, in log space. log 0 reads as _LOG_ZERO:
+    # k_j = 0 adds exactly 0, and k_j >= 1 at a zero weight bounds the value by
+    # (n e^_LOG_ZERO)^k_j, which exp rounds to exactly 0 for any n < e^255.
     w = clip_weights(weights)
-    logw = np.full(w.shape, -(log_multinomials.max() + 1000.0))
+    logw = np.full(w.shape, _LOG_ZERO)
     np.log(w, out=logw, where=w != 0.0)
     log_basis = logw @ indices_t
     log_basis += log_multinomials

@@ -170,15 +170,11 @@ def _vertex_dots(simplex: Simplex, direction) -> np.ndarray:
 
 
 def _log_weighted_mean(w: np.ndarray, dots: np.ndarray, order: int) -> np.ndarray:
-    # log(sum_j s_j exp(a.x_j / n)) per weight row. A sum of weights 1 stays
-    # above the smallest normal double unless some a.x_j / n is below
-    # -EXP_ARG_LIMIT; only then is each row that falls below it summed again,
-    # shifted by its largest weighted a.x_j / n. Every other row keeps the
-    # plain sum.
+    # log(sum_j s_j exp(a.x_j / n)) per weight row. Each row whose sum falls
+    # below the smallest normal double is summed again, shifted by its
+    # largest weighted a.x_j / n. Every other row keeps the plain sum.
     scaled = dots / order
     inner = w @ np.exp(scaled)
-    if scaled.min() >= -EXP_ARG_LIMIT:
-        return np.log(inner)
     low = np.flatnonzero(inner < np.finfo(float).tiny)
     sub = w[low]
     peak = np.where(sub > 0.0, scaled, -np.inf)
