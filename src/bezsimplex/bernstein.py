@@ -10,9 +10,10 @@ product of log weights and indices, one add and one in-place exp, where a
 finite log-0 sentinel makes zero weights give exact zeros without a mask.
 The production path, named
 ``decasteljau``, sums the net out one collapsed coordinate at a time
-(Ainsworth-Andriamaro-Davydov 2011, Kirby 2011): each axis is a 1-D de
-Casteljau, so only convex combinations appear and it stays stable at high
-order, and a point costs O(n^D) instead of O(n^{D+1}).
+(Ainsworth-Andriamaro-Davydov 2011, Kirby 2011), O(n^D) a point instead of
+O(n^{D+1}): each stage streams Pascal rows of convex combinations (stable at
+high order) across the whole chunk and contracts every block with its row
+off BLAS, so results do not depend on the chunking or the thread count.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ DIRECT = "direct"
 DE_CASTELJAU = "decasteljau"
 DEFAULT_EVALUATOR = DE_CASTELJAU
 
-# Largest lattice size x chunk points either evaluator holds at once; bounds
-# the working set independently of the grid size.
+# Most doubles per point (lattice size, or see _stage_plan) x chunk points an
+# evaluator holds at once; bounds the working set whatever the grid size.
 _ENTRY_BUDGET = 1 << 19
 _LOG_ZERO = -1000.0  # the direct evaluator's finite log 0; see _basis_matrix
 
@@ -158,11 +159,10 @@ def read_control_net_csv(simplex: Simplex, source) -> ControlNet:
 
 
 def _basis_matrix(indices_t: np.ndarray, log_multinomials: np.ndarray,
-                  weights: np.ndarray) -> np.ndarray:
+                  w: np.ndarray) -> np.ndarray:
     # B[p, i] = B_{k_i} at weight row p, in log space. log 0 reads as _LOG_ZERO:
     # k_j = 0 adds exactly 0, and k_j >= 1 at a zero weight bounds the value by
     # (n e^_LOG_ZERO)^k_j, which exp rounds to exactly 0 for any n < e^255.
-    w = clip_weights(weights)
     logw = np.full(w.shape, _LOG_ZERO)
     np.log(w, out=logw, where=w != 0.0)
     log_basis = logw @ indices_t
@@ -175,8 +175,8 @@ def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
     if order < 1:
         raise DimensionMismatchError("basis order must be >= 1")
     indices = enumerate_multi_indices(order, simplex.dimension)
-    w = simplex.barycentric(x)
-    return _basis_matrix(indices.T.astype(float), multinomial_log_table(indices), w[None, :])[0]
+    w = clip_weights(simplex.barycentric(x)[None, :], simplex.dimension)
+    return _basis_matrix(indices.T.astype(float), multinomial_log_table(indices), w)[0]
 
 
 def basis_value(simplex: Simplex, index, x) -> float:
@@ -189,65 +189,70 @@ def basis_value(simplex: Simplex, index, x) -> float:
     order = int(k.sum())
     if order < 1:
         raise DimensionMismatchError("basis order |k| must be >= 1")
-    w = simplex.barycentric(x)
+    w = clip_weights(simplex.barycentric(x)[None, :], simplex.dimension)
     return float(_basis_matrix(k[:, None].astype(float), multinomial_log_table(k[None, :]),
-                               w[None, :])[0, 0])
+                               w)[0, 0])
 
 
-def _stage_plan(order: int, dimension: int) -> list:
+def _stage_plan(order: int, dimension: int) -> tuple:
     # Stage j sums out k_j. In colex order every run of rows sharing
-    # (k_{j+1}..k_D) is one contiguous block k_j = 0..m_j, starting where
-    # k_j = 0; its sum is one row of the next stage. Each stage keeps the
-    # flat Pascal-triangle position of (m_j, k_j) per row and the block starts.
+    # (k_{j+1}..k_D) is one block k_j = 0..m_j, m_j = k_0 + .. + k_j, whose sum
+    # is a row of the next stage; rows are stored grouped by m_j. A stage is
+    # its group bounds and, per m, its (blocks, m+1) input rows. Also returns
+    # the doubles a chunk holds per point: two Pascal rows, a stage's output,
+    # input and largest gather (stage 1 reads the net, without a point axis).
     tails = enumerate_multi_indices(order, dimension)[:, 1:]
-    plan = []
-    for _ in range(dimension):
-        k = tails[:, 0]
-        m = order - tails[:, 1:].sum(axis=1)
-        starts = np.flatnonzero(k == 0)
-        plan.append((m * (m + 1) // 2 + k, starts))
-        tails = tails[starts, 1:]
-    return plan
-
-
-def _pascal_triangle(u: np.ndarray, order: int) -> np.ndarray:
-    # Rows m = 0..order of b^m_k(u) = C(m, k) u^k (1-u)^(m-k), one column per
-    # point, row m starting at m(m+1)/2. Built by convex combinations only:
-    # b^m_k = (1-u) b^(m-1)_k + u b^(m-1)_(k-1).
-    v = 1.0 - u
-    tri = np.empty(((order + 1) * (order + 2) // 2, u.shape[0]))
-    tri[0] = 1.0
-    for m in range(1, order + 1):
-        prev = tri[(m - 1) * m // 2:m * (m + 1) // 2]
-        row = tri[m * (m + 1) // 2:(m + 1) * (m + 2) // 2]
-        np.multiply(prev, v, out=row[:m])
-        row[m] = 0.0
-        row[1:] += prev * u
-    return tri
+    where = np.arange(len(tails))  # storage row of each colex row
+    plan, entries = [], 0
+    for stage in range(dimension):
+        starts = np.flatnonzero(tails[:, 0] == 0)
+        block_m = order - tails[starts, 1:].sum(axis=1)
+        rank = np.argsort(block_m, kind="stable")
+        bounds = np.searchsorted(block_m[rank], np.arange(order + 2))
+        groups = [where[starts[rank[bounds[m]:bounds[m + 1]], None] + np.arange(m + 1)]
+                  for m in range(order + 1)]
+        plan.append((bounds, groups))
+        gathered = len(tails) + max(g.size for g in groups) if stage else 0
+        entries = max(entries, len(starts) + gathered)
+        tails, where = tails[starts, 1:], np.argsort(rank)
+    return plan, entries + 2 * (order + 1)
 
 
 def _collapsed_chunk(coefficients: np.ndarray, order: int, plan: list,
                      weights: np.ndarray) -> np.ndarray:
+    # numpy contracts a lone point with a dot kernel, wider chunks column by
+    # column: a point is evaluated as a pair so its sums never depend on the chunk.
+    if weights.shape[0] == 1:
+        return _collapsed_chunk(coefficients, order, plan, np.repeat(weights, 2, axis=0))[:1]
     # Collapsed coordinates u_j = s_j / (s_0 + .. + s_j) turn the basis into
     # prod_j b^(m_j)_(k_j)(u_j). Where the denominator is 0 every factor in
     # u_j has degree 0, so u_j = 0 keeps faces, edges and vertices exact.
     partial = np.cumsum(weights, axis=1).T
     u = np.divide(weights.T, partial, out=np.zeros(partial.shape), where=partial > 0.0)
-    values = coefficients[:, None]
-    for j, (flat, starts) in enumerate(plan, start=1):
-        terms = _pascal_triangle(u[j], order)[flat]
-        terms *= values
-        values = np.add.reduceat(terms, starts, axis=0)
+    v = 1.0 - u
+    values = coefficients
+    for j, (bounds, groups) in enumerate(plan, start=1):
+        # Row m of b^m_k(u_j) = C(m, k) u^k (1-u)^(m-k) comes from row m-1 by
+        # convex combinations, b^m_k = (1-u) b^(m-1)_k + u b^(m-1)_(k-1), and
+        # meets every block of that m in an einsum, never in BLAS.
+        out = np.empty((bounds[-1], weights.shape[0]))
+        row, spare = np.zeros((2, order + 1, weights.shape[0]))  # entry m is 0 until row m
+        row[0] = 1.0
+        for m, positions in enumerate(groups):
+            if m:
+                np.multiply(row[:m], v[j], out=spare[:m])
+                row[:m] *= u[j]
+                spare[1:m + 1] += row[:m]
+                row, spare = spare, row
+            np.einsum("bk...,k...->b...", values[positions], row[:m + 1],
+                      out=out[bounds[m]:bounds[m + 1]])
+        values = out
     return values[0]
 
 
 def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALUATOR) -> np.ndarray:
     """Evaluate the net at a (P, D+1) batch of barycentric weights."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[1] != net.simplex.dimension + 1:
-        raise DimensionMismatchError(
-            f"expected weights of shape (P, {net.simplex.dimension + 1}), got {w.shape}"
-        )
+    w = clip_weights(weights, net.simplex.dimension)
     order, count = net.order, len(net.coefficients)
     if evaluator == DIRECT:
         indices = enumerate_multi_indices(order, net.simplex.dimension)
@@ -256,10 +261,7 @@ def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALU
         entries = count
         kernel = lambda part: _basis_matrix(indices_t, logm, part) @ net.coefficients
     elif evaluator == DE_CASTELJAU:
-        w = clip_weights(w)
-        plan = _stage_plan(order, net.simplex.dimension)
-        # For D = 1 the Pascal triangle outgrows the lattice.
-        entries = max(count, (order + 1) * (order + 2) // 2)
+        plan, entries = _stage_plan(order, net.simplex.dimension)
         kernel = lambda part: _collapsed_chunk(net.coefficients, order, plan, part)
     else:
         raise ValueError(f"unknown evaluator {evaluator!r}; use {DIRECT!r} or {DE_CASTELJAU!r}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -108,8 +109,13 @@ def _cmd_control_points(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit code 2 means a bound violation
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bezsimplex",
         description="Bernstein-Bezier approximation experiments on simplices",
     )
@@ -151,13 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes "-0.25,0.25" after --point or --scales for an option
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--point", "--scales") and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except BezSimplexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BezSimplexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

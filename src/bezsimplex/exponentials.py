@@ -147,20 +147,19 @@ class RelativeErrorReport:
     ratio: float
 
 
-def _direction(simplex: Simplex, direction) -> np.ndarray:
+def _vertex_dots(simplex: Simplex, direction, order: int) -> np.ndarray:
+    # a.x_j per vertex, after checking the order and the direction of a
+    # kernel. Huge vertices times a huge direction overflow to inf (or
+    # inf - inf = nan); both fail the guard below.
+    if order < 1:
+        raise DimensionMismatchError("order must be >= 1")
     a = np.asarray(direction, dtype=float)
     if a.ndim != 1 or a.shape[0] != simplex.dimension:
         raise DimensionMismatchError(
             f"direction must have length {simplex.dimension}, got shape {a.shape}"
         )
-    return a
-
-
-def _vertex_dots(simplex: Simplex, direction) -> np.ndarray:
-    # Huge vertices times a huge direction overflow to inf (or inf - inf =
-    # nan); both fail the guard below.
     with np.errstate(over="ignore", invalid="ignore"):
-        dots = simplex.vertices @ _direction(simplex, direction)
+        dots = simplex.vertices @ a
     if not np.all(dots <= EXP_ARG_LIMIT):
         raise ExpOverflowError(
             f"a.x reaches {np.nan_to_num(dots, nan=np.inf, posinf=np.inf).max():.3g} at a vertex,"
@@ -192,10 +191,8 @@ def closed_form_at_weights(simplex: Simplex, order: int, direction,
     Evaluated as exp(n * log(sum_j s_j exp(a.x_j / n))) so high orders never
     overflow an intermediate power.
     """
-    if order < 1:
-        raise DimensionMismatchError("order must be >= 1")
-    dots = _vertex_dots(simplex, direction)
-    w = clip_weights(np.asarray(weights, dtype=float))
+    dots = _vertex_dots(simplex, direction, order)
+    w = clip_weights(weights, simplex.dimension)
     return np.exp(order * _log_weighted_mean(w, dots, order))
 
 
@@ -208,10 +205,8 @@ def bezier_exp_closed_form(simplex: Simplex, order: int, direction, x) -> float:
 def residual_at_weights(simplex: Simplex, order: int, direction,
                         weights: np.ndarray) -> np.ndarray:
     """First-order residual sum_j s_j exp(a.x_j/n) - 1 - a.x/n, batched."""
-    if order < 1:
-        raise DimensionMismatchError("order must be >= 1")
-    dots = _vertex_dots(simplex, direction)
-    w = clip_weights(np.asarray(weights, dtype=float))
+    dots = _vertex_dots(simplex, direction, order)
+    w = clip_weights(weights, simplex.dimension)
     return w @ np.exp(dots / order) - 1.0 - (w @ dots) / order
 
 
@@ -235,9 +230,7 @@ def error_budget(simplex: Simplex, direction, order: int) -> ErrorBudget:
     The cap majorizes the coefficient for every order >= 1, and the max of
     the linear functional a.x over the simplex is attained at a vertex.
     """
-    if order < 1:
-        raise DimensionMismatchError("order must be >= 1")
-    dots = _vertex_dots(simplex, direction)
+    dots = _vertex_dots(simplex, direction, order)
     remainder_coeff = 0.5 * float(np.sum(dots**2 * np.exp(dots / order)))
     remainder_cap = 0.5 * float(np.sum(dots**2 * np.exp(np.maximum(dots, 0.0))))
     rate_constant = remainder_cap + 0.5 * float(dots.max())
@@ -260,23 +253,17 @@ def relative_error_at_weights(simplex: Simplex, direction, order: int,
     prediction is exactly zero. A relative error past the largest double
     raises ExpOverflowError.
     """
-    if order < 1:
-        raise DimensionMismatchError("order must be >= 1")
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[1] != simplex.dimension + 1:
-        raise DimensionMismatchError(
-            f"expected weights of shape (P, {simplex.dimension + 1}), got {w.shape}"
-        )
+    dots = _vertex_dots(simplex, direction, order)
+    w = clip_weights(weights, simplex.dimension)
     if w.shape[0] == 0:
         raise EmptyGridError("relative error requested over no weights")
-    dots = _vertex_dots(simplex, direction)
-    w = clip_weights(w)
     # closed_form / exp(a.x) computed without forming either huge factor
     log_ratio = order * _log_weighted_mean(w, dots, order) - w @ dots
     largest = log_ratio.max()
     if largest > _LOG_DOUBLE_MAX:
         raise ExpOverflowError(f"relative error reaches exp({largest:.6g}), beyond the largest double")
-    observed = float(np.abs(np.expm1(log_ratio)).max())
+    # expm1 is monotone, so |expm1| peaks at an extreme of the log ratio
+    observed = float(max(abs(np.expm1(largest)), abs(np.expm1(log_ratio.min()))))
     predicted = error_budget(simplex, direction, order).predicted_rel_error
     if predicted > 0.0:
         ratio = observed / predicted

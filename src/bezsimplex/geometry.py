@@ -54,13 +54,19 @@ def validate_barycentric(weights, dimension: int) -> np.ndarray:
     return t
 
 
-def clip_weights(weights: np.ndarray) -> np.ndarray:
-    """Weights with round-off negatives set to 0; NegativeWeightError below -COORDINATE_TOL."""
-    if np.any(weights < -COORDINATE_TOL):
-        raise NegativeWeightError(
-            f"barycentric weight {weights.min():.3e} below -{COORDINATE_TOL:g}: point outside simplex"
+def clip_weights(weights, dimension: int) -> np.ndarray:
+    """(P, D+1) float weights, round-off negatives set to 0 (uncopied if none)."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != dimension + 1:
+        raise DimensionMismatchError(
+            f"expected weights of shape (P, {dimension + 1}), got {weights.shape}"
         )
-    return np.clip(weights, 0.0, None)
+    lowest = np.fmin.reduce(weights, axis=None, initial=0.0)  # NaNs are skipped
+    if lowest < -COORDINATE_TOL:
+        raise NegativeWeightError(
+            f"barycentric weight {lowest:.3e} below -{COORDINATE_TOL:g}: point outside simplex"
+        )
+    return np.clip(weights, 0.0, None) if lowest < 0.0 else weights
 
 
 def grid_points(simplex: Simplex, grid) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -299,6 +300,38 @@ class TestCollapsedKernel:
         np.testing.assert_array_equal(chunked, one_by_one)
         scale = float(np.abs(net.coefficients).max())
         np.testing.assert_allclose(direct, one_by_one, rtol=0, atol=1e-10 * scale)
+
+    @PROPERTY
+    @given(dimension=st.integers(1, 2), order=st.integers(1, 60), budget=st.integers(1, 300),
+           seed=SEEDS)
+    def test_single_points_match_the_whole_grid(self, dimension, order, budget, seed):
+        # D = 1 is one long block; D = 2 has a group per m = 0..order. A point
+        # alone, the whole grid in one chunk and chunks of a few points each
+        # must give the same bits.
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, dimension, order)
+        w = np.vstack([face_weights(rng, dimension, 3), grid_weights(3, dimension)])
+        whole = evaluate_at_weights(net, w, evaluator="decasteljau")
+        one_by_one = [evaluate_at_weights(net, row[None, :], evaluator="decasteljau")[0]
+                      for row in w]
+        with mock.patch.object(bernstein, "_ENTRY_BUDGET", budget * order):
+            chunked = evaluate_at_weights(net, w, evaluator="decasteljau")
+        np.testing.assert_array_equal(whole, one_by_one)
+        np.testing.assert_array_equal(whole, chunked)
+
+    def test_working_set_is_bounded_by_the_entry_budget(self, rng):
+        # A chunk holds at most _ENTRY_BUDGET doubles; beside it there are
+        # only the plan and the lattice table, (D+1) integers per
+        # coefficient, that the plan is built from.
+        net = random_net(rng, 3, 60)
+        w = grid_weights(15, 3)
+        tracemalloc.start()
+        try:
+            evaluate_at_weights(net, w, evaluator="decasteljau")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * bernstein._ENTRY_BUDGET + 8 * 4 * count_multi_indices(60, 3)
 
     @PROPERTY
     @given(dimension=st.integers(1, 4), order=st.integers(1, 20), seed=SEEDS)

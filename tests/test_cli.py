@@ -198,6 +198,12 @@ class TestScaling:
         assert main(["scaling", "--config", config, "--scales", "1,2"]) == 1
         assert "single-exponential" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scales", ["-1,2", "-0.5"])
+    def test_negative_scales_are_a_config_error(self, tmp_path, capsys, scales):
+        config = write_config(tmp_path)
+        assert main(["scaling", "--config", config, "--scales", scales]) == 1
+        assert "error: scale factors must be finite and positive" in capsys.readouterr().err
+
 
 class TestBasis:
     def test_prints_all_values(self, tmp_path, capsys):
@@ -223,6 +229,15 @@ class TestBasis:
         assert main(["basis", "--simplex", json.dumps(TRIANGLE), "--n", "2",
                      "--point", "2,2"]) == 1
         assert "outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", ["-0.25,0.25", "-.25,0.25"])
+    def test_negative_first_coordinate(self, capsys, point):
+        simplex = {"vertices": [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
+        assert main(["basis", "--simplex", json.dumps(simplex), "--n", "2",
+                     "--point", point]) == 0
+        values = [float(line.split(",")[-1]) for line in capsys.readouterr().out.splitlines()[1:]]
+        expected = basis_vector(bezsimplex.Simplex(simplex["vertices"]), 2, [-0.25, 0.25])
+        np.testing.assert_array_equal(values, expected)
 
     def test_bad_point(self, capsys):
         assert main(["basis", "--simplex", json.dumps(TRIANGLE), "--n", "2",
@@ -266,6 +281,30 @@ class TestControlPoints:
         bad = json.dumps({"vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]})
         assert main(["control-points", "--simplex", bad, "--n", "2"]) == 1
         assert "affinely dependent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["control-points", "--simplex", json.dumps(INTERVAL), "--n", "abc"],
+    ["basis", "--simplex", json.dumps(TRIANGLE), "--n", "2", "--point"],
+    ["converge"],
+    ["no-such-command"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    # Exit code 2 is reserved for bound violations.
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_readme_sample_output(tmp_path):
+    # The README's sample converge output is what its sample config produces.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    config = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    sample = readme.split("Sample `converge` output", 1)[1].split("```\n", 2)[1]
+    out = tmp_path / "rows.csv"
+    assert main(["converge", "--config", config, "--out", str(out)]) == 0
+    assert out.read_text() == sample
 
 
 def test_import_loads_numpy_and_stdlib_only():

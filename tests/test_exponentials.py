@@ -28,6 +28,8 @@ from bezsimplex import (
     standard_simplex,
 )
 
+from bezsimplex import exponentials
+
 from conftest import interior_weights, random_simplex
 
 
@@ -273,6 +275,22 @@ class TestRelativeErrorReport:
         expected = float(np.abs(closed / np.exp((w @ s.vertices) @ a) - 1.0).max())
         assert abs(report.max_rel_error - expected) <= 1e-12 * expected + order * 1e-14
         assert report.predicted_rel_error == error_budget(s, a, order).predicted_rel_error
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dimension=st.integers(1, 5), order=st.integers(1, 640),
+           scale=st.floats(0.05, 20.0), seed=st.integers(0, 2**32 - 1))
+    def test_max_rel_error_is_the_full_reduction(self, dimension, order, scale, seed):
+        # Only the extremes of the log ratio are reduced; since expm1 is
+        # monotone that gives the bits of |expm1| over every weight row.
+        rng = np.random.default_rng(seed)
+        s = random_simplex(rng, dimension, scale=scale)
+        a = rng.normal(size=dimension) * rng.uniform(0.1, 3.0)
+        w = np.vstack([grid_weights(3, dimension), interior_weights(rng, dimension, 40)])
+        dots = exponentials._vertex_dots(s, a, order)
+        log_ratio = order * exponentials._log_weighted_mean(w, dots, order) - w @ dots
+        report = relative_error_at_weights(s, a, order, w)
+        assert report.max_rel_error == float(np.abs(np.expm1(log_ratio)).max())
 
 
 class TestExpPolynomialImage:
