@@ -37,8 +37,8 @@ DIRECT = "direct"
 DE_CASTELJAU = "decasteljau"
 DEFAULT_EVALUATOR = DE_CASTELJAU
 
-# Most doubles per point (lattice size, or see _stage_plan) x chunk points an
-# evaluator holds at once; bounds the working set whatever the grid size.
+# Doubles per chunk either evaluator may hold: its per-point working set (direct:
+# the lattice size; decasteljau: see _stage_plan) x points. Bounds any grid's memory.
 _ENTRY_BUDGET = 1 << 19
 _LOG_ZERO = -1000.0  # the direct evaluator's finite log 0; see _basis_matrix
 

@@ -276,7 +276,6 @@ class TestRelativeErrorReport:
         assert abs(report.max_rel_error - expected) <= 1e-12 * expected + order * 1e-14
         assert report.predicted_rel_error == error_budget(s, a, order).predicted_rel_error
 
-
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dimension=st.integers(1, 5), order=st.integers(1, 640),
            scale=st.floats(0.05, 20.0), seed=st.integers(0, 2**32 - 1))
