@@ -209,7 +209,11 @@ def _stage_plan(order: int, dimension: int) -> tuple:
         block_m = order - tails[starts, 1:].sum(axis=1)
         rank = np.argsort(block_m, kind="stable")
         bounds = np.searchsorted(block_m[rank], np.arange(order + 2))
-        groups = [where[starts[rank[bounds[m]:bounds[m + 1]], None] + np.arange(m + 1)]
+        # One gather of every block's rows, blocks in rank order, sliced per m.
+        size = block_m[rank] + 1
+        edges = np.concatenate([[0], np.cumsum(size)])
+        rows = where[np.repeat(starts[rank] - edges[:-1], size) + np.arange(len(tails))]
+        groups = [rows[edges[bounds[m]]:edges[bounds[m + 1]]].reshape(-1, m + 1)
                   for m in range(order + 1)]
         plan.append((bounds, groups))
         gathered = len(tails) + max(g.size for g in groups) if stage else 0
@@ -244,8 +248,9 @@ def _collapsed_chunk(coefficients: np.ndarray, order: int, plan: list,
                 row[:m] *= u[j]
                 spare[1:m + 1] += row[:m]
                 row, spare = spare, row
-            np.einsum("bk...,k...->b...", values[positions], row[:m + 1],
-                      out=out[bounds[m]:bounds[m + 1]])
+            if len(positions):
+                np.einsum("bk...,k...->b...", values[positions], row[:m + 1],
+                          out=out[bounds[m]:bounds[m + 1]])
         values = out
     return values[0]
 

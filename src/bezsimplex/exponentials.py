@@ -220,6 +220,19 @@ def first_order_residual(simplex: Simplex, order: int, direction, x) -> float:
     return float(residual_at_weights(simplex, order, direction, w[None, :])[0])
 
 
+def _budget_of_dots(dots: np.ndarray, order: int) -> ErrorBudget:
+    remainder_coeff = 0.5 * float(np.sum(dots**2 * np.exp(dots / order)))
+    remainder_cap = 0.5 * float(np.sum(dots**2 * np.exp(np.maximum(dots, 0.0))))
+    rate_constant = remainder_cap + 0.5 * float(dots.max())
+    return ErrorBudget(
+        order=order,
+        remainder_coeff=remainder_coeff,
+        remainder_cap=remainder_cap,
+        rate_constant=rate_constant,
+        predicted_rel_error=rate_constant / order,
+    )
+
+
 def error_budget(simplex: Simplex, direction, order: int) -> ErrorBudget:
     """First-order error constants for exp(a.x) at the given order.
 
@@ -230,16 +243,31 @@ def error_budget(simplex: Simplex, direction, order: int) -> ErrorBudget:
     The cap majorizes the coefficient for every order >= 1, and the max of
     the linear functional a.x over the simplex is attained at a vertex.
     """
-    dots = _vertex_dots(simplex, direction, order)
-    remainder_coeff = 0.5 * float(np.sum(dots**2 * np.exp(dots / order)))
-    remainder_cap = 0.5 * float(np.sum(dots**2 * np.exp(np.maximum(dots, 0.0))))
-    rate_constant = remainder_cap + 0.5 * float(dots.max())
-    return ErrorBudget(
+    return _budget_of_dots(_vertex_dots(simplex, direction, order), order)
+
+
+def relative_error_of_dots(dots: np.ndarray, order: int, w: np.ndarray) -> RelativeErrorReport:
+    """relative_error_at_weights from the vertex values a.x_j of _vertex_dots
+    and weights that passed clip_weights: the error depends on nothing else."""
+    if w.shape[0] == 0:
+        raise EmptyGridError("relative error requested over no weights")
+    # closed_form / exp(a.x) computed without forming either huge factor
+    log_ratio = order * _log_weighted_mean(w, dots, order) - w @ dots
+    largest = log_ratio.max()
+    if largest > _LOG_DOUBLE_MAX:
+        raise ExpOverflowError(f"relative error reaches exp({largest:.6g}), beyond the largest double")
+    # expm1 is monotone, so |expm1| peaks at an extreme of the log ratio
+    observed = float(max(abs(np.expm1(largest)), abs(np.expm1(log_ratio.min()))))
+    predicted = _budget_of_dots(dots, order).predicted_rel_error
+    if predicted > 0.0:
+        ratio = observed / predicted
+    else:
+        ratio = 0.0 if observed <= ZERO_OBSERVED_FLOOR else float("inf")
+    return RelativeErrorReport(
         order=order,
-        remainder_coeff=remainder_coeff,
-        remainder_cap=remainder_cap,
-        rate_constant=rate_constant,
-        predicted_rel_error=rate_constant / order,
+        max_rel_error=observed,
+        predicted_rel_error=predicted,
+        ratio=ratio,
     )
 
 
@@ -254,27 +282,7 @@ def relative_error_at_weights(simplex: Simplex, direction, order: int,
     raises ExpOverflowError.
     """
     dots = _vertex_dots(simplex, direction, order)
-    w = clip_weights(weights, simplex.dimension)
-    if w.shape[0] == 0:
-        raise EmptyGridError("relative error requested over no weights")
-    # closed_form / exp(a.x) computed without forming either huge factor
-    log_ratio = order * _log_weighted_mean(w, dots, order) - w @ dots
-    largest = log_ratio.max()
-    if largest > _LOG_DOUBLE_MAX:
-        raise ExpOverflowError(f"relative error reaches exp({largest:.6g}), beyond the largest double")
-    # expm1 is monotone, so |expm1| peaks at an extreme of the log ratio
-    observed = float(max(abs(np.expm1(largest)), abs(np.expm1(log_ratio.min()))))
-    predicted = error_budget(simplex, direction, order).predicted_rel_error
-    if predicted > 0.0:
-        ratio = observed / predicted
-    else:
-        ratio = 0.0 if observed <= ZERO_OBSERVED_FLOOR else float("inf")
-    return RelativeErrorReport(
-        order=order,
-        max_rel_error=observed,
-        predicted_rel_error=predicted,
-        ratio=ratio,
-    )
+    return relative_error_of_dots(dots, order, clip_weights(weights, simplex.dimension))
 
 
 def relative_error_report(simplex: Simplex, direction, order: int,

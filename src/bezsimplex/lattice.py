@@ -47,15 +47,19 @@ def enumerate_multi_indices(order: int, dimension: int) -> np.ndarray:
     # Place k_D, then k_(D-1), .. k_1: every row with `left` still to place
     # gets one child per value 0..left, in ascending order, so the most
     # significant coordinate is placed first and the rows come out colex.
+    # A row with r coordinates still to place ends as C(left + r, r)
+    # consecutive final rows, so each column is written once, at full length.
+    indices = np.empty((count, dimension + 1), dtype=np.int64)
     left = np.array([order], dtype=np.int64)
-    tails = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(dimension):
+    for column in range(dimension, 0, -1):
         parent = np.repeat(np.arange(left.shape[0]), left + 1)
         first = np.cumsum(left + 1) - (left + 1)
         value = np.arange(parent.shape[0]) - first[parent]
         left = left[parent] - value
-        tails = np.hstack([value[:, None], tails[parent]])
-    return np.hstack([left[:, None], tails])
+        leaves = np.array([math.comb(i + column - 1, column - 1) for i in range(order + 1)])
+        indices[:, column] = np.repeat(value, leaves[left])
+    indices[:, 0] = left
+    return indices
 
 
 def _check_index(index) -> np.ndarray:

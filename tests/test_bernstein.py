@@ -286,17 +286,23 @@ class TestCollapsedKernel:
     @given(dimension=st.integers(2, 4), order=st.integers(1, 12), chunk=st.integers(2, 9),
            full=st.integers(0, 3), data=st.data(), seed=SEEDS)
     def test_point_counts_off_the_chunk_size(self, dimension, order, chunk, full, data, seed):
-        # For D >= 2 the lattice is the largest per-point buffer, so this
-        # budget gives chunks of exactly `chunk` points plus a remainder.
+        # A budget of `chunk` times the kernel's doubles per point gives
+        # chunks of exactly `chunk` points plus a remainder.
         rng = np.random.default_rng(seed)
         net = random_net(rng, dimension, order)
-        points = full * chunk + data.draw(st.integers(1, chunk - 1))
+        rest = data.draw(st.integers(1, chunk - 1))
+        points = full * chunk + rest
         w = rng.permutation(face_weights(rng, dimension, points))[:points]
         one_by_one = np.array([evaluate_at_weights(net, row[None, :])[0] for row in w])
-        budget = chunk * count_multi_indices(order, dimension)
-        with mock.patch.object(bernstein, "_ENTRY_BUDGET", budget):
+        budget = chunk * bernstein._stage_plan(order, dimension)[1]
+        spy = mock.Mock(wraps=bernstein._collapsed_chunk)
+        with mock.patch.object(bernstein, "_ENTRY_BUDGET", budget), \
+                mock.patch.object(bernstein, "_collapsed_chunk", spy):
             chunked = evaluate_at_weights(net, w, evaluator="decasteljau")
             direct = evaluate_at_weights(net, w, evaluator="direct")
+        # A lone remainder point calls the kernel again as a pair.
+        sizes = [len(call.args[3]) for call in spy.call_args_list]
+        assert sizes[:full + 1] == [chunk] * full + [rest]
         np.testing.assert_array_equal(chunked, one_by_one)
         scale = float(np.abs(net.coefficients).max())
         np.testing.assert_allclose(direct, one_by_one, rtol=0, atol=1e-10 * scale)

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bezsimplex import (
     grid_weights,
     load_config,
     make_function,
+    relative_error_at_weights,
     relative_error_report,
     run_bound_check,
     run_convergence,
@@ -26,6 +28,7 @@ from bezsimplex import (
     run_scaling_study,
     standard_simplex,
 )
+from bezsimplex import experiments
 from bezsimplex.experiments import (
     BOUND_CHECK_COLUMNS,
     CONVERGENCE_COLUMNS,
@@ -408,6 +411,30 @@ class TestScalingStudy:
                 scaled, direction * row.magnitude_scale, order, points
             ).max_rel_error
             assert abs(row.sup_relative_error - expected) <= 1e-12 * expected + order * 1e-14
+
+    @pytest.mark.parametrize("scales, passes", [
+        ([0.25, 0.5, 1.0, 2.0], 7),
+        ([0.1, 0.2, 0.4], 5),
+        ([1.0, 3.0], 4),
+    ])
+    def test_one_kernel_pass_per_distinct_vertex_dots(self, rng, scales, passes):
+        # A ratio-2 ladder of k scales has 2k-1 distinct products d*m, and
+        # doubling is exact, so those pairs share their vertex dots bit for
+        # bit. Scaling by 3 rounds: on this simplex the dots of (1, 3) and
+        # (3, 1) differ in the last bits, so the two pairs run apart.
+        s = random_simplex(rng, 3)
+        direction = rng.normal(size=3)
+        order, resolution = 40, 6
+        spy = mock.Mock(wraps=experiments.relative_error_of_dots)
+        with mock.patch.object(experiments, "relative_error_of_dots", spy):
+            rows = run_scaling_study(s, direction, order, resolution, scales)
+        assert spy.call_count == passes
+        grid = grid_weights(resolution, 3)
+        for row in rows:
+            expected = relative_error_at_weights(
+                s.scaled(row.diameter_scale), direction * row.magnitude_scale, order, grid
+            )
+            assert row.sup_relative_error == expected.max_rel_error
 
 
 class TestEmitCsv:
