@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import emit_csv, open_csv
+from .csvio import emit_lattice_csv, open_csv
 from .errors import DimensionMismatchError, FunctionEvaluationError
 from .geometry import Simplex, clip_weights, grid_points, validate_barycentric
 from .lattice import (
@@ -119,11 +119,8 @@ class BernsteinOperator:
 
 def write_control_net_csv(net: ControlNet, destination) -> None:
     """Columns k_0..k_D then coefficient, one row per lattice entry."""
-    d1 = net.simplex.dimension + 1
-    header = [f"k_{j}" for j in range(d1)] + ["coefficient"]
     indices = enumerate_multi_indices(net.order, net.simplex.dimension)
-    rows = [tuple(k) + (c,) for k, c in zip(indices, net.coefficients)]
-    emit_csv(rows, destination, header)
+    emit_lattice_csv(indices, net.coefficients, destination, ["coefficient"])
 
 
 def read_control_net_csv(simplex: Simplex, source) -> ControlNet:

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .bernstein import basis_vector
-from .csvio import emit_csv
+from .csvio import emit_csv, emit_lattice_csv
 from .errors import BezSimplexError, ConfigError
 from .experiments import (
     BOUND_CHECK_COLUMNS,
@@ -31,12 +31,10 @@ from .experiments import (
 from .lattice import control_points, enumerate_multi_indices
 
 
-def _emit(rows, columns, out_path) -> None:
-    emit_csv(rows, out_path or sys.stdout, columns)
-
-
-def _print_metadata(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+def _report(args, config, rows, columns, **extra) -> None:
+    """A study's CSV to --out, the config's output or stdout; its metadata to stderr."""
+    emit_csv(rows, args.out or config.output or sys.stdout, columns)
+    print(json.dumps({**run_metadata(config), **extra}, sort_keys=True), file=sys.stderr)
 
 
 def _cmd_converge(args) -> int:
@@ -44,46 +42,31 @@ def _cmd_converge(args) -> int:
     if args.evaluator:
         config = config.with_evaluator(args.evaluator)
     rows = run_convergence(config)
-    _emit(rows, CONVERGENCE_COLUMNS, args.out or config.output)
-    meta = run_metadata(config)
-    meta["wall_ms"] = [round(row.wall_ms, 3) for row in rows]
-    _print_metadata(meta)
+    _report(args, config, rows, CONVERGENCE_COLUMNS,
+            wall_ms=[round(row.wall_ms, 3) for row in rows])
     return 0
 
 
 def _cmd_bound_check(args) -> int:
     config = load_config(args.config)
     result = run_bound_check(config, margin=args.margin)
-    _emit(result.rows, BOUND_CHECK_COLUMNS, args.out or config.output)
-    meta = run_metadata(config)
-    meta["margin"] = result.margin
-    meta["passed"] = result.passed
-    _print_metadata(meta)
+    _report(args, config, result.rows, BOUND_CHECK_COLUMNS,
+            margin=result.margin, passed=result.passed)
     return 0 if result.passed else 2
 
 
 def _cmd_scaling(args) -> int:
     config = load_config(args.config)
-    single = config.function.single_exponential()
-    if single is None:
+    direction = config.function.single_exponential()
+    if direction is None:
         raise ConfigError("scaling study requires a single-exponential function")
     try:
         scales = [float(s) for s in args.scales.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"--scales: non-numeric entry in {args.scales!r}") from exc
     order = max(config.n_values)
-    rows = run_scaling_study(
-        config.simplex,
-        single.terms[0].direction_array,
-        order,
-        config.grid_resolution,
-        scales,
-    )
-    _emit(rows, SCALING_COLUMNS, args.out or config.output)
-    meta = run_metadata(config)
-    meta["scales"] = scales
-    meta["order"] = order
-    _print_metadata(meta)
+    rows = run_scaling_study(config.simplex, direction, order, config.grid_resolution, scales)
+    _report(args, config, rows, SCALING_COLUMNS, scales=scales, order=order)
     return 0
 
 
@@ -97,9 +80,7 @@ def _cmd_basis(args) -> int:
         raise ConfigError(f"--point: non-finite entry in {args.point!r}")
     values = basis_vector(simplex, args.n, point)
     indices = enumerate_multi_indices(args.n, simplex.dimension)
-    header = [f"k_{j}" for j in range(simplex.dimension + 1)] + ["basis_value"]
-    rows = [tuple(k) + (v,) for k, v in zip(indices, values)]
-    _emit(rows, header, args.out)
+    emit_lattice_csv(indices, values, args.out or sys.stdout, ["basis_value"])
     return 0
 
 

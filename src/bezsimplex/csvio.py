@@ -1,4 +1,4 @@
-"""Deterministic CSV emission and the one place that opens CSV files.
+"""Deterministic CSV emission and lattice layout; the one place that opens CSV files.
 
 A destination or source is either a path, which is opened and closed here,
 or an open text stream, which is borrowed and left open.
@@ -52,3 +52,10 @@ def emit_csv(rows, destination, columns) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_cell(v) for v in cells(row)])
+
+
+def emit_lattice_csv(indices, values, destination, columns) -> None:
+    """Columns k_0..k_D, then ``columns`` from a scalar or row of ``values`` per index row."""
+    values = np.asarray(values).reshape(len(indices), -1)
+    header = [f"k_{j}" for j in range(indices.shape[1])] + list(columns)
+    emit_csv([tuple(k) + tuple(v) for k, v in zip(indices, values)], destination, header)

@@ -55,11 +55,11 @@ class TestFunction:
     def evaluate(self, points) -> np.ndarray:
         return np.asarray(self.batch(np.asarray(points, dtype=float)), dtype=float)
 
-    def single_exponential(self) -> ExpPolynomial | None:
-        """The underlying term when this is one exponential with c != 0."""
+    def single_exponential(self) -> np.ndarray | None:
+        """The direction a when this is one exponential c exp(a.x) with c != 0."""
         poly = self.exp_terms
         if poly is not None and len(poly) == 1 and poly.terms[0].coefficient != 0.0:
-            return poly
+            return poly.terms[0].direction_array
         return None
 
 
@@ -69,16 +69,21 @@ def _load_json(spec, what: str):
     if isinstance(spec, dict):
         return spec
     text = str(spec).strip()
+    inline = text.startswith("{")
+    where = what if inline else f"{what} file {text!r}"
     try:
-        if text.startswith("{"):
+        if inline:
             return json.loads(text)
-        with open(text) as handle:
+        with open(text, encoding="utf-8") as handle:
             return json.load(handle)
     except json.JSONDecodeError as exc:
-        where = what if text.startswith("{") else f"{what} file {text!r}"
         raise ConfigError(
             f"{where}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{where}: not UTF-8 text (byte {exc.start})") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{where}: JSON nested too deeply") from exc
 
 
 def _parse_exp_polynomial(spec) -> ExpPolynomial:
@@ -309,8 +314,7 @@ def run_convergence(config: ExperimentConfig) -> list:
     exact = function.evaluate(points)
     sup_f = float(np.abs(exact).max())
 
-    single = function.single_exponential()
-    direction = single.terms[0].direction_array if single is not None else None
+    direction = function.single_exponential()
 
     rows = []
     for n in config.n_values:
@@ -384,12 +388,11 @@ def run_bound_check(config: ExperimentConfig, margin: float = 0.25) -> BoundChec
     """
     if not (math.isfinite(margin) and margin >= 0):
         raise ConfigError(f"margin must be finite and non-negative, got {margin!r}")
-    single = config.function.single_exponential()
-    if single is None:
+    direction = config.function.single_exponential()
+    if direction is None:
         raise ConfigError(
             "bound check requires the function to be a single exponential term with c != 0"
         )
-    direction = single.terms[0].direction_array
     simplex = config.simplex
     weights = clip_weights(grid_weights(config.grid_resolution, simplex.dimension),
                            simplex.dimension)

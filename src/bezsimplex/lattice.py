@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import emit_csv
+from .csvio import emit_lattice_csv
 from .errors import DimensionMismatchError, SizeOverflowError
 from .geometry import Simplex
 
@@ -148,10 +148,8 @@ class ControlPointSet:
 
     def write_csv(self, destination) -> None:
         """Write columns k_0..k_D, x_1..x_D; one row per control point."""
-        d1 = self.indices.shape[1]
-        header = [f"k_{j}" for j in range(d1)] + [f"x_{j}" for j in range(1, d1)]
-        rows = [tuple(k) + tuple(p) for k, p in self]
-        emit_csv(rows, destination, header)
+        columns = [f"x_{j}" for j in range(1, self.indices.shape[1])]
+        emit_lattice_csv(self.indices, self.points, destination, columns)
 
 
 def control_points(simplex: Simplex, order: int) -> ControlPointSet:

@@ -107,6 +107,8 @@ class TestBasisValue:
             basis_value(triangle, [1, 1], [0.2, 0.2])
         with pytest.raises(DimensionMismatchError):
             basis_value(triangle, [0, 0, 0], [0.2, 0.2])
+        with pytest.raises(DimensionMismatchError):
+            basis_vector(triangle, 0, [0.2, 0.2])
 
 
 class TestSampling:
@@ -141,6 +143,8 @@ class TestSampling:
     def test_net_length_validated(self, triangle):
         with pytest.raises(DimensionMismatchError):
             ControlNet(triangle, 3, np.ones(9))
+        with pytest.raises(DimensionMismatchError):
+            ControlNet(triangle, 0, np.ones(1))
         with pytest.raises(ValueError):
             ControlNet(triangle, 2, np.array([1.0, np.nan, 0, 0, 0, 0]))
 

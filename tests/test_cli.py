@@ -83,11 +83,17 @@ class TestConverge:
         assert main(["converge", "--config", config, "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_config_output_field_used(self, tmp_path):
+    def test_config_output_field_used(self, tmp_path, capsys):
+        # Each study writes to the config's output, and --out wins over it.
         target = tmp_path / "from_config.csv"
         config = write_config(tmp_path, output=str(target))
-        assert main(["converge", "--config", config]) == 0
-        assert target.exists()
+        for argv in (["converge"], ["bound-check"], ["scaling", "--scales", "1,2"]):
+            assert main([*argv, "--config", config]) == 0
+            assert capsys.readouterr().out == "" and target.exists()
+            target.unlink()
+            out = tmp_path / f"{argv[0]}.csv"
+            assert main([*argv, "--config", config, "--out", str(out)]) == 0
+            assert out.exists() and not target.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["converge", "--config", str(tmp_path / "nope.json")]) == 1
@@ -203,6 +209,25 @@ class TestScaling:
         config = write_config(tmp_path)
         assert main(["scaling", "--config", config, "--scales", scales]) == 1
         assert "error: scale factors must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, payload", [
+    ("--config", json.dumps({"simplex": TRIANGLE, "function": "const1", "n_values": [2]})
+     .encode("utf-16")),
+    ("--simplex", json.dumps(TRIANGLE).encode("utf-16")),
+    ("--config", b"[" * 100_000),
+], ids=["utf-16-config", "utf-16-simplex", "deep-config"])
+def test_unreadable_spec_file_is_an_error(tmp_path, capsys, flag, payload):
+    # A file that is not UTF-8, or JSON nested past the parser's limit.
+    path = tmp_path / "spec.json"
+    path.write_bytes(payload)
+    if flag == "--config":
+        argv = ["converge", "--config", str(path)]
+    else:
+        argv = ["basis", "--simplex", str(path), "--n", "2", "--point", "0.2,0.2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestBasis:

@@ -95,8 +95,10 @@ class TestMakeFunction:
     def test_exp_polynomial_dict(self):
         fn = make_function(EXP_11, self.triangle)
         assert fn.exp_terms is not None
-        assert fn.single_exponential() is not None
+        np.testing.assert_array_equal(fn.single_exponential(), [1.0, 1.0])
         assert fn([0.5, 0.5]) == pytest.approx(math.e, rel=1e-14)
+        again = make_function(fn.exp_terms, self.triangle)
+        assert again.exp_terms is fn.exp_terms
 
     def test_multi_term_is_not_single(self):
         fn = make_function(
@@ -122,6 +124,8 @@ class TestMakeFunction:
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown function"):
             make_function("sine", self.triangle)
+        with pytest.raises(ConfigError, match="string or mapping"):
+            make_function(5, self.triangle)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError, match="dimension"):
@@ -170,6 +174,31 @@ class TestLoadConfig:
         path.write_text('{\n  "simplex": ]\n}')
         with pytest.raises(ConfigError, match="line 2"):
             load_config(str(path))
+        path.write_text("[1]")
+        with pytest.raises(ConfigError, match="top level must be a JSON object"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("payload, message", [
+        ("[0]".encode("utf-16"), "not UTF-8"),
+        (b"[" * 100_000, "JSON nested too deeply"),
+    ], ids=["utf-16", "deep"])
+    def test_unreadable_json_file_is_a_config_error(self, tmp_path, payload, message):
+        path = tmp_path / "config.json"
+        path.write_bytes(payload)
+        with pytest.raises(ConfigError, match=f"config file .*: {message}"):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match=f"simplex file .*: {message}"):
+            experiments.load_simplex(str(path))
+
+    def test_deep_inline_json_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="config: JSON nested too deeply"):
+            load_config('{"simplex": ' + "[" * 100_000)
+
+    def test_spec_of_wrong_type(self):
+        with pytest.raises(ConfigError, match="config must be a mapping or path"):
+            load_config(5)
+        with pytest.raises(ConfigError, match="simplex spec must be a mapping or path"):
+            experiments.load_simplex(5)
 
     def test_missing_field_named(self):
         with pytest.raises(ConfigError, match="'n_values'"):
@@ -204,6 +233,10 @@ class TestLoadConfig:
     def test_bad_evaluator(self):
         with pytest.raises(ConfigError, match="evaluator"):
             load_config(config_dict(evaluator="horner"))
+
+    def test_bad_output(self):
+        with pytest.raises(ConfigError, match="output"):
+            load_config(config_dict(output=5))
 
     def test_degenerate_simplex_reported_as_config_error(self):
         spec = {"vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}
@@ -302,6 +335,11 @@ class TestRateFit:
         rows = [ConvergenceRow(n, 1.0 / n, 1.0 / n, None, "direct", 0.0) for n in (2, 4)]
         with pytest.raises(InsufficientDataError):
             fit_rate(rows)
+        rows.append(ConvergenceRow(8, 1e-16, 1e-16, None, "direct", 0.0))
+        with pytest.raises(InsufficientDataError, match="only 2 rows above the noise floor"):
+            fit_rate(rows)
+        with pytest.raises(InsufficientDataError, match="at least 3"):
+            fit_power_law([2, 4], [0.5, 0.25])
 
     def test_exact_reproduction_raises_zero_error(self):
         rows = [ConvergenceRow(n, 1e-16, 1e-16, None, "direct", 0.0) for n in (2, 4, 8)]

@@ -46,6 +46,9 @@ class TestExpPolynomial:
     def test_single_direction(self):
         poly = ExpPolynomial([ExpTerm.of(1.0, [1.0, 0.0])])
         assert poly.evaluate([0.5, 0.3]) == pytest.approx(math.exp(0.5), rel=1e-15)
+        assert poly([0.5, 0.3]) == poly.evaluate([0.5, 0.3])
+        with pytest.raises(DimensionMismatchError):
+            poly.evaluate([0.5])
 
     def test_batch_matches_scalar(self, rng):
         poly = ExpPolynomial([ExpTerm.of(c, a) for c, a in
@@ -123,6 +126,10 @@ class TestClosedForm:
         with pytest.raises(ExpOverflowError):
             bezier_exp_closed_form(unit_interval, 5, [800.0], [0.5])
 
+    def test_direction_length_checked(self, triangle):
+        with pytest.raises(DimensionMismatchError, match="direction"):
+            closed_form_at_weights(triangle, 5, [1.0], np.array([[0.2, 0.3, 0.5]]))
+
 
 class TestResidual:
     def test_zero_direction(self, triangle, rng):
@@ -187,6 +194,10 @@ class TestErrorBudget:
         assert budget.rate_constant == 0.0
         assert budget.predicted_rel_error == 0.0
 
+    def test_order_checked(self, triangle):
+        with pytest.raises(DimensionMismatchError, match="order"):
+            error_budget(triangle, [1.0, 1.0], 0)
+
     def test_interval_closed_form(self, unit_interval):
         # Vertex dots are (0, 1): cap = e/2, constant = e/2 + 1/2.
         budget = error_budget(unit_interval, [1.0], 10)
@@ -227,6 +238,9 @@ class TestRelativeErrorReport:
                   for n in (20, 40, 80)}
         assert 0.4 <= errors[40] / errors[20] <= 0.6
         assert 0.4 <= errors[80] / errors[40] <= 0.6
+        # A flat grid on an interval is P points, not one point.
+        assert relative_error_report(unit_interval, [1.0], 20, grid.ravel()).max_rel_error \
+            == errors[20]
 
     def test_observed_below_prediction_at_high_order(self, triangle):
         grid = grid_weights(50, 2) @ triangle.vertices

@@ -13,6 +13,7 @@ from bezsimplex import (
     standard_simplex,
     validate_barycentric,
 )
+from bezsimplex.geometry import clip_weights
 
 from conftest import interior_weights, random_simplex
 
@@ -39,6 +40,8 @@ class TestConstruction:
     def test_wrong_vertex_count(self):
         with pytest.raises(DimensionMismatchError):
             Simplex([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(DimensionMismatchError):
+            Simplex([0.0, 1.0])
 
     def test_ragged_input(self):
         with pytest.raises((DimensionMismatchError, ValueError)):
@@ -120,6 +123,10 @@ class TestBarycentric:
     def test_point_dimension_checked(self, triangle):
         with pytest.raises(DimensionMismatchError):
             triangle.barycentric([0.1, 0.2, 0.3])
+        with pytest.raises(DimensionMismatchError):
+            triangle.barycentric_many([0.1, 0.2])
+        with pytest.raises(ValueError, match="finite"):
+            triangle.barycentric([np.nan, 0.2])
 
 
 class TestPointFromBarycentric:
@@ -226,6 +233,8 @@ class TestValidateBarycentric:
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidBarycentricError):
             validate_barycentric([0.2, 0.3, 0.4], 2)
+        with pytest.raises(InvalidBarycentricError, match="finite"):
+            validate_barycentric([0.5, np.nan, 0.5], 2)
 
     def test_rejects_negative_beyond_tol(self):
         with pytest.raises(InvalidBarycentricError):
@@ -234,6 +243,12 @@ class TestValidateBarycentric:
     def test_allows_tolerated_negative(self):
         slack = COORDINATE_TOL / 2
         validate_barycentric([0.5, 0.5 + slack, -slack], 2)
+
+    def test_clip_weights_shape_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            clip_weights([0.2, 0.3, 0.5], 2)
+        with pytest.raises(DimensionMismatchError):
+            clip_weights([[0.5, 0.5]], 2)
 
 
 def test_standard_simplex_builder():

@@ -190,6 +190,8 @@ class TestMultinomials:
     def test_negative_entries_rejected(self):
         with pytest.raises(DimensionMismatchError):
             multinomial_log([2, -1, 1])
+        with pytest.raises(DimensionMismatchError):
+            multinomial_log([3])
 
 
 class TestControlPoints:
