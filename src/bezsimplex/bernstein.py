@@ -5,14 +5,15 @@ polynomial sum_k f(R(k/n)) B_k^n(x), where B_k^n(x) is the multinomial
 coefficient times prod_j s_j(x)^k_j over the barycentric weights s of x.
 
 Two evaluators are provided. Direct summation computes each basis value in
-log space and is the correctness reference: per chunk of points, one matrix
-product of log weights and indices, one add and one in-place exp, where a
-finite log-0 sentinel makes zero weights give exact zeros without a mask.
-The production path, named
-``decasteljau``, sums the net out one collapsed coordinate at a time
-(Ainsworth-Andriamaro-Davydov 2011, Kirby 2011), O(n^D) a point instead of
-O(n^{D+1}): each stage streams Pascal rows of convex combinations (stable at
-high order) across the whole chunk and contracts every block with its row
+log space and is the correctness reference. It groups points by the face
+their nonzero weights span, where B_k vanishes if k_j > 0 at a zero weight,
+and sums each group over that face's lattice rows only (Farin 1986,
+Lai-Schumaker 2007): per chunk, one matrix product of log weights and
+indices, one add and one in-place exp, every log finite. The production
+path, named ``decasteljau``, sums the net out one collapsed coordinate at a
+time (Ainsworth-Andriamaro-Davydov 2011, Kirby 2011), O(n^D) a point instead
+of O(n^{D+1}): each stage streams Pascal rows of convex combinations (stable
+at high order) across the whole chunk and contracts every block with its row
 off BLAS, so results do not depend on the chunking or the thread count.
 """
 
@@ -40,7 +41,6 @@ DEFAULT_EVALUATOR = DE_CASTELJAU
 # Doubles per chunk either evaluator may hold: its per-point working set (direct:
 # the lattice size; decasteljau: see _stage_plan) x points. Bounds any grid's memory.
 _ENTRY_BUDGET = 1 << 19
-_LOG_ZERO = -1000.0  # the direct evaluator's finite log 0; see _basis_matrix
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,11 @@ def read_control_net_csv(simplex: Simplex, source) -> ControlNet:
     The multi-index columns must reproduce the enumeration order exactly;
     that is the portability contract for coefficient vectors.
     """
-    with open_csv(source, "r") as handle:
-        rows = list(csv.reader(handle))
+    try:
+        with open_csv(source, "r") as handle:
+            rows = list(csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise DimensionMismatchError(f"control net CSV {source}: not UTF-8 (byte {exc.start})") from exc
     d1 = simplex.dimension + 1
     if len(rows) < 2:
         raise DimensionMismatchError("control net CSV has no data rows")
@@ -155,25 +158,46 @@ def read_control_net_csv(simplex: Simplex, source) -> ControlNet:
     return ControlNet(simplex=simplex, order=order, coefficients=coefficients)
 
 
-def _basis_matrix(indices_t: np.ndarray, log_multinomials: np.ndarray,
-                  w: np.ndarray) -> np.ndarray:
-    # B[p, i] = B_{k_i} at weight row p, in log space. log 0 reads as _LOG_ZERO:
-    # k_j = 0 adds exactly 0, and k_j >= 1 at a zero weight bounds the value by
-    # (n e^_LOG_ZERO)^k_j, which exp rounds to exactly 0 for any n < e^255.
-    logw = np.full(w.shape, _LOG_ZERO)
-    np.log(w, out=logw, where=w != 0.0)
-    log_basis = logw @ indices_t
-    log_basis += log_multinomials
-    return np.exp(log_basis, out=log_basis)
+def _direct_blocks(indices: np.ndarray, w: np.ndarray):
+    # Yields (points, rows, B), B[p, i] = B_{k_rows[i]} at weight row points[p];
+    # the rows left out are structural zeros there. Points are grouped by their
+    # nonzero weights (NaN counts, so it stays NaN); a zero weight's log reads 0,
+    # which every kept row multiplies by k_j = 0. Chunks share one buffer of a
+    # whole-lattice chunk, so a caller holding a block never keeps two alive.
+    logm = multinomial_log_table(indices)
+    buffer = np.empty(min(len(w), max(1, _ENTRY_BUDGET // len(indices))) * len(indices))
+    patterns, group = np.unique(w != 0.0, axis=0, return_inverse=True)
+    for key, live in enumerate(patterns):
+        rows = slice(None)  # interior points: the whole lattice, uncopied
+        if not live.all():
+            rows = np.flatnonzero(~indices[:, ~live].any(axis=1))
+        indices_t, log_multinomials = indices[rows].T.astype(float), logm[rows]
+        points = np.flatnonzero(group == key)
+        width = indices_t.shape[1]
+        step = buffer.size // max(1, width)
+        for start in range(0, len(points), step):
+            part = points[start:start + step]
+            basis = buffer[:len(part) * width].reshape(len(part), width)
+            logw = np.log(w[part], out=np.zeros((len(part), len(live))), where=live)
+            np.matmul(logw, indices_t, out=basis)
+            basis += log_multinomials
+            yield part, rows, np.exp(basis, out=basis)
+
+
+def _basis_at(indices: np.ndarray, simplex: Simplex, x) -> np.ndarray:
+    # Basis values at one point in the order of `indices`, zero off its face.
+    w = clip_weights(simplex.barycentric(x)[None, :], simplex.dimension)
+    values = np.zeros(len(indices))
+    for _, rows, basis in _direct_blocks(indices, w):
+        values[rows] = basis[0]
+    return values
 
 
 def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
     """All basis values B_k^order(x) in enumeration order."""
     if order < 1:
         raise DimensionMismatchError("basis order must be >= 1")
-    indices = enumerate_multi_indices(order, simplex.dimension)
-    w = clip_weights(simplex.barycentric(x)[None, :], simplex.dimension)
-    return _basis_matrix(indices.T.astype(float), multinomial_log_table(indices), w)[0]
+    return _basis_at(enumerate_multi_indices(order, simplex.dimension), simplex, x)
 
 
 def basis_value(simplex: Simplex, index, x) -> float:
@@ -183,12 +207,9 @@ def basis_value(simplex: Simplex, index, x) -> float:
         raise DimensionMismatchError(
             f"multi-index must have {simplex.dimension + 1} non-negative entries"
         )
-    order = int(k.sum())
-    if order < 1:
+    if int(k.sum()) < 1:
         raise DimensionMismatchError("basis order |k| must be >= 1")
-    w = clip_weights(simplex.barycentric(x)[None, :], simplex.dimension)
-    return float(_basis_matrix(k[:, None].astype(float), multinomial_log_table(k[None, :]),
-                               w)[0, 0])
+    return float(_basis_at(k[None, :], simplex, x)[0])
 
 
 def _stage_plan(order: int, dimension: int) -> tuple:
@@ -255,22 +276,19 @@ def _collapsed_chunk(coefficients: np.ndarray, order: int, plan: list,
 def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALUATOR) -> np.ndarray:
     """Evaluate the net at a (P, D+1) batch of barycentric weights."""
     w = clip_weights(weights, net.simplex.dimension)
-    order, count = net.order, len(net.coefficients)
+    order, out = net.order, np.empty(w.shape[0])
     if evaluator == DIRECT:
         indices = enumerate_multi_indices(order, net.simplex.dimension)
-        logm = multinomial_log_table(indices)
-        indices_t = indices.T.astype(float)
-        entries = count
-        kernel = lambda part: _basis_matrix(indices_t, logm, part) @ net.coefficients
+        for points, rows, basis in _direct_blocks(indices, w):
+            out[points] = basis @ net.coefficients[rows]
     elif evaluator == DE_CASTELJAU:
         plan, entries = _stage_plan(order, net.simplex.dimension)
-        kernel = lambda part: _collapsed_chunk(net.coefficients, order, plan, part)
+        step = max(1, _ENTRY_BUDGET // entries)
+        for start in range(0, w.shape[0], step):
+            out[start:start + step] = _collapsed_chunk(net.coefficients, order, plan,
+                                                       w[start:start + step])
     else:
         raise ValueError(f"unknown evaluator {evaluator!r}; use {DIRECT!r} or {DE_CASTELJAU!r}")
-    out = np.empty(w.shape[0])
-    step = max(1, _ENTRY_BUDGET // entries)
-    for start in range(0, w.shape[0], step):
-        out[start:start + step] = kernel(w[start:start + step])
     return out
 
 

@@ -1,7 +1,7 @@
 """Deterministic CSV emission and lattice layout; the one place that opens CSV files.
 
-A destination or source is either a path, which is opened and closed here,
-or an open text stream, which is borrowed and left open.
+A destination or source is either a path, which is opened as UTF-8 and
+closed here, or an open text stream, which is borrowed and left open.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 def open_csv(target, mode: str):
     """The text handle for a path (opened, then closed) or a stream (borrowed)."""
     if isinstance(target, (str, os.PathLike)):
-        with open(target, mode, newline="") as handle:
+        with open(target, mode, newline="", encoding="utf-8") as handle:
             yield handle
     else:
         yield target

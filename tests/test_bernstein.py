@@ -98,6 +98,27 @@ class TestBasisValue:
                 sums = np.array([basis_vector(s, order, p).sum() for p in pts])
                 np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
+    @PROPERTY
+    @given(dimension=st.integers(1, 4), order=st.integers(1, 20), seed=SEEDS)
+    def test_exact_zeros_positivity_and_unity_on_faces(self, dimension, order, seed):
+        # On a face B_k is 0 exactly when some k_j > 0 has a zero weight. A
+        # solve for the cartesian point leaves round-off in those weights, so
+        # the simplex answers the face weights themselves.
+        rng = np.random.default_rng(seed)
+        s = random_simplex(rng, dimension)
+        indices = enumerate_multi_indices(order, dimension)
+        for w in face_weights(rng, dimension, 0):
+            x = w @ s.vertices
+            supported = ~np.any((indices > 0) & (w == 0.0), axis=1)
+            with mock.patch.object(s, "barycentric", return_value=w):
+                values = basis_vector(s, order, x)
+                assert np.all(values[~supported] == 0.0)
+                assert np.all(values[supported] > 0.0)
+                assert abs(values.sum() - 1.0) <= 1e-12
+                for i in rng.integers(0, len(indices), size=4):
+                    np.testing.assert_allclose(basis_value(s, indices[i], x), values[i],
+                                               rtol=1e-14, atol=0)
+
     def test_outside_point_rejected(self, triangle):
         with pytest.raises(NegativeWeightError):
             basis_vector(triangle, 3, [1.0, 1.0])
@@ -398,6 +419,33 @@ class TestDirectKernel:
         assert values[hit] == 1.0
         assert enumerate_multi_indices(300, 2)[hit].tolist() == [0, 0, 300]
 
+    def test_working_set_is_bounded_by_the_entry_budget(self, rng):
+        # One reused chunk of at most _ENTRY_BUDGET doubles; beside it the
+        # lattice table, its float copy and the log-multinomial table's
+        # temporaries, (D+1) numbers per coefficient each.
+        net = random_net(rng, 3, 60)
+        w = grid_weights(15, 3)
+        tracemalloc.start()
+        try:
+            evaluate_at_weights(net, w, evaluator="direct")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * bernstein._ENTRY_BUDGET + 3 * 8 * 4 * count_multi_indices(60, 3)
+
+    @PROPERTY
+    @given(dimension=st.integers(1, 4), order=st.integers(1, 30), seed=SEEDS)
+    def test_matches_closed_form_over_random_directions(self, dimension, order, seed):
+        rng = np.random.default_rng(seed)
+        s = random_simplex(rng, dimension)
+        a = rng.normal(size=dimension)
+        a *= math.sqrt(dimension) / np.linalg.norm(a)
+        net = ControlNet(s, order, np.exp(control_points(s, order).points @ a))
+        w = face_weights(rng, dimension, 10)
+        exact = closed_form_at_weights(s, order, a, w)
+        direct = evaluate_at_weights(net, w, evaluator="direct")
+        np.testing.assert_allclose(direct, exact, rtol=1e-12, atol=0)
+
     def test_nan_weight_stays_nan(self, rng):
         # A NaN weight must not be read as a zero weight.
         net = random_net(rng, 2, 6)
@@ -503,6 +551,15 @@ class TestNetSerialization:
         lines[3] = line
         with pytest.raises(DimensionMismatchError, match=f"line 4: {cell}"):
             read_control_net_csv(triangle, io.StringIO("\n".join(lines) + "\n"))
+
+    def test_rejects_a_file_that_is_not_utf8(self, unit_interval, tmp_path):
+        path = tmp_path / "net.csv"
+        write_control_net_csv(ControlNet(unit_interval, 1, np.array([0.5, 2.0])), path)
+        text = path.read_bytes().decode("ascii")
+        assert read_control_net_csv(unit_interval, path).order == 1
+        path.write_bytes(text.encode("utf-16"))
+        with pytest.raises(DimensionMismatchError, match="net.csv: not UTF-8"):
+            read_control_net_csv(unit_interval, path)
 
     def test_rejects_empty(self, triangle):
         import io
