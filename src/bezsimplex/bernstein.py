@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import emit_lattice_csv, open_csv
-from .errors import DimensionMismatchError, FunctionEvaluationError
+from .errors import ConfigError, DimensionMismatchError, FunctionEvaluationError
 from .geometry import Simplex, clip_weights, grid_points, validate_barycentric
 from .lattice import (
     control_points,
@@ -36,6 +36,7 @@ from .lattice import (
 
 DIRECT = "direct"
 DE_CASTELJAU = "decasteljau"
+EVALUATORS = (DIRECT, DE_CASTELJAU)
 DEFAULT_EVALUATOR = DE_CASTELJAU
 
 # Doubles per chunk either evaluator may hold: its per-point working set (direct:
@@ -110,11 +111,11 @@ class BernsteinOperator:
     def sample(self, f) -> ControlNet:
         return sample_control_net(self.simplex, self.order, f)
 
-    def apply(self, f, x, evaluator: str = DEFAULT_EVALUATOR) -> float:
+    def apply(self, f, x) -> float:
         """Value of the operator image of f at x (resamples f each call)."""
         net = self.sample(f)
         weights = self.simplex.barycentric(x)
-        return float(evaluate_at_weights(net, weights[None, :], evaluator=evaluator)[0])
+        return float(evaluate_at_weights(net, weights[None, :])[0])
 
 
 def write_control_net_csv(net: ControlNet, destination) -> None:
@@ -288,7 +289,7 @@ def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALU
             out[start:start + step] = _collapsed_chunk(net.coefficients, order, plan,
                                                        w[start:start + step])
     else:
-        raise ValueError(f"unknown evaluator {evaluator!r}; use {DIRECT!r} or {DE_CASTELJAU!r}")
+        raise ConfigError(f"unknown evaluator {evaluator!r}; use one of {EVALUATORS}")
     return out
 
 
@@ -304,10 +305,10 @@ def apply_de_casteljau(net: ControlNet, weights) -> float:
     return float(evaluate_at_weights(net, t[None, :], evaluator=DE_CASTELJAU)[0])
 
 
-def operator_sup_error(net: ControlNet, f, grid, evaluator: str = DEFAULT_EVALUATOR) -> float:
+def operator_sup_error(net: ControlNet, f, grid) -> float:
     """Max over the grid of |net(x) - f(x)|; the discretized sup-norm error."""
     points = grid_points(net.simplex, grid)
     weights = net.simplex.barycentric_many(points)
-    values = evaluate_at_weights(net, weights, evaluator=evaluator)
+    values = evaluate_at_weights(net, weights)
     exact = np.array([float(f(p)) for p in points])
     return float(np.abs(values - exact).max())

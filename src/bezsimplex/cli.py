@@ -13,13 +13,12 @@ import sys
 
 import numpy as np
 
-from .bernstein import basis_vector
+from .bernstein import EVALUATORS, basis_vector
 from .csvio import emit_csv, emit_lattice_csv
 from .errors import BezSimplexError, ConfigError
 from .experiments import (
     BOUND_CHECK_COLUMNS,
     CONVERGENCE_COLUMNS,
-    EVALUATORS,
     SCALING_COLUMNS,
     load_config,
     load_simplex,

@@ -19,7 +19,6 @@ solve for the weights and call a kernel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,19 +107,17 @@ class ExpPolynomial:
     def to_dict(self) -> dict:
         return {"terms": [{"c": t.coefficient, "a": list(t.direction)} for t in self.terms]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExpPolynomial":
         if not isinstance(data, dict) or "terms" not in data:
             raise DimensionMismatchError('exponential polynomial JSON must be {"terms": [...]}')
-        terms = [ExpTerm.of(entry["c"], entry["a"]) for entry in data["terms"]]
+        try:
+            terms = [ExpTerm.of(entry["c"], entry["a"]) for entry in data["terms"]]
+        except KeyError as exc:
+            raise DimensionMismatchError(f"exponential term is missing {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DimensionMismatchError(f"malformed exponential polynomial: {exc}") from exc
         return cls(terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExpPolynomial":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ the solve still succeeds and callers use the signs for containment.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -203,18 +202,11 @@ class Simplex:
     def to_dict(self) -> dict:
         return {"vertices": self._vertices.tolist()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, data: dict) -> "Simplex":
         if not isinstance(data, dict) or "vertices" not in data:
             raise DimensionMismatchError('simplex JSON must be {"vertices": [[...], ...]}')
         return cls(data["vertices"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "Simplex":
-        return cls.from_dict(json.loads(text))
 
 
 def standard_simplex(dimension: int) -> Simplex:

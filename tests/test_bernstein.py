@@ -11,6 +11,7 @@ from bezsimplex import bernstein
 
 from bezsimplex import (
     BernsteinOperator,
+    ConfigError,
     ControlNet,
     DimensionMismatchError,
     EmptyGridError,
@@ -261,7 +262,7 @@ class TestDeCasteljau:
 
     def test_unknown_evaluator(self, triangle):
         net = ControlNet(triangle, 2, np.zeros(6))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="horner"):
             evaluate_at_weights(net, np.full((1, 3), 1 / 3), evaluator="horner")
 
 

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import bezsimplex
-from bezsimplex import basis_vector, count_multi_indices, standard_simplex
+from bezsimplex import basis_vector, bezier_exp_closed_form, count_multi_indices, standard_simplex
 from bezsimplex.cli import main
 from bezsimplex.experiments import BoundCheckResult, BoundCheckRow
 
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 TRIANGLE = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
 INTERVAL = {"vertices": [[0.0], [1.0]]}
 
@@ -324,12 +325,20 @@ def test_usage_errors_exit_1(capsys, argv):
 
 def test_readme_sample_output(tmp_path):
     # The README's sample converge output is what its sample config produces.
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    config = readme.split("```json\n", 1)[1].split("```", 1)[0]
-    sample = readme.split("Sample `converge` output", 1)[1].split("```\n", 2)[1]
+    config = README.split("```json\n", 1)[1].split("```", 1)[0]
+    sample = README.split("Sample `converge` output", 1)[1].split("```\n", 2)[1]
     out = tmp_path / "rows.csv"
     assert main(["converge", "--config", config, "--out", str(out)]) == 0
     assert out.read_text() == sample
+
+
+def test_readme_library_use_runs():
+    # The README's library snippet runs against the current API.
+    namespace = {}
+    exec(README.split("```python\n", 1)[1].split("```", 1)[0], namespace)
+    expected = bezier_exp_closed_form(namespace["triangle"], 12, [1.0, 1.0], [0.2, 0.3])
+    assert namespace["value"] == pytest.approx(expected, rel=1e-13)
+    assert 0.0 < namespace["error"] < 0.05
 
 
 def test_import_loads_numpy_and_stdlib_only():

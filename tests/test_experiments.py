@@ -28,7 +28,7 @@ from bezsimplex import (
     run_scaling_study,
     standard_simplex,
 )
-from bezsimplex import experiments
+from bezsimplex import bernstein, experiments
 from bezsimplex.experiments import (
     BOUND_CHECK_COLUMNS,
     CONVERGENCE_COLUMNS,
@@ -136,6 +136,7 @@ class TestMakeFunction:
         ({"c": 1.0}, "missing 'a'"),
         ({"c": "x", "a": [1.0, 1.0]}, "malformed"),
         ({"c": float("nan"), "a": [1.0, 1.0]}, "finite"),
+        ({"c": 10**400, "a": [1.0, 1.0]}, "malformed"),
     ])
     def test_malformed_exp_term(self, term, message):
         with pytest.raises(ConfigError, match=message):
@@ -194,6 +195,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="config: JSON nested too deeply"):
             load_config('{"simplex": ' + "[" * 100_000)
 
+    def test_huge_integer_vertex_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="invalid simplex"):
+            experiments.load_simplex('{"vertices": [[1%s], [1.0]]}' % ("0" * 400))
+
     def test_spec_of_wrong_type(self):
         with pytest.raises(ConfigError, match="config must be a mapping or path"):
             load_config(5)
@@ -248,6 +253,17 @@ class TestLoadConfig:
         assert config.evaluator == "direct"
         with pytest.raises(ConfigError):
             config.with_evaluator("nope")
+
+    def test_evaluator_names_come_from_bernstein(self):
+        assert experiments.EVALUATORS is bernstein.EVALUATORS
+
+    def test_unknown_evaluator_fails_at_construction(self):
+        config = load_config(config_dict())
+        with pytest.raises(ConfigError, match="horner"):
+            dataclasses.replace(config, evaluator="horner")
+        with pytest.raises(ConfigError, match="horner"):
+            experiments.ExperimentConfig(config.simplex, config.function, (2,), 10,
+                                         evaluator="horner")
 
 
 class TestRunConvergence:

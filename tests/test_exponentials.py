@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from bezsimplex import (
     evaluate_at_weights,
     first_order_residual,
     grid_weights,
+    make_function,
     relative_error_at_weights,
     relative_error_report,
     residual_at_weights,
@@ -74,12 +76,24 @@ class TestExpPolynomial:
 
     def test_json_round_trip(self):
         poly = ExpPolynomial([ExpTerm.of(2.0, [1.0, -0.5]), ExpTerm.of(-1.5, [0.0, 3.0])])
-        restored = ExpPolynomial.from_json(poly.to_json())
+        restored = make_function(json.dumps(poly.to_dict()), standard_simplex(2)).exp_terms
         assert restored.terms == poly.terms
 
     def test_json_schema_errors(self):
         with pytest.raises(DimensionMismatchError):
             ExpPolynomial.from_dict({"coefficients": []})
+
+    @pytest.mark.parametrize("data, message", [
+        ({"terms": [{"c": 1.0}]}, "missing 'a'"),
+        ({"terms": [{"a": [1.0]}]}, "missing 'c'"),
+        ({"terms": 3}, "malformed"),
+        ({"terms": [5]}, "malformed"),
+        ({"terms": [{"c": "x", "a": [1.0]}]}, "malformed"),
+        ({"terms": [{"c": 10**400, "a": [1.0]}]}, "malformed"),
+    ])
+    def test_malformed_terms_are_typed(self, data, message):
+        with pytest.raises(DimensionMismatchError, match=message):
+            ExpPolynomial.from_dict(data)
 
 
 class TestClosedForm:
