@@ -33,6 +33,7 @@ from .errors import (
     ConfigError,
     DegenerateSimplexError,
     DimensionMismatchError,
+    DomainError,
     EmptyGridError,
     ExpOverflowError,
     FunctionEvaluationError,
@@ -81,6 +82,7 @@ from .lattice import (
     count_multi_indices,
     default_grid_resolution,
     enumerate_multi_indices,
+    grid_weight_blocks,
     grid_weights,
     multinomial_exact,
     multinomial_log,

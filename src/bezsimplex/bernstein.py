@@ -28,6 +28,7 @@ from .csvio import emit_lattice_csv, open_csv
 from .errors import ConfigError, DimensionMismatchError, FunctionEvaluationError
 from .geometry import Simplex, clip_weights, grid_points, validate_barycentric
 from .lattice import (
+    _ENTRY_BUDGET,
     control_points,
     count_multi_indices,
     enumerate_multi_indices,
@@ -38,10 +39,6 @@ DIRECT = "direct"
 DE_CASTELJAU = "decasteljau"
 EVALUATORS = (DIRECT, DE_CASTELJAU)
 DEFAULT_EVALUATOR = DE_CASTELJAU
-
-# Doubles per chunk either evaluator may hold: its per-point working set (direct:
-# the lattice size; decasteljau: see _stage_plan) x points. Bounds any grid's memory.
-_ENTRY_BUDGET = 1 << 19
 
 
 @dataclass(frozen=True)

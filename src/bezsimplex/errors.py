@@ -13,6 +13,10 @@ class DegenerateSimplexError(BezSimplexError, ValueError):
     """Simplex vertices are affinely dependent (zero volume up to tolerance)."""
 
 
+class DomainError(BezSimplexError, ValueError):
+    """A non-finite coordinate or coefficient, or a negative tolerance."""
+
+
 class InvalidBarycentricError(BezSimplexError, ValueError):
     """Barycentric weights are negative beyond tolerance or do not sum to one."""
 

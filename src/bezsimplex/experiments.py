@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -21,9 +21,9 @@ import numpy as np
 from .bernstein import DEFAULT_EVALUATOR, EVALUATORS, ControlNet, evaluate_at_weights
 from .csvio import emit_csv  # re-exported: experiments.emit_csv is public
 from .errors import ConfigError, InsufficientDataError, ZeroError
-from .exponentials import ExpPolynomial, _vertex_dots, error_budget, relative_error_of_dots
-from .geometry import Simplex, clip_weights
-from .lattice import control_points, default_grid_resolution, grid_weights
+from .exponentials import ExpPolynomial, _vertex_dots, error_budget, relative_error_reports
+from .geometry import Simplex
+from .lattice import control_points, default_grid_resolution, grid_weight_blocks, grid_weights
 
 # Rows with sup_error below this are floating-point noise, not signal.
 NOISE_FLOOR = 1e-13
@@ -147,6 +147,11 @@ def make_function(spec, simplex: Simplex) -> TestFunction:
     return TestFunction("exp-polynomial", poly.evaluate_many, exp_terms=poly)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not counts.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     simplex: Simplex
@@ -158,6 +163,19 @@ class ExperimentConfig:
     evaluator: str = DEFAULT_EVALUATOR
 
     def __post_init__(self):
+        n_values = self.n_values
+        if not (isinstance(n_values, (list, tuple)) and n_values
+                and all(_is_int(n) and n >= 1 for n in n_values)):
+            raise ConfigError("field 'n_values': need a non-empty list of integers >= 1")
+        if any(b <= a for a, b in zip(n_values, n_values[1:])):
+            raise ConfigError("field 'n_values': must be strictly increasing")
+        object.__setattr__(self, "n_values", tuple(n_values))
+        if not _is_int(self.grid_resolution) or self.grid_resolution < 2:
+            raise ConfigError("field 'grid_resolution': need an integer >= 2")
+        if not _is_int(self.seed):
+            raise ConfigError("field 'seed': need an integer")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError("field 'output': need a string path")
         if self.evaluator not in EVALUATORS:
             raise ConfigError(f"evaluator must be one of {EVALUATORS}, got {self.evaluator!r}")
 
@@ -176,11 +194,6 @@ def load_simplex(spec) -> Simplex:
         raise ConfigError(f"invalid simplex: {exc}") from exc
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int; they are not counts.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_config(source) -> ExperimentConfig:
     """Parse an experiment config from a dict, a JSON string, or a file path."""
     if not isinstance(source, (dict, str, os.PathLike)):
@@ -191,7 +204,7 @@ def load_config(source) -> ExperimentConfig:
 
     if not isinstance(data, dict):
         raise ConfigError(f"{origin}: top level must be a JSON object")
-    known = {"simplex", "function", "n_values", "grid_resolution", "seed", "output", "evaluator"}
+    known = {field.name for field in fields(ExperimentConfig)}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"{origin}: unknown field(s) {sorted(unknown)}; known fields: {sorted(known)}")
@@ -205,38 +218,11 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigError(f"{origin}: field 'simplex': {exc}") from exc
 
     function = make_function(data["function"], simplex)
-
-    n_values = data["n_values"]
-    if (
-        not isinstance(n_values, (list, tuple))
-        or not n_values
-        or not all(_is_int(n) and n >= 1 for n in n_values)
-    ):
-        raise ConfigError(f"{origin}: field 'n_values': need a non-empty list of integers >= 1")
-    if any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise ConfigError(f"{origin}: field 'n_values': must be strictly increasing")
-
-    resolution = data.get("grid_resolution", default_grid_resolution(simplex.dimension))
-    if not _is_int(resolution) or resolution < 2:
-        raise ConfigError(f"{origin}: field 'grid_resolution': need an integer >= 2")
-
-    seed = data.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError(f"{origin}: field 'seed': need an integer")
-
-    output = data.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"{origin}: field 'output': need a string path")
-
-    return ExperimentConfig(
-        simplex=simplex,
-        function=function,
-        n_values=tuple(n_values),
-        grid_resolution=resolution,
-        seed=seed,
-        output=output,
-        evaluator=data.get("evaluator", DEFAULT_EVALUATOR),
-    )
+    try:
+        return ExperimentConfig(**{"grid_resolution": default_grid_resolution(simplex.dimension),
+                                   **data, "simplex": simplex, "function": function})
+    except ConfigError as exc:
+        raise ConfigError(f"{origin}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -388,12 +374,12 @@ def run_bound_check(config: ExperimentConfig, margin: float = 0.25) -> BoundChec
             "bound check requires the function to be a single exponential term with c != 0"
         )
     simplex = config.simplex
-    weights = clip_weights(grid_weights(config.grid_resolution, simplex.dimension),
-                           simplex.dimension)
+    cases = [(_vertex_dots(simplex, direction, n), n) for n in config.n_values]
+    reports = relative_error_reports(
+        cases, grid_weight_blocks(config.grid_resolution, simplex.dimension))
 
     rows = []
-    for n in config.n_values:
-        report = relative_error_of_dots(_vertex_dots(simplex, direction, n), n, weights)
+    for n, report in zip(config.n_values, reports):
         violation = n >= BOUND_CHECK_MIN_ORDER and report.ratio > 1.0 + margin
         rows.append(
             BoundCheckRow(
@@ -414,34 +400,25 @@ def run_scaling_study(simplex: Simplex, direction, order: int, resolution: int,
     Exposes how the error grows with the diameter-magnitude product; the
     observed growth is roughly quadratic per doubling of either factor.
     The error depends on (d, m) only through the vertex dots d*m*a.x_j: the
-    kernel runs once per distinct dot vector, bit for bit, and pairs such as
-    (1, 2) and (2, 1) share its report.
+    kernel runs once per distinct dot vector and grid block, bit for bit, and
+    pairs such as (1, 2) and (2, 1) share its report.
     """
     factors = [float(s) for s in scales]
     if not factors or not all(math.isfinite(s) and s > 0 for s in factors):
         raise ConfigError(f"scale factors must be finite and positive, got {factors}")
     base_direction = np.asarray(direction, dtype=float)
-    # Barycentric weights do not change when the simplex is scaled.
-    weights = clip_weights(grid_weights(resolution, simplex.dimension), simplex.dimension)
 
-    reports = {}
+    cases = {}  # case index per distinct dots.tobytes(), in first-seen order
     rows = []
     for d_scale in factors:
         scaled = simplex.scaled(d_scale)
         for m_scale in factors:
             a = base_direction * m_scale
             dots = _vertex_dots(scaled, a, order)
-            key = dots.tobytes()
-            if key not in reports:
-                reports[key] = relative_error_of_dots(dots, order, weights)
-            rows.append(
-                ScalingRow(
-                    diameter_scale=d_scale,
-                    magnitude_scale=m_scale,
-                    diameter=scaled.diameter,
-                    direction_norm=float(np.linalg.norm(a)),
-                    n=order,
-                    sup_relative_error=reports[key].max_rel_error,
-                )
-            )
-    return rows
+            case = cases.setdefault(dots.tobytes(), (len(cases), dots))[0]
+            rows.append((d_scale, m_scale, scaled.diameter, float(np.linalg.norm(a)), case))
+    # Barycentric weights do not change when the simplex is scaled.
+    reports = relative_error_reports([(dots, order) for _, dots in cases.values()],
+                                     grid_weight_blocks(resolution, simplex.dimension))
+    return [ScalingRow(d_scale, m_scale, diameter, norm, order, reports[case].max_rel_error)
+            for d_scale, m_scale, diameter, norm, case in rows]

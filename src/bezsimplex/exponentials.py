@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyGridError, ExpOverflowError
+from .errors import DimensionMismatchError, DomainError, EmptyGridError, ExpOverflowError
 from .geometry import Simplex, clip_weights, grid_points
 
 # exp() overflows double precision near 709; stay clear with a round guard.
@@ -65,7 +65,7 @@ class ExpPolynomial:
         if any(len(t.direction) != dim for t in terms):
             raise DimensionMismatchError("all term directions must share one dimension")
         if not all(np.isfinite(t.coefficient) and np.all(np.isfinite(t.direction)) for t in terms):
-            raise ValueError("exponential polynomial entries must be finite")
+            raise DomainError("exponential polynomial entries must be finite")
         self.terms = tuple(terms)
         self.dimension = dim
 
@@ -243,29 +243,46 @@ def error_budget(simplex: Simplex, direction, order: int) -> ErrorBudget:
     return _budget_of_dots(_vertex_dots(simplex, direction, order), order)
 
 
+def log_ratio_of_dots(dots: np.ndarray, order: int, w: np.ndarray) -> np.ndarray:
+    """log(closed_form / exp(a.x)) per row of clipped weights w, from the vertex
+    values a.x_j: the per-row kernel, which forms neither huge factor."""
+    return order * _log_weighted_mean(w, dots, order) - w @ dots
+
+
+def relative_error_reports(cases: list, blocks) -> list:
+    """One RelativeErrorReport per (vertex dots, order) case in a single pass
+    over blocks of weights that passed clip_weights (grid weights need no
+    clipping): only the extremes of each case's log ratio are kept."""
+    lowest, largest = [np.inf] * len(cases), [-np.inf] * len(cases)
+    for w in blocks:
+        for i, (dots, order) in enumerate(cases):
+            log_ratio = log_ratio_of_dots(dots, order, w)
+            # np.minimum and np.maximum keep a NaN, as one reduction over all rows does
+            lowest[i] = np.minimum(lowest[i], log_ratio.min())
+            largest[i] = np.maximum(largest[i], log_ratio.max())
+        del w  # free this block before the next one is built
+    reports = []
+    for (dots, order), low, high in zip(cases, lowest, largest):
+        if high > _LOG_DOUBLE_MAX:
+            raise ExpOverflowError(f"relative error reaches exp({high:.6g}), beyond the largest double")
+        # expm1 is monotone, so |expm1| peaks at an extreme of the log ratio
+        observed = float(max(abs(np.expm1(high)), abs(np.expm1(low))))
+        predicted = _budget_of_dots(dots, order).predicted_rel_error
+        if predicted > 0.0:
+            ratio = observed / predicted
+        else:
+            ratio = 0.0 if observed <= ZERO_OBSERVED_FLOOR else float("inf")
+        reports.append(RelativeErrorReport(order=order, max_rel_error=observed,
+                                           predicted_rel_error=predicted, ratio=ratio))
+    return reports
+
+
 def relative_error_of_dots(dots: np.ndarray, order: int, w: np.ndarray) -> RelativeErrorReport:
     """relative_error_at_weights from the vertex values a.x_j of _vertex_dots
     and weights that passed clip_weights: the error depends on nothing else."""
     if w.shape[0] == 0:
         raise EmptyGridError("relative error requested over no weights")
-    # closed_form / exp(a.x) computed without forming either huge factor
-    log_ratio = order * _log_weighted_mean(w, dots, order) - w @ dots
-    largest = log_ratio.max()
-    if largest > _LOG_DOUBLE_MAX:
-        raise ExpOverflowError(f"relative error reaches exp({largest:.6g}), beyond the largest double")
-    # expm1 is monotone, so |expm1| peaks at an extreme of the log ratio
-    observed = float(max(abs(np.expm1(largest)), abs(np.expm1(log_ratio.min()))))
-    predicted = _budget_of_dots(dots, order).predicted_rel_error
-    if predicted > 0.0:
-        ratio = observed / predicted
-    else:
-        ratio = 0.0 if observed <= ZERO_OBSERVED_FLOOR else float("inf")
-    return RelativeErrorReport(
-        order=order,
-        max_rel_error=observed,
-        predicted_rel_error=predicted,
-        ratio=ratio,
-    )
+    return relative_error_reports([(dots, order)], [w])[0]
 
 
 def relative_error_at_weights(simplex: Simplex, direction, order: int,

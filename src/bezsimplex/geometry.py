@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DegenerateSimplexError,
     DimensionMismatchError,
+    DomainError,
     EmptyGridError,
     InvalidBarycentricError,
     NegativeWeightError,
@@ -90,7 +91,10 @@ class Simplex:
     """
 
     def __init__(self, vertices) -> None:
-        vtx = np.array(vertices, dtype=float)
+        try:
+            vtx = np.array(vertices, dtype=float)
+        except OverflowError as exc:
+            raise SizeOverflowError(f"simplex vertices must be doubles: {exc}") from exc
         if vtx.ndim != 2:
             raise DimensionMismatchError(
                 f"vertices must be a 2-d array of shape (D+1, D), got ndim={vtx.ndim}"
@@ -101,7 +105,7 @@ class Simplex:
                 f"expected D+1 vertices of length D, got {n_vertices} of length {dim}"
             )
         if not np.all(np.isfinite(vtx)):
-            raise ValueError("simplex vertices must be finite")
+            raise DomainError("simplex vertices must be finite")
 
         # Diameter and degeneracy test on the vertices scaled by a power of
         # two to at most 1 in magnitude: the scaling is exact, so ordinary
@@ -161,7 +165,7 @@ class Simplex:
                 f"expected point of length {self._dimension}, got shape {p.shape}"
             )
         if not np.all(np.isfinite(p)):
-            raise ValueError("point coordinates must be finite")
+            raise DomainError("point coordinates must be finite")
         return p
 
     def barycentric(self, x) -> np.ndarray:
@@ -188,7 +192,7 @@ class Simplex:
     def contains(self, x, tol: float = COORDINATE_TOL) -> bool:
         """True iff every barycentric weight of x is >= -tol (closed simplex)."""
         if tol < 0:
-            raise ValueError("tolerance must be non-negative")
+            raise DomainError("tolerance must be non-negative")
         return bool(np.all(self.barycentric(x) >= -tol))
 
     def scaled(self, factor: float) -> "Simplex":

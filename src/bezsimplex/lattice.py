@@ -24,6 +24,11 @@ SIZE_CAP = 100_000_000
 # Largest order served by the exact integer path.
 EXACT_ORDER_LIMIT = 60
 
+# Doubles per chunk a streamed pass may hold: a block of grid weights, or an
+# evaluator's per-point working set x points (direct: the lattice size;
+# decasteljau: see bernstein._stage_plan). Bounds any grid's memory.
+_ENTRY_BUDGET = 1 << 19
+
 
 def count_multi_indices(order: int, dimension: int) -> int:
     """Number of multi-indices of the given order: binomial(order+D, D)."""
@@ -32,18 +37,23 @@ def count_multi_indices(order: int, dimension: int) -> int:
     return math.comb(order + dimension, dimension)
 
 
-def enumerate_multi_indices(order: int, dimension: int) -> np.ndarray:
-    """All multi-indices of the given order, one per row, shape (count, D+1).
-
-    Deterministic colexicographic order on (k_1..k_D); row sums all equal
-    ``order``. Raises SizeOverflowError beyond SIZE_CAP entries.
-    """
+def _capped_count(order: int, dimension: int) -> int:
     count = count_multi_indices(order, dimension)
     if count > SIZE_CAP:
         raise SizeOverflowError(
             f"lattice of order {order} in dimension {dimension} has {count} entries"
             f" (cap {SIZE_CAP})"
         )
+    return count
+
+
+def enumerate_multi_indices(order: int, dimension: int) -> np.ndarray:
+    """All multi-indices of the given order, one per row, shape (count, D+1).
+
+    Deterministic colexicographic order on (k_1..k_D); row sums all equal
+    ``order``. Raises SizeOverflowError beyond SIZE_CAP entries.
+    """
+    count = _capped_count(order, dimension)
     # Place k_D, then k_(D-1), .. k_1: every row with `left` still to place
     # gets one child per value 0..left, in ascending order, so the most
     # significant coordinate is placed first and the rows come out colex.
@@ -117,9 +127,50 @@ def grid_weights(resolution: int, dimension: int) -> np.ndarray:
 
     Covers the closed simplex uniformly, faces and vertices included.
     """
+    return np.vstack(list(grid_weight_blocks(resolution, dimension)))
+
+
+def _slabs(order: int, dimension: int, tail: tuple, rows: int):
+    # The colex rows with k_D = t are the (order - t)-lattice of dimension D-1
+    # with t appended: a lattice of more than `rows` rows is cut into those
+    # slabs, down to single lines (dimension 1). Yields (order, dimension, tail, count).
+    count = count_multi_indices(order, dimension)
+    if dimension == 1 or count <= rows:
+        yield order, dimension, tail, count
+    else:
+        for t in range(order + 1):
+            yield from _slabs(order - t, dimension - 1, (t,) + tail, rows)
+
+
+def grid_weight_blocks(resolution: int, dimension: int):
+    """grid_weights as consecutive float blocks of at most _ENTRY_BUDGET doubles.
+
+    Consecutive slabs are joined until the next would pass the budget. A single
+    line (k_2..k_D fixed) is never cut, so a D = 1 grid is one block.
+    """
     if resolution < 1:
         raise DimensionMismatchError("grid resolution must be >= 1")
-    return enumerate_multi_indices(resolution, dimension) / float(resolution)
+    _capped_count(resolution, dimension)
+    rows = max(1, _ENTRY_BUDGET // (dimension + 1))
+    run, size = [], 0  # consecutive slabs of the next block, and their rows
+    for piece in _slabs(resolution, dimension, (), rows):
+        if run and size + piece[3] > rows:
+            yield _fill_block(run, size, dimension, resolution)
+            run, size = [], 0
+        run.append(piece)
+        size += piece[3]
+    yield _fill_block(run, size, dimension, resolution)
+
+
+def _fill_block(pieces: list, size: int, dimension: int, resolution: int) -> np.ndarray:
+    # Each slab's integer lattice is written straight into one float block.
+    block, start = np.empty((size, dimension + 1)), 0
+    for order, dim, tail, count in pieces:
+        block[start:start + count, :dim + 1] = enumerate_multi_indices(order, dim)
+        block[start:start + count, dim + 1:] = tail
+        start += count
+    block /= float(resolution)
+    return block
 
 
 def default_grid_resolution(dimension: int) -> int:

@@ -353,24 +353,34 @@ def test_import_loads_numpy_and_stdlib_only():
     assert result.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("evaluator", ["direct", "decasteljau"])
-def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, evaluator):
-    # The direct evaluator is a matrix product per chunk; the CSV must be the
-    # same whatever number of threads the BLAS splits it over.
-    tetrahedron = {"vertices": [[0.1, -0.2, 0.0], [1.2, 0.1, 0.3], [-0.1, 0.9, 0.2],
-                                [0.2, 0.3, 1.1]]}
-    config = write_config(tmp_path, simplex=tetrahedron, function="runge",
-                          n_values=[10, 20], grid_resolution=8)
+@pytest.mark.parametrize("command, header", [
+    (["converge", "--evaluator", "direct"], b"n,sup_error,"),
+    (["converge", "--evaluator", "decasteljau"], b"n,sup_error,"),
+    (["scaling", "--scales", "0.5,1,2"], b"diameter_scale,"),
+    (["bound-check"], b"n,observed_rel_error,"),
+], ids=["direct", "decasteljau", "scaling", "bound-check"])
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, command, header):
+    # The direct evaluator is a matrix product per chunk, and the exp studies
+    # one per grid block (a 5-simplex grid of 30 spans several blocks); the
+    # CSV must be the same whatever number of threads the BLAS splits it over.
+    if command[0] == "converge":
+        tetrahedron = {"vertices": [[0.1, -0.2, 0.0], [1.2, 0.1, 0.3], [-0.1, 0.9, 0.2],
+                                    [0.2, 0.3, 1.1]]}
+        config = write_config(tmp_path, simplex=tetrahedron, function="runge",
+                              n_values=[10, 20], grid_resolution=8)
+    else:
+        five = {"vertices": np.vstack([np.zeros(5), np.eye(5) + 0.1]).tolist()}
+        config = write_config(tmp_path, simplex=five, n_values=[40, 160, 640], grid_resolution=30,
+                              function={"terms": [{"c": 1.0, "a": [1.0, -0.5, 0.25, 0.8, -1.2]}]})
     source = str(Path(bezsimplex.__file__).resolve().parents[1])
     outputs = set()
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=source, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         result = subprocess.run(
-            [sys.executable, "-m", "bezsimplex.cli", "converge", "--config", config,
-             "--evaluator", evaluator],
+            [sys.executable, "-m", "bezsimplex.cli", command[0], "--config", config, *command[1:]],
             capture_output=True, check=True, env=env, timeout=120,
         )
         outputs.add(result.stdout)
     assert len(outputs) == 1
-    assert next(iter(outputs)).startswith(b"n,sup_error,")
+    assert next(iter(outputs)).startswith(header)

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from bezsimplex import (
     run_scaling_study,
     standard_simplex,
 )
-from bezsimplex import bernstein, experiments
+from bezsimplex import bernstein, experiments, exponentials, lattice
 from bezsimplex.experiments import (
     BOUND_CHECK_COLUMNS,
     CONVERGENCE_COLUMNS,
@@ -265,6 +266,26 @@ class TestLoadConfig:
             experiments.ExperimentConfig(config.simplex, config.function, (2,), 10,
                                          evaluator="horner")
 
+    @pytest.mark.parametrize("field, bad", [
+        ("n_values", ()), ("n_values", (4, 2)), ("n_values", (0, 1)), ("n_values", ("2",)),
+        ("n_values", (True, 2)), ("n_values", 8), ("grid_resolution", 1),
+        ("grid_resolution", True), ("grid_resolution", 2.5), ("seed", 1.5), ("seed", False),
+        ("output", 5),
+    ])
+    def test_fields_checked_at_construction(self, field, bad):
+        config = load_config(config_dict())
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            dataclasses.replace(config, **{field: bad})
+        fields = {"n_values": (2,), "grid_resolution": 10, field: bad}
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            experiments.ExperimentConfig(config.simplex, config.function, **fields)
+
+    def test_direct_construction_keeps_a_tuple(self):
+        config = load_config(config_dict())
+        built = experiments.ExperimentConfig(config.simplex, config.function, [2, 4], 10)
+        assert built.n_values == (2, 4)
+        assert [row.n for row in run_convergence(built)] == [2, 4]
+
 
 class TestRunConvergence:
     def test_constant_function_is_exact(self):
@@ -408,6 +429,22 @@ class TestBoundCheck:
             with pytest.raises(ConfigError, match="margin"):
                 run_bound_check(config, margin=margin)
 
+    def test_rows_match_the_whole_grid_kernel(self, rng):
+        # Streamed in several blocks, each row is the one-batch report bit for bit.
+        s = random_simplex(rng, 3)
+        direction = rng.normal(size=3)
+        config = experiments.ExperimentConfig(
+            s, make_function({"terms": [{"c": 1.0, "a": direction.tolist()}]}, s),
+            (5, 40, 160, 640), 9)
+        with mock.patch.object(lattice, "_ENTRY_BUDGET", 200):
+            assert len(list(lattice.grid_weight_blocks(9, 3))) > 1
+            result = run_bound_check(config)
+        grid = grid_weights(9, 3)
+        for row in result.rows:
+            expected = relative_error_at_weights(s, direction, row.n, grid)
+            assert (row.observed_rel_error, row.predicted_rel_error, row.ratio) == (
+                expected.max_rel_error, expected.predicted_rel_error, expected.ratio)
+
     def test_violation_flag_controls_passed(self):
         rows = (
             BoundCheckRow(40, 1.0, 0.5, 2.0, True),
@@ -476,19 +513,37 @@ class TestScalingStudy:
         # doubling is exact, so those pairs share their vertex dots bit for
         # bit. Scaling by 3 rounds: on this simplex the dots of (1, 3) and
         # (3, 1) differ in the last bits, so the two pairs run apart.
+        # The grid streams in blocks, so each pass is one kernel call per block.
         s = random_simplex(rng, 3)
         direction = rng.normal(size=3)
         order, resolution = 40, 6
-        spy = mock.Mock(wraps=experiments.relative_error_of_dots)
-        with mock.patch.object(experiments, "relative_error_of_dots", spy):
+        spy = mock.Mock(wraps=exponentials.log_ratio_of_dots)
+        with mock.patch.object(lattice, "_ENTRY_BUDGET", 100), \
+                mock.patch.object(exponentials, "log_ratio_of_dots", spy):
+            blocks = len(list(lattice.grid_weight_blocks(resolution, 3)))
             rows = run_scaling_study(s, direction, order, resolution, scales)
-        assert spy.call_count == passes
+        assert blocks > 1
+        assert spy.call_count == passes * blocks
         grid = grid_weights(resolution, 3)
         for row in rows:
             expected = relative_error_at_weights(
                 s.scaled(row.diameter_scale), direction * row.magnitude_scale, order, grid
             )
             assert row.sup_relative_error == expected.max_rel_error
+
+    @pytest.mark.parametrize("resolution", [30, 40])
+    def test_memory_is_bounded_by_the_entry_budget(self, rng, resolution):
+        # 324,632 and 1,221,759 grid rows (15.6 and 58.6 MB as one array);
+        # the streamed pass holds one block and its kernel temporaries.
+        s = random_simplex(rng, 5)
+        direction = rng.normal(size=5)
+        tracemalloc.start()
+        try:
+            run_scaling_study(s, direction, 640, resolution, [1.0, 2.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * lattice._ENTRY_BUDGET
 
 
 class TestEmitCsv:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bezsimplex import (
     ControlNet,
     DimensionMismatchError,
+    DomainError,
     EmptyGridError,
     ExpOverflowError,
     ExpPolynomial,
@@ -67,6 +68,16 @@ class TestExpPolynomial:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatchError):
             ExpPolynomial([ExpTerm.of(1.0, [1.0]), ExpTerm.of(1.0, [1.0, 2.0])])
+
+    @pytest.mark.parametrize("terms", [
+        [(math.nan, [1.0, 1.0])],
+        [(1.0, [1.0, math.inf])],
+        [(1.0, [0.0, 0.0]), (math.inf, [1.0, 0.0])],
+    ], ids=["nan-coefficient", "inf-direction", "second-term"])
+    def test_non_finite_entries_are_typed(self, terms):
+        with pytest.raises(DomainError, match="finite") as caught:
+            ExpPolynomial(terms)
+        assert isinstance(caught.value, ValueError)
 
     def test_overflow_guard(self):
         poly = ExpPolynomial([ExpTerm.of(1.0, [1000.0])])

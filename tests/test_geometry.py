@@ -7,6 +7,7 @@ from bezsimplex import (
     COORDINATE_TOL,
     DegenerateSimplexError,
     DimensionMismatchError,
+    DomainError,
     InvalidBarycentricError,
     Simplex,
     SizeOverflowError,
@@ -51,6 +52,20 @@ class TestConstruction:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             Simplex([[0.0], [np.inf]])
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: Simplex([[0.0], [np.inf]]), DomainError),
+        (lambda: Simplex([[np.nan, 0.0], [1.0, 0.0], [0.0, 1.0]]), DomainError),
+        (lambda: standard_simplex(2).barycentric([np.nan, 0.0]), DomainError),
+        (lambda: standard_simplex(2).contains([0.1, 0.1], tol=-1e-3), DomainError),
+        (lambda: Simplex.from_dict({"vertices": [[10**400], [1.0]]}), SizeOverflowError),
+    ], ids=["inf-vertex", "nan-vertex", "nan-point", "negative-tol", "huge-int-vertex"])
+    def test_bad_numbers_raise_typed_errors(self, call, error):
+        # Typed, and still the builtin type callers may catch.
+        builtin = OverflowError if error is SizeOverflowError else ValueError
+        with pytest.raises(error) as caught:
+            call()
+        assert isinstance(caught.value, builtin)
 
     def test_vertices_read_only(self, triangle):
         with pytest.raises(ValueError):

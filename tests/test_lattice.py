@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bezsimplex import (
     DimensionMismatchError,
@@ -12,11 +13,14 @@ from bezsimplex import (
     count_multi_indices,
     default_grid_resolution,
     enumerate_multi_indices,
+    grid_weight_blocks,
     grid_weights,
     multinomial_exact,
     multinomial_log,
     multinomial_log_table,
 )
+
+from bezsimplex import lattice
 
 from conftest import random_simplex
 
@@ -243,6 +247,30 @@ class TestGrids:
     def test_resolution_validated(self):
         with pytest.raises(DimensionMismatchError):
             grid_weights(0, 2)
+        with pytest.raises(DimensionMismatchError):
+            next(grid_weight_blocks(0, 2))
+        with pytest.raises(SizeOverflowError):
+            next(grid_weight_blocks(105, 5))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dimension=st.integers(1, 5), resolution=st.integers(1, 40),
+           parts=st.one_of(st.none(), st.integers(1, 200)))
+    def test_blocks_stack_to_the_grid(self, dimension, resolution, parts):
+        # The reference is the integer lattice over the resolution. A budget
+        # of 1/parts of the grid cuts slabs into sub-slabs and joins them
+        # again; only a single line (k_2..k_D fixed) may pass it.
+        doubles = count_multi_indices(resolution, dimension) * (dimension + 1)
+        budget = max(1, doubles // parts) if parts else lattice._ENTRY_BUDGET
+        with mock.patch.object(lattice, "_ENTRY_BUDGET", budget):
+            blocks = list(grid_weight_blocks(resolution, dimension))
+        whole = enumerate_multi_indices(resolution, dimension) / float(resolution)
+        stacked = np.vstack(blocks)
+        assert stacked.dtype == whole.dtype and stacked.shape == whole.shape
+        assert np.array_equal(stacked.view(np.int64), whole.view(np.int64))
+        for block in blocks:
+            assert block.size <= budget or np.all(block[:, 2:] == block[0, 2:])
+        if whole.size <= budget or dimension == 1:
+            assert len(blocks) == 1
 
     def test_default_resolutions(self):
         assert default_grid_resolution(1) == 50
