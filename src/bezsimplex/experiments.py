@@ -399,9 +399,9 @@ def run_scaling_study(simplex: Simplex, direction, order: int, resolution: int,
 
     Exposes how the error grows with the diameter-magnitude product; the
     observed growth is roughly quadratic per doubling of either factor.
-    The error depends on (d, m) only through the vertex dots d*m*a.x_j: the
-    kernel runs once per distinct dot vector and grid block, bit for bit, and
-    pairs such as (1, 2) and (2, 1) share its report.
+    The error depends on (d, m) only through the vertex dots d*m*a.x_j: each
+    distinct dot vector is one case of the kernel, and pairs such as (1, 2)
+    and (2, 1) share its report bit for bit.
     """
     factors = [float(s) for s in scales]
     if not factors or not all(math.isfinite(s) and s > 0 for s in factors):

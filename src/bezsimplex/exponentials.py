@@ -15,6 +15,16 @@ the weights alone: a.x is sum_j s_j a.x_j, so the ``*_at_weights`` kernels
 take a (P, D+1) batch of barycentric weights and never form cartesian
 points. The single-point and cartesian-grid functions are adapters that
 solve for the weights and call a kernel.
+
+Both exp studies reduce many (vertex dots, order) cases over one weight
+grid. ``relative_error_reports`` streams the grid in row chunks and runs
+``log_ratios`` once per chunk for every case: one matrix product of the
+``case_table`` (each case's exp(a.x_j / n), then its a.x_j) with the
+chunk's weights, then an in-place log and two reductions per case row.
+A case's report has the same bits alone or batched, in any order and
+chunking. This is the collapse of Bernstein sums to a power of one weighted
+sum that Kirby (Numer. Math. 2011) and Ainsworth-Andriamaro-Davydov (SISC
+2011) use.
 """
 
 from __future__ import annotations
@@ -23,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, EmptyGridError, ExpOverflowError
+from .errors import (DimensionMismatchError, DomainError, EmptyGridError, ExpOverflowError,
+                     SizeOverflowError)
+from . import lattice
 from .geometry import Simplex, clip_weights, grid_points
 
 # exp() overflows double precision near 709; stay clear with a round guard.
@@ -46,8 +58,11 @@ class ExpTerm:
 
     @classmethod
     def of(cls, coefficient, direction) -> "ExpTerm":
-        vec = tuple(float(v) for v in np.atleast_1d(direction))
-        return cls(coefficient=float(coefficient), direction=vec)
+        try:
+            vec = tuple(float(v) for v in np.atleast_1d(direction))
+            return cls(coefficient=float(coefficient), direction=vec)
+        except OverflowError as exc:
+            raise SizeOverflowError(f"exponential term entries must be doubles: {exc}") from exc
 
     @property
     def direction_array(self) -> np.ndarray:
@@ -165,20 +180,23 @@ def _vertex_dots(simplex: Simplex, direction, order: int) -> np.ndarray:
     return dots
 
 
-def _log_weighted_mean(w: np.ndarray, dots: np.ndarray, order: int) -> np.ndarray:
-    # log(sum_j s_j exp(a.x_j / n)) per weight row. Each row whose sum falls
-    # below the smallest normal double is summed again, shifted by its
-    # largest weighted a.x_j / n. Every other row keeps the plain sum.
-    scaled = dots / order
-    inner = w @ np.exp(scaled)
-    low = np.flatnonzero(inner < np.finfo(float).tiny)
-    sub = w[low]
-    peak = np.where(sub > 0.0, scaled, -np.inf)
+def _log_of_sums(sums: np.ndarray, w: np.ndarray, dots: np.ndarray,
+                 orders: np.ndarray) -> np.ndarray:
+    # Natural log, in place, of the (C, P) sums sum_j s_j exp(a.x_j / n) of C
+    # cases (dots (C, D+1), orders (C, 1)) at the weight rows w (P, D+1). Each
+    # sum below the smallest normal double is summed again, shifted by its
+    # largest weighted a.x_j / n; every other sum keeps its plain log.
+    tiny = np.finfo(float).tiny
+    if not sums.min(initial=np.inf) < tiny:
+        return np.log(sums, out=sums)
+    case, row = np.nonzero(sums < tiny)
+    sub = w[row]
+    peak = np.where(sub > 0.0, dots[case] / orders[case], -np.inf)
     shift = peak.max(axis=1)
-    inner[low] = (sub * np.exp(peak - shift[:, None])).sum(axis=1)
-    log_mean = np.log(inner)
-    log_mean[low] += shift
-    return log_mean
+    sums[case, row] = (sub * np.exp(peak - shift[:, None])).sum(axis=1)
+    np.log(sums, out=sums)
+    sums[case, row] += shift
+    return sums
 
 
 def closed_form_at_weights(simplex: Simplex, order: int, direction,
@@ -190,7 +208,8 @@ def closed_form_at_weights(simplex: Simplex, order: int, direction,
     """
     dots = _vertex_dots(simplex, direction, order)
     w = clip_weights(weights, simplex.dimension)
-    return np.exp(order * _log_weighted_mean(w, dots, order))
+    sums = (w @ np.exp(dots / order))[None, :]
+    return np.exp(order * _log_of_sums(sums, w, dots[None, :], np.full((1, 1), order))[0])
 
 
 def bezier_exp_closed_form(simplex: Simplex, order: int, direction, x) -> float:
@@ -243,23 +262,61 @@ def error_budget(simplex: Simplex, direction, order: int) -> ErrorBudget:
     return _budget_of_dots(_vertex_dots(simplex, direction, order), order)
 
 
-def log_ratio_of_dots(dots: np.ndarray, order: int, w: np.ndarray) -> np.ndarray:
-    """log(closed_form / exp(a.x)) per row of clipped weights w, from the vertex
-    values a.x_j: the per-row kernel, which forms neither huge factor."""
-    return order * _log_weighted_mean(w, dots, order) - w @ dots
+# Weight rows per matrix product are padded to a multiple of this. The
+# AVX-512 OpenBLAS kernel takes the last P mod 8 columns of a wide product
+# along another path, whose bits differ; padded, a value's bits do not
+# depend on the chunk or on the other cases it is computed with.
+_PRODUCT_ROWS = 8
+
+# A row chunk of the exp studies holds this share of lattice._ENTRY_BUDGET.
+_CHUNK_SHARE = 16
+
+
+def case_table(cases: list) -> tuple:
+    """The (2C, D+1) table of C (vertex dots, order) cases that log_ratios
+    takes: the rows exp(a.x_j / n) of every case, then the rows a.x_j; and
+    the orders as a (C, 1) float column."""
+    dots = np.array([d for d, _ in cases], dtype=float)
+    orders = np.array([[float(n)] for _, n in cases])
+    return np.vstack([np.exp(dots / orders), dots]), orders
+
+
+def log_ratios(table: np.ndarray, orders: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """log(closed_form / exp(a.x)) of every case of case_table at each row of
+    clipped weights w (P, D+1), shape (C, P): the per-row kernel, which forms
+    neither huge factor. One matrix product gives every case's weighted mean
+    of exp(a.x_j / n) and its a.x; the output has at least two rows, so it is
+    always a gemm, whose bits hold across case counts, chunks and threads."""
+    count, rows = orders.shape[0], w.shape[0]
+    width = -(-rows // _PRODUCT_ROWS) * _PRODUCT_ROWS
+    columns = w.T
+    if width != rows:
+        columns = np.zeros((w.shape[1], width))
+        columns[:, :rows] = w.T
+    out = (table @ columns)[:, :rows]
+    log_ratio = _log_of_sums(out[:count], w, table[count:], orders)
+    log_ratio *= orders
+    log_ratio -= out[count:]
+    return log_ratio
 
 
 def relative_error_reports(cases: list, blocks) -> list:
     """One RelativeErrorReport per (vertex dots, order) case in a single pass
     over blocks of weights that passed clip_weights (grid weights need no
-    clipping): only the extremes of each case's log ratio are kept."""
-    lowest, largest = [np.inf] * len(cases), [-np.inf] * len(cases)
+    clipping). Each block is cut into row chunks, and each chunk takes one
+    log_ratios call for every case; only the extremes of each case's log
+    ratio are kept."""
+    table, orders = case_table(cases)
+    # A chunk's product and log ratios hold 2C x step doubles.
+    step = lattice._ENTRY_BUDGET // _CHUNK_SHARE // table.shape[0]
+    step = max(1, step // _PRODUCT_ROWS) * _PRODUCT_ROWS
+    lowest, largest = np.full(len(cases), np.inf), np.full(len(cases), -np.inf)
     for w in blocks:
-        for i, (dots, order) in enumerate(cases):
-            log_ratio = log_ratio_of_dots(dots, order, w)
+        for start in range(0, w.shape[0], step):
+            log_ratio = log_ratios(table, orders, w[start:start + step])
             # np.minimum and np.maximum keep a NaN, as one reduction over all rows does
-            lowest[i] = np.minimum(lowest[i], log_ratio.min())
-            largest[i] = np.maximum(largest[i], log_ratio.max())
+            np.minimum(lowest, log_ratio.min(axis=1), out=lowest)
+            np.maximum(largest, log_ratio.max(axis=1), out=largest)
         del w  # free this block before the next one is built
     reports = []
     for (dots, order), low, high in zip(cases, lowest, largest):

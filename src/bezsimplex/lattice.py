@@ -54,22 +54,31 @@ def enumerate_multi_indices(order: int, dimension: int) -> np.ndarray:
     ``order``. Raises SizeOverflowError beyond SIZE_CAP entries.
     """
     count = _capped_count(order, dimension)
-    # Place k_D, then k_(D-1), .. k_1: every row with `left` still to place
-    # gets one child per value 0..left, in ascending order, so the most
-    # significant coordinate is placed first and the rows come out colex.
-    # A row with r coordinates still to place ends as C(left + r, r)
-    # consecutive final rows, so each column is written once, at full length.
     indices = np.empty((count, dimension + 1), dtype=np.int64)
+    for column, values in _colex_columns(order, dimension):
+        indices[:, column] = values
+    return indices
+
+
+def _colex_columns(order: int, dimension: int):
+    # Yields (column, values) for the colex lattice of the order: k_D, then
+    # k_(D-1), .. k_1, then k_0, each column once, at full length. Every row
+    # with `left` still to place gets one child per value 0..left, in
+    # ascending order, so the most significant coordinate is placed first
+    # and the rows come out colex. A row with r coordinates still to place
+    # ends as C(left + r, r) consecutive final rows.
     left = np.array([order], dtype=np.int64)
     for column in range(dimension, 0, -1):
         parent = np.repeat(np.arange(left.shape[0]), left + 1)
         first = np.cumsum(left + 1) - (left + 1)
         value = np.arange(parent.shape[0]) - first[parent]
         left = left[parent] - value
-        leaves = np.array([math.comb(i + column - 1, column - 1) for i in range(order + 1)])
-        indices[:, column] = np.repeat(value, leaves[left])
-    indices[:, 0] = left
-    return indices
+        if column == 1:  # every row is final: one leaf each
+            yield column, value
+        else:
+            leaves = np.array([math.comb(i + column - 1, column - 1) for i in range(order + 1)])
+            yield column, np.repeat(value, leaves[left])
+    yield 0, left
 
 
 def _check_index(index) -> np.ndarray:
@@ -146,7 +155,8 @@ def grid_weight_blocks(resolution: int, dimension: int):
     """grid_weights as consecutive float blocks of at most _ENTRY_BUDGET doubles.
 
     Consecutive slabs are joined until the next would pass the budget. A single
-    line (k_2..k_D fixed) is never cut, so a D = 1 grid is one block.
+    line (k_2..k_D fixed) is never cut, so a D = 1 grid is one block. Each
+    block is the (rows, D+1) view of a C-ordered (D+1, rows) buffer.
     """
     if resolution < 1:
         raise DimensionMismatchError("grid resolution must be >= 1")
@@ -163,14 +173,15 @@ def grid_weight_blocks(resolution: int, dimension: int):
 
 
 def _fill_block(pieces: list, size: int, dimension: int, resolution: int) -> np.ndarray:
-    # Each slab's integer lattice is written straight into one float block.
-    block, start = np.empty((size, dimension + 1)), 0
+    # Each slab's lattice columns are divided straight into one float buffer
+    # with a row per barycentric coordinate; the block is its (rows, D+1) view.
+    buffer, start = np.empty((dimension + 1, size)), 0
     for order, dim, tail, count in pieces:
-        block[start:start + count, :dim + 1] = enumerate_multi_indices(order, dim)
-        block[start:start + count, dim + 1:] = tail
+        for column, values in _colex_columns(order, dim):
+            np.divide(values, float(resolution), out=buffer[column, start:start + count])
+        buffer[dim + 1:, start:start + count] = np.divide(tail, float(resolution))[:, None]
         start += count
-    block /= float(resolution)
-    return block
+    return buffer.T
 
 
 def default_grid_resolution(dimension: int) -> int:

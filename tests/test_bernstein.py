@@ -456,6 +456,26 @@ class TestDirectKernel:
 
 
 class TestOperatorProperties:
+    @PROPERTY
+    @given(dimension=st.integers(1, 4), order=st.integers(1, 16),
+           evaluator=st.sampled_from(bernstein.EVALUATORS), seed=SEEDS)
+    def test_vertex_permutation_invariance(self, dimension, order, evaluator, seed):
+        # Vertex i of the relabelled simplex is vertex perm[i]: a point keeps
+        # its place with weights w[:, perm], and the coefficient of k moves to
+        # the multi-index k[perm] of the relabelled net.
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, dimension, order)
+        perm = rng.permutation(dimension + 1)
+        indices = enumerate_multi_indices(order, dimension)
+        position = {tuple(k): i for i, k in enumerate(indices[:, perm].tolist())}
+        relabelled = ControlNet(Simplex(net.simplex.vertices[perm]), order,
+                                net.coefficients[[position[tuple(k)] for k in indices.tolist()]])
+        w = face_weights(rng, dimension, 20)
+        values = evaluate_at_weights(net, w, evaluator=evaluator)
+        moved = evaluate_at_weights(relabelled, w[:, perm], evaluator=evaluator)
+        scale = float(np.abs(net.coefficients).max())
+        np.testing.assert_allclose(moved, values, rtol=0, atol=1e-12 * scale)
+
     def test_vertex_interpolation(self, rng):
         s = random_simplex(rng, 2)
         order = 6

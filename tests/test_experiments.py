@@ -503,27 +503,33 @@ class TestScalingStudy:
             ).max_rel_error
             assert abs(row.sup_relative_error - expected) <= 1e-12 * expected + order * 1e-14
 
-    @pytest.mark.parametrize("scales, passes", [
+    @pytest.mark.parametrize("scales, cases", [
         ([0.25, 0.5, 1.0, 2.0], 7),
         ([0.1, 0.2, 0.4], 5),
         ([1.0, 3.0], 4),
     ])
-    def test_one_kernel_pass_per_distinct_vertex_dots(self, rng, scales, passes):
+    def test_kernel_takes_each_distinct_vertex_dots_once(self, rng, scales, cases):
         # A ratio-2 ladder of k scales has 2k-1 distinct products d*m, and
         # doubling is exact, so those pairs share their vertex dots bit for
         # bit. Scaling by 3 rounds: on this simplex the dots of (1, 3) and
-        # (3, 1) differ in the last bits, so the two pairs run apart.
-        # The grid streams in blocks, so each pass is one kernel call per block.
+        # (3, 1) differ in the last bits, so the two pairs are two cases.
+        # The grid streams in blocks and row chunks; every kernel call gets
+        # the same table of the distinct cases.
         s = random_simplex(rng, 3)
         direction = rng.normal(size=3)
         order, resolution = 40, 6
-        spy = mock.Mock(wraps=exponentials.log_ratio_of_dots)
+        spy = mock.Mock(wraps=exponentials.log_ratios)
         with mock.patch.object(lattice, "_ENTRY_BUDGET", 100), \
-                mock.patch.object(exponentials, "log_ratio_of_dots", spy):
-            blocks = len(list(lattice.grid_weight_blocks(resolution, 3)))
+                mock.patch.object(exponentials, "log_ratios", spy):
             rows = run_scaling_study(s, direction, order, resolution, scales)
-        assert blocks > 1
-        assert spy.call_count == passes * blocks
+        assert spy.call_count > 1
+        distinct = {exponentials._vertex_dots(s.scaled(d), direction * m, order).tobytes()
+                    for d in scales for m in scales}
+        assert len(distinct) == cases
+        for call in spy.call_args_list:
+            table, orders, _ = call.args
+            assert orders.tolist() == [[order]] * cases
+            assert {row.tobytes() for row in table[cases:]} == distinct
         grid = grid_weights(resolution, 3)
         for row in rows:
             expected = relative_error_at_weights(

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bezsimplex import (
     ExpTerm,
     NegativeWeightError,
     Simplex,
+    SizeOverflowError,
     apply_direct,
     bezier_exp_closed_form,
     bezier_of_exp_polynomial,
@@ -23,6 +25,7 @@ from bezsimplex import (
     error_budget,
     evaluate_at_weights,
     first_order_residual,
+    grid_weight_blocks,
     grid_weights,
     make_function,
     relative_error_at_weights,
@@ -31,7 +34,7 @@ from bezsimplex import (
     standard_simplex,
 )
 
-from bezsimplex import exponentials
+from bezsimplex import exponentials, lattice
 
 from conftest import interior_weights, random_simplex
 
@@ -78,6 +81,15 @@ class TestExpPolynomial:
         with pytest.raises(DomainError, match="finite") as caught:
             ExpPolynomial(terms)
         assert isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("terms", [
+        [(10**400, [1.0])],
+        [(1.0, [10**400])],
+    ], ids=["huge-coefficient", "huge-direction"])
+    def test_integers_past_a_double_are_typed(self, terms):
+        with pytest.raises(SizeOverflowError, match="doubles") as caught:
+            ExpPolynomial(terms)
+        assert isinstance(caught.value, OverflowError)
 
     def test_overflow_guard(self):
         poly = ExpPolynomial([ExpTerm.of(1.0, [1000.0])])
@@ -326,9 +338,43 @@ class TestRelativeErrorReport:
         a = rng.normal(size=dimension) * rng.uniform(0.1, 3.0)
         w = np.vstack([grid_weights(3, dimension), interior_weights(rng, dimension, 40)])
         dots = exponentials._vertex_dots(s, a, order)
-        log_ratio = order * exponentials._log_weighted_mean(w, dots, order) - w @ dots
+        log_ratio = exponentials.log_ratios(*exponentials.case_table([(dots, order)]), w)[0]
         report = relative_error_at_weights(s, a, order, w)
         assert report.max_rel_error == float(np.abs(np.expm1(log_ratio)).max())
+        # The plain formula takes two matrix-vector products, whose sums
+        # round otherwise than the kernel's one matrix product.
+        plain = np.abs(np.expm1(order * np.log(w @ np.exp(dots / order)) - w @ dots)).max()
+        assert abs(report.max_rel_error - plain) <= 1e-12 * plain + order * 1e-14
+
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(dimension=st.integers(1, 5), count=st.integers(1, 12), resolution=st.integers(1, 400),
+           underflow=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_reports_do_not_depend_on_the_batch(self, dimension, count, resolution, underflow,
+                                                 seed):
+        # Each case's report has the same bits alone over the whole grid, in a
+        # batch over the streamed blocks, in any case order, and in chunks of
+        # eight rows. An underflowing case (the shifted triangle of
+        # test_translation_invariance, in D dimensions) is rescued alone.
+        rng = np.random.default_rng(seed)
+        resolution = min(resolution, {1: 400, 2: 60, 3: 20, 4: 12, 5: 9}[dimension])
+        s = random_simplex(rng, dimension)
+        cases = [(exponentials._vertex_dots(s, rng.normal(size=dimension) * rng.uniform(0.1, 3.0),
+                                            n), n)
+                 for n in rng.integers(1, 641, size=count).tolist()]
+        if underflow:
+            shifted = Simplex(s.vertices + 1e4)
+            cases.insert(int(rng.integers(count + 1)),
+                         (exponentials._vertex_dots(shifted, -np.ones(dimension), 10), 10))
+        grid = grid_weights(resolution, dimension)
+        alone = [exponentials.relative_error_of_dots(dots, n, grid) for dots, n in cases]
+        blocks = lambda: grid_weight_blocks(resolution, dimension)
+        assert exponentials.relative_error_reports(cases, blocks()) == alone
+        order = rng.permutation(len(cases))
+        shuffled = exponentials.relative_error_reports([cases[i] for i in order], blocks())
+        assert shuffled == [alone[i] for i in order]
+        with mock.patch.object(lattice, "_ENTRY_BUDGET", 100):
+            assert exponentials.relative_error_reports(cases, blocks()) == alone
 
 
 class TestExpPolynomialImage:
