@@ -28,11 +28,11 @@ from .csvio import emit_lattice_csv, open_csv
 from .errors import ConfigError, DimensionMismatchError, FunctionEvaluationError
 from .geometry import Simplex, clip_weights, grid_points, validate_barycentric
 from .lattice import (
-    _ENTRY_BUDGET,
     control_points,
     count_multi_indices,
     enumerate_multi_indices,
     multinomial_log_table,
+    row_chunks,
 )
 
 DIRECT = "direct"
@@ -160,21 +160,23 @@ def _direct_blocks(indices: np.ndarray, w: np.ndarray):
     # Yields (points, rows, B), B[p, i] = B_{k_rows[i]} at weight row points[p];
     # the rows left out are structural zeros there. Points are grouped by their
     # nonzero weights (NaN counts, so it stays NaN); a zero weight's log reads 0,
-    # which every kept row multiplies by k_j = 0. Chunks share one buffer of a
-    # whole-lattice chunk, so a caller holding a block never keeps two alive.
+    # which every kept row multiplies by k_j = 0. Chunks share one buffer that
+    # holds the largest, so a caller holding a block never keeps two alive.
     logm = multinomial_log_table(indices)
-    buffer = np.empty(min(len(w), max(1, _ENTRY_BUDGET // len(indices))) * len(indices))
     patterns, group = np.unique(w != 0.0, axis=0, return_inverse=True)
+    faces = []
     for key, live in enumerate(patterns):
         rows = slice(None)  # interior points: the whole lattice, uncopied
         if not live.all():
             rows = np.flatnonzero(~indices[:, ~live].any(axis=1))
+        points, width = np.flatnonzero(group == key), len(logm[rows])
+        faces.append((live, rows, points, width, row_chunks(len(points), width)))
+    buffer = np.empty(max((points[chunks[0]].size * width
+                           for _, _, points, width, chunks in faces), default=0))
+    for live, rows, points, width, chunks in faces:
         indices_t, log_multinomials = indices[rows].T.astype(float), logm[rows]
-        points = np.flatnonzero(group == key)
-        width = indices_t.shape[1]
-        step = buffer.size // max(1, width)
-        for start in range(0, len(points), step):
-            part = points[start:start + step]
+        for chunk in chunks:
+            part = points[chunk]
             basis = buffer[:len(part) * width].reshape(len(part), width)
             logw = np.log(w[part], out=np.zeros((len(part), len(live))), where=live)
             np.matmul(logw, indices_t, out=basis)
@@ -281,10 +283,8 @@ def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALU
             out[points] = basis @ net.coefficients[rows]
     elif evaluator == DE_CASTELJAU:
         plan, entries = _stage_plan(order, net.simplex.dimension)
-        step = max(1, _ENTRY_BUDGET // entries)
-        for start in range(0, w.shape[0], step):
-            out[start:start + step] = _collapsed_chunk(net.coefficients, order, plan,
-                                                       w[start:start + step])
+        for chunk in row_chunks(w.shape[0], entries):
+            out[chunk] = _collapsed_chunk(net.coefficients, order, plan, w[chunk])
     else:
         raise ConfigError(f"unknown evaluator {evaluator!r}; use one of {EVALUATORS}")
     return out

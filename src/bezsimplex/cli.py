@@ -20,6 +20,7 @@ from .experiments import (
     BOUND_CHECK_COLUMNS,
     CONVERGENCE_COLUMNS,
     SCALING_COLUMNS,
+    exp_study_direction,
     load_config,
     load_simplex,
     run_bound_check,
@@ -56,9 +57,7 @@ def _cmd_bound_check(args) -> int:
 
 def _cmd_scaling(args) -> int:
     config = load_config(args.config)
-    direction = config.function.single_exponential()
-    if direction is None:
-        raise ConfigError("scaling study requires a single-exponential function")
+    direction = exp_study_direction(config.function)
     try:
         scales = [float(s) for s in args.scales.split(",") if s.strip()]
     except ValueError as exc:

@@ -61,6 +61,14 @@ class TestFunction:
         return None
 
 
+def exp_study_direction(function: TestFunction) -> np.ndarray:
+    """The direction a of c exp(a.x), c != 0: the one function the exp studies take."""
+    direction = function.single_exponential()
+    if direction is None:
+        raise ConfigError("bound check and scaling need a single-exponential function c exp(a.x), c != 0")
+    return direction
+
+
 def _load_json(spec, what: str):
     # A dict passes through; text starting with "{" is inline JSON; anything
     # else is the path of a JSON file.
@@ -368,11 +376,7 @@ def run_bound_check(config: ExperimentConfig, margin: float = 0.25) -> BoundChec
     """
     if not (math.isfinite(margin) and margin >= 0):
         raise ConfigError(f"margin must be finite and non-negative, got {margin!r}")
-    direction = config.function.single_exponential()
-    if direction is None:
-        raise ConfigError(
-            "bound check requires the function to be a single exponential term with c != 0"
-        )
+    direction = exp_study_direction(config.function)
     simplex = config.simplex
     cases = [(_vertex_dots(simplex, direction, n), n) for n in config.n_values]
     reports = relative_error_reports(

@@ -16,15 +16,14 @@ take a (P, D+1) batch of barycentric weights and never form cartesian
 points. The single-point and cartesian-grid functions are adapters that
 solve for the weights and call a kernel.
 
-Both exp studies reduce many (vertex dots, order) cases over one weight
-grid. ``relative_error_reports`` streams the grid in row chunks and runs
-``log_ratios`` once per chunk for every case: one matrix product of the
-``case_table`` (each case's exp(a.x_j / n), then its a.x_j) with the
-chunk's weights, then an in-place log and two reductions per case row.
-A case's report has the same bits alone or batched, in any order and
-chunking. This is the collapse of Bernstein sums to a power of one weighted
-sum that Kirby (Numer. Math. 2011) and Ainsworth-Andriamaro-Davydov (SISC
-2011) use.
+Every quantity is read off one padded matrix product of a ``case_table``
+(each (vertex dots, order) case's exp(a.x_j / n), then its a.x_j) with the
+weights: the closed form, its residual, an exponential polynomial's image
+(a case per term) and the log ratio that ``relative_error_reports`` reduces
+over the grid's ``lattice.row_chunks``. A value has the same bits alone or
+in a batch, in any order and chunking. This is the collapse of Bernstein
+sums to a power of one weighted sum that Kirby (Numer. Math. 2011) and
+Ainsworth-Andriamaro-Davydov (SISC 2011) use.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, DomainError, EmptyGridError, ExpOverflowError,
                      SizeOverflowError)
-from . import lattice
+from .lattice import row_chunks
 from .geometry import Simplex, clip_weights, grid_points
 
 # exp() overflows double precision near 709; stay clear with a round guard.
@@ -180,23 +179,58 @@ def _vertex_dots(simplex: Simplex, direction, order: int) -> np.ndarray:
     return dots
 
 
-def _log_of_sums(sums: np.ndarray, w: np.ndarray, dots: np.ndarray,
-                 orders: np.ndarray) -> np.ndarray:
-    # Natural log, in place, of the (C, P) sums sum_j s_j exp(a.x_j / n) of C
-    # cases (dots (C, D+1), orders (C, 1)) at the weight rows w (P, D+1). Each
-    # sum below the smallest normal double is summed again, shifted by its
-    # largest weighted a.x_j / n; every other sum keeps its plain log.
-    tiny = np.finfo(float).tiny
+# Weight rows per matrix product are padded to a multiple of this. The
+# AVX-512 OpenBLAS kernel takes the last P mod 8 columns of a wide product
+# along another path, whose bits differ; padded, a value's bits do not
+# depend on the chunk or on the other cases it is computed with.
+_PRODUCT_ROWS = 8
+
+# Doubles per case and weight row given to a row chunk of the exp studies:
+# its product holds two, so a chunk fills a sixteenth of the entry budget.
+_CASE_DOUBLES = 32
+
+
+def case_table(cases: list) -> tuple:
+    """The (2C, D+1) table of C (vertex dots, order) cases that the weight
+    kernels take: the rows exp(a.x_j / n) of every case, then the rows a.x_j;
+    and the orders as a (C, 1) float column."""
+    dots = np.array([d for d, _ in cases], dtype=float)
+    orders = np.array([[float(n)] for _, n in cases])
+    return np.vstack([np.exp(dots / orders), dots]), orders
+
+
+def _weighted_sums(table: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # table @ w.T (2C, P): each case's sum_j s_j exp(a.x_j / n), then its a.x.
+    # Two or more rows and a multiple of _PRODUCT_ROWS columns (zero-padded)
+    # make it a gemm whose bits hold across case counts, chunks and threads.
+    rows = w.shape[0]
+    width = -(-rows // _PRODUCT_ROWS) * _PRODUCT_ROWS
+    columns = w.T
+    if width != rows:
+        columns = np.zeros((w.shape[1], width))
+        columns[:, :rows] = w.T
+    return (table @ columns)[:, :rows]
+
+
+def _log_powers(table: np.ndarray, orders: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # _weighted_sums with each case's sum replaced in place by n times its
+    # natural log, the log of the closed form. A sum below the smallest normal
+    # double is summed again, shifted by its largest weighted a.x_j / n; every
+    # other sum keeps its plain log.
+    out, count = _weighted_sums(table, w), orders.shape[0]
+    sums, tiny = out[:count], np.finfo(float).tiny
     if not sums.min(initial=np.inf) < tiny:
-        return np.log(sums, out=sums)
-    case, row = np.nonzero(sums < tiny)
-    sub = w[row]
-    peak = np.where(sub > 0.0, dots[case] / orders[case], -np.inf)
-    shift = peak.max(axis=1)
-    sums[case, row] = (sub * np.exp(peak - shift[:, None])).sum(axis=1)
-    np.log(sums, out=sums)
-    sums[case, row] += shift
-    return sums
+        np.log(sums, out=sums)
+    else:
+        case, row = np.nonzero(sums < tiny)
+        sub = w[row]
+        peak = np.where(sub > 0.0, table[count:][case] / orders[case], -np.inf)
+        shift = peak.max(axis=1)
+        sums[case, row] = (sub * np.exp(peak - shift[:, None])).sum(axis=1)
+        np.log(sums, out=sums)
+        sums[case, row] += shift
+    sums *= orders
+    return out
 
 
 def closed_form_at_weights(simplex: Simplex, order: int, direction,
@@ -208,8 +242,7 @@ def closed_form_at_weights(simplex: Simplex, order: int, direction,
     """
     dots = _vertex_dots(simplex, direction, order)
     w = clip_weights(weights, simplex.dimension)
-    sums = (w @ np.exp(dots / order))[None, :]
-    return np.exp(order * _log_of_sums(sums, w, dots[None, :], np.full((1, 1), order))[0])
+    return np.exp(_log_powers(*case_table([(dots, order)]), w)[0])
 
 
 def bezier_exp_closed_form(simplex: Simplex, order: int, direction, x) -> float:
@@ -221,9 +254,9 @@ def bezier_exp_closed_form(simplex: Simplex, order: int, direction, x) -> float:
 def residual_at_weights(simplex: Simplex, order: int, direction,
                         weights: np.ndarray) -> np.ndarray:
     """First-order residual sum_j s_j exp(a.x_j/n) - 1 - a.x/n, batched."""
-    dots = _vertex_dots(simplex, direction, order)
-    w = clip_weights(weights, simplex.dimension)
-    return w @ np.exp(dots / order) - 1.0 - (w @ dots) / order
+    table, _ = case_table([(_vertex_dots(simplex, direction, order), order)])
+    sums, dots = _weighted_sums(table, clip_weights(weights, simplex.dimension))
+    return sums - 1.0 - dots / order
 
 
 def first_order_residual(simplex: Simplex, order: int, direction, x) -> float:
@@ -262,41 +295,13 @@ def error_budget(simplex: Simplex, direction, order: int) -> ErrorBudget:
     return _budget_of_dots(_vertex_dots(simplex, direction, order), order)
 
 
-# Weight rows per matrix product are padded to a multiple of this. The
-# AVX-512 OpenBLAS kernel takes the last P mod 8 columns of a wide product
-# along another path, whose bits differ; padded, a value's bits do not
-# depend on the chunk or on the other cases it is computed with.
-_PRODUCT_ROWS = 8
-
-# A row chunk of the exp studies holds this share of lattice._ENTRY_BUDGET.
-_CHUNK_SHARE = 16
-
-
-def case_table(cases: list) -> tuple:
-    """The (2C, D+1) table of C (vertex dots, order) cases that log_ratios
-    takes: the rows exp(a.x_j / n) of every case, then the rows a.x_j; and
-    the orders as a (C, 1) float column."""
-    dots = np.array([d for d, _ in cases], dtype=float)
-    orders = np.array([[float(n)] for _, n in cases])
-    return np.vstack([np.exp(dots / orders), dots]), orders
-
-
 def log_ratios(table: np.ndarray, orders: np.ndarray, w: np.ndarray) -> np.ndarray:
     """log(closed_form / exp(a.x)) of every case of case_table at each row of
     clipped weights w (P, D+1), shape (C, P): the per-row kernel, which forms
     neither huge factor. One matrix product gives every case's weighted mean
-    of exp(a.x_j / n) and its a.x; the output has at least two rows, so it is
-    always a gemm, whose bits hold across case counts, chunks and threads."""
-    count, rows = orders.shape[0], w.shape[0]
-    width = -(-rows // _PRODUCT_ROWS) * _PRODUCT_ROWS
-    columns = w.T
-    if width != rows:
-        columns = np.zeros((w.shape[1], width))
-        columns[:, :rows] = w.T
-    out = (table @ columns)[:, :rows]
-    log_ratio = _log_of_sums(out[:count], w, table[count:], orders)
-    log_ratio *= orders
-    log_ratio -= out[count:]
+    of exp(a.x_j / n) and its a.x."""
+    log_ratio, dots = np.split(_log_powers(table, orders, w), 2)
+    log_ratio -= dots
     return log_ratio
 
 
@@ -307,13 +312,10 @@ def relative_error_reports(cases: list, blocks) -> list:
     log_ratios call for every case; only the extremes of each case's log
     ratio are kept."""
     table, orders = case_table(cases)
-    # A chunk's product and log ratios hold 2C x step doubles.
-    step = lattice._ENTRY_BUDGET // _CHUNK_SHARE // table.shape[0]
-    step = max(1, step // _PRODUCT_ROWS) * _PRODUCT_ROWS
     lowest, largest = np.full(len(cases), np.inf), np.full(len(cases), -np.inf)
     for w in blocks:
-        for start in range(0, w.shape[0], step):
-            log_ratio = log_ratios(table, orders, w[start:start + step])
+        for chunk in row_chunks(w.shape[0], _CASE_DOUBLES * len(cases), _PRODUCT_ROWS):
+            log_ratio = log_ratios(table, orders, w[chunk])
             # np.minimum and np.maximum keep a NaN, as one reduction over all rows does
             np.minimum(lowest, log_ratio.min(axis=1), out=lowest)
             np.maximum(largest, log_ratio.max(axis=1), out=largest)
@@ -334,14 +336,6 @@ def relative_error_reports(cases: list, blocks) -> list:
     return reports
 
 
-def relative_error_of_dots(dots: np.ndarray, order: int, w: np.ndarray) -> RelativeErrorReport:
-    """relative_error_at_weights from the vertex values a.x_j of _vertex_dots
-    and weights that passed clip_weights: the error depends on nothing else."""
-    if w.shape[0] == 0:
-        raise EmptyGridError("relative error requested over no weights")
-    return relative_error_reports([(dots, order)], [w])[0]
-
-
 def relative_error_at_weights(simplex: Simplex, direction, order: int,
                               weights: np.ndarray) -> RelativeErrorReport:
     """Max relative error of the closed form against exp(a.x) over a (P, D+1)
@@ -353,7 +347,10 @@ def relative_error_at_weights(simplex: Simplex, direction, order: int,
     raises ExpOverflowError.
     """
     dots = _vertex_dots(simplex, direction, order)
-    return relative_error_of_dots(dots, order, clip_weights(weights, simplex.dimension))
+    w = clip_weights(weights, simplex.dimension)
+    if w.shape[0] == 0:
+        raise EmptyGridError("relative error requested over no weights")
+    return relative_error_reports([(dots, order)], [w])[0]
 
 
 def relative_error_report(simplex: Simplex, direction, order: int,
@@ -364,15 +361,9 @@ def relative_error_report(simplex: Simplex, direction, order: int,
 
 
 def bezier_of_exp_polynomial(simplex: Simplex, order: int, poly: ExpPolynomial, x) -> float:
-    """Bernstein image of an exponential polynomial: term-wise closed forms."""
-    if poly.dimension != simplex.dimension:
-        raise DimensionMismatchError(
-            f"polynomial dimension {poly.dimension} != simplex dimension {simplex.dimension}"
-        )
-    w = simplex.barycentric(x)[None, :]
-    total = 0.0
-    for term in poly.terms:
-        total += term.coefficient * float(
-            closed_form_at_weights(simplex, order, term.direction_array, w)[0]
-        )
-    return total
+    """Bernstein image of an exponential polynomial: the sum of its terms'
+    closed forms, every term one case of a single product."""
+    w = clip_weights(simplex.barycentric(x)[None, :], simplex.dimension)
+    cases = [(_vertex_dots(simplex, term.direction_array, order), order) for term in poly.terms]
+    values = np.exp(_log_powers(*case_table(cases), w)[:len(cases), 0])
+    return float(sum(term.coefficient * value for term, value in zip(poly.terms, values.tolist())))

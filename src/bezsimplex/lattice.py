@@ -24,9 +24,8 @@ SIZE_CAP = 100_000_000
 # Largest order served by the exact integer path.
 EXACT_ORDER_LIMIT = 60
 
-# Doubles per chunk a streamed pass may hold: a block of grid weights, or an
-# evaluator's per-point working set x points (direct: the lattice size;
-# decasteljau: see bernstein._stage_plan). Bounds any grid's memory.
+# Doubles per chunk a streamed pass may hold: a block of grid weights, or a
+# row chunk of row_chunks. Bounds any grid's memory.
 _ENTRY_BUDGET = 1 << 19
 
 
@@ -129,6 +128,13 @@ def multinomial_exact(index) -> int:
     for kj in k:
         value //= math.factorial(int(kj))
     return value
+
+
+def row_chunks(count: int, doubles_per_row: int, multiple: int = 1) -> list:
+    """Slices of `count` rows: chunks of _ENTRY_BUDGET // doubles_per_row rows (a
+    row of 0 counts as 1), rounded down to a multiple of `multiple`, never fewer."""
+    step = max(1, _ENTRY_BUDGET // max(1, doubles_per_row) // multiple) * multiple
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def grid_weights(resolution: int, dimension: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bezsimplex import bernstein
+from bezsimplex import bernstein, lattice
 
 from bezsimplex import (
     BernsteinOperator,
@@ -285,6 +285,22 @@ def random_net(rng, dimension, order):
     return ControlNet(s, order, rng.normal(size=count) * rng.uniform(0.1, 10))
 
 
+def elevate(net):
+    """The net of the same polynomial at order n+1 (Farin 1986):
+    c'_k = sum_j (k_j / (n+1)) c_(k - e_j), over the j with k_j > 0."""
+    order, dimension = net.order, net.simplex.dimension
+    position = {tuple(k): i for i, k in
+                enumerate(enumerate_multi_indices(order, dimension).tolist())}
+    raised = enumerate_multi_indices(order + 1, dimension).tolist()
+    coefficients = np.zeros(len(raised))
+    for i, k in enumerate(raised):
+        for j, kj in enumerate(k):
+            if kj:
+                lower = tuple(k[:j] + [kj - 1] + k[j + 1:])
+                coefficients[i] += kj / (order + 1) * net.coefficients[position[lower]]
+    return ControlNet(net.simplex, order + 1, coefficients)
+
+
 class TestCollapsedKernel:
     @PROPERTY
     @given(dimension=st.integers(1, 4), order=st.integers(1, 20),
@@ -322,7 +338,7 @@ class TestCollapsedKernel:
         one_by_one = np.array([evaluate_at_weights(net, row[None, :])[0] for row in w])
         budget = chunk * bernstein._stage_plan(order, dimension)[1]
         spy = mock.Mock(wraps=bernstein._collapsed_chunk)
-        with mock.patch.object(bernstein, "_ENTRY_BUDGET", budget), \
+        with mock.patch.object(lattice, "_ENTRY_BUDGET", budget), \
                 mock.patch.object(bernstein, "_collapsed_chunk", spy):
             chunked = evaluate_at_weights(net, w, evaluator="decasteljau")
             direct = evaluate_at_weights(net, w, evaluator="direct")
@@ -346,7 +362,7 @@ class TestCollapsedKernel:
         whole = evaluate_at_weights(net, w, evaluator="decasteljau")
         one_by_one = [evaluate_at_weights(net, row[None, :], evaluator="decasteljau")[0]
                       for row in w]
-        with mock.patch.object(bernstein, "_ENTRY_BUDGET", budget * order):
+        with mock.patch.object(lattice, "_ENTRY_BUDGET", budget * order):
             chunked = evaluate_at_weights(net, w, evaluator="decasteljau")
         np.testing.assert_array_equal(whole, one_by_one)
         np.testing.assert_array_equal(whole, chunked)
@@ -363,7 +379,7 @@ class TestCollapsedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * bernstein._ENTRY_BUDGET + 8 * 4 * count_multi_indices(60, 3)
+        assert peak <= 8 * lattice._ENTRY_BUDGET + 8 * 4 * count_multi_indices(60, 3)
 
     @PROPERTY
     @given(dimension=st.integers(1, 4), order=st.integers(1, 20), seed=SEEDS)
@@ -432,7 +448,7 @@ class TestDirectKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * bernstein._ENTRY_BUDGET + 3 * 8 * 4 * count_multi_indices(60, 3)
+        assert peak <= 8 * lattice._ENTRY_BUDGET + 3 * 8 * 4 * count_multi_indices(60, 3)
 
     @PROPERTY
     @given(dimension=st.integers(1, 4), order=st.integers(1, 30), seed=SEEDS)
@@ -475,6 +491,33 @@ class TestOperatorProperties:
         moved = evaluate_at_weights(relabelled, w[:, perm], evaluator=evaluator)
         scale = float(np.abs(net.coefficients).max())
         np.testing.assert_allclose(moved, values, rtol=0, atol=1e-12 * scale)
+
+    @PROPERTY
+    @given(dimension=st.integers(1, 4), order=st.integers(1, 12),
+           evaluator=st.sampled_from(bernstein.EVALUATORS), seed=SEEDS)
+    def test_degree_elevation(self, dimension, order, evaluator, seed):
+        # The elevated net is the same polynomial written at order n+1.
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, dimension, order)
+        w = face_weights(rng, dimension, 20)
+        values = evaluate_at_weights(net, w, evaluator=evaluator)
+        raised = evaluate_at_weights(elevate(net), w, evaluator=evaluator)
+        scale = float(np.abs(net.coefficients).max())
+        np.testing.assert_allclose(raised, values, rtol=0, atol=1e-12 * scale)
+
+    @PROPERTY
+    @given(dimension=st.integers(1, 4), order=st.integers(1, 30),
+           evaluator=st.sampled_from(bernstein.EVALUATORS), seed=SEEDS)
+    def test_affine_reproduction(self, dimension, order, evaluator, seed):
+        # The operator reproduces v.x + b at every order, faces included.
+        rng = np.random.default_rng(seed)
+        s = random_simplex(rng, dimension)
+        v, b = rng.normal(size=dimension), float(rng.normal())
+        net = ControlNet(s, order, control_points(s, order).points @ v + b)
+        w = face_weights(rng, dimension, 20)
+        values = evaluate_at_weights(net, w, evaluator=evaluator)
+        scale = float(np.abs(net.coefficients).max())
+        np.testing.assert_allclose(values, (w @ s.vertices) @ v + b, rtol=0, atol=1e-10 * scale)
 
     def test_vertex_interpolation(self, rng):
         s = random_simplex(rng, 2)

@@ -191,13 +191,12 @@ class TestResidual:
                 assert n**2 * worst <= budget.remainder_coeff + 0.01
 
     def test_batch_matches_scalar(self, unit_interval):
-        w = grid_weights(10, 1)
+        # The batch takes the weights that the scalar path solves for.
+        pts = grid_weights(10, 1) @ unit_interval.vertices
+        w = np.array([unit_interval.barycentric(p) for p in pts])
         batch = residual_at_weights(unit_interval, 7, [1.5], w)
-        pts = w @ unit_interval.vertices
         for i, p in enumerate(pts):
-            assert batch[i] == pytest.approx(
-                first_order_residual(unit_interval, 7, [1.5], p), abs=1e-15
-            )
+            assert batch[i] == first_order_residual(unit_interval, 7, [1.5], p)
 
     def test_per_order_coefficient_is_one_sided(self, unit_interval):
         # The order-dependent coefficient underestimates the residual when a
@@ -367,7 +366,7 @@ class TestRelativeErrorReport:
             cases.insert(int(rng.integers(count + 1)),
                          (exponentials._vertex_dots(shifted, -np.ones(dimension), 10), 10))
         grid = grid_weights(resolution, dimension)
-        alone = [exponentials.relative_error_of_dots(dots, n, grid) for dots, n in cases]
+        alone = [exponentials.relative_error_reports([case], [grid])[0] for case in cases]
         blocks = lambda: grid_weight_blocks(resolution, dimension)
         assert exponentials.relative_error_reports(cases, blocks()) == alone
         order = rng.permutation(len(cases))
@@ -375,6 +374,32 @@ class TestRelativeErrorReport:
         assert shuffled == [alone[i] for i in order]
         with mock.patch.object(lattice, "_ENTRY_BUDGET", 100):
             assert exponentials.relative_error_reports(cases, blocks()) == alone
+
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(dimension=st.integers(1, 4), order=st.integers(1, 400), count=st.integers(0, 40),
+           terms=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_adapters_do_not_depend_on_the_batch(self, dimension, order, count, terms, seed):
+        # A weight row's closed form and residual have the same bits alone and
+        # inside a batch, and the image of an exponential polynomial at a point
+        # is the sum of its terms' closed forms at that point's batch row.
+        rng = np.random.default_rng(seed)
+        s = random_simplex(rng, dimension)
+        poly = ExpPolynomial([(c, rng.normal(size=dimension) * rng.uniform(0.1, 3.0))
+                              for c in rng.normal(size=terms).tolist()])
+        x = interior_weights(rng, dimension, 1)[0] @ s.vertices
+        w = np.vstack([interior_weights(rng, dimension, count), grid_weights(2, dimension)])
+        row = int(rng.integers(len(w) + 1))
+        w = np.insert(w, row, s.barycentric(x), axis=0)
+        a = poly.terms[0].direction_array
+        closed = closed_form_at_weights(s, order, a, w)
+        residual = residual_at_weights(s, order, a, w)
+        for i in range(len(w)):
+            assert closed_form_at_weights(s, order, a, w[i:i + 1])[0] == closed[i]
+            assert residual_at_weights(s, order, a, w[i:i + 1])[0] == residual[i]
+        image = sum(t.coefficient * float(closed_form_at_weights(s, order, t.direction_array, w)[row])
+                    for t in poly.terms)
+        assert bezier_of_exp_polynomial(s, order, poly, x) == image
 
 
 class TestExpPolynomialImage:

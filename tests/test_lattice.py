@@ -272,6 +272,23 @@ class TestGrids:
         if whole.size <= budget or dimension == 1:
             assert len(blocks) == 1
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(count=st.integers(0, 3000), doubles=st.integers(0, 600), multiple=st.integers(1, 9),
+           budget=st.integers(1, 5000))
+    def test_row_chunks_cover_the_rows(self, count, doubles, multiple, budget):
+        # Consecutive chunks of one step, the last one short: the largest
+        # multiple of `multiple` rows within the budget, or `multiple` rows.
+        with mock.patch.object(lattice, "_ENTRY_BUDGET", budget):
+            chunks = lattice.row_chunks(count, doubles, multiple)
+        step = chunks[0].stop if chunks else multiple
+        assert chunks == [slice(start, start + step) for start in range(0, count, step)]
+        assert step % multiple == 0 and step >= multiple
+        per_row = max(1, doubles)
+        assert step * per_row <= budget or step == multiple
+        assert (step + multiple) * per_row > budget or not chunks
+        # The 11 cases of a six-scale study at 32 doubles each, as before.
+        assert lattice.row_chunks(2000, 32 * 11, 8)[0] == slice(0, 1488)
+
     def test_default_resolutions(self):
         assert default_grid_resolution(1) == 50
         assert default_grid_resolution(2) == 50
