@@ -2,12 +2,16 @@
 
 Subcommands write deterministic CSV to --out (or stdout) and a JSON
 metadata line to stderr. Exit codes: 0 success, 2 bound violation, 1 error.
+``main(argv)`` is the in-process API and returns the exit code; ``entry``
+is the process entry of ``python -m bezsimplex.cli`` and the console script.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
 import sys
 
@@ -149,5 +153,29 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> None:
+    """Run main(), flush stdout and stderr, then end the process at once.
+
+    os._exit skips the interpreter's teardown, whose garbage collection over
+    numpy's objects takes longer than most commands: nothing is left to
+    release, since every file the package opens is closed and it registers
+    no atexit handler. A flush that fails, as when the reader closed the
+    pipe, ends in exit code 1 with one error line.
+    """
+    try:
+        code = main()
+    except SystemExit as stop:  # argparse: usage errors and --help
+        code = stop.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        if code != 1:  # main has not reported an error of its own
+            with contextlib.suppress(OSError):
+                print(f"error: {exc}", file=sys.stderr, flush=True)
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -38,12 +38,13 @@ def _format_cell(value) -> str:
 def emit_csv(rows, destination, columns) -> None:
     """Write header + rows as CSV: newline-terminated, '.' decimal points.
 
-    Rows may be dataclass instances (fields looked up by column name) or
-    plain sequences matching the column order. Output is byte-stable for
+    Rows may be named tuples, such as ConvergenceRow (fields looked up by
+    column name, so a row may carry fields the columns leave out), or plain
+    sequences matching the column order. Output is byte-stable for
     identical inputs.
     """
     def cells(row):
-        if hasattr(row, "__dataclass_fields__"):
+        if hasattr(row, "_fields"):
             return [getattr(row, name) for name in columns]
         return list(row)
 

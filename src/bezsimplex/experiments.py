@@ -14,7 +14,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -233,8 +233,7 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigError(f"{origin}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     sup_error: float
     sup_relative_error: float
@@ -243,15 +242,13 @@ class ConvergenceRow:
     wall_ms: float
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     slope: float
     intercept: float
     r_squared: float
 
 
-@dataclass(frozen=True)
-class BoundCheckRow:
+class BoundCheckRow(NamedTuple):
     n: int
     observed_rel_error: float
     predicted_rel_error: float
@@ -259,8 +256,7 @@ class BoundCheckRow:
     violation: bool
 
 
-@dataclass(frozen=True)
-class BoundCheckResult:
+class BoundCheckResult(NamedTuple):
     rows: tuple
     margin: float
 
@@ -269,8 +265,7 @@ class BoundCheckResult:
         return not any(row.violation for row in self.rows)
 
 
-@dataclass(frozen=True)
-class ScalingRow:
+class ScalingRow(NamedTuple):
     diameter_scale: float
     magnitude_scale: float
     diameter: float

@@ -28,7 +28,7 @@ Ainsworth-Andriamaro-Davydov (SISC 2011) use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ _LOG_DOUBLE_MAX = float(np.log(np.finfo(float).max))
 ZERO_OBSERVED_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class ExpTerm:
+class ExpTerm(NamedTuple):
     """One term c * exp(a.x); the direction a is stored as a plain tuple."""
 
     coefficient: float
@@ -134,8 +133,7 @@ class ExpPolynomial:
         return cls(terms)
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(NamedTuple):
     """First-order error constants for exp(a.x) on a fixed simplex.
 
     remainder_coeff bounds n^2 times the Taylor residual at this order;
@@ -150,8 +148,7 @@ class ErrorBudget:
     predicted_rel_error: float
 
 
-@dataclass(frozen=True)
-class RelativeErrorReport:
+class RelativeErrorReport(NamedTuple):
     order: int
     max_rel_error: float
     predicted_rel_error: float

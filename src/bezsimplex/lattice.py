@@ -104,7 +104,9 @@ def multinomial_log_table(indices: np.ndarray) -> np.ndarray:
     # lattice of order n has more than n rows); above that lgamma is read
     # once per distinct value of n or k, so one huge index costs one call.
     dense = min(int(n.max(initial=0)), max(170, n.shape[0]))
-    big = np.unique(np.concatenate([n[n > dense], k[k > dense]]))
+    # Sorted distinct values by a neighbour mask: np.unique would import numpy.ma.
+    big = np.sort(np.concatenate([n[n > dense], k[k > dense]]))
+    big = big[np.diff(big, prepend=-1) != 0]
     log_factorial = np.array(
         [math.log(math.factorial(i)) if i <= 170 else math.lgamma(i + 1) for i in range(dense + 1)]
         + [math.lgamma(v + 1) for v in big.tolist()])

@@ -15,6 +15,7 @@ from bezsimplex.cli import main
 from bezsimplex.experiments import BoundCheckResult, BoundCheckRow
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+SOURCE = str(Path(bezsimplex.__file__).resolve().parents[1])  # the src/ that tests import
 TRIANGLE = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
 INTERVAL = {"vertices": [[0.0], [1.0]]}
 
@@ -343,9 +344,8 @@ def test_readme_library_use_runs():
 
 def test_import_loads_numpy_and_stdlib_only():
     # scipy's import cost was most of every CLI call's start-up time.
-    source = str(Path(bezsimplex.__file__).resolve().parents[1])
     probe = (
-        f"import sys; sys.path.insert(0, {source!r}); import bezsimplex.cli; "
+        f"import sys; sys.path.insert(0, {SOURCE!r}); import bezsimplex.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -372,10 +372,9 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, command, header):
         five = {"vertices": np.vstack([np.zeros(5), np.eye(5) + 0.1]).tolist()}
         config = write_config(tmp_path, simplex=five, n_values=[40, 160, 640], grid_resolution=30,
                               function={"terms": [{"c": 1.0, "a": [1.0, -0.5, 0.25, 0.8, -1.2]}]})
-    source = str(Path(bezsimplex.__file__).resolve().parents[1])
     outputs = set()
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=source, OPENBLAS_NUM_THREADS=threads,
+        env = dict(os.environ, PYTHONPATH=SOURCE, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         result = subprocess.run(
             [sys.executable, "-m", "bezsimplex.cli", command[0], "--config", config, *command[1:]],
@@ -384,3 +383,59 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, command, header):
         outputs.add(result.stdout)
     assert len(outputs) == 1
     assert next(iter(outputs)).startswith(header)
+
+
+def entry_process(args):
+    """A `python -m bezsimplex.cli` child. PYTHONUNBUFFERED is dropped, since
+    writing through at once would hide what the entry's final flush does."""
+    env = dict(os.environ, PYTHONPATH=SOURCE)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "bezsimplex.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+class TestProcessEntry:
+    def test_piped_output_is_complete(self, tmp_path):
+        args = ["control-points", "--simplex", json.dumps(TRIANGLE), "--n", "400"]
+        out, err = entry_process(args).communicate(timeout=60)
+        assert main(args + ["--out", str(tmp_path / "cps.csv")]) == 0
+        assert out.count(b"\n") == 1 + count_multi_indices(400, 2) == 80_602
+        assert out == (tmp_path / "cps.csv").read_bytes()
+        assert err == b""
+
+    @pytest.mark.parametrize("args", [
+        ["converge", "--config", "{\"simplex\": 1}"],
+        ["no-such-command"],
+    ], ids=["malformed-config", "usage"])
+    def test_error_exits_1_with_one_error_line(self, args):
+        child = entry_process(args)
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 1
+        assert len([line for line in err.decode().splitlines() if "error:" in line]) == 1
+
+    @pytest.mark.parametrize("n", ["2", "400"], ids=["at-exit-flush", "during-main"])
+    def test_reader_closed_the_pipe(self, n):
+        # A short CSV waits in the buffer for the final flush; a long one
+        # fails while main is still writing it.
+        with entry_process(["control-points", "--simplex", json.dumps(TRIANGLE), "--n", n]) as child:
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            assert child.wait(timeout=60) == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_direct_evaluator_never_imports_numpy_ma(tmp_path):
+    # A fresh process, because the test session may have imported numpy.ma.
+    config = write_config(tmp_path, function="runge", n_values=[4, 8], grid_resolution=6)
+    probe = (
+        "import sys; import bezsimplex.cli as cli; "
+        "code = cli.main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "converge", "--config", config, "--evaluator", "direct",
+         "--out", str(tmp_path / "rows.csv")],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SOURCE),
+    )
+    assert result.stdout.split() == ["0", "False"]
