@@ -15,7 +15,6 @@ from .bernstein import (
     DE_CASTELJAU,
     DEFAULT_EVALUATOR,
     DIRECT,
-    BernsteinOperator,
     ControlNet,
     apply_de_casteljau,
     apply_direct,

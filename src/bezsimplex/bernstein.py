@@ -28,6 +28,8 @@ from .csvio import emit_lattice_csv, open_csv
 from .errors import ConfigError, DimensionMismatchError, FunctionEvaluationError
 from .geometry import Simplex, clip_weights, grid_points, validate_barycentric
 from .lattice import (
+    _check_index,
+    check_order,
     control_points,
     count_multi_indices,
     enumerate_multi_indices,
@@ -54,8 +56,7 @@ class ControlNet:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        if self.order < 1:
-            raise DimensionMismatchError("control net order must be >= 1")
+        check_order(self.order)
         c = np.asarray(self.coefficients, dtype=float)
         expected = count_multi_indices(self.order, self.simplex.dimension)
         if c.ndim != 1 or c.shape[0] != expected:
@@ -87,32 +88,6 @@ def sample_control_net(simplex: Simplex, order: int, f) -> ControlNet:
                 f"function failed at control point {point.tolist()} (index {tuple(k)})"
             ) from exc
     return ControlNet(simplex=simplex, order=order, coefficients=values)
-
-
-@dataclass(frozen=True)
-class BernsteinOperator:
-    """Degree-n sampling operator attached to a simplex.
-
-    Thin convenience over sample_control_net + evaluation: norm-1, positive,
-    exact on affine functions. Stores only the geometry and the order, never
-    the function.
-    """
-
-    simplex: Simplex
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise DimensionMismatchError("operator order must be >= 1")
-
-    def sample(self, f) -> ControlNet:
-        return sample_control_net(self.simplex, self.order, f)
-
-    def apply(self, f, x) -> float:
-        """Value of the operator image of f at x (resamples f each call)."""
-        net = self.sample(f)
-        weights = self.simplex.barycentric(x)
-        return float(evaluate_at_weights(net, weights[None, :])[0])
 
 
 def write_control_net_csv(net: ControlNet, destination) -> None:
@@ -149,7 +124,7 @@ def read_control_net_csv(simplex: Simplex, source) -> ControlNet:
         if not np.isfinite(coefficients[i]):
             raise DimensionMismatchError(f"{where}: non-finite coefficient {row[d1]!r}")
     order = int(indices[0].sum())
-    if order < 1 or not np.array_equal(indices, enumerate_multi_indices(order, simplex.dimension)):
+    if not np.array_equal(indices, enumerate_multi_indices(order, simplex.dimension)):
         raise DimensionMismatchError(
             "control net CSV rows are not the lattice enumeration of a single order"
         )
@@ -159,9 +134,9 @@ def read_control_net_csv(simplex: Simplex, source) -> ControlNet:
 def _direct_blocks(indices: np.ndarray, w: np.ndarray):
     # Yields (points, rows, B), B[p, i] = B_{k_rows[i]} at weight row points[p];
     # the rows left out are structural zeros there. Points are grouped by their
-    # nonzero weights (NaN counts, so it stays NaN); a zero weight's log reads 0,
-    # which every kept row multiplies by k_j = 0. Chunks share one buffer that
-    # holds the largest, so a caller holding a block never keeps two alive.
+    # nonzero weights; a zero weight's log reads 0, which every kept row
+    # multiplies by k_j = 0. Chunks share one buffer that holds the largest, so
+    # a caller holding a block never keeps two alive.
     logm = multinomial_log_table(indices)
     patterns, group = np.unique(w != 0.0, axis=0, return_inverse=True)
     faces = []
@@ -195,20 +170,16 @@ def _basis_at(indices: np.ndarray, simplex: Simplex, x) -> np.ndarray:
 
 def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
     """All basis values B_k^order(x) in enumeration order."""
-    if order < 1:
-        raise DimensionMismatchError("basis order must be >= 1")
+    check_order(order)
     return _basis_at(enumerate_multi_indices(order, simplex.dimension), simplex, x)
 
 
 def basis_value(simplex: Simplex, index, x) -> float:
     """Single basis value B_k^n(x) for the multi-index k, n = |k|."""
-    k = np.asarray(index, dtype=np.int64)
-    if k.ndim != 1 or k.shape[0] != simplex.dimension + 1 or np.any(k < 0):
-        raise DimensionMismatchError(
-            f"multi-index must have {simplex.dimension + 1} non-negative entries"
-        )
-    if int(k.sum()) < 1:
-        raise DimensionMismatchError("basis order |k| must be >= 1")
+    k = _check_index(index)
+    if k.shape[0] != simplex.dimension + 1:
+        raise DimensionMismatchError(f"multi-index must have {simplex.dimension + 1} entries")
+    check_order(k.sum())
     return float(_basis_at(k[None, :], simplex, x)[0])
 
 

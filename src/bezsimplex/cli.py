@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,7 +45,7 @@ def _report(args, config, rows, columns, **extra) -> None:
 def _cmd_converge(args) -> int:
     config = load_config(args.config)
     if args.evaluator:
-        config = config.with_evaluator(args.evaluator)
+        config = replace(config, evaluator=args.evaluator)
     rows = run_convergence(config)
     _report(args, config, rows, CONVERGENCE_COLUMNS,
             wall_ms=[round(row.wall_ms, 3) for row in rows])

@@ -18,10 +18,10 @@ class DomainError(BezSimplexError, ValueError):
 
 
 class InvalidBarycentricError(BezSimplexError, ValueError):
-    """Barycentric weights are negative beyond tolerance or do not sum to one."""
+    """Barycentric weights are non-finite, negative beyond tolerance or do not sum to one."""
 
 
-class NegativeWeightError(BezSimplexError, ValueError):
+class NegativeWeightError(InvalidBarycentricError):
     """Evaluation point lies outside the closed simplex beyond tolerance."""
 
 

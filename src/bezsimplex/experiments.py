@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,13 +30,6 @@ NOISE_FLOOR = 1e-13
 
 # The first-order bound is asymptotic; violations are only flagged from here on.
 BOUND_CHECK_MIN_ORDER = 40
-
-CONVERGENCE_COLUMNS = ("n", "sup_error", "sup_relative_error", "predicted_rel_error", "evaluator")
-BOUND_CHECK_COLUMNS = ("n", "observed_rel_error", "predicted_rel_error", "ratio", "violation")
-SCALING_COLUMNS = (
-    "diameter_scale", "magnitude_scale", "diameter", "direction_norm", "n", "sup_relative_error",
-)
-
 
 @dataclass
 class TestFunction:
@@ -70,10 +63,14 @@ def exp_study_direction(function: TestFunction) -> np.ndarray:
 
 
 def _load_json(spec, what: str):
-    # A dict passes through; text starting with "{" is inline JSON; anything
-    # else is the path of a JSON file.
+    # The one reader of a JSON source, and the one check of its type. A dict
+    # passes through; text starting with "{" is inline JSON; any other str or
+    # os.PathLike is the path of a JSON file. A source inside a config is a spec.
     if isinstance(spec, dict):
         return spec
+    if not isinstance(spec, (str, os.PathLike)):
+        noun = what if what == "config" else f"{what} spec"
+        raise ConfigError(f"{noun} must be a mapping or path, got {type(spec).__name__}")
     text = str(spec).strip()
     inline = text.startswith("{")
     where = what if inline else f"{what} file {text!r}"
@@ -187,14 +184,9 @@ class ExperimentConfig:
         if self.evaluator not in EVALUATORS:
             raise ConfigError(f"evaluator must be one of {EVALUATORS}, got {self.evaluator!r}")
 
-    def with_evaluator(self, evaluator: str) -> "ExperimentConfig":
-        return replace(self, evaluator=evaluator)
-
 
 def load_simplex(spec) -> Simplex:
     """Simplex from a mapping, inline JSON or a JSON file path."""
-    if not isinstance(spec, (dict, str)):
-        raise ConfigError(f"simplex spec must be a mapping or path, got {type(spec).__name__}")
     data = _load_json(spec, "simplex")
     try:
         return Simplex.from_dict(data)
@@ -204,8 +196,6 @@ def load_simplex(spec) -> Simplex:
 
 def load_config(source) -> ExperimentConfig:
     """Parse an experiment config from a dict, a JSON string, or a file path."""
-    if not isinstance(source, (dict, str, os.PathLike)):
-        raise ConfigError(f"config must be a mapping or path, got {type(source).__name__}")
     data = _load_json(source, "config")
     inline = isinstance(source, dict) or str(source).strip().startswith("{")
     origin = "config" if inline else str(source)
@@ -274,6 +264,12 @@ class ScalingRow(NamedTuple):
     sup_relative_error: float
 
 
+# CSV headers: each row type's fields, in order; wall_ms goes to the metadata.
+CONVERGENCE_COLUMNS = ConvergenceRow._fields[:-1]
+BOUND_CHECK_COLUMNS = BoundCheckRow._fields
+SCALING_COLUMNS = ScalingRow._fields
+
+
 def run_metadata(config: ExperimentConfig) -> dict:
     """Run provenance for sidecar output; not part of the CSV contract."""
     return {
@@ -331,8 +327,8 @@ def fit_power_law(orders, errors) -> RateFit:
     errs = np.asarray(errors, dtype=float)
     if ns.shape != errs.shape or ns.ndim != 1 or ns.shape[0] < 3:
         raise InsufficientDataError("rate fit needs at least 3 (order, error) pairs")
-    if np.any(errs <= 0):
-        raise InsufficientDataError("rate fit needs strictly positive errors")
+    if not np.all(np.isfinite(ns) & (ns > 0) & np.isfinite(errs) & (errs > 0)):
+        raise InsufficientDataError("rate fit needs finite, strictly positive orders and errors")
     log_n = np.log(ns)
     log_e = np.log(errs)
     slope, intercept = np.polyfit(log_n, log_e, 1)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, DomainError, EmptyGridError, ExpOverflowError,
                      SizeOverflowError)
-from .lattice import row_chunks
+from .lattice import check_order, row_chunks
 from .geometry import Simplex, clip_weights, grid_points
 
 # exp() overflows double precision near 709; stay clear with a round guard.
@@ -159,8 +159,7 @@ def _vertex_dots(simplex: Simplex, direction, order: int) -> np.ndarray:
     # a.x_j per vertex, after checking the order and the direction of a
     # kernel. Huge vertices times a huge direction overflow to inf (or
     # inf - inf = nan); both fail the guard below.
-    if order < 1:
-        raise DimensionMismatchError("order must be >= 1")
+    check_order(order)
     a = np.asarray(direction, dtype=float)
     if a.ndim != 1 or a.shape[0] != simplex.dimension:
         raise DimensionMismatchError(

@@ -26,42 +26,47 @@ from .errors import (
 # by floating-point grid generation.
 COORDINATE_TOL = 1e-9
 
-# Tolerance on sum(t) == 1 when validating externally supplied weights.
+# Tolerance on sum(t) == 1 for every row of weights a kernel is given.
 WEIGHT_SUM_TOL = 1e-12
 
 
 def validate_barycentric(weights, dimension: int) -> np.ndarray:
-    """Check a weight vector against the barycentric invariants.
+    """Check one weight vector against the barycentric invariants of clip_weights.
 
     Returns the weights as a float array of length dimension+1. Raises
-    DimensionMismatchError on wrong length, InvalidBarycentricError if any
-    weight is below -COORDINATE_TOL or the sum strays from one.
+    DimensionMismatchError on wrong length, InvalidBarycentricError as
+    clip_weights does.
     """
     t = np.asarray(weights, dtype=float)
     if t.ndim != 1 or t.shape[0] != dimension + 1:
         raise DimensionMismatchError(
             f"expected {dimension + 1} barycentric weights, got shape {t.shape}"
         )
-    if not np.all(np.isfinite(t)):
-        raise InvalidBarycentricError("barycentric weights must be finite")
-    if np.any(t < -COORDINATE_TOL):
-        raise InvalidBarycentricError(
-            f"negative barycentric weight {t.min():.3e} below tolerance"
-        )
-    total = float(t.sum())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise InvalidBarycentricError(f"weights sum to {total!r}, expected 1")
+    clip_weights(t[None, :], dimension)
     return t
 
 
 def clip_weights(weights, dimension: int) -> np.ndarray:
-    """(P, D+1) float weights, round-off negatives set to 0 (uncopied if none)."""
+    """(P, D+1) float weights, round-off negatives set to 0 (uncopied if none).
+
+    The one check of the barycentric invariants: every entry finite, every
+    row summing to 1 within WEIGHT_SUM_TOL, and no weight below
+    -COORDINATE_TOL. Raises InvalidBarycentricError (NegativeWeightError for
+    a point outside the simplex) otherwise.
+    """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != dimension + 1:
         raise DimensionMismatchError(
             f"expected weights of shape (P, {dimension + 1}), got {weights.shape}"
         )
-    lowest = np.fmin.reduce(weights, axis=None, initial=0.0)  # NaNs are skipped
+    # A row with a non-finite entry has a non-finite sum, so it fails too.
+    deviation = np.abs(weights.sum(axis=1) - 1.0)
+    if not deviation.max(initial=0.0) <= WEIGHT_SUM_TOL:
+        row = int(np.argmin(deviation <= WEIGHT_SUM_TOL))
+        raise InvalidBarycentricError(
+            f"barycentric weights must be finite and sum to 1: row {row} is {weights[row].tolist()}"
+        )
+    lowest = weights.min(initial=0.0)
     if lowest < -COORDINATE_TOL:
         raise NegativeWeightError(
             f"barycentric weight {lowest:.3e} below -{COORDINATE_TOL:g}: point outside simplex"

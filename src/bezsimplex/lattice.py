@@ -29,10 +29,19 @@ EXACT_ORDER_LIMIT = 60
 _ENTRY_BUDGET = 1 << 19
 
 
+def check_order(order, least: int = 1) -> None:
+    """The one check of an order: an int or numpy integer, never a bool, of at
+    least `least` (0 for a lattice, 1 for nets, control points, bases, grids and
+    exp cases)."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < least:
+        raise DimensionMismatchError(f"order must be an integer >= {least}, got {order!r}")
+
+
 def count_multi_indices(order: int, dimension: int) -> int:
     """Number of multi-indices of the given order: binomial(order+D, D)."""
-    if order < 0 or dimension < 1:
-        raise DimensionMismatchError("order must be >= 0 and dimension >= 1")
+    check_order(order, 0)
+    if dimension < 1:
+        raise DimensionMismatchError("dimension must be >= 1")
     return math.comb(order + dimension, dimension)
 
 
@@ -81,12 +90,13 @@ def _colex_columns(order: int, dimension: int):
 
 
 def _check_index(index) -> np.ndarray:
-    k = np.asarray(index, dtype=np.int64)
+    # The one check of a multi-index: D+1 >= 2 non-negative integers, as int64.
+    k = np.asarray(index)
     if k.ndim != 1 or k.shape[0] < 2:
         raise DimensionMismatchError(f"multi-index must be a flat vector of D+1 >= 2 entries, got shape {k.shape}")
-    if np.any(k < 0):
-        raise DimensionMismatchError("multi-index entries must be non-negative")
-    return k
+    if k.dtype.kind not in "iu" or np.any(k < 0):
+        raise DimensionMismatchError(f"multi-index entries must be non-negative integers, got {k.tolist()}")
+    return k.astype(np.int64)
 
 
 def multinomial_log(index) -> float:
@@ -166,8 +176,7 @@ def grid_weight_blocks(resolution: int, dimension: int):
     line (k_2..k_D fixed) is never cut, so a D = 1 grid is one block. Each
     block is the (rows, D+1) view of a C-ordered (D+1, rows) buffer.
     """
-    if resolution < 1:
-        raise DimensionMismatchError("grid resolution must be >= 1")
+    check_order(resolution)
     _capped_count(resolution, dimension)
     rows = max(1, _ENTRY_BUDGET // (dimension + 1))
     run, size = [], 0  # consecutive slabs of the next block, and their rows
@@ -224,8 +233,7 @@ class ControlPointSet:
 
 def control_points(simplex: Simplex, order: int) -> ControlPointSet:
     """Control points sum_j (k_j/n) x_j for every multi-index of the order."""
-    if order < 1:
-        raise DimensionMismatchError("control point order must be >= 1")
+    check_order(order)
     indices = enumerate_multi_indices(order, simplex.dimension)
     points = (indices / float(order)) @ simplex.vertices
     indices.setflags(write=False)

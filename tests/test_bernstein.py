@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from bezsimplex import bernstein, lattice
 
 from bezsimplex import (
-    BernsteinOperator,
     ConfigError,
     ControlNet,
     DimensionMismatchError,
@@ -123,6 +122,11 @@ class TestBasisValue:
     def test_outside_point_rejected(self, triangle):
         with pytest.raises(NegativeWeightError):
             basis_vector(triangle, 3, [1.0, 1.0])
+
+    @pytest.mark.parametrize("index", [[1.5, 0.5, 1.0], [True, True, False], [1.0, 1.0, 1.0]])
+    def test_non_integer_index_rejected(self, triangle, index):
+        with pytest.raises(DimensionMismatchError, match="integers"):
+            basis_value(triangle, index, [0.2, 0.2])
 
     def test_bad_index_rejected(self, triangle):
         with pytest.raises(DimensionMismatchError):
@@ -463,12 +467,17 @@ class TestDirectKernel:
         direct = evaluate_at_weights(net, w, evaluator="direct")
         np.testing.assert_allclose(direct, exact, rtol=1e-12, atol=0)
 
-    def test_nan_weight_stays_nan(self, rng):
-        # A NaN weight must not be read as a zero weight.
-        net = random_net(rng, 2, 6)
-        w = np.array([[np.nan, 0.5, 0.5], [0.2, 0.3, 0.5]])
-        values = evaluate_at_weights(net, w, evaluator="direct")
-        assert np.isnan(values[0]) and np.isfinite(values[1])
+    def test_rule_breaking_rows_refused(self):
+        # f = 1 + x on the standard triangle at n = 3. A NaN weight is not read
+        # as a zero weight, and a row summing to 1.8 is not evaluated as given:
+        # both evaluators refuse each row instead of disagreeing on it.
+        s = Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        net = sample_control_net(s, 3, lambda p: 1.0 + p[0])
+        for row in ([np.nan, 0.5, 0.5], [0.6, 0.6, 0.6]):
+            w = np.array([[0.2, 0.3, 0.5], row])
+            for evaluator in bernstein.EVALUATORS:
+                with pytest.raises(InvalidBarycentricError):
+                    evaluate_at_weights(net, w, evaluator=evaluator)
 
 
 class TestOperatorProperties:
@@ -559,20 +568,6 @@ class TestOperatorProperties:
         assert np.abs(values).max() == pytest.approx(4.0, abs=1e-12)
 
 
-class TestOperatorObject:
-    def test_apply_matches_pipeline(self, triangle):
-        op = BernsteinOperator(triangle, 4)
-        f = lambda p: p[0] ** 2 + p[1]
-        x = [0.2, 0.3]
-        assert op.apply(f, x) == pytest.approx(
-            apply_direct(sample_control_net(triangle, 4, f), x), rel=1e-12
-        )
-
-    def test_order_validated(self, triangle):
-        with pytest.raises(DimensionMismatchError):
-            BernsteinOperator(triangle, 0)
-
-
 class TestNetSerialization:
     def test_round_trip(self, rng, triangle):
         import io
@@ -655,6 +650,11 @@ class TestSupError:
             err = operator_sup_error(net, f, grid)
             bound = error_budget(unit_interval, a, order).predicted_rel_error * sup_f
             assert err <= 1.25 * bound
+
+    def test_nan_point_refused(self, triangle):
+        net = sample_control_net(triangle, 2, lambda p: 1.0)
+        with pytest.raises(InvalidBarycentricError, match="finite"):
+            operator_sup_error(net, lambda p: 1.0, np.array([[np.nan, 0.2]]))
 
     def test_empty_grid(self, triangle):
         net = sample_control_net(triangle, 2, lambda p: 1.0)

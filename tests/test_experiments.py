@@ -171,6 +171,14 @@ class TestLoadConfig:
         config = load_config(config_dict(simplex=str(spath)))
         assert config.simplex.dimension == 2
 
+    def test_path_objects_are_sources(self, tmp_path):
+        spath = tmp_path / "simplex.json"
+        spath.write_text(json.dumps(TRIANGLE_SPEC))
+        assert experiments.load_simplex(spath).dimension == 2
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(config_dict(simplex=str(spath))))
+        assert load_config(cpath).simplex.dimension == 2
+
     def test_json_error_has_line_info(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "simplex": ]\n}')
@@ -250,10 +258,10 @@ class TestLoadConfig:
             load_config(config_dict(simplex=spec))
 
     def test_evaluator_override(self):
-        config = load_config(config_dict()).with_evaluator("direct")
+        config = dataclasses.replace(load_config(config_dict()), evaluator="direct")
         assert config.evaluator == "direct"
         with pytest.raises(ConfigError):
-            config.with_evaluator("nope")
+            dataclasses.replace(config, evaluator="nope")
 
     def test_evaluator_names_come_from_bernstein(self):
         assert experiments.EVALUATORS is bernstein.EVALUATORS
@@ -393,6 +401,17 @@ class TestRateFit:
     def test_nonpositive_errors_rejected(self):
         with pytest.raises(InsufficientDataError):
             fit_power_law([1, 2, 3], [0.1, 0.0, 0.01])
+
+    @pytest.mark.parametrize("orders, errors", [
+        ([1, 2, 3], [1.0, np.nan, 0.1]),
+        ([1, 2, 3], [1.0, np.inf, 0.1]),
+        ([1, np.nan, 3], [1.0, 0.5, 0.1]),
+        ([1, 2, np.inf], [1.0, 0.5, 0.1]),
+        ([0, 2, 3], [1.0, 0.5, 0.1]),
+    ], ids=["nan-error", "inf-error", "nan-order", "inf-order", "zero-order"])
+    def test_non_finite_pairs_rejected(self, orders, errors):
+        with pytest.raises(InsufficientDataError, match="finite"):
+            fit_power_law(orders, errors)
 
 
 class TestBoundCheck:

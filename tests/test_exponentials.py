@@ -14,6 +14,7 @@ from bezsimplex import (
     ExpOverflowError,
     ExpPolynomial,
     ExpTerm,
+    InvalidBarycentricError,
     NegativeWeightError,
     Simplex,
     SizeOverflowError,
@@ -166,6 +167,20 @@ class TestClosedForm:
     def test_direction_length_checked(self, triangle):
         with pytest.raises(DimensionMismatchError, match="direction"):
             closed_form_at_weights(triangle, 5, [1.0], np.array([[0.2, 0.3, 0.5]]))
+
+
+WEIGHT_KERNELS = {
+    "closed_form": lambda s, w: closed_form_at_weights(s, 4, [1.0, -0.5], w),
+    "residual": lambda s, w: residual_at_weights(s, 4, [1.0, -0.5], w),
+    "relative_error": lambda s, w: relative_error_at_weights(s, [1.0, -0.5], 4, w),
+}
+
+
+@pytest.mark.parametrize("kernel", WEIGHT_KERNELS.values(), ids=WEIGHT_KERNELS.keys())
+@pytest.mark.parametrize("row", [[np.nan, 0.5, 0.5], [0.6, 0.6, 0.6]], ids=["nan", "sum"])
+def test_weight_kernels_refuse_rule_breaking_rows(triangle, kernel, row):
+    with pytest.raises(InvalidBarycentricError):
+        kernel(triangle, np.array([[0.2, 0.3, 0.5], row]))
 
 
 class TestResidual:

@@ -7,17 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bezsimplex import (
+    ControlNet,
     DimensionMismatchError,
     SizeOverflowError,
+    basis_vector,
     control_points,
     count_multi_indices,
     default_grid_resolution,
     enumerate_multi_indices,
+    error_budget,
     grid_weight_blocks,
     grid_weights,
     multinomial_exact,
     multinomial_log,
     multinomial_log_table,
+    standard_simplex,
 )
 
 from bezsimplex import lattice
@@ -191,6 +195,12 @@ class TestMultinomials:
         total = sum(multinomial_exact(k) for k in indices)
         assert total == 3**5 == 243
 
+    @pytest.mark.parametrize("multinomial", [multinomial_log, multinomial_exact])
+    @pytest.mark.parametrize("index", [[1.5, 0.5, 1.0], [True, False], [2**70, 1]])
+    def test_non_integer_entries_rejected(self, multinomial, index):
+        with pytest.raises(DimensionMismatchError, match="integers"):
+            multinomial(index)
+
     def test_negative_entries_rejected(self):
         with pytest.raises(DimensionMismatchError):
             multinomial_log([2, -1, 1])
@@ -235,6 +245,33 @@ class TestControlPoints:
         assert lines[0] == "k_0,k_1,k_2,x_1,x_2"
         assert len(lines) == 7
         assert buffer.getvalue().endswith("\n")
+
+
+# Callers of lattice.check_order, each with the order as its one free input.
+ORDER_TAKERS = {
+    "control_points": lambda n: control_points(standard_simplex(2), n),
+    "basis_vector": lambda n: basis_vector(standard_simplex(2), n, [0.2, 0.3]),
+    "grid_weights": lambda n: grid_weights(n, 2),
+    "ControlNet": lambda n: ControlNet(standard_simplex(2), n, np.ones(10)),
+    "error_budget": lambda n: error_budget(standard_simplex(2), [1.0, 0.5], n),
+}
+
+
+class TestOrderRule:
+    @pytest.mark.parametrize("take", ORDER_TAKERS.values(), ids=ORDER_TAKERS.keys())
+    @pytest.mark.parametrize("order", [2.5, True, 0, -1], ids=["float", "bool", "zero", "negative"])
+    def test_bad_order_refused_with_its_value(self, take, order):
+        with pytest.raises(DimensionMismatchError, match=f"got {order!r}$"):
+            take(order)
+
+    @pytest.mark.parametrize("take", ORDER_TAKERS.values(), ids=ORDER_TAKERS.keys())
+    def test_numpy_integer_order_accepted(self, take):
+        take(np.int64(3))
+
+    def test_lattice_takes_order_zero(self):
+        assert count_multi_indices(0, 2) == 1
+        with pytest.raises(DimensionMismatchError, match="got 2.5"):
+            count_multi_indices(2.5, 2)
 
 
 class TestGrids:
