@@ -18,7 +18,6 @@ from .bernstein import (
     ControlNet,
     apply_de_casteljau,
     apply_direct,
-    basis_value,
     basis_vector,
     evaluate_at_weights,
     operator_sup_error,
@@ -47,11 +46,8 @@ from .exponentials import (
     ExpPolynomial,
     ExpTerm,
     RelativeErrorReport,
-    bezier_exp_closed_form,
-    bezier_of_exp_polynomial,
     closed_form_at_weights,
     error_budget,
-    first_order_residual,
     relative_error_at_weights,
     relative_error_report,
     residual_at_weights,
@@ -83,8 +79,6 @@ from .lattice import (
     enumerate_multi_indices,
     grid_weight_blocks,
     grid_weights,
-    multinomial_exact,
-    multinomial_log,
     multinomial_log_table,
 )
 

@@ -28,7 +28,6 @@ from .csvio import emit_lattice_csv, open_csv
 from .errors import ConfigError, DimensionMismatchError, FunctionEvaluationError
 from .geometry import Simplex, clip_weights, grid_points, validate_barycentric
 from .lattice import (
-    _check_index,
     check_order,
     control_points,
     count_multi_indices,
@@ -159,28 +158,15 @@ def _direct_blocks(indices: np.ndarray, w: np.ndarray):
             yield part, rows, np.exp(basis, out=basis)
 
 
-def _basis_at(indices: np.ndarray, simplex: Simplex, x) -> np.ndarray:
-    # Basis values at one point in the order of `indices`, zero off its face.
+def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
+    """All basis values B_k^order(x) in enumeration order, zero off x's face."""
+    check_order(order)
+    indices = enumerate_multi_indices(order, simplex.dimension)
     w = clip_weights(simplex.barycentric(x)[None, :], simplex.dimension)
     values = np.zeros(len(indices))
     for _, rows, basis in _direct_blocks(indices, w):
         values[rows] = basis[0]
     return values
-
-
-def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
-    """All basis values B_k^order(x) in enumeration order."""
-    check_order(order)
-    return _basis_at(enumerate_multi_indices(order, simplex.dimension), simplex, x)
-
-
-def basis_value(simplex: Simplex, index, x) -> float:
-    """Single basis value B_k^n(x) for the multi-index k, n = |k|."""
-    k = _check_index(index)
-    if k.shape[0] != simplex.dimension + 1:
-        raise DimensionMismatchError(f"multi-index must have {simplex.dimension + 1} entries")
-    check_order(k.sum())
-    return float(_basis_at(k[None, :], simplex, x)[0])
 
 
 def _stage_plan(order: int, dimension: int) -> tuple:

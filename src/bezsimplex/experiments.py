@@ -20,10 +20,11 @@ import numpy as np
 
 from .bernstein import DEFAULT_EVALUATOR, EVALUATORS, ControlNet, evaluate_at_weights
 from .csvio import emit_csv  # re-exported: experiments.emit_csv is public
-from .errors import ConfigError, InsufficientDataError, ZeroError
+from .errors import ConfigError, DimensionMismatchError, InsufficientDataError, ZeroError
 from .exponentials import ExpPolynomial, _vertex_dots, error_budget, relative_error_reports
 from .geometry import Simplex
-from .lattice import control_points, default_grid_resolution, grid_weight_blocks, grid_weights
+from .lattice import (check_order, control_points, default_grid_resolution, grid_weight_blocks,
+                      grid_weights)
 
 # Rows with sup_error below this are floating-point noise, not signal.
 NOISE_FLOOR = 1e-13
@@ -39,9 +40,6 @@ class TestFunction:
     name: str
     batch: Callable
     exp_terms: ExpPolynomial | None = None
-
-    def __call__(self, x) -> float:
-        return float(self.evaluate(np.asarray(x, dtype=float)[None, :])[0])
 
     def evaluate(self, points) -> np.ndarray:
         return np.asarray(self.batch(np.asarray(points, dtype=float)), dtype=float)
@@ -103,7 +101,7 @@ def make_function(spec, simplex: Simplex) -> TestFunction:
     Builtins: "const1", "affine:v_1,..,v_D,b", "abs" (distance to the
     centroid along a fixed diagonal direction), "runge" (1/(1+25 r^2), r the
     distance to the centroid). Anything else must be an exponential
-    polynomial given as a dict, inline JSON, or a path to a .json file.
+    polynomial: a dict, inline JSON, a str path ending in .json or any os.PathLike.
     """
     dim = simplex.dimension
     centroid = simplex.centroid
@@ -111,8 +109,6 @@ def make_function(spec, simplex: Simplex) -> TestFunction:
 
     if isinstance(spec, ExpPolynomial):
         poly = spec
-    elif isinstance(spec, dict):
-        poly = _parse_exp_polynomial(spec)
     elif isinstance(spec, str):
         text = spec.strip()
         if text == "const1":
@@ -143,13 +139,24 @@ def make_function(spec, simplex: Simplex) -> TestFunction:
             )
         poly = _parse_exp_polynomial(text)
     else:
-        raise ConfigError(f"function spec must be a string or mapping, got {type(spec).__name__}")
+        poly = _parse_exp_polynomial(spec)
 
     if poly.dimension != dim:
         raise ConfigError(
             f"function dimension {poly.dimension} does not match simplex dimension {dim}"
         )
     return TestFunction("exp-polynomial", poly.evaluate_many, exp_terms=poly)
+
+
+def _config_orders(field: str, values, least: int, need: str) -> tuple:
+    # lattice.check_order on every value of a config field, re-raised as a
+    # ConfigError naming the field; the values come back as plain ints.
+    try:
+        for value in values:
+            check_order(value, least)
+    except DimensionMismatchError as exc:
+        raise ConfigError(f"field {field!r}: need {need}") from exc
+    return tuple(int(value) for value in values)
 
 
 def _is_int(value) -> bool:
@@ -168,15 +175,16 @@ class ExperimentConfig:
     evaluator: str = DEFAULT_EVALUATOR
 
     def __post_init__(self):
-        n_values = self.n_values
-        if not (isinstance(n_values, (list, tuple)) and n_values
-                and all(_is_int(n) and n >= 1 for n in n_values)):
-            raise ConfigError("field 'n_values': need a non-empty list of integers >= 1")
+        need = "a non-empty list of integers >= 1"
+        if not (isinstance(self.n_values, (list, tuple)) and self.n_values):
+            raise ConfigError(f"field 'n_values': need {need}")
+        n_values = _config_orders("n_values", self.n_values, 1, need)
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ConfigError("field 'n_values': must be strictly increasing")
-        object.__setattr__(self, "n_values", tuple(n_values))
-        if not _is_int(self.grid_resolution) or self.grid_resolution < 2:
-            raise ConfigError("field 'grid_resolution': need an integer >= 2")
+        object.__setattr__(self, "n_values", n_values)
+        (resolution,) = _config_orders("grid_resolution", [self.grid_resolution], 2,
+                                       "an integer >= 2")
+        object.__setattr__(self, "grid_resolution", resolution)
         if not _is_int(self.seed):
             raise ConfigError("field 'seed': need an integer")
         if self.output is not None and not isinstance(self.output, str):

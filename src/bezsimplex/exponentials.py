@@ -13,17 +13,15 @@ measures the observed error against it.
 The closed form, its first-order residual and the relative error depend on
 the weights alone: a.x is sum_j s_j a.x_j, so the ``*_at_weights`` kernels
 take a (P, D+1) batch of barycentric weights and never form cartesian
-points. The single-point and cartesian-grid functions are adapters that
-solve for the weights and call a kernel.
+points; ``relative_error_report`` is the one cartesian-grid adapter.
 
 Every quantity is read off one padded matrix product of a ``case_table``
 (each (vertex dots, order) case's exp(a.x_j / n), then its a.x_j) with the
-weights: the closed form, its residual, an exponential polynomial's image
-(a case per term) and the log ratio that ``relative_error_reports`` reduces
-over the grid's ``lattice.row_chunks``. A value has the same bits alone or
-in a batch, in any order and chunking. This is the collapse of Bernstein
-sums to a power of one weighted sum that Kirby (Numer. Math. 2011) and
-Ainsworth-Andriamaro-Davydov (SISC 2011) use.
+weights: the closed form, its residual and the log ratio that
+``relative_error_reports`` reduces over the grid's ``lattice.row_chunks``.
+A value has the same bits alone or in a batch, in any order and chunking.
+This is the collapse of Bernstein sums to a power of one weighted sum that
+Kirby (Numer. Math. 2011) and Ainsworth-Andriamaro-Davydov (SISC 2011) use.
 """
 
 from __future__ import annotations
@@ -88,34 +86,14 @@ class ExpPolynomial:
     def __repr__(self) -> str:
         return f"ExpPolynomial({len(self.terms)} terms, dimension={self.dimension})"
 
-    def _dots(self, points: np.ndarray) -> np.ndarray:
-        directions = np.array([t.direction for t in self.terms])
-        dots = points @ directions.T
-        if np.any(dots > EXP_ARG_LIMIT):
-            raise ExpOverflowError(
-                f"exponent {dots.max():.3g} exceeds the overflow guard {EXP_ARG_LIMIT:g}"
-            )
-        return dots
-
-    def evaluate(self, x) -> float:
-        p = np.asarray(x, dtype=float)
-        if p.ndim != 1 or p.shape[0] != self.dimension:
-            raise DimensionMismatchError(
-                f"expected point of length {self.dimension}, got shape {p.shape}"
-            )
-        return float(self.evaluate_many(p[None, :])[0])
-
     def evaluate_many(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        dots = self._dots(pts)
+        directions = np.array([t.direction for t in self.terms])
+        dots = _exponents(np.asarray(points, dtype=float), directions.T, "point")
         coeffs = np.array([t.coefficient for t in self.terms])
         # Huge coefficients may sum past the largest double: the value is
         # then inf, which a control net rejects with a typed error.
         with np.errstate(over="ignore"):
             return np.exp(dots) @ coeffs
-
-    def __call__(self, x) -> float:
-        return self.evaluate(x)
 
     def to_dict(self) -> dict:
         return {"terms": [{"c": t.coefficient, "a": list(t.direction)} for t in self.terms]}
@@ -155,24 +133,29 @@ class RelativeErrorReport(NamedTuple):
     ratio: float
 
 
+def _exponents(points: np.ndarray, directions: np.ndarray, row: str) -> np.ndarray:
+    # points @ directions, refused unless every a.x is finite and at most
+    # EXP_ARG_LIMIT. Huge points times a huge direction overflow to +-inf (or
+    # inf - inf = nan); the error names the first such a.x and its row.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = points @ directions
+    bad = ~(np.isfinite(dots) & (dots <= EXP_ARG_LIMIT))
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ExpOverflowError(f"a.x reaches {dots[at]:.3g} at {row} {at[0]}; an exponent"
+                               f" must be finite and at most {EXP_ARG_LIMIT:g}")
+    return dots
+
+
 def _vertex_dots(simplex: Simplex, direction, order: int) -> np.ndarray:
-    # a.x_j per vertex, after checking the order and the direction of a
-    # kernel. Huge vertices times a huge direction overflow to inf (or
-    # inf - inf = nan); both fail the guard below.
+    # a.x_j per vertex, after checking the order and the direction of a kernel.
     check_order(order)
     a = np.asarray(direction, dtype=float)
     if a.ndim != 1 or a.shape[0] != simplex.dimension:
         raise DimensionMismatchError(
             f"direction must have length {simplex.dimension}, got shape {a.shape}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        dots = simplex.vertices @ a
-    if not np.all(dots <= EXP_ARG_LIMIT):
-        raise ExpOverflowError(
-            f"a.x reaches {np.nan_to_num(dots, nan=np.inf, posinf=np.inf).max():.3g} at a vertex,"
-            f" beyond the guard {EXP_ARG_LIMIT:g}"
-        )
-    return dots
+    return _exponents(simplex.vertices, a, "vertex")
 
 
 # Weight rows per matrix product are padded to a multiple of this. The
@@ -241,28 +224,12 @@ def closed_form_at_weights(simplex: Simplex, order: int, direction,
     return np.exp(_log_powers(*case_table([(dots, order)]), w)[0])
 
 
-def bezier_exp_closed_form(simplex: Simplex, order: int, direction, x) -> float:
-    """Closed-form Bernstein image of exp(a.x) at a single point."""
-    w = simplex.barycentric(x)
-    return float(closed_form_at_weights(simplex, order, direction, w[None, :])[0])
-
-
 def residual_at_weights(simplex: Simplex, order: int, direction,
                         weights: np.ndarray) -> np.ndarray:
     """First-order residual sum_j s_j exp(a.x_j/n) - 1 - a.x/n, batched."""
     table, _ = case_table([(_vertex_dots(simplex, direction, order), order)])
     sums, dots = _weighted_sums(table, clip_weights(weights, simplex.dimension))
     return sums - 1.0 - dots / order
-
-
-def first_order_residual(simplex: Simplex, order: int, direction, x) -> float:
-    """Residual of the first-order expansion of the weighted exponential mean.
-
-    Zero for a = 0 and O(1/n^2) in the order; its n^2-scaled magnitude is
-    capped by the remainder coefficient of ``error_budget``.
-    """
-    w = simplex.barycentric(x)
-    return float(residual_at_weights(simplex, order, direction, w[None, :])[0])
 
 
 def _budget_of_dots(dots: np.ndarray, order: int) -> ErrorBudget:
@@ -354,12 +321,3 @@ def relative_error_report(simplex: Simplex, direction, order: int,
     """relative_error_at_weights over a grid of cartesian points."""
     weights = simplex.barycentric_many(grid_points(simplex, grid))
     return relative_error_at_weights(simplex, direction, order, weights)
-
-
-def bezier_of_exp_polynomial(simplex: Simplex, order: int, poly: ExpPolynomial, x) -> float:
-    """Bernstein image of an exponential polynomial: the sum of its terms'
-    closed forms, every term one case of a single product."""
-    w = clip_weights(simplex.barycentric(x)[None, :], simplex.dimension)
-    cases = [(_vertex_dots(simplex, term.direction_array, order), order) for term in poly.terms]
-    values = np.exp(_log_powers(*case_table(cases), w)[:len(cases), 0])
-    return float(sum(term.coefficient * value for term, value in zip(poly.terms, values.tolist())))

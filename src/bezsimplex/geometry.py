@@ -3,7 +3,8 @@
 Points are plain numpy arrays of length D. Barycentric coordinates are
 arrays of length D+1: the unique weights t with x = sum_i t_i x_i and
 sum_i t_i = 1. For points outside the simplex some weights are negative;
-the solve still succeeds and callers use the signs for containment.
+the solve still succeeds. clip_weights, which every kernel calls, refuses
+a weight below -COORDINATE_TOL.
 """
 
 from __future__ import annotations
@@ -188,17 +189,6 @@ class Simplex:
         rhs[0] = 1.0
         rhs[1:] = pts.T
         return np.linalg.solve(self._system, rhs).T
-
-    def point_from_barycentric(self, weights) -> np.ndarray:
-        """Map validated barycentric weights back to a cartesian point."""
-        t = validate_barycentric(weights, self._dimension)
-        return t @ self._vertices
-
-    def contains(self, x, tol: float = COORDINATE_TOL) -> bool:
-        """True iff every barycentric weight of x is >= -tol (closed simplex)."""
-        if tol < 0:
-            raise DomainError("tolerance must be non-negative")
-        return bool(np.all(self.barycentric(x) >= -tol))
 
     def scaled(self, factor: float) -> "Simplex":
         """Simplex with all vertices scaled about the origin."""

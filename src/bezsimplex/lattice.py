@@ -21,9 +21,6 @@ from .geometry import Simplex
 # Refuse lattices with more entries than this (desk-scale guarantee).
 SIZE_CAP = 100_000_000
 
-# Largest order served by the exact integer path.
-EXACT_ORDER_LIMIT = 60
-
 # Doubles per chunk a streamed pass may hold: a block of grid weights, or a
 # row chunk of row_chunks. Bounds any grid's memory.
 _ENTRY_BUDGET = 1 << 19
@@ -89,23 +86,8 @@ def _colex_columns(order: int, dimension: int):
     yield 0, left
 
 
-def _check_index(index) -> np.ndarray:
-    # The one check of a multi-index: D+1 >= 2 non-negative integers, as int64.
-    k = np.asarray(index)
-    if k.ndim != 1 or k.shape[0] < 2:
-        raise DimensionMismatchError(f"multi-index must be a flat vector of D+1 >= 2 entries, got shape {k.shape}")
-    if k.dtype.kind not in "iu" or np.any(k < 0):
-        raise DimensionMismatchError(f"multi-index entries must be non-negative integers, got {k.tolist()}")
-    return k.astype(np.int64)
-
-
-def multinomial_log(index) -> float:
-    """Natural log of the multinomial coefficient n! / prod(k_j!), n = |k|."""
-    return float(multinomial_log_table(_check_index(index)[None, :])[0])
-
-
 def multinomial_log_table(indices: np.ndarray) -> np.ndarray:
-    """Vectorized multinomial_log over rows of an index array."""
+    """log(n! / prod_j k_j!), n = |k|, for every row k of an index array."""
     k = np.asarray(indices, dtype=np.int64)
     n = k.sum(axis=1)
     # log(i!) from the exact integer while i! is a finite double (correctly
@@ -123,23 +105,6 @@ def multinomial_log_table(indices: np.ndarray) -> np.ndarray:
     # Table position of i: i itself up to `dense`, then past it by its rank in `big`.
     position = lambda i: np.where(i <= dense, i, dense + 1 + np.searchsorted(big, i))
     return log_factorial[position(n)] - log_factorial[position(k)].sum(axis=1)
-
-
-def multinomial_exact(index) -> int:
-    """Exact integer multinomial coefficient; the test oracle for the log path.
-
-    Restricted to |k| <= EXACT_ORDER_LIMIT where factorial products stay cheap.
-    """
-    k = _check_index(index)
-    n = int(k.sum())
-    if n > EXACT_ORDER_LIMIT:
-        raise SizeOverflowError(
-            f"exact multinomial limited to order {EXACT_ORDER_LIMIT}, got {n}"
-        )
-    value = math.factorial(n)
-    for kj in k:
-        value //= math.factorial(int(kj))
-    return value
 
 
 def row_chunks(count: int, doubles_per_row: int, multiple: int = 1) -> list:

@@ -1,3 +1,6 @@
+import itertools
+import operator
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,16 @@ def random_simplex(rng, dimension, scale=1.0):
             return Simplex(vertices)
         except DegenerateSimplexError:
             continue
+
+
+def exact_multinomial(k):
+    """Independent factorial-ratio oracle: n! / prod(k_j!) in exact Python
+    ints, for one multi-index or for every row of an index array."""
+    k = np.asarray(k)
+    n = k.sum(axis=-1)
+    top = int(n.max(initial=0))
+    factorials = np.array([1, *itertools.accumulate(range(1, top + 1), operator.mul)], dtype=object)
+    return factorials[n] // factorials[k].prod(axis=-1)
 
 
 def interior_weights(rng, dimension, count):

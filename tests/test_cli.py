@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bezsimplex
-from bezsimplex import basis_vector, bezier_exp_closed_form, count_multi_indices, standard_simplex
+from bezsimplex import basis_vector, closed_form_at_weights, count_multi_indices, standard_simplex
 from bezsimplex.cli import main
 from bezsimplex.experiments import BoundCheckResult, BoundCheckRow
 
@@ -213,6 +214,27 @@ class TestScaling:
         assert "error: scale factors must be finite and positive" in capsys.readouterr().err
 
 
+# A vertex at -1e300 makes a vertex dot -inf; both exp studies once wrote NaN rows.
+MINUS_INF_DOT = {"simplex": {"vertices": [[0.0], [-1e300]]}, "n_values": [40, 80]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound-check", "--config",
+     json.dumps({**MINUS_INF_DOT, "function": {"terms": [{"c": 1.0, "a": [1e10]}]}})],
+    ["scaling", "--config",
+     json.dumps({**MINUS_INF_DOT, "function": {"terms": [{"c": 1.0, "a": [1e154]}]}}),
+     "--scales", "0.5,1,2"],
+], ids=["bound-check", "scaling"])
+def test_a_vertex_dot_of_minus_inf_is_a_typed_error(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a.x reaches -inf at vertex 1; an exponent must be finite" \
+        " and at most 700\n"
+
+
 @pytest.mark.parametrize("flag, payload", [
     ("--config", json.dumps({"simplex": TRIANGLE, "function": "const1", "n_values": [2]})
      .encode("utf-16")),
@@ -337,7 +359,9 @@ def test_readme_library_use_runs():
     # The README's library snippet runs against the current API.
     namespace = {}
     exec(README.split("```python\n", 1)[1].split("```", 1)[0], namespace)
-    expected = bezier_exp_closed_form(namespace["triangle"], 12, [1.0, 1.0], [0.2, 0.3])
+    triangle = namespace["triangle"]
+    expected = closed_form_at_weights(triangle, 12, [1.0, 1.0],
+                                      triangle.barycentric([0.2, 0.3])[None, :])[0]
     assert namespace["value"] == pytest.approx(expected, rel=1e-13)
     assert 0.0 < namespace["error"] < 0.05
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -56,19 +57,24 @@ def config_dict(**overrides):
     return base
 
 
+def value(fn, x):
+    """A test function's value at one point."""
+    return float(fn.evaluate(np.asarray(x, dtype=float)[None, :])[0])
+
+
 class TestMakeFunction:
     def setup_method(self):
         self.triangle = standard_simplex(2)
 
     def test_const1(self):
         fn = make_function("const1", self.triangle)
-        assert fn([0.4, 0.1]) == 1.0
+        assert value(fn, [0.4, 0.1]) == 1.0
         np.testing.assert_array_equal(fn.evaluate([[0, 0], [0.5, 0.5]]), [1.0, 1.0])
         assert fn.exp_terms is None
 
     def test_affine(self):
         fn = make_function("affine:2,-1,0.5", self.triangle)
-        assert fn([0.25, 0.5]) == pytest.approx(2 * 0.25 - 0.5 + 0.5)
+        assert value(fn, [0.25, 0.5]) == pytest.approx(2 * 0.25 - 0.5 + 0.5)
         batch = fn.evaluate([[0.0, 0.0], [1.0, 0.0]])
         np.testing.assert_allclose(batch, [0.5, 2.5])
 
@@ -81,23 +87,23 @@ class TestMakeFunction:
     def test_abs_is_distance_along_diagonal(self):
         fn = make_function("abs", self.triangle)
         centroid = self.triangle.centroid
-        assert fn(centroid) == pytest.approx(0.0, abs=1e-15)
+        assert value(fn, centroid) == pytest.approx(0.0, abs=1e-15)
         u = np.ones(2) / math.sqrt(2)
         x = np.array([0.6, 0.1])
-        assert fn(x) == pytest.approx(abs((x - centroid) @ u), abs=1e-15)
+        assert value(fn, x) == pytest.approx(abs((x - centroid) @ u), abs=1e-15)
 
     def test_runge(self):
         fn = make_function("runge", self.triangle)
         centroid = self.triangle.centroid
-        assert fn(centroid) == pytest.approx(1.0)
+        assert value(fn, centroid) == pytest.approx(1.0)
         x = centroid + [0.2, 0.0]
-        assert fn(x) == pytest.approx(1.0 / (1.0 + 25 * 0.04))
+        assert value(fn, x) == pytest.approx(1.0 / (1.0 + 25 * 0.04))
 
     def test_exp_polynomial_dict(self):
         fn = make_function(EXP_11, self.triangle)
         assert fn.exp_terms is not None
         np.testing.assert_array_equal(fn.single_exponential(), [1.0, 1.0])
-        assert fn([0.5, 0.5]) == pytest.approx(math.e, rel=1e-14)
+        assert value(fn, [0.5, 0.5]) == pytest.approx(math.e, rel=1e-14)
         again = make_function(fn.exp_terms, self.triangle)
         assert again.exp_terms is fn.exp_terms
 
@@ -121,11 +127,12 @@ class TestMakeFunction:
         path.write_text(json.dumps(EXP_11))
         fn = make_function(str(path), self.triangle)
         assert fn.exp_terms is not None
+        assert make_function(Path(path), self.triangle).exp_terms.terms == fn.exp_terms.terms
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown function"):
             make_function("sine", self.triangle)
-        with pytest.raises(ConfigError, match="string or mapping"):
+        with pytest.raises(ConfigError, match="function spec must be a mapping or path"):
             make_function(5, self.triangle)
 
     def test_dimension_mismatch(self):
@@ -287,6 +294,19 @@ class TestLoadConfig:
         fields = {"n_values": (2,), "grid_resolution": 10, field: bad}
         with pytest.raises(ConfigError, match=f"field '{field}'"):
             experiments.ExperimentConfig(config.simplex, config.function, **fields)
+
+    def test_numpy_integer_orders_are_plain_ints(self):
+        # lattice.check_order takes numpy integers; the config stores plain ints,
+        # so its metadata stays JSON-serialisable. A bool is still refused.
+        config = load_config(config_dict())
+        built = experiments.ExperimentConfig(config.simplex, config.function,
+                                             [np.int64(2), np.int64(4)], np.int64(10))
+        assert built.n_values == (2, 4) and built.grid_resolution == 10
+        assert {type(n) for n in built.n_values} | {type(built.grid_resolution)} == {int}
+        json.dumps(run_metadata(built))
+        for field, bad in (("n_values", (True, 2)), ("grid_resolution", np.bool_(True))):
+            with pytest.raises(ConfigError, match=f"field '{field}'"):
+                dataclasses.replace(built, **{field: bad})
 
     def test_direct_construction_keeps_a_tuple(self):
         config = load_config(config_dict())
