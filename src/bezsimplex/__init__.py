@@ -72,7 +72,6 @@ from .experiments import (
 )
 from .geometry import COORDINATE_TOL, Simplex, standard_simplex, validate_barycentric
 from .lattice import (
-    ControlPointSet,
     control_points,
     count_multi_indices,
     default_grid_resolution,

@@ -77,14 +77,15 @@ class ControlNet:
 
 def sample_control_net(simplex: Simplex, order: int, f) -> ControlNet:
     """Sample f at every control point, in enumeration order."""
-    cps = control_points(simplex, order)
-    values = np.empty(len(cps))
-    for i, (k, point) in enumerate(cps):
+    points = control_points(simplex, order)
+    values = np.empty(len(points))
+    for i, point in enumerate(points):
         try:
             values[i] = float(f(point))
         except Exception as exc:
+            k = enumerate_multi_indices(order, simplex.dimension)[i]
             raise FunctionEvaluationError(
-                f"function failed at control point {point.tolist()} (index {tuple(k)})"
+                f"function failed at control point {point.tolist()} (index {tuple(k.tolist())})"
             ) from exc
     return ControlNet(simplex=simplex, order=order, coefficients=values)
 
@@ -170,30 +171,28 @@ def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
 
 
 def _stage_plan(order: int, dimension: int) -> tuple:
-    # Stage j sums out k_j. In colex order every run of rows sharing
-    # (k_{j+1}..k_D) is one block k_j = 0..m_j, m_j = k_0 + .. + k_j, whose sum
-    # is a row of the next stage; rows are stored grouped by m_j. A stage is
-    # its group bounds and, per m, its (blocks, m+1) input rows. Also returns
-    # the doubles a chunk holds per point: two Pascal rows, a stage's output,
-    # input and largest gather (stage 1 reads the net, without a point axis).
-    tails = enumerate_multi_indices(order, dimension)[:, 1:]
-    where = np.arange(len(tails))  # storage row of each colex row
-    plan, entries = [], 0
-    for stage in range(dimension):
-        starts = np.flatnonzero(tails[:, 0] == 0)
-        block_m = order - tails[starts, 1:].sum(axis=1)
+    # Stage j sums out k_j in enumeration order: each run of rows sharing
+    # (k_{j+1}..k_D) is one block k_j = 0..m, and the runs are the rows of the
+    # order-n lattice of dimension D-j, m their k_0. A stage is its row count
+    # and, per m, its runs and their (runs, m+1) input rows. Also returns the
+    # doubles a chunk holds per point: two Pascal rows, a stage's output, input
+    # and largest gather (stage 1 reads the net, without a point axis).
+    plan, entries, count = [], 0, count_multi_indices(order, dimension)
+    for d in range(dimension - 1, -1, -1):
+        block_m = enumerate_multi_indices(order, d)[:, 0] if d else np.array([order])
+        # One gather of every run's rows, runs grouped by m, sliced per m.
         rank = np.argsort(block_m, kind="stable")
         bounds = np.searchsorted(block_m[rank], np.arange(order + 2))
-        # One gather of every block's rows, blocks in rank order, sliced per m.
-        size = block_m[rank] + 1
-        edges = np.concatenate([[0], np.cumsum(size)])
-        rows = where[np.repeat(starts[rank] - edges[:-1], size) + np.arange(len(tails))]
-        groups = [rows[edges[bounds[m]]:edges[bounds[m + 1]]].reshape(-1, m + 1)
+        size = block_m + 1
+        edges = np.concatenate([[0], np.cumsum(size[rank])])
+        rows = np.repeat((np.cumsum(size) - size)[rank] - edges[:-1], size[rank]) + np.arange(count)
+        groups = [(rank[bounds[m]:bounds[m + 1]],
+                   rows[edges[bounds[m]]:edges[bounds[m + 1]]].reshape(-1, m + 1))
                   for m in range(order + 1)]
-        plan.append((bounds, groups))
-        gathered = len(tails) + max(g.size for g in groups) if stage else 0
-        entries = max(entries, len(starts) + gathered)
-        tails, where = tails[starts, 1:], np.argsort(rank)
+        plan.append((len(block_m), groups))
+        gathered = count + max(g.size for _, g in groups) if d < dimension - 1 else 0
+        entries = max(entries, len(block_m) + gathered)
+        count = len(block_m)
     return plan, entries + 2 * (order + 1)
 
 
@@ -210,22 +209,21 @@ def _collapsed_chunk(coefficients: np.ndarray, order: int, plan: list,
     u = np.divide(weights.T, partial, out=np.zeros(partial.shape), where=partial > 0.0)
     v = 1.0 - u
     values = coefficients
-    for j, (bounds, groups) in enumerate(plan, start=1):
+    for j, (count, groups) in enumerate(plan, start=1):
         # Row m of b^m_k(u_j) = C(m, k) u^k (1-u)^(m-k) comes from row m-1 by
         # convex combinations, b^m_k = (1-u) b^(m-1)_k + u b^(m-1)_(k-1), and
         # meets every block of that m in an einsum, never in BLAS.
-        out = np.empty((bounds[-1], weights.shape[0]))
+        out = np.empty((count, weights.shape[0]))
         row, spare = np.zeros((2, order + 1, weights.shape[0]))  # entry m is 0 until row m
         row[0] = 1.0
-        for m, positions in enumerate(groups):
+        for m, (runs, positions) in enumerate(groups):
             if m:
                 np.multiply(row[:m], v[j], out=spare[:m])
                 row[:m] *= u[j]
                 spare[1:m + 1] += row[:m]
                 row, spare = spare, row
-            if len(positions):
-                np.einsum("bk...,k...->b...", values[positions], row[:m + 1],
-                          out=out[bounds[m]:bounds[m + 1]])
+            if len(runs):
+                out[runs] = np.einsum("bk...,k...->b...", values[positions], row[:m + 1])
         values = out
     return values[0]
 

@@ -79,8 +79,6 @@ def _cmd_basis(args) -> int:
         point = np.array([float(v) for v in args.point.split(",")])
     except ValueError as exc:
         raise ConfigError(f"--point: non-numeric entry in {args.point!r}") from exc
-    if not np.all(np.isfinite(point)):
-        raise ConfigError(f"--point: non-finite entry in {args.point!r}")
     values = basis_vector(simplex, args.n, point)
     indices = enumerate_multi_indices(args.n, simplex.dimension)
     emit_lattice_csv(indices, values, args.out or sys.stdout, ["basis_value"])
@@ -89,7 +87,10 @@ def _cmd_basis(args) -> int:
 
 def _cmd_control_points(args) -> int:
     simplex = load_simplex(args.simplex)
-    control_points(simplex, args.n).write_csv(args.out or sys.stdout)
+    points = control_points(simplex, args.n)
+    columns = [f"x_{j}" for j in range(1, simplex.dimension + 1)]
+    emit_lattice_csv(enumerate_multi_indices(args.n, simplex.dimension), points,
+                     args.out or sys.stdout, columns)
     return 0
 
 

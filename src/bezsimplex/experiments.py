@@ -20,9 +20,10 @@ import numpy as np
 
 from .bernstein import DEFAULT_EVALUATOR, EVALUATORS, ControlNet, evaluate_at_weights
 from .csvio import emit_csv  # re-exported: experiments.emit_csv is public
-from .errors import ConfigError, DimensionMismatchError, InsufficientDataError, ZeroError
+from .errors import (ConfigError, DimensionMismatchError, FunctionEvaluationError,
+                     InsufficientDataError, ZeroError)
 from .exponentials import ExpPolynomial, _vertex_dots, error_budget, relative_error_reports
-from .geometry import Simplex
+from .geometry import Simplex, power_of_two_scaled
 from .lattice import (check_order, control_points, default_grid_resolution, grid_weight_blocks,
                       grid_weights)
 
@@ -42,7 +43,17 @@ class TestFunction:
     exp_terms: ExpPolynomial | None = None
 
     def evaluate(self, points) -> np.ndarray:
-        return np.asarray(self.batch(np.asarray(points, dtype=float)), dtype=float)
+        """f on a (P, D) batch, the one owner of f's floating point: overflow gives
+        inf, not a warning, and a value not finite raises naming its point."""
+        points = np.asarray(points, dtype=float)
+        with np.errstate(all="ignore"):
+            values = np.asarray(self.batch(points), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = int(bad[0])
+            raise FunctionEvaluationError(f"function {self.name} is {float(values[i])!r} at point"
+                                          f" {points[i].tolist()}; values must be finite")
+        return values
 
     def single_exponential(self) -> np.ndarray | None:
         """The direction a when this is one exponential c exp(a.x) with c != 0."""
@@ -60,12 +71,13 @@ def exp_study_direction(function: TestFunction) -> np.ndarray:
     return direction
 
 
-def _load_json(spec, what: str):
+def _load_json(spec, what: str) -> tuple:
     # The one reader of a JSON source, and the one check of its type. A dict
     # passes through; text starting with "{" is inline JSON; any other str or
     # os.PathLike is the path of a JSON file. A source inside a config is a spec.
+    # Returns the data and the source's name for messages.
     if isinstance(spec, dict):
-        return spec
+        return spec, what
     if not isinstance(spec, (str, os.PathLike)):
         noun = what if what == "config" else f"{what} spec"
         raise ConfigError(f"{noun} must be a mapping or path, got {type(spec).__name__}")
@@ -74,9 +86,9 @@ def _load_json(spec, what: str):
     where = what if inline else f"{what} file {text!r}"
     try:
         if inline:
-            return json.loads(text)
+            return json.loads(text), where
         with open(text, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle), where
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{where}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -88,7 +100,7 @@ def _load_json(spec, what: str):
 
 
 def _parse_exp_polynomial(spec) -> ExpPolynomial:
-    data = _load_json(spec, "function")
+    data, _ = _load_json(spec, "function")
     try:
         return ExpPolynomial.from_dict(data)
     except ValueError as exc:
@@ -105,7 +117,6 @@ def make_function(spec, simplex: Simplex) -> TestFunction:
     """
     dim = simplex.dimension
     centroid = simplex.centroid
-    poly: ExpPolynomial | None = None
 
     if isinstance(spec, ExpPolynomial):
         poly = spec
@@ -159,11 +170,6 @@ def _config_orders(field: str, values, least: int, need: str) -> tuple:
     return tuple(int(value) for value in values)
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int; they are not counts.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     simplex: Simplex
@@ -185,7 +191,7 @@ class ExperimentConfig:
         (resolution,) = _config_orders("grid_resolution", [self.grid_resolution], 2,
                                        "an integer >= 2")
         object.__setattr__(self, "grid_resolution", resolution)
-        if not _is_int(self.seed):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):  # JSON true is an int
             raise ConfigError("field 'seed': need an integer")
         if self.output is not None and not isinstance(self.output, str):
             raise ConfigError("field 'output': need a string path")
@@ -195,7 +201,7 @@ class ExperimentConfig:
 
 def load_simplex(spec) -> Simplex:
     """Simplex from a mapping, inline JSON or a JSON file path."""
-    data = _load_json(spec, "simplex")
+    data, _ = _load_json(spec, "simplex")
     try:
         return Simplex.from_dict(data)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -204,9 +210,7 @@ def load_simplex(spec) -> Simplex:
 
 def load_config(source) -> ExperimentConfig:
     """Parse an experiment config from a dict, a JSON string, or a file path."""
-    data = _load_json(source, "config")
-    inline = isinstance(source, dict) or str(source).strip().startswith("{")
-    origin = "config" if inline else str(source)
+    data, origin = _load_json(source, "config")
 
     if not isinstance(data, dict):
         raise ConfigError(f"{origin}: top level must be a JSON object")
@@ -306,8 +310,7 @@ def run_convergence(config: ExperimentConfig) -> list:
     rows = []
     for n in config.n_values:
         started = time.perf_counter()
-        cps = control_points(simplex, n)
-        net = ControlNet(simplex, n, function.evaluate(cps.points))
+        net = ControlNet(simplex, n, function.evaluate(control_points(simplex, n)))
         values = evaluate_at_weights(net, weights, evaluator=config.evaluator)
         sup_error = float(np.abs(values - exact).max())
         wall_ms = (time.perf_counter() - started) * 1000.0
@@ -416,10 +419,12 @@ def run_scaling_study(simplex: Simplex, direction, order: int, resolution: int,
     for d_scale in factors:
         scaled = simplex.scaled(d_scale)
         for m_scale in factors:
-            a = base_direction * m_scale
+            a = power_of_two_scaled(base_direction, lambda u: u * m_scale,
+                                    f"scaling by {m_scale!r}")[0]
             dots = _vertex_dots(scaled, a, order)
             case = cases.setdefault(dots.tobytes(), (len(cases), dots))[0]
-            rows.append((d_scale, m_scale, scaled.diameter, float(np.linalg.norm(a)), case))
+            norm = power_of_two_scaled(a, np.linalg.norm, "direction norm")[0]
+            rows.append((d_scale, m_scale, scaled.diameter, float(norm), case))
     # Barycentric weights do not change when the simplex is scaled.
     reports = relative_error_reports([(dots, order) for _, dots in cases.values()],
                                      grid_weight_blocks(resolution, simplex.dimension))

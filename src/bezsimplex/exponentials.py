@@ -89,11 +89,7 @@ class ExpPolynomial:
     def evaluate_many(self, points) -> np.ndarray:
         directions = np.array([t.direction for t in self.terms])
         dots = _exponents(np.asarray(points, dtype=float), directions.T, "point")
-        coeffs = np.array([t.coefficient for t in self.terms])
-        # Huge coefficients may sum past the largest double: the value is
-        # then inf, which a control net rejects with a typed error.
-        with np.errstate(over="ignore"):
-            return np.exp(dots) @ coeffs
+        return np.exp(dots) @ np.array([t.coefficient for t in self.terms])
 
     def to_dict(self) -> dict:
         return {"terms": [{"c": t.coefficient, "a": list(t.direction)} for t in self.terms]}
@@ -233,8 +229,11 @@ def residual_at_weights(simplex: Simplex, order: int, direction,
 
 
 def _budget_of_dots(dots: np.ndarray, order: int) -> ErrorBudget:
-    remainder_coeff = 0.5 * float(np.sum(dots**2 * np.exp(dots / order)))
-    remainder_cap = 0.5 * float(np.sum(dots**2 * np.exp(np.maximum(dots, 0.0))))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0 = nan
+        remainder_coeff = 0.5 * float(np.sum(dots**2 * np.exp(dots / order)))
+        remainder_cap = 0.5 * float(np.sum(dots**2 * np.exp(np.maximum(dots, 0.0))))
+    if not np.isfinite(remainder_cap):  # the coefficient is at most the cap
+        raise ExpOverflowError(f"the error budget of a.x = {dots.tolist()} overflows a double")
     rate_constant = remainder_cap + 0.5 * float(dots.max())
     return ErrorBudget(
         order=order,

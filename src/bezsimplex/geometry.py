@@ -9,8 +9,6 @@ a weight below -COORDINATE_TOL.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import (
@@ -75,6 +73,21 @@ def clip_weights(weights, dimension: int) -> np.ndarray:
     return np.clip(weights, 0.0, None) if lowest < 0.0 else weights
 
 
+def power_of_two_scaled(x, reduce, what: str) -> tuple:
+    """reduce(x) for a reduce of degree one (a norm, a mean, a scaling), as
+    reduce(u) * 2**e with u = x / 2**e and every |u| <= 1: exact while u is
+    normal, and no square or sum of a huge x overflows. Returns reduce(x), u and reduce(u); raises
+    SizeOverflowError only if reduce(x) overflows a double."""
+    e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+    unit = np.ldexp(x, -e)
+    unit_value = reduce(unit)
+    with np.errstate(over="ignore"):
+        value = np.ldexp(unit_value, e)
+    if not np.all(np.isfinite(value)):
+        raise SizeOverflowError(f"{what} overflows a double at scale 2**{e}")
+    return value, unit, unit_value
+
+
 def grid_points(simplex: Simplex, grid) -> np.ndarray:
     """A non-empty grid as (P, D) points; a 1-d grid is P points of an
     interval, or one point of a higher-dimensional simplex."""
@@ -114,18 +127,9 @@ class Simplex:
             raise DomainError("simplex vertices must be finite")
 
         # Diameter and degeneracy test on the vertices scaled by a power of
-        # two to at most 1 in magnitude: the scaling is exact, so ordinary
-        # diameters are unchanged, and huge vertices overflow no square or det.
-        e = int(np.frexp(np.abs(vtx).max())[1])
-        unit = np.ldexp(vtx, -e)
-        deltas = unit[:, None, :] - unit[None, :, :]
-        unit_diameter = float(np.sqrt((deltas**2).sum(axis=2)).max())
-        try:
-            diameter = math.ldexp(unit_diameter, e)
-        except OverflowError as exc:
-            raise SizeOverflowError(
-                f"simplex diameter {unit_diameter!r} * 2**{e} overflows a double"
-            ) from exc
+        # two, so huge vertices overflow no square or det.
+        side = lambda unit: float(np.sqrt(((unit[:, None] - unit[None]) ** 2).sum(axis=2)).max())
+        diameter, unit, unit_diameter = power_of_two_scaled(vtx, side, "simplex diameter")
 
         # Column i of the system matrix is (1, x_i). Scale-relative
         # degeneracy threshold, on the scaled system: insensitive to units.
@@ -133,13 +137,13 @@ class Simplex:
         det = float(np.linalg.det(np.vstack([np.ones(n_vertices), unit.T])))
         if abs(det) <= 1e-12 * unit_diameter**dim:
             raise DegenerateSimplexError(
-                f"vertices are affinely dependent (|det| = {abs(det):.3e} at scale 2**{-e})"
+                f"vertices are affinely dependent (|det| = {abs(det):.3e} scaled to at most 1)"
             )
 
         vtx.setflags(write=False)
         self._vertices = vtx
         self._dimension = dim
-        self._diameter = diameter
+        self._diameter = float(diameter)
         system.setflags(write=False)
         self._system = system
 
@@ -159,7 +163,7 @@ class Simplex:
 
     @property
     def centroid(self) -> np.ndarray:
-        return self._vertices.mean(axis=0)
+        return power_of_two_scaled(self._vertices, lambda unit: unit.mean(axis=0), "centroid")[0]
 
     def __repr__(self) -> str:
         return f"Simplex(dimension={self._dimension}, diameter={self._diameter:.6g})"
@@ -192,11 +196,8 @@ class Simplex:
 
     def scaled(self, factor: float) -> "Simplex":
         """Simplex with all vertices scaled about the origin."""
-        with np.errstate(over="ignore"):
-            vertices = self._vertices * float(factor)
-        if not np.all(np.isfinite(vertices)):
-            raise SizeOverflowError(f"scaling by {factor!r} overflows the vertex coordinates")
-        return Simplex(vertices)
+        scale = lambda unit: unit * float(factor)
+        return Simplex(power_of_two_scaled(self._vertices, scale, f"scaling by {factor!r}")[0])
 
     def to_dict(self) -> dict:
         return {"vertices": self._vertices.tolist()}

@@ -10,11 +10,9 @@ by one process can be read back by any other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import emit_lattice_csv
 from .errors import DimensionMismatchError, SizeOverflowError
 from .geometry import Simplex
 
@@ -32,6 +30,8 @@ def check_order(order, least: int = 1) -> None:
     exp cases)."""
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < least:
         raise DimensionMismatchError(f"order must be an integer >= {least}, got {order!r}")
+    if order > float(np.finfo(float).max):  # the exp studies divide by float(order)
+        raise SizeOverflowError(f"order {order} overflows a double")
 
 
 def count_multi_indices(order: int, dimension: int) -> int:
@@ -90,21 +90,12 @@ def multinomial_log_table(indices: np.ndarray) -> np.ndarray:
     """log(n! / prod_j k_j!), n = |k|, for every row k of an index array."""
     k = np.asarray(indices, dtype=np.int64)
     n = k.sum(axis=1)
-    # log(i!) from the exact integer while i! is a finite double (correctly
-    # rounded), lgamma beyond; lgamma alone is 1 ulp low at i = 2..6. The
-    # table is dense up to 170 or the row count, whichever is larger (a
-    # lattice of order n has more than n rows); above that lgamma is read
-    # once per distinct value of n or k, so one huge index costs one call.
-    dense = min(int(n.max(initial=0)), max(170, n.shape[0]))
-    # Sorted distinct values by a neighbour mask: np.unique would import numpy.ma.
-    big = np.sort(np.concatenate([n[n > dense], k[k > dense]]))
-    big = big[np.diff(big, prepend=-1) != 0]
-    log_factorial = np.array(
-        [math.log(math.factorial(i)) if i <= 170 else math.lgamma(i + 1) for i in range(dense + 1)]
-        + [math.lgamma(v + 1) for v in big.tolist()])
-    # Table position of i: i itself up to `dense`, then past it by its rank in `big`.
-    position = lambda i: np.where(i <= dense, i, dense + 1 + np.searchsorted(big, i))
-    return log_factorial[position(n)] - log_factorial[position(k)].sum(axis=1)
+    # log(i!) for every i <= max |k|: from the exact integer while i! is a
+    # finite double (correctly rounded), lgamma beyond; lgamma alone is 1 ulp
+    # low at i = 2..6.
+    log_factorial = np.array([math.log(math.factorial(i)) if i <= 170 else math.lgamma(i + 1)
+                              for i in range(int(n.max(initial=0)) + 1)])
+    return log_factorial[n] - log_factorial[k].sum(axis=1)
 
 
 def row_chunks(count: int, doubles_per_row: int, multiple: int = 1) -> list:
@@ -175,32 +166,10 @@ def default_grid_resolution(dimension: int) -> int:
     return 8
 
 
-@dataclass(frozen=True)
-class ControlPointSet:
-    """Lattice points R(k/n) of a simplex, aligned with enumeration order."""
-
-    order: int
-    indices: np.ndarray  # (count, D+1) int64
-    points: np.ndarray   # (count, D) float
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def __iter__(self):
-        for k, p in zip(self.indices, self.points):
-            yield k, p
-
-    def write_csv(self, destination) -> None:
-        """Write columns k_0..k_D, x_1..x_D; one row per control point."""
-        columns = [f"x_{j}" for j in range(1, self.indices.shape[1])]
-        emit_lattice_csv(self.indices, self.points, destination, columns)
-
-
-def control_points(simplex: Simplex, order: int) -> ControlPointSet:
-    """Control points sum_j (k_j/n) x_j for every multi-index of the order."""
-    check_order(order)
-    indices = enumerate_multi_indices(order, simplex.dimension)
-    points = (indices / float(order)) @ simplex.vertices
-    indices.setflags(write=False)
+def control_points(simplex: Simplex, order: int) -> np.ndarray:
+    """Control points R(k/n) = sum_j (k_j/n) x_j for every multi-index of the
+    order, in enumeration order: the grid of resolution n on the simplex, a
+    read-only (count, D) array."""
+    points = grid_weights(order, simplex.dimension) @ simplex.vertices
     points.setflags(write=False)
-    return ControlPointSet(order=order, indices=indices, points=points)
+    return points

@@ -98,7 +98,7 @@ def test_linear_precision():
         weights = grid_weights(resolution, dim)
         points = weights @ simplex.vertices
         for order in range(1, 11):
-            lattice_points = control_points(simplex, order).points
+            lattice_points = control_points(simplex, order)
             for _ in range(20):
                 v = rng.normal(size=dim)
                 b = float(rng.normal())
@@ -125,7 +125,7 @@ def test_closed_form_equivalence():
             samples = np.exp(points @ a)
             for order in range(1, 13):
                 net = ControlNet(
-                    simplex, order, np.exp(control_points(simplex, order).points @ a)
+                    simplex, order, np.exp(control_points(simplex, order) @ a)
                 )
                 direct = evaluate_at_weights(net, weights, evaluator="direct")
                 closed = closed_form_at_weights(simplex, order, a, weights)

@@ -153,7 +153,7 @@ class TestSampling:
         n = 5
         net = sample_control_net(s, n, lambda p: math.exp(float(a @ p)))
         dots = s.vertices @ a
-        for (k, _), got in zip(control_points(s, n), net.coefficients):
+        for k, got in zip(enumerate_multi_indices(n, 2), net.coefficients):
             expected = math.prod(math.exp(d) ** (kj / n) for d, kj in zip(dots, k))
             assert got == pytest.approx(expected, rel=1e-12)
 
@@ -163,7 +163,7 @@ class TestSampling:
                 raise RuntimeError("boom")
             return 0.0
 
-        with pytest.raises(FunctionEvaluationError, match=r"\[1\.0, 0\.0\]"):
+        with pytest.raises(FunctionEvaluationError, match=r"\[1\.0, 0\.0\] \(index \(0, 2, 0\)\)"):
             sample_control_net(triangle, 2, broken)
 
     def test_net_length_validated(self, triangle):
@@ -353,6 +353,23 @@ class TestCollapsedKernel:
         scale = float(np.abs(net.coefficients).max())
         np.testing.assert_allclose(direct, one_by_one, rtol=0, atol=1e-10 * scale)
 
+    @pytest.mark.parametrize("dimension, order", [(1, 5), (2, 7), (3, 6), (4, 3)])
+    def test_stages_keep_enumeration_order(self, dimension, order):
+        # Stage j writes the order-n lattice of dimension D-j in enumeration
+        # order: its row r sums the consecutive input rows k_j = 0..m, m = k_0 of r.
+        plan, _ = bernstein._stage_plan(order, dimension)
+        rows = count_multi_indices(order, dimension)
+        for d, (count, groups) in zip(range(dimension - 1, -1, -1), plan):
+            block_m = enumerate_multi_indices(order, d)[:, 0] if d else np.array([order])
+            starts = np.cumsum(block_m + 1) - (block_m + 1)
+            assert count == len(block_m) and starts[-1] + block_m[-1] + 1 == rows
+            runs = np.concatenate([runs for runs, _ in groups])
+            assert sorted(runs.tolist()) == list(range(count))
+            for m, (runs, positions) in enumerate(groups):
+                assert np.all(block_m[runs] == m)
+                np.testing.assert_array_equal(positions, starts[runs][:, None] + np.arange(m + 1))
+            rows = count
+
     @PROPERTY
     @given(dimension=st.integers(1, 2), order=st.integers(1, 60), budget=st.integers(1, 300),
            seed=SEEDS)
@@ -413,8 +430,7 @@ class TestCollapsedKernel:
     def test_direct_at_high_order_matches_closed_form(self, triangle, rng, order):
         # The direct evaluator carries the log-multinomial table to |k| = order.
         a = np.array([1.0, 1.0])
-        cps = control_points(triangle, order)
-        net = ControlNet(triangle, order, np.exp(cps.points @ a))
+        net = ControlNet(triangle, order, np.exp(control_points(triangle, order) @ a))
         w = np.vstack([grid_weights(10, 2), interior_weights(rng, 2, 20)])
         exact = closed_form_at_weights(triangle, order, a, w)
         direct = evaluate_at_weights(net, w, evaluator="direct")
@@ -461,7 +477,7 @@ class TestDirectKernel:
         s = random_simplex(rng, dimension)
         a = rng.normal(size=dimension)
         a *= math.sqrt(dimension) / np.linalg.norm(a)
-        net = ControlNet(s, order, np.exp(control_points(s, order).points @ a))
+        net = ControlNet(s, order, np.exp(control_points(s, order) @ a))
         w = face_weights(rng, dimension, 10)
         exact = closed_form_at_weights(s, order, a, w)
         direct = evaluate_at_weights(net, w, evaluator="direct")
@@ -522,7 +538,7 @@ class TestOperatorProperties:
         rng = np.random.default_rng(seed)
         s = random_simplex(rng, dimension)
         v, b = rng.normal(size=dimension), float(rng.normal())
-        net = ControlNet(s, order, control_points(s, order).points @ v + b)
+        net = ControlNet(s, order, control_points(s, order) @ v + b)
         w = face_weights(rng, dimension, 20)
         values = evaluate_at_weights(net, w, evaluator=evaluator)
         scale = float(np.abs(net.coefficients).max())

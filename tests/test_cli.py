@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bezsimplex
 from bezsimplex import basis_vector, closed_form_at_weights, count_multi_indices, standard_simplex
@@ -235,6 +237,96 @@ def test_a_vertex_dot_of_minus_inf_is_a_typed_error(capsys, argv):
         " and at most 700\n"
 
 
+def test_direction_norm_of_a_huge_direction(capsys):
+    # |a| = 1e154 squares past the largest double; the norm itself does not.
+    config = {"simplex": {"vertices": [[0.0], [1e-300]]}, "n_values": [4],
+              "function": {"terms": [{"c": 1.0, "a": [1e154]}]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scaling", "--config", json.dumps(config), "--scales", "1,2"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["direction_norm"] for row in rows] == ["1e+154", "2e+154"] * 2
+
+
+# Configs whose f, or the centroid it is built on, overflows on the way.
+OVERFLOWING_F = {
+    "runge-1e300": ([[0.0], [1e300]], "runge"),
+    "runge-tetrahedron-1e154": ((1e154 * np.vstack([np.zeros(3), np.eye(3)])).tolist(), "runge"),
+    "affine-1e308": ([[0.0], [1.0]], "affine:1e308,1e308"),
+    "runge-centroid": ([[1.7e308], [1.6e308]], "runge"),
+    "abs-centroid": ([[1.7e308], [1.6e308]], "abs"),
+}
+
+
+@pytest.mark.parametrize("vertices, function", OVERFLOWING_F.values(), ids=OVERFLOWING_F.keys())
+def test_overflow_in_f_is_ieee_or_a_typed_error(capsys, vertices, function):
+    config = {"simplex": {"vertices": vertices}, "function": function, "n_values": [4, 8]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["converge", "--config", json.dumps(config)])
+    captured = capsys.readouterr()
+    if function.startswith("affine"):  # f is inf at x = 0.8 and beyond
+        assert code == 1
+        assert captured.err == ("error: function affine:1e308,1e308 is inf at point [0.8];"
+                                " values must be finite\n")
+    else:
+        assert code == 0
+        cells = [cell for row in captured.out.splitlines()[1:] for cell in row.split(",")]
+        assert not any(cell.lstrip("-") in ("nan", "inf") for cell in cells)
+
+
+# Hostile-config property: a valid config with one field replaced by a
+# hostile value, run in process with warnings as errors.
+HOSTILE_VALUES = [None, True, False, "x", "", [], {}, [[]], {"k": 1}, 10**400, -10**400,
+                  float("nan"), float("inf"), -float("inf"), 1e300, -1e300, 5e-324, 0, -1, 2.5]
+HOSTILE_FIELDS = [
+    ("simplex",), ("simplex", "vertices"), ("simplex", "vertices", 0),
+    ("simplex", "vertices", 1, 0),
+    ("function",), ("function", "terms"), ("function", "terms", 0), ("function", "terms", 0, "c"),
+    ("function", "terms", 0, "a"), ("function", "terms", 0, "a", 0), ("n_values",),
+    ("n_values", 0), ("grid_resolution",), ("seed",), ("evaluator",), ("output",), ("unknown",),
+]
+
+
+@st.composite
+def hostile_calls(draw):
+    dim = draw(st.integers(1, 3))
+    vertices = np.vstack([np.zeros(dim), np.eye(dim)]) + draw(st.sampled_from([0.0, 0.25]))
+    vertices *= draw(st.sampled_from([1.0, 1.0, 1e154, 1e300]))
+    function = draw(st.sampled_from([{"terms": [{"c": 1.0, "a": [0.5] * dim}]}, "runge", "abs",
+                                     "const1", "affine:" + ",".join(["2.0"] * (dim + 1))]))
+    config = {"simplex": {"vertices": vertices.tolist()}, "function": function,
+              "n_values": sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=3))),
+              "grid_resolution": draw(st.integers(2, 6))}
+    path = draw(st.sampled_from(HOSTILE_FIELDS + [None]))
+    if path is not None:
+        parent = config
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = draw(st.sampled_from(HOSTILE_VALUES))
+        except (TypeError, KeyError, IndexError):  # the path does not exist in this config
+            pass
+    command = draw(st.sampled_from(["converge", "bound-check", "scaling"]))
+    extra = []
+    if command == "scaling":
+        extra = ["--scales", draw(st.sampled_from(["0.5,1,2", "1,1e154", "1e154"]))]
+    return [command, "--config", json.dumps(config), *extra]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=hostile_calls())
+def test_hostile_configs_exit_0_1_or_2_without_warnings(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("hostile") / "rows.csv"
+    with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        code = main(argv + ["--out", str(out)])
+    assert code in (0, 1, 2)
+    if code != 1:
+        cells = [cell for row in out.read_text().splitlines()[1:] for cell in row.split(",")]
+        assert not any(cell.lstrip("-") in ("nan", "inf") for cell in cells)
+
+
 @pytest.mark.parametrize("flag, payload", [
     ("--config", json.dumps({"simplex": TRIANGLE, "function": "const1", "n_values": [2]})
      .encode("utf-16")),
@@ -296,7 +388,7 @@ class TestBasis:
     def test_non_finite_point(self, capsys):
         assert main(["basis", "--simplex", json.dumps(TRIANGLE), "--n", "2",
                      "--point", "nan,0.2"]) == 1
-        assert "non-finite" in capsys.readouterr().err
+        assert "point coordinates must be finite" in capsys.readouterr().err
 
     def test_malformed_simplex_json(self, capsys):
         assert main(["basis", "--simplex", "{bad", "--n", "2", "--point", "0.2,0.2"]) == 1
@@ -319,6 +411,14 @@ class TestControlPoints:
         assert list(rows[0]) == ["k_0", "k_1", "k_2", "x_1", "x_2"]
         corner = [r for r in rows if r["k_1"] == "3"]
         assert corner[0]["x_1"] == "1.0"
+
+    def test_csv_export(self, capsys):
+        assert main(["control-points", "--simplex", json.dumps(TRIANGLE), "--n", "2"]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[0] == "k_0,k_1,k_2,x_1,x_2"
+        assert len(lines) == 7
+        assert out.endswith("\n")
 
     def test_stdout(self, capsys):
         assert main(["control-points", "--simplex", json.dumps(INTERVAL), "--n", "2"]) == 0

@@ -9,12 +9,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import bezsimplex
 from bezsimplex import (
     BoundCheckResult,
     BoundCheckRow,
     ConfigError,
     ConvergenceRow,
+    FunctionEvaluationError,
     InsufficientDataError,
+    SizeOverflowError,
     ZeroError,
     emit_csv,
     fit_power_law,
@@ -91,6 +94,15 @@ class TestMakeFunction:
         u = np.ones(2) / math.sqrt(2)
         x = np.array([0.6, 0.1])
         assert value(fn, x) == pytest.approx(abs((x - centroid) @ u), abs=1e-15)
+
+    def test_overflow_is_ieee_and_a_non_finite_value_is_typed(self):
+        # runge far from its centroid squares past the largest double and reads
+        # 0; an affine f past it is inf at a point, which is refused by name.
+        far = bezsimplex.Simplex([[0.0], [1e300]])
+        assert make_function("runge", far).evaluate([[0.0], [1e300]]).tolist() == [0.0, 0.0]
+        with pytest.raises(FunctionEvaluationError, match=r"is inf at point \[1\.0\]"):
+            make_function("affine:1e308,1e308", bezsimplex.Simplex([[0.0], [1.0]])).evaluate(
+                [[0.0], [1.0]])
 
     def test_runge(self):
         fn = make_function("runge", self.triangle)
@@ -515,6 +527,15 @@ class TestScalingStudy:
         for row in rows:
             assert row.diameter == pytest.approx(row.diameter_scale * s.diameter, rel=1e-14)
             assert row.direction_norm == pytest.approx(2.0 * row.magnitude_scale, rel=1e-14)
+
+    def test_huge_direction_norm_and_overflowing_scale(self):
+        # |a| = 1e154 squares past the largest double, its norm does not;
+        # a direction scaled past it is refused.
+        s = bezsimplex.Simplex([[0.0], [1e-300]])
+        rows = run_scaling_study(s, [1e154], 4, 2, [1.0, 2.0])
+        assert [r.direction_norm for r in rows] == [1e154, 2e154] * 2
+        with pytest.raises(SizeOverflowError, match="scaling by 1e\\+154 overflows"):
+            run_scaling_study(s, [1e300], 4, 2, [1.0, 1e154])
 
     def test_bad_scales(self):
         s = standard_simplex(2)

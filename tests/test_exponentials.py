@@ -175,7 +175,7 @@ class TestClosedForm:
                 a = rng.normal(size=dim)
                 a *= min(1.0, 2.0 / (np.linalg.norm(a) + 1e-12))
                 f = lambda p: math.exp(float(a @ p))
-                net = ControlNet(s, n, np.array([f(p) for p in control_points(s, n).points]))
+                net = ControlNet(s, n, np.array([f(p) for p in control_points(s, n)]))
                 direct = evaluate_at_weights(net, w, evaluator="direct")
                 closed = np.array([at_point(closed_form_at_weights, s, n, a, p) for p in pts])
                 np.testing.assert_allclose(closed, direct, rtol=1e-10)
@@ -272,6 +272,16 @@ class TestErrorBudget:
     def test_order_checked(self, triangle):
         with pytest.raises(DimensionMismatchError, match="order"):
             error_budget(triangle, [1.0, 1.0], 0)
+        with pytest.raises(SizeOverflowError, match="order 1000.* overflows a double"):
+            error_budget(triangle, [1.0, 1.0], 10**400)
+
+    @pytest.mark.parametrize("a", [-1e300, 700.0])
+    def test_overflowing_budget_is_typed(self, unit_interval, a):
+        # A vertex dot of -1e300 squares to inf; one of 700 gives 700^2 e^700.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExpOverflowError, match="error budget .* overflows a double"):
+                error_budget(unit_interval, [a], 40)
 
     def test_interval_closed_form(self, unit_interval):
         # Vertex dots are (0, 1): cap = e/2, constant = e/2 + 1/2.
@@ -450,7 +460,7 @@ class TestExpPolynomialImage:
         poly = ExpPolynomial(terms)
         net = ControlNet(
             triangle, 6,
-            poly.evaluate_many(control_points(triangle, 6).points),
+            poly.evaluate_many(control_points(triangle, 6)),
         )
         for p in interior_weights(rng, 2, 20) @ triangle.vertices:
             via_closed_form = exp_polynomial_image(triangle, 6, poly, p)

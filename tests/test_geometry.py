@@ -89,6 +89,13 @@ class TestConstruction:
         with pytest.raises(DegenerateSimplexError):
             Simplex([[0.0, 0.0], [1e300, 0.0], [2e300, 0.0]])
 
+    def test_centroid_of_huge_vertices(self, rng):
+        # The mean is taken on the vertices scaled by a power of two: the same
+        # bits as numpy's mean where that is finite, and finite where it is not.
+        s = random_simplex(rng, 3)
+        assert np.array_equal(s.centroid, s.vertices.mean(axis=0))
+        assert Simplex([[1.7e308], [1.6e308]]).centroid[0] == pytest.approx(1.65e308, rel=1e-15)
+
     def test_diameter_overflow(self, triangle):
         with pytest.raises(SizeOverflowError, match="overflows"):
             Simplex([[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308]])

@@ -147,21 +147,10 @@ class TestMultinomials:
             exact = math.log(exact_multinomial(k))
             assert multinomial_log_table(np.array([k]))[0] == pytest.approx(exact, rel=1e-14)
 
-    def test_huge_index_reads_lgamma_once_per_value(self):
-        # Above 170 only the values that occur are read, not every order.
-        with mock.patch.object(math, "lgamma", mock.Mock(wraps=math.lgamma)) as calls:
-            got = log_multinomial([10**6 - 3, 3])
-            assert calls.call_count <= 2
-            calls.reset_mock()
-            assert log_multinomial([10**6, 0]) == 0.0
-            assert calls.call_count <= 1
-        exact = math.log(math.comb(10**6, 3))
-        assert abs(got - exact) <= 2.0**-51 * math.lgamma(10**6 + 1)
-
     def test_log_table_matches_a_per_entry_reference(self):
         # Reference: log(i!) entry by entry, the exact integer up to 170 and
-        # lgamma above, summed in the same order. Lattices take the dense
-        # table; the last case has few rows and reads lgamma per value.
+        # lgamma above, summed in the same order. Every case reads the one
+        # dense table, the last with few rows and a large max |k| too.
         log_factorial = lambda i: math.log(math.factorial(i)) if i <= 170 else math.lgamma(i + 1)
         cases = [enumerate_multi_indices(60, 3), enumerate_multi_indices(171, 1),
                  enumerate_multi_indices(300, 2),
@@ -207,41 +196,41 @@ class TestMultinomials:
 
 class TestControlPoints:
     def test_interval_midpoint_lattice(self, unit_interval):
-        cps = control_points(unit_interval, 2)
-        assert sorted(p[0] for _, p in cps) == [0.0, 0.5, 1.0]
+        assert sorted(control_points(unit_interval, 2)[:, 0]) == [0.0, 0.5, 1.0]
 
     def test_vertices_appear(self, rng):
         s = random_simplex(rng, 3)
         n = 4
-        cps = control_points(s, n)
+        indices, points = enumerate_multi_indices(n, 3), control_points(s, n)
         for j in range(4):
-            target = n * np.eye(4, dtype=int)[j]
-            match = [p for k, p in cps if np.array_equal(k, target)]
+            match = points[np.all(indices == n * np.eye(4, dtype=int)[j], axis=1)]
             assert len(match) == 1
             np.testing.assert_allclose(match[0], s.vertices[j], atol=1e-12)
 
     def test_triangle_degree_three_lattice(self, triangle):
-        cps = control_points(triangle, 3)
-        assert len(cps) == 10
-        for _, p in cps:
+        points = control_points(triangle, 3)
+        assert points.shape == (10, 2)
+        for p in points:
             assert np.all(triangle.barycentric(p) >= -1e-9)
 
     def test_iteration_matches_enumeration(self, triangle):
-        cps = control_points(triangle, 4)
-        np.testing.assert_array_equal(cps.indices, enumerate_multi_indices(4, 2))
-        np.testing.assert_allclose(cps.points, (cps.indices / 4.0) @ triangle.vertices)
+        indices = enumerate_multi_indices(4, 2)
+        np.testing.assert_allclose(control_points(triangle, 4), (indices / 4.0) @ triangle.vertices)
+
+    def test_grid_of_resolution_n(self, rng):
+        # The control points are the grid of resolution n on the simplex, bit
+        # for bit, and read-only.
+        for dim, order in [(1, 7), (2, 5), (3, 4), (4, 3)]:
+            s = random_simplex(rng, dim)
+            points = control_points(s, order)
+            assert np.array_equal(points, grid_weights(order, dim) @ s.vertices)
+            assert not points.flags.writeable
+            with pytest.raises(ValueError):
+                points[0, 0] = 1.0
 
     def test_order_validation(self, triangle):
         with pytest.raises(DimensionMismatchError):
             control_points(triangle, 0)
-
-    def test_csv_export(self, triangle):
-        buffer = io.StringIO()
-        control_points(triangle, 2).write_csv(buffer)
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "k_0,k_1,k_2,x_1,x_2"
-        assert len(lines) == 7
-        assert buffer.getvalue().endswith("\n")
 
 
 # Callers of lattice.check_order, each with the order as its one free input.
