@@ -44,7 +44,6 @@ from .errors import (
 from .exponentials import (
     ErrorBudget,
     ExpPolynomial,
-    ExpTerm,
     RelativeErrorReport,
     closed_form_at_weights,
     error_budget,

@@ -76,18 +76,8 @@ class ControlNet:
 
 
 def sample_control_net(simplex: Simplex, order: int, f) -> ControlNet:
-    """Sample f at every control point, in enumeration order."""
-    points = control_points(simplex, order)
-    values = np.empty(len(points))
-    for i, point in enumerate(points):
-        try:
-            values[i] = float(f(point))
-        except Exception as exc:
-            k = enumerate_multi_indices(order, simplex.dimension)[i]
-            raise FunctionEvaluationError(
-                f"function failed at control point {point.tolist()} (index {tuple(k.tolist())})"
-            ) from exc
-    return ControlNet(simplex=simplex, order=order, coefficients=values)
+    """The net of f, a TestFunction: one f.evaluate call on every control point."""
+    return ControlNet(simplex, order, f.evaluate(control_points(simplex, order)))
 
 
 def write_control_net_csv(net: ControlNet, destination) -> None:
@@ -258,9 +248,7 @@ def apply_de_casteljau(net: ControlNet, weights) -> float:
 
 
 def operator_sup_error(net: ControlNet, f, grid) -> float:
-    """Max over the grid of |net(x) - f(x)|; the discretized sup-norm error."""
+    """Max over the grid of |net(x) - f(x)|, f a TestFunction: the discrete sup error."""
     points = grid_points(net.simplex, grid)
-    weights = net.simplex.barycentric_many(points)
-    values = evaluate_at_weights(net, weights)
-    exact = np.array([float(f(p)) for p in points])
-    return float(np.abs(values - exact).max())
+    values = evaluate_at_weights(net, net.simplex.barycentric_many(points))
+    return float(np.abs(values - f.evaluate(points)).max())

@@ -14,11 +14,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .bernstein import EVALUATORS, basis_vector
+from .bernstein import DEFAULT_EVALUATOR, EVALUATORS, basis_vector
 from .csvio import emit_csv, emit_lattice_csv
 from .errors import BezSimplexError, ConfigError
 from .experiments import (
@@ -37,17 +36,15 @@ from .lattice import control_points, enumerate_multi_indices
 
 
 def _report(args, config, rows, columns, **extra) -> None:
-    """A study's CSV to --out, the config's output or stdout; its metadata to stderr."""
-    emit_csv(rows, args.out or config.output or sys.stdout, columns)
+    """A study's CSV to --out or stdout; its metadata to stderr."""
+    emit_csv(rows, args.out or sys.stdout, columns)
     print(json.dumps({**run_metadata(config), **extra}, sort_keys=True), file=sys.stderr)
 
 
 def _cmd_converge(args) -> int:
     config = load_config(args.config)
-    if args.evaluator:
-        config = replace(config, evaluator=args.evaluator)
-    rows = run_convergence(config)
-    _report(args, config, rows, CONVERGENCE_COLUMNS,
+    rows = run_convergence(config, args.evaluator)
+    _report(args, config, rows, CONVERGENCE_COLUMNS, evaluator=args.evaluator,
             wall_ms=[round(row.wall_ms, 3) for row in rows])
     return 0
 
@@ -108,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     converge = sub.add_parser("converge", help="sup-error sweep over polynomial orders")
     converge.add_argument("--config", required=True, help="config JSON: path or inline object")
-    converge.add_argument("--evaluator", choices=EVALUATORS, help="override config evaluator")
+    converge.add_argument("--evaluator", choices=EVALUATORS, default=DEFAULT_EVALUATOR,
+                          help=f"kernel of the operator (default {DEFAULT_EVALUATOR})")
     converge.add_argument("--out", help="CSV output path (default stdout)")
     converge.set_defaults(handler=_cmd_converge)
 

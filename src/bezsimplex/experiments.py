@@ -9,6 +9,7 @@ and is recorded in the run metadata.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -18,14 +19,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bernstein import DEFAULT_EVALUATOR, EVALUATORS, ControlNet, evaluate_at_weights
+from .bernstein import DEFAULT_EVALUATOR, evaluate_at_weights, sample_control_net
 from .csvio import emit_csv  # re-exported: experiments.emit_csv is public
-from .errors import (ConfigError, DimensionMismatchError, FunctionEvaluationError,
-                     InsufficientDataError, ZeroError)
+from .errors import (ConfigError, DimensionMismatchError, ExpOverflowError,
+                     FunctionEvaluationError, InsufficientDataError, ZeroError)
 from .exponentials import ExpPolynomial, _vertex_dots, error_budget, relative_error_reports
 from .geometry import Simplex, power_of_two_scaled
-from .lattice import (check_order, control_points, default_grid_resolution, grid_weight_blocks,
-                      grid_weights)
+from .lattice import check_order, default_grid_resolution, grid_weight_blocks, grid_weights
 
 # Rows with sup_error below this are floating-point noise, not signal.
 NOISE_FLOOR = 1e-13
@@ -43,11 +43,14 @@ class TestFunction:
     exp_terms: ExpPolynomial | None = None
 
     def evaluate(self, points) -> np.ndarray:
-        """f on a (P, D) batch, the one owner of f's floating point: overflow gives
-        inf, not a warning, and a value not finite raises naming its point."""
+        """f on a (P, D) batch, the one owner of f's floating point: overflow gives inf,
+        not a warning; a result not of shape (P,), or a value not finite, raises."""
         points = np.asarray(points, dtype=float)
         with np.errstate(all="ignore"):
             values = np.asarray(self.batch(points), dtype=float)
+        if values.shape != points.shape[:1]:
+            raise FunctionEvaluationError(f"function {self.name} gave shape {values.shape}"
+                                          f" at {len(points)} points; need one value a point")
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             i = int(bad[0])
@@ -58,8 +61,8 @@ class TestFunction:
     def single_exponential(self) -> np.ndarray | None:
         """The direction a when this is one exponential c exp(a.x) with c != 0."""
         poly = self.exp_terms
-        if poly is not None and len(poly) == 1 and poly.terms[0].coefficient != 0.0:
-            return poly.terms[0].direction_array
+        if poly is not None and len(poly) == 1 and poly.coefficients[0] != 0.0:
+            return poly.directions[0]
         return None
 
 
@@ -177,8 +180,6 @@ class ExperimentConfig:
     n_values: tuple
     grid_resolution: int
     seed: int = 0
-    output: str | None = None
-    evaluator: str = DEFAULT_EVALUATOR
 
     def __post_init__(self):
         need = "a non-empty list of integers >= 1"
@@ -193,10 +194,6 @@ class ExperimentConfig:
         object.__setattr__(self, "grid_resolution", resolution)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):  # JSON true is an int
             raise ConfigError("field 'seed': need an integer")
-        if self.output is not None and not isinstance(self.output, str):
-            raise ConfigError("field 'output': need a string path")
-        if self.evaluator not in EVALUATORS:
-            raise ConfigError(f"evaluator must be one of {EVALUATORS}, got {self.evaluator!r}")
 
 
 def load_simplex(spec) -> Simplex:
@@ -291,12 +288,11 @@ def run_metadata(config: ExperimentConfig) -> dict:
         "grid_resolution": config.grid_resolution,
         "n_values": list(config.n_values),
         "seed": config.seed,
-        "evaluator": config.evaluator,
         "note": "sup taken over a barycentric lattice; a lower bound on the true sup norm",
     }
 
 
-def run_convergence(config: ExperimentConfig) -> list:
+def run_convergence(config: ExperimentConfig, evaluator: str = DEFAULT_EVALUATOR) -> list:
     """One ConvergenceRow per configured order, sup over the lattice grid."""
     simplex = config.simplex
     function = config.function
@@ -310,22 +306,21 @@ def run_convergence(config: ExperimentConfig) -> list:
     rows = []
     for n in config.n_values:
         started = time.perf_counter()
-        net = ControlNet(simplex, n, function.evaluate(control_points(simplex, n)))
-        values = evaluate_at_weights(net, weights, evaluator=config.evaluator)
+        net = sample_control_net(simplex, n, function)
+        values = evaluate_at_weights(net, weights, evaluator=evaluator)
         sup_error = float(np.abs(values - exact).max())
         wall_ms = (time.perf_counter() - started) * 1000.0
-        predicted = (
-            error_budget(simplex, direction, n).predicted_rel_error
-            if direction is not None
-            else None
-        )
+        predicted = None
+        if direction is not None:
+            with contextlib.suppress(ExpOverflowError):  # a budget past a double: no prediction
+                predicted = error_budget(simplex, direction, n).predicted_rel_error
         rows.append(
             ConvergenceRow(
                 n=n,
                 sup_error=sup_error,
                 sup_relative_error=sup_error / sup_f if sup_f > 0 else sup_error,
                 predicted_rel_error=predicted,
-                evaluator=config.evaluator,
+                evaluator=evaluator,
                 wall_ms=wall_ms,
             )
         )

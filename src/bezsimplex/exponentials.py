@@ -46,60 +46,52 @@ _LOG_DOUBLE_MAX = float(np.log(np.finfo(float).max))
 ZERO_OBSERVED_FLOOR = 1e-12
 
 
-class ExpTerm(NamedTuple):
-    """One term c * exp(a.x); the direction a is stored as a plain tuple."""
-
-    coefficient: float
-    direction: tuple
-
-    @classmethod
-    def of(cls, coefficient, direction) -> "ExpTerm":
-        try:
-            vec = tuple(float(v) for v in np.atleast_1d(direction))
-            return cls(coefficient=float(coefficient), direction=vec)
-        except OverflowError as exc:
-            raise SizeOverflowError(f"exponential term entries must be doubles: {exc}") from exc
-
-    @property
-    def direction_array(self) -> np.ndarray:
-        return np.array(self.direction, dtype=float)
+def _term(coefficient, direction) -> tuple:
+    try:
+        return float(coefficient), [float(v) for v in np.atleast_1d(direction)]
+    except OverflowError as exc:
+        raise SizeOverflowError(f"exponential term entries must be doubles: {exc}") from exc
 
 
 class ExpPolynomial:
-    """Finite linear combination sum_i c_i exp(a_i . x)."""
+    """Finite linear combination sum_i c_i exp(a_i . x) of (c_i, a_i) pairs,
+    held as a read-only (T,) `coefficients` and (T, D) `directions` array."""
 
     def __init__(self, terms) -> None:
-        terms = [t if isinstance(t, ExpTerm) else ExpTerm.of(*t) for t in terms]
-        if not terms:
+        pairs = [_term(c, a) for c, a in terms]
+        if not pairs:
             raise DimensionMismatchError("exponential polynomial needs at least one term")
-        dim = len(terms[0].direction)
-        if any(len(t.direction) != dim for t in terms):
+        dim = len(pairs[0][1])
+        if any(len(a) != dim for _, a in pairs):
             raise DimensionMismatchError("all term directions must share one dimension")
-        if not all(np.isfinite(t.coefficient) and np.all(np.isfinite(t.direction)) for t in terms):
+        self.coefficients = np.array([c for c, _ in pairs])
+        self.directions = np.array([a for _, a in pairs]).reshape(len(pairs), dim)
+        if not (np.isfinite(self.coefficients).all() and np.isfinite(self.directions).all()):
             raise DomainError("exponential polynomial entries must be finite")
-        self.terms = tuple(terms)
+        self.coefficients.setflags(write=False)
+        self.directions.setflags(write=False)
         self.dimension = dim
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coefficients)
 
     def __repr__(self) -> str:
-        return f"ExpPolynomial({len(self.terms)} terms, dimension={self.dimension})"
+        return f"ExpPolynomial({len(self)} terms, dimension={self.dimension})"
 
     def evaluate_many(self, points) -> np.ndarray:
-        directions = np.array([t.direction for t in self.terms])
-        dots = _exponents(np.asarray(points, dtype=float), directions.T, "point")
-        return np.exp(dots) @ np.array([t.coefficient for t in self.terms])
+        dots = _exponents(np.asarray(points, dtype=float), self.directions.T, "point")
+        return np.exp(dots) @ self.coefficients
 
     def to_dict(self) -> dict:
-        return {"terms": [{"c": t.coefficient, "a": list(t.direction)} for t in self.terms]}
+        return {"terms": [{"c": c, "a": a} for c, a in
+                          zip(self.coefficients.tolist(), self.directions.tolist())]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExpPolynomial":
         if not isinstance(data, dict) or "terms" not in data:
             raise DimensionMismatchError('exponential polynomial JSON must be {"terms": [...]}')
         try:
-            terms = [ExpTerm.of(entry["c"], entry["a"]) for entry in data["terms"]]
+            terms = [_term(entry["c"], entry["a"]) for entry in data["terms"]]
         except KeyError as exc:
             raise DimensionMismatchError(f"exponential term is missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:

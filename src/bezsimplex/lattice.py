@@ -92,9 +92,12 @@ def multinomial_log_table(indices: np.ndarray) -> np.ndarray:
     n = k.sum(axis=1)
     # log(i!) for every i <= max |k|: from the exact integer while i! is a
     # finite double (correctly rounded), lgamma beyond; lgamma alone is 1 ulp
-    # low at i = 2..6.
+    # low at i = 2..6. Its max |k| + 1 entries are those of an interval's lattice,
+    # refused past the same cap, so no lattice under SIZE_CAP can trip it.
+    top = int(n.max(initial=0))
+    _capped_count(top, 1)
     log_factorial = np.array([math.log(math.factorial(i)) if i <= 170 else math.lgamma(i + 1)
-                              for i in range(int(n.max(initial=0)) + 1)])
+                              for i in range(top + 1)])
     return log_factorial[n] - log_factorial[k].sum(axis=1)
 
 

@@ -4,7 +4,7 @@ import operator
 import numpy as np
 import pytest
 
-from bezsimplex import DegenerateSimplexError, Simplex, standard_simplex
+from bezsimplex import DegenerateSimplexError, Simplex, TestFunction, standard_simplex
 
 
 def random_simplex(rng, dimension, scale=1.0):
@@ -25,6 +25,11 @@ def exact_multinomial(k):
     top = int(n.max(initial=0))
     factorials = np.array([1, *itertools.accumulate(range(1, top + 1), operator.mul)], dtype=object)
     return factorials[n] // factorials[k].prod(axis=-1)
+
+
+def pointwise(f, name="f"):
+    """A scalar f(point) as a batch TestFunction: one call per point, in order."""
+    return TestFunction(name, lambda points: np.array([f(p) for p in points], dtype=float))
 
 
 def interior_weights(rng, dimension, count):

@@ -1,6 +1,8 @@
 import itertools
 import math
+import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bezsimplex import bernstein, lattice
+from bezsimplex.experiments import TestFunction as Function  # not a test class
 
 from bezsimplex import (
     ConfigError,
@@ -34,10 +37,17 @@ from bezsimplex import (
     write_control_net_csv,
 )
 
-from conftest import exact_multinomial, interior_weights, random_simplex
+from conftest import exact_multinomial, interior_weights, pointwise, random_simplex
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
+
+ONE = Function("one", lambda points: np.ones(len(points)))
+
+
+def exp_function(a):
+    """exp(a.x) as a batch TestFunction."""
+    return Function("exp", lambda points: np.exp(points @ np.asarray(a, dtype=float)))
 
 
 def brute_force_operator(vertices, order, f, x):
@@ -139,11 +149,11 @@ class TestBasisValue:
 
 class TestSampling:
     def test_constant_net(self, triangle):
-        net = sample_control_net(triangle, 4, lambda p: 1.0)
+        net = sample_control_net(triangle, 4, ONE)
         np.testing.assert_array_equal(net.coefficients, np.ones(15))
 
     def test_identity_on_interval(self, unit_interval):
-        net = sample_control_net(unit_interval, 2, lambda p: p[0])
+        net = sample_control_net(unit_interval, 2, Function("x", lambda points: points[:, 0]))
         np.testing.assert_allclose(net.coefficients, [0.0, 0.5, 1.0], atol=1e-15)
 
     def test_exponential_samples_factorize(self, rng):
@@ -151,20 +161,53 @@ class TestSampling:
         s = random_simplex(rng, 2)
         a = rng.normal(size=2)
         n = 5
-        net = sample_control_net(s, n, lambda p: math.exp(float(a @ p)))
+        net = sample_control_net(s, n, exp_function(a))
         dots = s.vertices @ a
         for k, got in zip(enumerate_multi_indices(n, 2), net.coefficients):
             expected = math.prod(math.exp(d) ** (kj / n) for d, kj in zip(dots, k))
             assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_failure_reports_control_point(self, triangle):
-        def broken(p):
-            if p[0] > 0.9:
-                raise RuntimeError("boom")
-            return 0.0
+    def test_exception_from_f_propagates_unchanged(self, triangle):
+        def broken(points):
+            raise RuntimeError("boom")
 
-        with pytest.raises(FunctionEvaluationError, match=r"\[1\.0, 0\.0\] \(index \(0, 2, 0\)\)"):
-            sample_control_net(triangle, 2, broken)
+        with pytest.raises(RuntimeError, match="^boom$"):
+            sample_control_net(triangle, 2, Function("broken", broken))
+
+    @PROPERTY
+    @given(dimension=st.integers(1, 3), order=st.integers(1, 8),
+           bad=st.sampled_from(["nan", "inf", "-inf", "overflow"]), seed=SEEDS)
+    def test_non_finite_value_names_its_point(self, dimension, order, bad, seed):
+        # f is 1 everywhere but at one control point, where it is not finite or
+        # overflows: both the sampler and the sup error refuse it by that point,
+        # and no numpy warning escapes.
+        rng = np.random.default_rng(seed)
+        s = random_simplex(rng, dimension)
+        points = control_points(s, order)
+        target = points[rng.integers(len(points))]
+
+        def spiked(p):
+            at = np.all(p == target, axis=1)
+            if bad == "overflow":
+                return np.exp(np.where(at, 1000.0, 0.0))
+            return np.where(at, float(bad), 1.0)
+
+        f = Function("spiked", spiked)
+        named = re.escape(f"at point {target.tolist()};")
+        grid = np.vstack([interior_weights(rng, dimension, 5) @ s.vertices, target])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FunctionEvaluationError, match=named):
+                sample_control_net(s, order, f)
+            with pytest.raises(FunctionEvaluationError, match=named):
+                operator_sup_error(sample_control_net(s, order, ONE), f, grid)
+
+    def test_batch_of_the_wrong_shape_is_refused(self, triangle):
+        column = Function("column", lambda points: np.ones((len(points), 1)))
+        with pytest.raises(FunctionEvaluationError, match=r"column gave shape \(6, 1\) at 6"):
+            sample_control_net(triangle, 2, column)
+        with pytest.raises(FunctionEvaluationError, match="shape"):
+            operator_sup_error(sample_control_net(triangle, 2, ONE), column, [[0.2, 0.3]])
 
     def test_net_length_validated(self, triangle):
         with pytest.raises(DimensionMismatchError):
@@ -181,13 +224,13 @@ class TestSampling:
                            match=r"coefficient 3 \(multi-index \(1, 0, 1\)\) is inf"):
             ControlNet(triangle, 2, values)
         with pytest.raises(FunctionEvaluationError, match="nan"):
-            sample_control_net(triangle, 3, lambda p: float("nan"))
+            sample_control_net(triangle, 3, Function("nan", lambda p: np.full(len(p), np.nan)))
 
 
 class TestApplyDirect:
     def test_constant_is_reproduced(self, rng):
         s = random_simplex(rng, 2)
-        net = sample_control_net(s, 7, lambda p: 1.0)
+        net = sample_control_net(s, 7, ONE)
         for p in interior_weights(rng, 2, 20) @ s.vertices:
             assert apply_direct(net, p) == pytest.approx(1.0, abs=1e-12)
 
@@ -198,7 +241,7 @@ class TestApplyDirect:
             b = float(rng.normal())
             affine = lambda p, v=v, b=b: float(p @ v) + b
             for order in (1, 2, 3, 4, 5):
-                net = sample_control_net(s, order, affine)
+                net = sample_control_net(s, order, pointwise(affine))
                 for p in interior_weights(rng, dim, 5) @ s.vertices:
                     got = apply_direct(net, p)
                     oracle = brute_force_operator(s.vertices, order, affine, p)
@@ -207,13 +250,13 @@ class TestApplyDirect:
 
     def test_interval_exponential_hand_value(self, unit_interval):
         # Two-term sum at n=1: 0.5 * exp(0) + 0.5 * exp(1).
-        net = sample_control_net(unit_interval, 1, lambda p: math.exp(p[0]))
+        net = sample_control_net(unit_interval, 1, exp_function([1.0]))
         expected = 0.5 * (1.0 + math.e)
         assert expected == pytest.approx(1.8591409142295225, abs=1e-12)
         assert apply_direct(net, [0.5]) == pytest.approx(expected, rel=1e-14)
 
     def test_outside_point_rejected(self, triangle):
-        net = sample_control_net(triangle, 2, lambda p: 1.0)
+        net = sample_control_net(triangle, 2, ONE)
         with pytest.raises(NegativeWeightError):
             apply_direct(net, [2.0, 2.0])
         with pytest.raises(NegativeWeightError):
@@ -417,7 +460,7 @@ class TestCollapsedKernel:
 
     def test_order_160_matches_closed_form(self, triangle):
         a = np.array([1.0, 1.0])
-        net = sample_control_net(triangle, 160, lambda p: math.exp(float(a @ p)))
+        net = sample_control_net(triangle, 160, exp_function(a))
         w = grid_weights(30, 2)
         exact = closed_form_at_weights(triangle, 160, a, w)
         stable = evaluate_at_weights(net, w, evaluator="decasteljau")
@@ -488,7 +531,7 @@ class TestDirectKernel:
         # as a zero weight, and a row summing to 1.8 is not evaluated as given:
         # both evaluators refuse each row instead of disagreeing on it.
         s = Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        net = sample_control_net(s, 3, lambda p: 1.0 + p[0])
+        net = sample_control_net(s, 3, Function("1+x", lambda points: 1.0 + points[:, 0]))
         for row in ([np.nan, 0.5, 0.5], [0.6, 0.6, 0.6]):
             w = np.array([[0.2, 0.3, 0.5], row])
             for evaluator in bernstein.EVALUATORS:
@@ -645,20 +688,20 @@ class TestNetSerialization:
 
 class TestSupError:
     def test_constant_function(self, triangle, rng):
-        net = sample_control_net(triangle, 5, lambda p: 1.0)
+        net = sample_control_net(triangle, 5, ONE)
         grid = interior_weights(rng, 2, 30) @ triangle.vertices
-        assert operator_sup_error(net, lambda p: 1.0, grid) <= 1e-12
+        assert operator_sup_error(net, ONE, grid) <= 1e-12
 
     def test_affine_linear_precision(self, rng):
         s = random_simplex(rng, 2)
-        affine = lambda p: 2.0 * p[0] - p[1] + 0.5
+        affine = Function("affine", lambda p: 2.0 * p[:, 0] - p[:, 1] + 0.5)
         net = sample_control_net(s, 6, affine)
         grid = interior_weights(rng, 2, 50) @ s.vertices
         assert operator_sup_error(net, affine, grid) <= 1e-10
 
     def test_exponential_within_first_order_bound(self, unit_interval, rng):
         a = np.array([1.0])
-        f = lambda p: math.exp(float(a @ p))
+        f = exp_function(a)
         grid = np.linspace(0.0, 1.0, 60)[:, None]
         sup_f = math.e
         for order in (40, 80):
@@ -668,11 +711,11 @@ class TestSupError:
             assert err <= 1.25 * bound
 
     def test_nan_point_refused(self, triangle):
-        net = sample_control_net(triangle, 2, lambda p: 1.0)
+        net = sample_control_net(triangle, 2, ONE)
         with pytest.raises(InvalidBarycentricError, match="finite"):
-            operator_sup_error(net, lambda p: 1.0, np.array([[np.nan, 0.2]]))
+            operator_sup_error(net, ONE, np.array([[np.nan, 0.2]]))
 
     def test_empty_grid(self, triangle):
-        net = sample_control_net(triangle, 2, lambda p: 1.0)
+        net = sample_control_net(triangle, 2, ONE)
         with pytest.raises(EmptyGridError):
-            operator_sup_error(net, lambda p: 1.0, np.empty((0, 2)))
+            operator_sup_error(net, ONE, np.empty((0, 2)))

@@ -53,6 +53,7 @@ class TestConverge:
         assert float(rows[0]["sup_error"]) > float(rows[-1]["sup_error"])
         meta = json.loads(capsys.readouterr().err)
         assert meta["grid_resolution"] == 12
+        assert meta["evaluator"] == "decasteljau"
         assert len(meta["wall_ms"]) == 3
 
     def test_stdout_when_no_out(self, tmp_path, capsys):
@@ -88,17 +89,24 @@ class TestConverge:
         assert main(["converge", "--config", config, "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_config_output_field_used(self, tmp_path, capsys):
-        # Each study writes to the config's output, and --out wins over it.
-        target = tmp_path / "from_config.csv"
-        config = write_config(tmp_path, output=str(target))
-        for argv in (["converge"], ["bound-check"], ["scaling", "--scales", "1,2"]):
+    def test_evaluator_in_metadata_of_converge_only(self, tmp_path, capsys):
+        # Only converge takes --evaluator; the exp studies never run an evaluator.
+        config = write_config(tmp_path)
+        assert main(["converge", "--config", config, "--evaluator", "direct"]) == 0
+        assert json.loads(capsys.readouterr().err)["evaluator"] == "direct"
+        for argv in (["bound-check"], ["scaling", "--scales", "1,2"]):
             assert main([*argv, "--config", config]) == 0
-            assert capsys.readouterr().out == "" and target.exists()
-            target.unlink()
-            out = tmp_path / f"{argv[0]}.csv"
-            assert main([*argv, "--config", config, "--out", str(out)]) == 0
-            assert out.exists() and not target.exists()
+            assert "evaluator" not in json.loads(capsys.readouterr().err)
+
+    def test_budget_past_a_double_leaves_the_prediction_empty(self, tmp_path, capsys):
+        # exp(700 x) on [0, 1]: finite sup errors, an error budget past a double.
+        config = write_config(tmp_path, simplex=INTERVAL, n_values=[4, 8],
+                              function={"terms": [{"c": 1.0, "a": [700.0]}]})
+        assert main(["converge", "--config", config]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["predicted_rel_error"] for row in rows] == ["", ""]
+        assert main(["bound-check", "--config", config]) == 1
+        assert "overflows a double" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["converge", "--config", str(tmp_path / "nope.json")]) == 1

@@ -139,7 +139,9 @@ class TestMakeFunction:
         path.write_text(json.dumps(EXP_11))
         fn = make_function(str(path), self.triangle)
         assert fn.exp_terms is not None
-        assert make_function(Path(path), self.triangle).exp_terms.terms == fn.exp_terms.terms
+        from_path = make_function(Path(path), self.triangle).exp_terms
+        np.testing.assert_array_equal(from_path.coefficients, fn.exp_terms.coefficients)
+        np.testing.assert_array_equal(from_path.directions, fn.exp_terms.directions)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown function"):
@@ -174,7 +176,6 @@ class TestLoadConfig:
         config = load_config(config_dict())
         assert config.n_values == (2, 4, 8)
         assert config.grid_resolution == 10
-        assert config.evaluator == "decasteljau"
 
     def test_from_file_and_inline(self, tmp_path):
         payload = json.dumps(config_dict())
@@ -264,40 +265,32 @@ class TestLoadConfig:
         assert config.grid_resolution == 50
 
     def test_bad_evaluator(self):
-        with pytest.raises(ConfigError, match="evaluator"):
-            load_config(config_dict(evaluator="horner"))
+        # The evaluator is a run option (converge --evaluator), not a config field.
+        with pytest.raises(ConfigError, match=r"unknown field\(s\) \['evaluator'\]"):
+            load_config(config_dict(evaluator="direct"))
 
     def test_bad_output(self):
-        with pytest.raises(ConfigError, match="output"):
-            load_config(config_dict(output=5))
+        # The CSV target is a run option (--out), not a config field.
+        with pytest.raises(ConfigError, match=r"unknown field\(s\) \['output'\]"):
+            load_config(config_dict(output="rows.csv"))
 
     def test_degenerate_simplex_reported_as_config_error(self):
         spec = {"vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}
         with pytest.raises(ConfigError, match="simplex"):
             load_config(config_dict(simplex=spec))
 
-    def test_evaluator_override(self):
-        config = dataclasses.replace(load_config(config_dict()), evaluator="direct")
-        assert config.evaluator == "direct"
-        with pytest.raises(ConfigError):
-            dataclasses.replace(config, evaluator="nope")
-
     def test_evaluator_names_come_from_bernstein(self):
-        assert experiments.EVALUATORS is bernstein.EVALUATORS
+        from bezsimplex import cli
 
-    def test_unknown_evaluator_fails_at_construction(self):
-        config = load_config(config_dict())
-        with pytest.raises(ConfigError, match="horner"):
-            dataclasses.replace(config, evaluator="horner")
-        with pytest.raises(ConfigError, match="horner"):
-            experiments.ExperimentConfig(config.simplex, config.function, (2,), 10,
-                                         evaluator="horner")
+        assert cli.EVALUATORS is bernstein.EVALUATORS
+        assert experiments.DEFAULT_EVALUATOR is bernstein.DEFAULT_EVALUATOR
+        assert [f.name for f in dataclasses.fields(experiments.ExperimentConfig)] == [
+            "simplex", "function", "n_values", "grid_resolution", "seed"]
 
     @pytest.mark.parametrize("field, bad", [
         ("n_values", ()), ("n_values", (4, 2)), ("n_values", (0, 1)), ("n_values", ("2",)),
         ("n_values", (True, 2)), ("n_values", 8), ("grid_resolution", 1),
         ("grid_resolution", True), ("grid_resolution", 2.5), ("seed", 1.5), ("seed", False),
-        ("output", 5),
     ])
     def test_fields_checked_at_construction(self, field, bad):
         config = load_config(config_dict())
@@ -368,9 +361,22 @@ class TestRunConvergence:
         assert -1.0 < fit.slope < -0.2
 
     def test_direct_evaluator_recorded(self):
-        config = load_config(config_dict(evaluator="direct"))
-        rows = run_convergence(config)
+        rows = run_convergence(load_config(config_dict()), evaluator="direct")
         assert all(row.evaluator == "direct" for row in rows)
+        with pytest.raises(ConfigError, match="horner"):
+            run_convergence(load_config(config_dict()), evaluator="horner")
+
+    def test_budget_past_a_double_gives_no_prediction(self):
+        # exp(700 x) on [0, 1]: its sup errors are finite, its error budget is
+        # not, so the rows carry no prediction instead of refusing the run.
+        config = load_config(config_dict(simplex=INTERVAL_SPEC, n_values=[4, 8],
+                                         function={"terms": [{"c": 1.0, "a": [700.0]}]}))
+        with pytest.raises(bezsimplex.ExpOverflowError, match="overflows a double"):
+            run_bound_check(config)
+        rows = run_convergence(config)
+        assert [row.predicted_rel_error for row in rows] == [None, None]
+        assert all(math.isfinite(row.sup_error) and 0 < row.sup_relative_error < 1
+                   for row in rows)
 
     def test_deterministic_rows(self):
         config = load_config(config_dict(function=EXP_11))

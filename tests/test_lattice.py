@@ -124,6 +124,16 @@ class TestMultinomials:
         for i in rng.integers(0, len(indices), size=25):
             assert table[i] == pytest.approx(log_multinomial(indices[i]), abs=1e-12)
 
+    def test_log_table_refused_past_the_cap(self):
+        # One row asks for max |k| + 1 = 10**9 + 1 log-factorials (8 GB): refused
+        # before any is built. A lattice row under the cap still passes.
+        with pytest.raises(SizeOverflowError, match=r"1000000001 entries \(cap 100000000\)"):
+            multinomial_log_table(np.array([[10**9, 0]]))
+        with mock.patch.object(lattice, "SIZE_CAP", 1001):
+            assert multinomial_log_table(np.array([[1000, 0, 0, 0]]))[0] == 0.0
+            with pytest.raises(SizeOverflowError):
+                multinomial_log_table(np.array([[1000, 1, 0, 0]]))
+
     def test_log_table_against_exact_integers(self):
         # Every multi-index with |k| <= 60 on a triangle, against the log of
         # the exact integer; corner coefficients (value 1) must give 0 exactly.
