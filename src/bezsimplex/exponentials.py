@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, DomainError, EmptyGridError, ExpOverflowError,
                      SizeOverflowError)
-from .lattice import check_order, row_chunks
+from .lattice import GEMM_COLUMNS, check_order, row_chunks
 from .geometry import Simplex, clip_weights, grid_points
 
 # exp() overflows double precision near 709; stay clear with a round guard.
@@ -146,12 +146,6 @@ def _vertex_dots(simplex: Simplex, direction, order: int) -> np.ndarray:
     return _exponents(simplex.vertices, a, "vertex")
 
 
-# Weight rows per matrix product are padded to a multiple of this. The
-# AVX-512 OpenBLAS kernel takes the last P mod 8 columns of a wide product
-# along another path, whose bits differ; padded, a value's bits do not
-# depend on the chunk or on the other cases it is computed with.
-_PRODUCT_ROWS = 8
-
 # Doubles per case and weight row given to a row chunk of the exp studies:
 # its product holds two, so a chunk fills a sixteenth of the entry budget.
 _CASE_DOUBLES = 32
@@ -168,10 +162,10 @@ def case_table(cases: list) -> tuple:
 
 def _weighted_sums(table: np.ndarray, w: np.ndarray) -> np.ndarray:
     # table @ w.T (2C, P): each case's sum_j s_j exp(a.x_j / n), then its a.x.
-    # Two or more rows and a multiple of _PRODUCT_ROWS columns (zero-padded)
+    # Two or more rows and a multiple of GEMM_COLUMNS columns (zero-padded)
     # make it a gemm whose bits hold across case counts, chunks and threads.
     rows = w.shape[0]
-    width = -(-rows // _PRODUCT_ROWS) * _PRODUCT_ROWS
+    width = -(-rows // GEMM_COLUMNS) * GEMM_COLUMNS
     columns = w.T
     if width != rows:
         columns = np.zeros((w.shape[1], width))
@@ -268,7 +262,7 @@ def relative_error_reports(cases: list, blocks) -> list:
     table, orders = case_table(cases)
     lowest, largest = np.full(len(cases), np.inf), np.full(len(cases), -np.inf)
     for w in blocks:
-        for chunk in row_chunks(w.shape[0], _CASE_DOUBLES * len(cases), _PRODUCT_ROWS):
+        for chunk in row_chunks(w.shape[0], _CASE_DOUBLES * len(cases), GEMM_COLUMNS):
             log_ratio = log_ratios(table, orders, w[chunk])
             # np.minimum and np.maximum keep a NaN, as one reduction over all rows does
             np.minimum(lowest, log_ratio.min(axis=1), out=lowest)

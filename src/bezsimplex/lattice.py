@@ -22,6 +22,9 @@ SIZE_CAP = 100_000_000
 # Doubles per chunk a streamed pass may hold: a block of grid weights, or a
 # row chunk of row_chunks. Bounds any grid's memory.
 _ENTRY_BUDGET = 1 << 19
+# Product columns are zero-padded to a multiple of this: OpenBLAS's AVX-512 kernel takes
+# the last P mod 8 columns of a wide product along another path, whose bits differ.
+GEMM_COLUMNS = 8
 
 
 def check_order(order, least: int = 1) -> None:
@@ -101,10 +104,10 @@ def multinomial_log_table(indices: np.ndarray) -> np.ndarray:
     return log_factorial[n] - log_factorial[k].sum(axis=1)
 
 
-def row_chunks(count: int, doubles_per_row: int, multiple: int = 1) -> list:
-    """Slices of `count` rows: chunks of _ENTRY_BUDGET // doubles_per_row rows (a
-    row of 0 counts as 1), rounded down to a multiple of `multiple`, never fewer."""
-    step = max(1, _ENTRY_BUDGET // max(1, doubles_per_row) // multiple) * multiple
+def row_chunks(count: int, doubles_per_row: int, multiple: int = 1, held: int = 0) -> list:
+    """Slices of `count` rows: chunks of (_ENTRY_BUDGET - held) // doubles_per_row rows
+    (0 counts as 1) beside `held` doubles, rounded down to a multiple of `multiple`, never fewer."""
+    step = max(1, (_ENTRY_BUDGET - held) // max(1, doubles_per_row) // multiple) * multiple
     return [slice(start, start + step) for start in range(0, count, step)]
 
 

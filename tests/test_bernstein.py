@@ -21,6 +21,7 @@ from bezsimplex import (
     InvalidBarycentricError,
     NegativeWeightError,
     Simplex,
+    SizeOverflowError,
     apply_de_casteljau,
     apply_direct,
     basis_vector,
@@ -372,46 +373,57 @@ class TestCollapsedKernel:
             np.testing.assert_array_equal(values, expected)
 
     @PROPERTY
-    @given(dimension=st.integers(2, 4), order=st.integers(1, 12), chunk=st.integers(2, 9),
+    @given(dimension=st.integers(2, 4), order=st.integers(1, 12), chunk=st.sampled_from([8, 16, 24]),
            full=st.integers(0, 3), data=st.data(), seed=SEEDS)
     def test_point_counts_off_the_chunk_size(self, dimension, order, chunk, full, data, seed):
-        # A budget of `chunk` times the kernel's doubles per point gives
-        # chunks of exactly `chunk` points plus a remainder.
+        # A budget of the plan's tables plus `chunk` times the kernel's doubles
+        # per point gives chunks of exactly `chunk` points plus a remainder.
         rng = np.random.default_rng(seed)
         net = random_net(rng, dimension, order)
         rest = data.draw(st.integers(1, chunk - 1))
         points = full * chunk + rest
         w = rng.permutation(face_weights(rng, dimension, points))[:points]
         one_by_one = np.array([evaluate_at_weights(net, row[None, :])[0] for row in w])
-        budget = chunk * bernstein._stage_plan(order, dimension)[1]
-        spy = mock.Mock(wraps=bernstein._collapsed_chunk)
-        with mock.patch.object(lattice, "_ENTRY_BUDGET", budget), \
-                mock.patch.object(bernstein, "_collapsed_chunk", spy):
+        *_, held, per_point = bernstein._power_plan(net.coefficients, order, dimension)
+        spy = mock.Mock(wraps=bernstein._power_chunk)
+        with mock.patch.object(lattice, "_ENTRY_BUDGET", held + chunk * per_point), \
+                mock.patch.object(bernstein, "_power_chunk", spy):
             chunked = evaluate_at_weights(net, w, evaluator="decasteljau")
             direct = evaluate_at_weights(net, w, evaluator="direct")
-        # A lone remainder point calls the kernel again as a pair.
-        sizes = [len(call.args[3]) for call in spy.call_args_list]
-        assert sizes[:full + 1] == [chunk] * full + [rest]
+        sizes = [len(call.args[5]) for call in spy.call_args_list]
+        assert sizes == [chunk] * full + [rest]
         np.testing.assert_array_equal(chunked, one_by_one)
         scale = float(np.abs(net.coefficients).max())
         np.testing.assert_allclose(direct, one_by_one, rtol=0, atol=1e-10 * scale)
 
     @pytest.mark.parametrize("dimension, order", [(1, 5), (2, 7), (3, 6), (4, 3)])
-    def test_stages_keep_enumeration_order(self, dimension, order):
+    def test_stages_keep_enumeration_order(self, dimension, order, rng):
         # Stage j writes the order-n lattice of dimension D-j in enumeration
-        # order: its row r sums the consecutive input rows k_j = 0..m, m = k_0 of r.
-        plan, _ = bernstein._stage_plan(order, dimension)
+        # order: its row r sums the consecutive input rows k_j = i = 0..m, m = k_0
+        # of r, each times C(m, i). Stage 1's table holds them forward and reversed.
+        net = random_net(rng, dimension, order)
+        table, first_m, stages, scale, _, _ = bernstein._power_plan(
+            net.coefficients, order, dimension)
+        assert scale == 0 and len(stages) == dimension - 1
         rows = count_multi_indices(order, dimension)
-        for d, (count, groups) in zip(range(dimension - 1, -1, -1), plan):
-            block_m = enumerate_multi_indices(order, d)[:, 0] if d else np.array([order])
+        for d, stage in zip(range(dimension - 1, -1, -1), [(first_m,), *stages]):
+            block_m = stage[0]
+            np.testing.assert_array_equal(
+                block_m, enumerate_multi_indices(order, d)[:, 0] if d else [order])
             starts = np.cumsum(block_m + 1) - (block_m + 1)
-            assert count == len(block_m) and starts[-1] + block_m[-1] + 1 == rows
-            runs = np.concatenate([runs for runs, _ in groups])
-            assert sorted(runs.tolist()) == list(range(count))
-            for m, (runs, positions) in enumerate(groups):
-                assert np.all(block_m[runs] == m)
-                np.testing.assert_array_equal(positions, starts[runs][:, None] + np.arange(m + 1))
-            rows = count
+            assert starts[-1] + block_m[-1] + 1 == rows
+            m = np.repeat(block_m, block_m + 1)
+            i = np.arange(rows) - np.repeat(starts, block_m + 1)
+            binomials = [float(math.comb(a, b)) for a, b in zip(m.tolist(), i.tolist())]
+            if d == dimension - 1:
+                run = np.repeat(np.arange(len(block_m)), block_m + 1)
+                expected = np.zeros((2, max(2, len(block_m) + len(block_m) % 2), order + 1))
+                expected[0, run, i] = expected[1, run, m - i] = net.coefficients * binomials
+                np.testing.assert_array_equal(table, expected)
+            else:
+                for got, want in zip(stage[1:], (starts, i, m - i, binomials)):
+                    np.testing.assert_array_equal(got, want)
+            rows = len(block_m)
 
     @PROPERTY
     @given(dimension=st.integers(1, 2), order=st.integers(1, 60), budget=st.integers(1, 300),
@@ -432,9 +444,9 @@ class TestCollapsedKernel:
         np.testing.assert_array_equal(whole, chunked)
 
     def test_working_set_is_bounded_by_the_entry_budget(self, rng):
-        # A chunk holds at most _ENTRY_BUDGET doubles; beside it there are
-        # only the plan and the lattice table, (D+1) integers per
-        # coefficient, that the plan is built from.
+        # The plan's tables and a chunk hold at most _ENTRY_BUDGET doubles;
+        # beside them there are only the plan's temporaries, fewer than (D+1)
+        # numbers per coefficient.
         net = random_net(rng, 3, 60)
         w = grid_weights(15, 3)
         tracemalloc.start()
@@ -478,6 +490,65 @@ class TestCollapsedKernel:
         exact = closed_form_at_weights(triangle, order, a, w)
         direct = evaluate_at_weights(net, w, evaluator="direct")
         assert np.abs(direct / exact - 1.0).max() <= 1e-12
+
+
+def forward_bound(order, dimension):
+    """The decasteljau forward error bound of the bernstein docstring, as a
+    fraction of sum_k |c_k| B_k: g(N) with N = n (3 D^2 + 11 D) / 2 + 5 D.
+
+    Stage j adds (3j + 4) n + 5 roundings to each term: r and t are rounded j
+    and 2j + 1 times (a prefix sum, then a division) and raised to the powers
+    e and m <= n by as many products; C(m, i), two products, the scale and a
+    sum of at most n + 1 terms add n + 4 more. The absolute 2**-270 max |c_k|
+    covers every r**e that underflows below 2**-1022: there C(m, e) t^m is
+    below 2**760 for m <= 1022, at most 2**27 terms each carry e < 2**10
+    half-ulps of 2**-1074."""
+    terms = order * (3 * dimension**2 + 11 * dimension) // 2 + 5 * dimension
+    unit = 2.0**-53
+    return terms * unit / (1.0 - terms * unit)
+
+
+class TestPowerFormRange:
+    @PROPERTY
+    @given(dimension=st.integers(1, 2), data=st.data(), seed=SEEDS)
+    def test_matches_closed_form_to_the_order_limit(self, dimension, data, seed):
+        # Against the closed form of exp(a.x), whose net has positive entries,
+        # so sum_k |c_k| B_k is the closed form itself: decasteljau is as close
+        # as direct is on the same points, or within its a-priori bound.
+        order = data.draw(st.integers(1, bernstein.DE_CASTELJAU_MAX_ORDER))
+        rng = np.random.default_rng(seed)
+        s = random_simplex(rng, dimension)
+        a = rng.normal(size=dimension)
+        a *= math.sqrt(dimension) / np.linalg.norm(a)
+        net = ControlNet(s, order, np.exp(control_points(s, order) @ a))
+        w = np.vstack([np.eye(dimension + 1), interior_weights(rng, dimension, 6)])
+        exact = closed_form_at_weights(s, order, a, w)
+        stable = evaluate_at_weights(net, w, evaluator="decasteljau")
+        direct = evaluate_at_weights(net, w, evaluator="direct")
+        bound = np.maximum(np.abs(direct - exact), forward_bound(order, dimension) * exact
+                           + 2.0**-270 * net.coefficients.max())
+        assert np.all(np.abs(stable - exact) <= bound)
+
+    def test_the_limit_order_evaluates(self, unit_interval, rng):
+        order = bernstein.DE_CASTELJAU_MAX_ORDER
+        net = ControlNet(unit_interval, order, np.exp(control_points(unit_interval, order)[:, 0]))
+        w = np.vstack([np.eye(2), interior_weights(rng, 1, 20)])
+        exact = closed_form_at_weights(unit_interval, order, [1.0], w)
+        stable = evaluate_at_weights(net, w, evaluator="decasteljau")
+        assert np.all(np.abs(stable / exact - 1.0) <= forward_bound(order, 1))
+        np.testing.assert_array_equal(stable[:2], net.coefficients[[0, -1]])
+
+    def test_past_the_limit_is_refused_before_any_table(self, unit_interval):
+        order = bernstein.DE_CASTELJAU_MAX_ORDER + 1
+        net = ControlNet(unit_interval, order, np.ones(order + 1))
+        plan = mock.Mock(wraps=bernstein._power_plan)
+        lattice_rows = mock.Mock(wraps=bernstein.enumerate_multi_indices)
+        with mock.patch.object(bernstein, "_power_plan", plan), \
+                mock.patch.object(bernstein, "enumerate_multi_indices", lattice_rows), \
+                pytest.raises(SizeOverflowError, match="--evaluator direct"):
+            evaluate_at_weights(net, np.eye(2), evaluator="decasteljau")
+        assert not plan.called and not lattice_rows.called
+        np.testing.assert_array_equal(evaluate_at_weights(net, np.eye(2), evaluator="direct"), 1.0)
 
 
 class TestDirectKernel:

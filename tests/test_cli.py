@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import bezsimplex
 from bezsimplex import basis_vector, closed_form_at_weights, count_multi_indices, standard_simplex
+from bezsimplex.bernstein import DE_CASTELJAU_MAX_ORDER
 from bezsimplex.cli import main
 from bezsimplex.experiments import BoundCheckResult, BoundCheckRow
 
@@ -107,6 +108,18 @@ class TestConverge:
         assert [row["predicted_rel_error"] for row in rows] == ["", ""]
         assert main(["bound-check", "--config", config]) == 1
         assert "overflows a double" in capsys.readouterr().err
+
+    def test_order_past_the_decasteljau_limit(self, tmp_path, capsys):
+        limit = DE_CASTELJAU_MAX_ORDER
+        for order, code in ((limit, 0), (limit + 1, 1)):
+            config = write_config(tmp_path, simplex=INTERVAL, function="runge",
+                                  n_values=[order], grid_resolution=4)
+            assert main(["converge", "--config", config]) == code
+            err = capsys.readouterr().err
+            if code:
+                assert err.count("\n") == 1 and err.startswith("error: ")
+                assert "--evaluator direct" in err
+        assert main(["converge", "--config", config, "--evaluator", "direct"]) == 0
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["converge", "--config", str(tmp_path / "nope.json")]) == 1
@@ -485,25 +498,31 @@ def test_import_loads_numpy_and_stdlib_only():
     assert result.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command, header", [
-    (["converge", "--evaluator", "direct"], b"n,sup_error,"),
-    (["converge", "--evaluator", "decasteljau"], b"n,sup_error,"),
-    (["scaling", "--scales", "0.5,1,2"], b"diameter_scale,"),
-    (["bound-check"], b"n,observed_rel_error,"),
-], ids=["direct", "decasteljau", "scaling", "bound-check"])
-def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, command, header):
-    # The direct evaluator is a matrix product per chunk, and the exp studies
-    # one per grid block (a 5-simplex grid of 30 spans several blocks); the
-    # CSV must be the same whatever number of threads the BLAS splits it over.
-    if command[0] == "converge":
-        tetrahedron = {"vertices": [[0.1, -0.2, 0.0], [1.2, 0.1, 0.3], [-0.1, 0.9, 0.2],
-                                    [0.2, 0.3, 1.1]]}
-        config = write_config(tmp_path, simplex=tetrahedron, function="runge",
-                              n_values=[10, 20], grid_resolution=8)
-    else:
-        five = {"vertices": np.vstack([np.zeros(5), np.eye(5) + 0.1]).tolist()}
-        config = write_config(tmp_path, simplex=five, n_values=[40, 160, 640], grid_resolution=30,
-                              function={"terms": [{"c": 1.0, "a": [1.0, -0.5, 0.25, 0.8, -1.2]}]})
+TETRAHEDRON_RUNGE = {"simplex": {"vertices": [[0.1, -0.2, 0.0], [1.2, 0.1, 0.3], [-0.1, 0.9, 0.2],
+                                              [0.2, 0.3, 1.1]]},
+                     "function": "runge", "n_values": [10, 20], "grid_resolution": 8}
+TRIANGLE_EXP = {"simplex": {"vertices": [[0.1, -0.2], [1.2, 0.1], [-0.1, 0.9]]},
+                "function": {"terms": [{"c": 1.0, "a": [1.0, -0.5]}]},
+                "n_values": [10, 20, 40, 80], "grid_resolution": 50}
+FIVE_EXP = {"simplex": {"vertices": np.vstack([np.zeros(5), np.eye(5) + 0.1]).tolist()},
+            "function": {"terms": [{"c": 1.0, "a": [1.0, -0.5, 0.25, 0.8, -1.2]}]},
+            "n_values": [40, 160, 640], "grid_resolution": 30}
+
+
+@pytest.mark.parametrize("command, fields, header", [
+    (["converge", "--evaluator", "direct"], TETRAHEDRON_RUNGE, b"n,sup_error,"),
+    (["converge", "--evaluator", "decasteljau"], TETRAHEDRON_RUNGE, b"n,sup_error,"),
+    (["converge", "--evaluator", "decasteljau"], TRIANGLE_EXP, b"n,sup_error,"),
+    (["scaling", "--scales", "0.5,1,2"], FIVE_EXP, b"diameter_scale,"),
+    (["bound-check"], FIVE_EXP, b"n,observed_rel_error,"),
+], ids=["direct", "decasteljau", "decasteljau-triangle", "scaling", "bound-check"])
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, command, fields, header):
+    # The direct evaluator is a matrix product per chunk, de Casteljau's first
+    # stage a set of product tiles per chunk (the triangle at n = 80 on grid 50
+    # takes several chunks and tiles), and the exp studies one product per grid
+    # block (a 5-simplex grid of 30 spans several blocks); the CSV must be the
+    # same whatever number of threads the BLAS may split them over.
+    config = write_config(tmp_path, **fields)
     outputs = set()
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=SOURCE, OPENBLAS_NUM_THREADS=threads,
