@@ -19,8 +19,8 @@ from .geometry import Simplex
 # Refuse lattices with more entries than this (desk-scale guarantee).
 SIZE_CAP = 100_000_000
 
-# Doubles per chunk a streamed pass may hold: a block of grid weights, or a
-# row chunk of row_chunks. Bounds any grid's memory.
+# Doubles per chunk a streamed pass may hold: a row chunk of row_chunks, such
+# as a block of grid weights. Bounds the memory of any streamed grid.
 _ENTRY_BUDGET = 1 << 19
 # Product columns are zero-padded to a multiple of this: OpenBLAS's AVX-512 kernel takes
 # the last P mod 8 columns of a wide product along another path, whose bits differ.
@@ -63,30 +63,51 @@ def enumerate_multi_indices(order: int, dimension: int) -> np.ndarray:
     """
     count = _capped_count(order, dimension)
     indices = np.empty((count, dimension + 1), dtype=np.int64)
-    for column, values in _colex_columns(order, dimension):
+    for column, values in _colex_rows(order, dimension, 0, count):
         indices[:, column] = values
     return indices
 
 
-def _colex_columns(order: int, dimension: int):
-    # Yields (column, values) for the colex lattice of the order: k_D, then
-    # k_(D-1), .. k_1, then k_0, each column once, at full length. Every row
-    # with `left` still to place gets one child per value 0..left, in
-    # ascending order, so the most significant coordinate is placed first
-    # and the rows come out colex. A row with r coordinates still to place
-    # ends as C(left + r, r) consecutive final rows.
-    left = np.array([order], dtype=np.int64)
-    for column in range(dimension, 0, -1):
-        parent = np.repeat(np.arange(left.shape[0]), left + 1)
-        first = np.cumsum(left + 1) - (left + 1)
-        value = np.arange(parent.shape[0]) - first[parent]
-        left = left[parent] - value
-        if column == 1:  # every row is final: one leaf each
-            yield column, value
-        else:
-            leaves = np.array([math.comb(i + column - 1, column - 1) for i in range(order + 1)])
-            yield column, np.repeat(value, leaves[left])
-    yield 0, left
+def _colex_rows(order: int, dimension: int, lo: int, hi: int):
+    # Yields (column, values) for rows lo..hi-1 of the colex lattice of the
+    # order: k_D, then k_(D-1), .. k_1, then k_0, each column once. A node of
+    # the colex tree with `left` still to place has one child per value
+    # 0..left, in ascending order, so the most significant coordinate is
+    # placed first. Each level keeps only the children whose rows meet
+    # lo..hi-1, which are consecutive. At the k_1 level every child is a row,
+    # read off its offset in its line, so no whole line is built.
+    left, begin, counts = np.array([order], dtype=np.int64), 0, np.array([hi - lo])
+    for column in range(dimension, 1, -1):
+        value, left, begin, counts = _children(left, begin, column - 1, lo, hi)
+        yield column, np.repeat(value, counts)
+    # Row r of a line starting at row s has k_1 = r - s and k_0 = left - k_1.
+    k_1 = np.arange(lo, hi)
+    k_1 -= np.repeat(begin + np.cumsum(left + 1) - (left + 1), counts)
+    yield 1, k_1
+    k_0 = np.repeat(left, counts)
+    yield 0, np.subtract(k_0, k_1, out=k_0)
+
+
+def _children(left: np.ndarray, begin: int, places: int, lo: int, hi: int) -> tuple:
+    # The children of consecutive nodes with `left` still to place, whose rows
+    # start at row `begin`, that meet rows lo..hi-1: their values, what each
+    # leaves, the row where the first starts and the rows of each in range.
+    # A child leaving l has C(l + places, places) rows, built up exactly
+    # through C(l + j, j) = C(l + j - 1, j - 1) (l + j) / j.
+    parent = np.repeat(np.arange(left.shape[0]), left + 1)
+    value = np.arange(parent.shape[0]) - (np.cumsum(left + 1) - (left + 1))[parent]
+    left = left[parent] - value
+    rows = left + 1
+    for j in range(2, places + 1):
+        rows *= left + j
+        rows //= j
+    end = np.cumsum(rows)
+    first, last = np.searchsorted(end, lo - begin, "right"), np.searchsorted(end, hi - begin)
+    kept = slice(first, last + 1)
+    counts, begin_kept = rows[kept], begin + int(end[first] - rows[first])
+    counts[-1] -= begin + int(end[last]) - hi
+    counts[0] -= lo - begin_kept
+    return value[kept], left[kept], begin_kept, counts
 
 
 def multinomial_log_table(indices: np.ndarray) -> np.ndarray:
@@ -116,50 +137,28 @@ def grid_weights(resolution: int, dimension: int) -> np.ndarray:
 
     Covers the closed simplex uniformly, faces and vertices included.
     """
-    return np.vstack(list(grid_weight_blocks(resolution, dimension)))
-
-
-def _slabs(order: int, dimension: int, tail: tuple, rows: int):
-    # The colex rows with k_D = t are the (order - t)-lattice of dimension D-1
-    # with t appended: a lattice of more than `rows` rows is cut into those
-    # slabs, down to single lines (dimension 1). Yields (order, dimension, tail, count).
-    count = count_multi_indices(order, dimension)
-    if dimension == 1 or count <= rows:
-        yield order, dimension, tail, count
-    else:
-        for t in range(order + 1):
-            yield from _slabs(order - t, dimension - 1, (t,) + tail, rows)
+    check_order(resolution)
+    return _weights(resolution, dimension, 0, _capped_count(resolution, dimension))
 
 
 def grid_weight_blocks(resolution: int, dimension: int):
-    """grid_weights as consecutive float blocks of at most _ENTRY_BUDGET doubles.
-
-    Consecutive slabs are joined until the next would pass the budget. A single
-    line (k_2..k_D fixed) is never cut, so a D = 1 grid is one block. Each
-    block is the (rows, D+1) view of a C-ordered (D+1, rows) buffer.
+    """grid_weights as consecutive float blocks, the row_chunks(count, D+1)
+    slices of the grid, so no block holds more than _ENTRY_BUDGET doubles.
     """
     check_order(resolution)
-    _capped_count(resolution, dimension)
-    rows = max(1, _ENTRY_BUDGET // (dimension + 1))
-    run, size = [], 0  # consecutive slabs of the next block, and their rows
-    for piece in _slabs(resolution, dimension, (), rows):
-        if run and size + piece[3] > rows:
-            yield _fill_block(run, size, dimension, resolution)
-            run, size = [], 0
-        run.append(piece)
-        size += piece[3]
-    yield _fill_block(run, size, dimension, resolution)
+    count = _capped_count(resolution, dimension)
+    for rows in row_chunks(count, dimension + 1):
+        yield _weights(resolution, dimension, rows.start, min(rows.stop, count))
 
 
-def _fill_block(pieces: list, size: int, dimension: int, resolution: int) -> np.ndarray:
-    # Each slab's lattice columns are divided straight into one float buffer
-    # with a row per barycentric coordinate; the block is its (rows, D+1) view.
-    buffer, start = np.empty((dimension + 1, size)), 0
-    for order, dim, tail, count in pieces:
-        for column, values in _colex_columns(order, dim):
-            np.divide(values, float(resolution), out=buffer[column, start:start + count])
-        buffer[dim + 1:, start:start + count] = np.divide(tail, float(resolution))[:, None]
-        start += count
+def _weights(resolution: int, dimension: int, lo: int, hi: int) -> np.ndarray:
+    # Rows lo..hi-1 of the grid, as the (rows, D+1) view of a C-ordered
+    # (D+1, rows) buffer: each lattice column is divided straight into its
+    # row of the buffer, the one place k/m is formed.
+    buffer = np.empty((dimension + 1, hi - lo))
+    for column, values in _colex_rows(resolution, dimension, lo, hi):
+        np.divide(values, float(resolution), out=buffer[column])
+        del values  # free this column before the next one is made
     return buffer.T
 
 

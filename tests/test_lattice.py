@@ -1,10 +1,11 @@
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bezsimplex import (
     ControlNet,
@@ -66,6 +67,33 @@ class TestEnumeration:
             assert np.all(got >= 0) and np.all(got.sum(axis=1) == order)
             tails = [tuple(row[1:][::-1]) for row in got.tolist()]
             assert tails == sorted(set(tails)), (order, dim)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(order=st.integers(0, 40), dimension=st.integers(1, 6), data=st.data())
+    def test_any_row_range_is_a_slice_of_the_lattice(self, order, dimension, data):
+        # The walk over rows lo..hi-1 alone gives those rows of the whole
+        # lattice, wherever lo and hi cut its lines and slabs.
+        count = count_multi_indices(order, dimension)
+        assume(count <= 400_000)
+        hi = data.draw(st.integers(1, count), label="hi")
+        lo = data.draw(st.integers(0, hi - 1), label="lo")
+        columns = dict(lattice._colex_rows(order, dimension, lo, hi))
+        assert sorted(columns) == list(range(dimension + 1))
+        got = np.stack([columns[column] for column in range(dimension + 1)], axis=1)
+        assert np.array_equal(got, enumerate_multi_indices(order, dimension)[lo:hi])
+
+    def test_layouts(self):
+        # The direct evaluator's BLAS products take their last bits from the
+        # operands' layout: the index table is a C-ordered (count, D+1) int64
+        # array, and the grid, whole or in blocks, the (rows, D+1) view of a
+        # C-ordered (D+1, rows) float buffer.
+        for order, dimension in [(7, 1), (12, 3), (30, 5)]:
+            indices = enumerate_multi_indices(order, dimension)
+            assert indices.shape == (count_multi_indices(order, dimension), dimension + 1)
+            assert indices.dtype == np.int64 and indices.flags.c_contiguous
+            for w in [grid_weights(order, dimension), *grid_weight_blocks(order, dimension)]:
+                assert w.shape[1] == dimension + 1
+                assert w.dtype == np.float64 and w.T.flags.c_contiguous
 
     def test_size_cap(self):
         assert math.comb(110, 5) > 100_000_000
@@ -290,20 +318,39 @@ class TestGrids:
            parts=st.one_of(st.none(), st.integers(1, 200)))
     def test_blocks_stack_to_the_grid(self, dimension, resolution, parts):
         # The reference is the integer lattice over the resolution. A budget
-        # of 1/parts of the grid cuts slabs into sub-slabs and joins them
-        # again; only a single line (k_2..k_D fixed) may pass it.
-        doubles = count_multi_indices(resolution, dimension) * (dimension + 1)
-        budget = max(1, doubles // parts) if parts else lattice._ENTRY_BUDGET
+        # of 1/parts of the grid cuts it anywhere, across slabs and lines: the
+        # blocks are its row_chunks(count, D+1) slices, each within the
+        # budget or a single row.
+        count = count_multi_indices(resolution, dimension)
+        budget = max(1, count * (dimension + 1) // parts) if parts else lattice._ENTRY_BUDGET
         with mock.patch.object(lattice, "_ENTRY_BUDGET", budget):
             blocks = list(grid_weight_blocks(resolution, dimension))
+            chunks = lattice.row_chunks(count, dimension + 1)
         whole = enumerate_multi_indices(resolution, dimension) / float(resolution)
         stacked = np.vstack(blocks)
         assert stacked.dtype == whole.dtype and stacked.shape == whole.shape
         assert np.array_equal(stacked.view(np.int64), whole.view(np.int64))
-        for block in blocks:
-            assert block.size <= budget or np.all(block[:, 2:] == block[0, 2:])
-        if whole.size <= budget or dimension == 1:
-            assert len(blocks) == 1
+        assert len(blocks) == len(chunks)
+        for block, rows in zip(blocks, chunks):
+            assert np.array_equal(block.view(np.int64), whole[rows].view(np.int64))
+            assert block.size <= max(budget, dimension + 1)
+
+    def test_a_line_is_cut_within_the_budget(self):
+        # 2,000,001 points on an interval are one line of 4,000,002 doubles
+        # (32 MB). Streamed, as the exp studies stream it, one block of at
+        # most _ENTRY_BUDGET doubles and the integer columns it is made from
+        # are alive at a time.
+        tracemalloc.start()
+        try:
+            largest = 0
+            for block in grid_weight_blocks(2_000_000, 1):
+                largest = max(largest, block.size)
+                del block
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert largest == lattice._ENTRY_BUDGET
+        assert peak <= 3 * 8 * lattice._ENTRY_BUDGET
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(count=st.integers(0, 3000), doubles=st.integers(0, 600), multiple=st.integers(1, 9),
