@@ -160,13 +160,26 @@ def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
     return values
 
 
+def _binomials(order: int, low: int) -> np.ndarray:
+    # C(m, i), i = 0..m, for m = low..order back to back, each rounded once: row `low` from
+    # its exact ratios, each later row from the last by one add of Python integers (Pascal).
+    comb = np.ones((order + 1) * (order + 2) // 2 - low * (low + 1) // 2, dtype=object)
+    comb[:low + 1] = [*itertools.accumulate(range(low), lambda c, i: c * (low - i) // (i + 1),
+                                            initial=1)]
+    start = 0  # row m - 1 starts here
+    for m in range(low + 1, order + 1):
+        row = comb[start:start + m]
+        np.add(row[:-1], row[1:], out=comb[start + m + 1:start + 2 * m])
+        start += m
+    return comb.astype(float)
+
+
 def _power_plan(coefficients: np.ndarray, order: int, dimension: int) -> tuple:
     # Stage j sums out k_j: each run of rows sharing (k_(j+1)..k_D) is a block k_j = i = 0..m,
     # the runs being the rows of the order-n lattice of dimension D-j, m their k_0; a stage is
     # m, the run starts and per row i, m - i, C(m, i), stage 1 a table of c C(m, i) 2**-scale.
     low = order if dimension == 1 else 0  # C(m, i) is needed for these m only
-    comb = np.array([c for m in range(low, order + 1) for c in itertools.accumulate(
-        range(m), lambda c, i: c * (m - i) // (i + 1), initial=1)], dtype=float)
+    comb = _binomials(order, low)
     scale = max(0, int(np.frexp(np.abs(coefficients).max(initial=0.0))[1]) + order - 1023)
     stages = []
     for d in range(dimension - 1, -1, -1):

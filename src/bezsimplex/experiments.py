@@ -25,7 +25,7 @@ from .errors import (ConfigError, DimensionMismatchError, ExpOverflowError,
                      FunctionEvaluationError, InsufficientDataError, ZeroError)
 from .exponentials import ExpPolynomial, _vertex_dots, error_budget, relative_error_reports
 from .geometry import Simplex, power_of_two_scaled
-from .lattice import check_order, default_grid_resolution, grid_weight_blocks, grid_weights
+from .lattice import GEMM_COLUMNS, check_order, default_grid_resolution, grid_weight_blocks
 
 # Rows with sup_error below this are floating-point noise, not signal.
 NOISE_FLOOR = 1e-13
@@ -293,37 +293,37 @@ def run_metadata(config: ExperimentConfig) -> dict:
 
 
 def run_convergence(config: ExperimentConfig, evaluator: str = DEFAULT_EVALUATOR) -> list:
-    """One ConvergenceRow per configured order, sup over the lattice grid."""
-    simplex = config.simplex
-    function = config.function
-    weights = grid_weights(config.grid_resolution, simplex.dimension)
-    points = weights @ simplex.vertices
-    exact = function.evaluate(points)
-    sup_f = float(np.abs(exact).max())
+    """One ConvergenceRow per configured order, sup over the lattice grid, in one
+    pass over grid_weight_blocks: per block, f once, then each order's net (sampled
+    on the first block, after f), keeping the running max of |f| and each order's of
+    |net - f|. An order's wall_ms is its sampling plus its evaluations on all blocks."""
+    simplex, function, orders = config.simplex, config.function, config.n_values
+    nets, sup_errors, seconds, sup_f = [], np.zeros(len(orders)), np.zeros(len(orders)), 0.0
+    # Beside its weights a row holds its point (D doubles), f, a net's values and |values - f|.
+    # Blocks of a multiple of GEMM_COLUMNS rows keep each row of weights @ vertices on the BLAS
+    # path a whole-grid product takes; at D = 1, a gemv, a block's last rows would take another.
+    for weights in grid_weight_blocks(config.grid_resolution, simplex.dimension,
+                                      simplex.dimension + 3, GEMM_COLUMNS):
+        exact = function.evaluate(weights @ simplex.vertices)
+        sup_f = max(sup_f, float(np.abs(exact).max()))
+        for i, n in enumerate(orders):
+            started = time.perf_counter()
+            if i == len(nets):
+                nets.append(sample_control_net(simplex, n, function))
+            values = evaluate_at_weights(nets[i], weights, evaluator=evaluator)
+            sup_errors[i] = np.maximum(sup_errors[i], np.abs(values - exact).max())  # keeps a NaN
+            seconds[i] += time.perf_counter() - started
+        del weights, exact, values  # free this block before the next one is built
 
     direction = function.single_exponential()
-
     rows = []
-    for n in config.n_values:
-        started = time.perf_counter()
-        net = sample_control_net(simplex, n, function)
-        values = evaluate_at_weights(net, weights, evaluator=evaluator)
-        sup_error = float(np.abs(values - exact).max())
-        wall_ms = (time.perf_counter() - started) * 1000.0
+    for n, sup_error, wall_s in zip(orders, sup_errors.tolist(), seconds.tolist()):
         predicted = None
         if direction is not None:
             with contextlib.suppress(ExpOverflowError):  # a budget past a double: no prediction
                 predicted = error_budget(simplex, direction, n).predicted_rel_error
-        rows.append(
-            ConvergenceRow(
-                n=n,
-                sup_error=sup_error,
-                sup_relative_error=sup_error / sup_f if sup_f > 0 else sup_error,
-                predicted_rel_error=predicted,
-                evaluator=evaluator,
-                wall_ms=wall_ms,
-            )
-        )
+        rows.append(ConvergenceRow(n, sup_error, sup_error / sup_f if sup_f > 0 else sup_error,
+                                   predicted, evaluator, wall_s * 1000.0))
     return rows
 
 
@@ -377,7 +377,8 @@ def run_bound_check(config: ExperimentConfig, margin: float = 0.25) -> BoundChec
     simplex = config.simplex
     cases = [(_vertex_dots(simplex, direction, n), n) for n in config.n_values]
     reports = relative_error_reports(
-        cases, grid_weight_blocks(config.grid_resolution, simplex.dimension))
+        cases, grid_weight_blocks(config.grid_resolution, simplex.dimension, 2 * len(cases),
+                                  GEMM_COLUMNS))
 
     rows = []
     for n, report in zip(config.n_values, reports):
@@ -421,7 +422,7 @@ def run_scaling_study(simplex: Simplex, direction, order: int, resolution: int,
             norm = power_of_two_scaled(a, np.linalg.norm, "direction norm")[0]
             rows.append((d_scale, m_scale, scaled.diameter, float(norm), case))
     # Barycentric weights do not change when the simplex is scaled.
-    reports = relative_error_reports([(dots, order) for _, dots in cases.values()],
-                                     grid_weight_blocks(resolution, simplex.dimension))
+    blocks = grid_weight_blocks(resolution, simplex.dimension, 2 * len(cases), GEMM_COLUMNS)
+    reports = relative_error_reports([(dots, order) for _, dots in cases.values()], blocks)
     return [ScalingRow(d_scale, m_scale, diameter, norm, order, reports[case].max_rel_error)
             for d_scale, m_scale, diameter, norm, case in rows]

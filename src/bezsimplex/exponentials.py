@@ -18,7 +18,7 @@ points; ``relative_error_report`` is the one cartesian-grid adapter.
 Every quantity is read off one padded matrix product of a ``case_table``
 (each (vertex dots, order) case's exp(a.x_j / n), then its a.x_j) with the
 weights: the closed form, its residual and the log ratio that
-``relative_error_reports`` reduces over the grid's ``lattice.row_chunks``.
+``relative_error_reports`` reduces, one product per block of the grid.
 A value has the same bits alone or in a batch, in any order and chunking.
 This is the collapse of Bernstein sums to a power of one weighted sum that
 Kirby (Numer. Math. 2011) and Ainsworth-Andriamaro-Davydov (SISC 2011) use.
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, DomainError, EmptyGridError, ExpOverflowError,
                      SizeOverflowError)
-from .lattice import GEMM_COLUMNS, check_order, row_chunks
+from .lattice import GEMM_COLUMNS, check_order
 from .geometry import Simplex, clip_weights, grid_points
 
 # exp() overflows double precision near 709; stay clear with a round guard.
@@ -146,11 +146,6 @@ def _vertex_dots(simplex: Simplex, direction, order: int) -> np.ndarray:
     return _exponents(simplex.vertices, a, "vertex")
 
 
-# Doubles per case and weight row given to a row chunk of the exp studies:
-# its product holds two, so a chunk fills a sixteenth of the entry budget.
-_CASE_DOUBLES = 32
-
-
 def case_table(cases: list) -> tuple:
     """The (2C, D+1) table of C (vertex dots, order) cases that the weight
     kernels take: the rows exp(a.x_j / n) of every case, then the rows a.x_j;
@@ -256,18 +251,17 @@ def log_ratios(table: np.ndarray, orders: np.ndarray, w: np.ndarray) -> np.ndarr
 def relative_error_reports(cases: list, blocks) -> list:
     """One RelativeErrorReport per (vertex dots, order) case in a single pass
     over blocks of weights that passed clip_weights (grid weights need no
-    clipping). Each block is cut into row chunks, and each chunk takes one
-    log_ratios call for every case; only the extremes of each case's log
-    ratio are kept."""
+    clipping), such as grid_weight_blocks with 2 C doubles beside each row for
+    the (2C, rows) product. Each block takes one log_ratios call for every
+    case; only the extremes of each case's log ratio are kept."""
     table, orders = case_table(cases)
     lowest, largest = np.full(len(cases), np.inf), np.full(len(cases), -np.inf)
     for w in blocks:
-        for chunk in row_chunks(w.shape[0], _CASE_DOUBLES * len(cases), GEMM_COLUMNS):
-            log_ratio = log_ratios(table, orders, w[chunk])
-            # np.minimum and np.maximum keep a NaN, as one reduction over all rows does
-            np.minimum(lowest, log_ratio.min(axis=1), out=lowest)
-            np.maximum(largest, log_ratio.max(axis=1), out=largest)
-        del w  # free this block before the next one is built
+        log_ratio = log_ratios(table, orders, w)
+        # np.minimum and np.maximum keep a NaN, as one reduction over all rows does
+        np.minimum(lowest, log_ratio.min(axis=1), out=lowest)
+        np.maximum(largest, log_ratio.max(axis=1), out=largest)
+        del w, log_ratio  # free this block and its product before the next block is built
     reports = []
     for (dots, order), low, high in zip(cases, lowest, largest):
         if high > _LOG_DOUBLE_MAX:

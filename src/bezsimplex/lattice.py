@@ -141,13 +141,14 @@ def grid_weights(resolution: int, dimension: int) -> np.ndarray:
     return _weights(resolution, dimension, 0, _capped_count(resolution, dimension))
 
 
-def grid_weight_blocks(resolution: int, dimension: int):
-    """grid_weights as consecutive float blocks, the row_chunks(count, D+1)
-    slices of the grid, so no block holds more than _ENTRY_BUDGET doubles.
+def grid_weight_blocks(resolution: int, dimension: int, beside: int = 0, multiple: int = 1):
+    """grid_weights as consecutive float blocks, the row_chunks(count, D+1+beside,
+    multiple) slices of the grid: a block and the `beside` doubles a consumer holds
+    next to each of its rows stay within _ENTRY_BUDGET doubles.
     """
     check_order(resolution)
     count = _capped_count(resolution, dimension)
-    for rows in row_chunks(count, dimension + 1):
+    for rows in row_chunks(count, dimension + 1 + beside, multiple):
         yield _weights(resolution, dimension, rows.start, min(rows.stop, count))
 
 

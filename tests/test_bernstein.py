@@ -17,6 +17,7 @@ from bezsimplex import (
     ControlNet,
     DimensionMismatchError,
     EmptyGridError,
+    ExpPolynomial,
     FunctionEvaluationError,
     InvalidBarycentricError,
     NegativeWeightError,
@@ -32,6 +33,7 @@ from bezsimplex import (
     error_budget,
     evaluate_at_weights,
     grid_weights,
+    make_function,
     operator_sup_error,
     read_control_net_csv,
     sample_control_net,
@@ -396,6 +398,22 @@ class TestCollapsedKernel:
         scale = float(np.abs(net.coefficients).max())
         np.testing.assert_allclose(direct, one_by_one, rtol=0, atol=1e-10 * scale)
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])
+    def test_binomials_are_the_exact_ratios_rounded_once(self, dimension):
+        # The plan's C(m, i) against each row built from its exact ratios,
+        # C(m, i + 1) = C(m, i) (m - i) / (i + 1), then rounded: bit for bit.
+        # The plan builds row n alone at D = 1 and rows 0..n beyond, so at
+        # D >= 2 order 400 holds every row m <= 400. Row 57 has the first
+        # C(m, i) past 2**53, which rounds, and row 67 the first past int64.
+        def ratios(order, low):
+            return np.array([c for m in range(low, order + 1) for c in itertools.accumulate(
+                range(m), lambda c, i: c * (m - i) // (i + 1), initial=1)], dtype=float)
+
+        orders = range(1, 401) if dimension == 1 else [*range(1, 71), 255, 256, 399, 400]
+        for order in orders:
+            low = order if dimension == 1 else 0
+            assert bernstein._binomials(order, low).tobytes() == ratios(order, low).tobytes()
+
     @pytest.mark.parametrize("dimension, order", [(1, 5), (2, 7), (3, 6), (4, 3)])
     def test_stages_keep_enumeration_order(self, dimension, order, rng):
         # Stage j writes the order-n lattice of dimension D-j in enumeration
@@ -657,6 +675,59 @@ class TestOperatorProperties:
         values = evaluate_at_weights(net, w, evaluator=evaluator)
         scale = float(np.abs(net.coefficients).max())
         np.testing.assert_allclose(values, (w @ s.vertices) @ v + b, rtol=0, atol=1e-10 * scale)
+
+    @PROPERTY
+    @given(dimension=st.integers(1, 3), order=st.integers(1, 40), terms=st.integers(1, 3),
+           epsilon=st.floats(1e-3, 1.0), seed=SEEDS)
+    def test_convergence_estimate(self, dimension, order, terms, epsilon, seed):
+        # The paper's estimate: B_n is positive with norm one, so for any g
+        #   |B_n f - f| <= |B_n (f - g)| + |B_n g - g| + |g - f|
+        #              <= max_ctrl |f - g| + |B_n g - g| + |f - g|,
+        # here with g a random exp-polynomial, f = g + eps runge and B_n g its
+        # closed form term by term, every quantity as computed. The rounding
+        # terms are first order in u; at these sizes each is below 1e-12
+        # relative, so the u**2 terms they drop are below 1e-12 of them:
+        # - the decasteljau forward bound (module docstring of bernstein), over
+        #   sum_k B_k(w) = (sum_j w_j)**n <= (1 + u)**n, since w_j = fl(k_j / m);
+        # - g at a computed point, against g at the exact point: the point is off
+        #   by (D + 2) u max_j |x_j|, per coordinate, its dot a.x by D u more, exp
+        #   by 4 ulps (8 u) and the sum over T terms by T u, so
+        #   |c_i| E_i u ((2D + 2) A_i + 8 + T), E_i = max_j exp(a_i.x_j) and
+        #   A_i = sum_d |a_id| max_j |x_jd|, which bounds |a_i.x| and the dots;
+        # - the closed form: the exponents a.x_j / n are off by (D + 1) u A_i / n,
+        #   each exp by 8 u, the weighted sum by (D + 1) u, log by 8 u |log S|,
+        #   times n by u, and the last exp by 8 u, so n log S <= A_i gives
+        #   |c_i| E_i u ((D + 10) A_i + (D + 9) n + 8), plus T u for the sum of terms;
+        # - each computed max |a - b| is within u of its value, and the bound's
+        #   own sums are within a few u: the factor 1 + 16 u.
+        rng = np.random.default_rng(seed)
+        s = random_simplex(rng, dimension)
+        c = rng.normal(size=terms)
+        a = rng.normal(size=(terms, dimension))
+        a *= rng.uniform(0.1, 3.0, size=(terms, 1)) / np.linalg.norm(a, axis=1, keepdims=True)
+        g = ExpPolynomial(zip(c, a))
+        runge = make_function("runge", s).batch
+        f = Function("g + eps runge",
+                     lambda points: g.evaluate_many(points) + epsilon * runge(points))
+        net = sample_control_net(s, order, f)
+        w = grid_weights({1: 60, 2: 14, 3: 7}[dimension], dimension)
+        points = w @ s.vertices
+        f_grid, g_grid = f.evaluate(points), g.evaluate_many(points)
+        closed = sum(ci * closed_form_at_weights(s, order, ai, w) for ci, ai in zip(c, a))
+        observed = np.abs(evaluate_at_weights(net, w, evaluator="decasteljau") - f_grid).max()
+        at_control = np.abs(net.coefficients - g.evaluate_many(control_points(s, order))).max()
+        estimate = at_control + np.abs(f_grid - g_grid).max() + np.abs(closed - g_grid).max()
+
+        u = 2.0**-53
+        reach = np.abs(s.vertices).max(axis=0)
+        size_a, peak = np.abs(a) @ reach, np.abs(c) * np.exp((s.vertices @ a.T).max(axis=0))
+        unity = 1.0 + 2.0 * order * u  # >= (1 + u)**n
+        largest = np.abs(net.coefficients).max()
+        evaluator = forward_bound(order, dimension) * largest * unity + 2.0**-270 * largest
+        at_points = u * peak @ ((2 * dimension + 2) * size_a + 8 + terms)
+        closed_form = u * peak @ ((dimension + 10) * size_a + (dimension + 9) * order + 8 + terms)
+        rounding = evaluator + at_points * unity + closed_form + at_control * (unity - 1.0)
+        assert observed <= (estimate + rounding) * (1.0 + 16.0 * u)
 
     def test_vertex_interpolation(self, rng):
         s = random_simplex(rng, 2)

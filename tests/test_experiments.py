@@ -20,6 +20,7 @@ from bezsimplex import (
     SizeOverflowError,
     ZeroError,
     emit_csv,
+    evaluate_at_weights,
     fit_power_law,
     fit_rate,
     grid_weights,
@@ -31,6 +32,7 @@ from bezsimplex import (
     run_convergence,
     run_metadata,
     run_scaling_study,
+    sample_control_net,
     standard_simplex,
 )
 from bezsimplex import bernstein, experiments, exponentials, lattice
@@ -387,6 +389,74 @@ class TestRunConvergence:
                 b.n, b.sup_error, b.sup_relative_error, b.predicted_rel_error
             )
 
+    @pytest.mark.parametrize("evaluator", bernstein.EVALUATORS)
+    @pytest.mark.parametrize("dimension, resolution, blocks", [(1, 400, 8), (2, 30, 3), (3, 12, 2)])
+    def test_rows_match_the_whole_grid(self, rng, evaluator, dimension, resolution, blocks):
+        # Streamed in several blocks, with the kernels in small chunks too, each
+        # row is the max over the blocks of one evaluation per block, bit for
+        # bit. decasteljau's values do not depend on the chunk, so its rows are
+        # the whole-grid sups; direct's last bits do (its BLAS products take
+        # edge paths by row position), so its rows match them to rounding.
+        s = random_simplex(rng, dimension)
+        direction = rng.normal(size=dimension)
+        weights = grid_weights(resolution, dimension)
+        rows = -(-len(weights) // (blocks * lattice.GEMM_COLUMNS)) * lattice.GEMM_COLUMNS
+        budget = mock.patch.object(lattice, "_ENTRY_BUDGET", rows * (2 * dimension + 4))
+        for function in ("runge", {"terms": [{"c": 1.0, "a": direction.tolist()}]}):
+            f = make_function(function, s)
+            config = experiments.ExperimentConfig(s, f, (3, 10, 25), resolution)
+            nets = [sample_control_net(s, n, f) for n in config.n_values]
+            exact = f.evaluate(weights @ s.vertices)
+            sup_f = float(np.abs(exact).max())
+            whole = [float(np.abs(evaluate_at_weights(net, weights, evaluator) - exact).max())
+                     for net in nets]
+            with budget:
+                parts = [slice(start, start + rows) for start in range(0, len(weights), rows)]
+                assert [len(w) for w in lattice.grid_weight_blocks(
+                    resolution, dimension, dimension + 3, lattice.GEMM_COLUMNS)] == [
+                    len(weights[p]) for p in parts] and len(parts) == blocks
+                per_block = [max(float(np.abs(evaluate_at_weights(net, weights[p], evaluator)
+                                              - exact[p]).max()) for p in parts) for net in nets]
+                result = run_convergence(config, evaluator)
+            assert [(row.sup_error, row.sup_relative_error) for row in result] == [
+                (e, e / sup_f) for e in per_block]
+            if evaluator == "decasteljau":
+                assert per_block == whole
+            else:
+                np.testing.assert_allclose(per_block, whole, rtol=1e-13, atol=0)
+
+    def test_points_have_their_whole_grid_bits(self, rng):
+        # On an interval weights @ vertices is a gemv, whose last rows take
+        # another path with other bits; f sees each grid point as one
+        # whole-grid product makes it, whatever the blocks.
+        s = random_simplex(rng, 1)
+        seen = []
+        f = make_function("runge", s)
+        recording = experiments.TestFunction(
+            "runge", lambda points: seen.append(points) or f.batch(points))
+        config = experiments.ExperimentConfig(s, recording, (4,), 2000)
+        with mock.patch.object(lattice, "_ENTRY_BUDGET", 6 * 37):
+            run_convergence(config)
+        blocks = [seen[0], *seen[2:]]  # seen[1] is the control net, sampled after f's first block
+        assert len(blocks) > 50
+        whole = grid_weights(2000, 1) @ s.vertices
+        assert np.array_equal(np.vstack(blocks).view(np.int64), whole.view(np.int64))
+
+    @pytest.mark.parametrize("evaluator", bernstein.EVALUATORS)
+    def test_memory_is_bounded_by_the_entry_budget(self, evaluator):
+        # 2,000,001 grid points, 16 MB a column: one pass over the whole grid
+        # would hold its weights, points, f and each order's values at once.
+        config = load_config(config_dict(
+            simplex=INTERVAL_SPEC, function={"terms": [{"c": 1.0, "a": [2.0]}]},
+            n_values=[40, 80], grid_resolution=2_000_000))
+        tracemalloc.start()
+        try:
+            run_convergence(config, evaluator)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * lattice._ENTRY_BUDGET
+
     def test_metadata_notes_grid_semantics(self):
         config = load_config(config_dict())
         meta = run_metadata(config)
@@ -602,6 +672,29 @@ class TestScalingStudy:
                 s.scaled(row.diameter_scale), direction * row.magnitude_scale, order, grid
             )
             assert row.sup_relative_error == expected.max_rel_error
+
+    @pytest.mark.parametrize("study", ["bound-check", "scaling"])
+    def test_each_block_and_its_product_fit_the_entry_budget(self, rng, study):
+        # Each log_ratios call takes one whole grid block: its D+1 weight
+        # columns and the (2C, rows) product of its C cases fill the budget,
+        # in a multiple of GEMM_COLUMNS rows.
+        s = random_simplex(rng, 5)
+        direction = rng.normal(size=5)
+        spy = mock.Mock(wraps=exponentials.log_ratios)
+        with mock.patch.object(exponentials, "log_ratios", spy):
+            if study == "scaling":
+                run_scaling_study(s, direction, 640, 30, [0.5, 1.0, 2.0])
+            else:
+                run_bound_check(experiments.ExperimentConfig(
+                    s, make_function({"terms": [{"c": 1.0, "a": direction.tolist()}]}, s),
+                    (40, 80, 160), 30))
+        table = spy.call_args_list[0].args[0]
+        rows = [call.args[2].shape[0] for call in spy.call_args_list]
+        per_row = 6 + table.shape[0]
+        assert sum(rows) == bezsimplex.count_multi_indices(30, 5)
+        step = lattice._ENTRY_BUDGET // per_row // lattice.GEMM_COLUMNS * lattice.GEMM_COLUMNS
+        assert rows[:-1] == [step] * (len(rows) - 1)
+        assert len(rows) > 1 and rows[-1] * per_row <= lattice._ENTRY_BUDGET
 
     @pytest.mark.parametrize("resolution", [30, 40])
     def test_memory_is_bounded_by_the_entry_budget(self, rng, resolution):

@@ -400,8 +400,8 @@ class TestRelativeErrorReport:
     def test_reports_do_not_depend_on_the_batch(self, dimension, count, resolution, underflow,
                                                  seed):
         # Each case's report has the same bits alone over the whole grid, in a
-        # batch over the streamed blocks, in any case order, and in chunks of
-        # eight rows. An underflowing case (the shifted triangle of
+        # batch over the streamed blocks, in any case order, and over blocks of
+        # a few rows. An underflowing case (the shifted triangle of
         # test_translation_invariance, in D dimensions) is rescued alone.
         rng = np.random.default_rng(seed)
         resolution = min(resolution, {1: 400, 2: 60, 3: 20, 4: 12, 5: 9}[dimension])
