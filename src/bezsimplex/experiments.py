@@ -25,7 +25,7 @@ from .errors import (ConfigError, DimensionMismatchError, ExpOverflowError,
                      FunctionEvaluationError, InsufficientDataError, ZeroError)
 from .exponentials import ExpPolynomial, _vertex_dots, error_budget, relative_error_reports
 from .geometry import Simplex, power_of_two_scaled
-from .lattice import GEMM_COLUMNS, check_order, default_grid_resolution, grid_weight_blocks
+from .lattice import check_order, default_grid_resolution, grid_weight_blocks
 
 # Rows with sup_error below this are floating-point noise, not signal.
 NOISE_FLOOR = 1e-13
@@ -296,14 +296,15 @@ def run_convergence(config: ExperimentConfig, evaluator: str = DEFAULT_EVALUATOR
     """One ConvergenceRow per configured order, sup over the lattice grid, in one
     pass over grid_weight_blocks: per block, f once, then each order's net (sampled
     on the first block, after f), keeping the running max of |f| and each order's of
-    |net - f|. An order's wall_ms is its sampling plus its evaluations on all blocks."""
+    |net - f|. An order's wall_ms is its sampling plus its evaluations on all blocks.
+    So on a grid of more than one block a net's errors (f at a control point, an order
+    past the de Casteljau cap) come before f's on later blocks, and direct's sup_error,
+    unlike decasteljau's, may differ in its last bits from one whole-grid evaluation."""
     simplex, function, orders = config.simplex, config.function, config.n_values
     nets, sup_errors, seconds, sup_f = [], np.zeros(len(orders)), np.zeros(len(orders)), 0.0
     # Beside its weights a row holds its point (D doubles), f, a net's values and |values - f|.
-    # Blocks of a multiple of GEMM_COLUMNS rows keep each row of weights @ vertices on the BLAS
-    # path a whole-grid product takes; at D = 1, a gemv, a block's last rows would take another.
     for weights in grid_weight_blocks(config.grid_resolution, simplex.dimension,
-                                      simplex.dimension + 3, GEMM_COLUMNS):
+                                      simplex.dimension + 3):
         exact = function.evaluate(weights @ simplex.vertices)
         sup_f = max(sup_f, float(np.abs(exact).max()))
         for i, n in enumerate(orders):
@@ -377,8 +378,7 @@ def run_bound_check(config: ExperimentConfig, margin: float = 0.25) -> BoundChec
     simplex = config.simplex
     cases = [(_vertex_dots(simplex, direction, n), n) for n in config.n_values]
     reports = relative_error_reports(
-        cases, grid_weight_blocks(config.grid_resolution, simplex.dimension, 2 * len(cases),
-                                  GEMM_COLUMNS))
+        cases, grid_weight_blocks(config.grid_resolution, simplex.dimension, 2 * len(cases)))
 
     rows = []
     for n, report in zip(config.n_values, reports):
@@ -422,7 +422,7 @@ def run_scaling_study(simplex: Simplex, direction, order: int, resolution: int,
             norm = power_of_two_scaled(a, np.linalg.norm, "direction norm")[0]
             rows.append((d_scale, m_scale, scaled.diameter, float(norm), case))
     # Barycentric weights do not change when the simplex is scaled.
-    blocks = grid_weight_blocks(resolution, simplex.dimension, 2 * len(cases), GEMM_COLUMNS)
+    blocks = grid_weight_blocks(resolution, simplex.dimension, 2 * len(cases))
     reports = relative_error_reports([(dots, order) for _, dots in cases.values()], blocks)
     return [ScalingRow(d_scale, m_scale, diameter, norm, order, reports[case].max_rel_error)
             for d_scale, m_scale, diameter, norm, case in rows]

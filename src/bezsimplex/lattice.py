@@ -141,14 +141,14 @@ def grid_weights(resolution: int, dimension: int) -> np.ndarray:
     return _weights(resolution, dimension, 0, _capped_count(resolution, dimension))
 
 
-def grid_weight_blocks(resolution: int, dimension: int, beside: int = 0, multiple: int = 1):
+def grid_weight_blocks(resolution: int, dimension: int, beside: int = 0):
     """grid_weights as consecutive float blocks, the row_chunks(count, D+1+beside,
-    multiple) slices of the grid: a block and the `beside` doubles a consumer holds
-    next to each of its rows stay within _ENTRY_BUDGET doubles.
-    """
+    GEMM_COLUMNS) slices of the grid: a block and the `beside` doubles a consumer holds
+    next to each row fit _ENTRY_BUDGET doubles, and each row of a product such as
+    weights @ vertices takes the BLAS path of one whole-grid product."""
     check_order(resolution)
     count = _capped_count(resolution, dimension)
-    for rows in row_chunks(count, dimension + 1 + beside, multiple):
+    for rows in row_chunks(count, dimension + 1 + beside, GEMM_COLUMNS):
         yield _weights(resolution, dimension, rows.start, min(rows.stop, count))
 
 

@@ -413,7 +413,7 @@ class TestRunConvergence:
             with budget:
                 parts = [slice(start, start + rows) for start in range(0, len(weights), rows)]
                 assert [len(w) for w in lattice.grid_weight_blocks(
-                    resolution, dimension, dimension + 3, lattice.GEMM_COLUMNS)] == [
+                    resolution, dimension, dimension + 3)] == [
                     len(weights[p]) for p in parts] and len(parts) == blocks
                 per_block = [max(float(np.abs(evaluate_at_weights(net, weights[p], evaluator)
                                               - exact[p]).max()) for p in parts) for net in nets]
@@ -441,6 +441,29 @@ class TestRunConvergence:
         assert len(blocks) > 50
         whole = grid_weights(2000, 1) @ s.vertices
         assert np.array_equal(np.vstack(blocks).view(np.int64), whole.view(np.int64))
+
+    def test_errors_of_a_later_block_come_after_the_nets(self):
+        # f is inf at the grid point 321/400 (spike) or past 0.8 (above). On one
+        # block that point is named, as a whole-grid pass names it. Streamed,
+        # f's later blocks come after every net is sampled on the first block,
+        # so a control point where f fails, or an order past the de Casteljau
+        # cap, raises first.
+        interval = bezsimplex.Simplex([[0.0], [1.0]])
+        spike = experiments.TestFunction(
+            "spike", lambda points: np.where(points[:, 0] == 0.8025, np.inf, 1.0))
+        above = experiments.TestFunction(
+            "above", lambda points: np.where(points[:, 0] > 0.8, np.inf, 1.0))
+        config = lambda f, n: experiments.ExperimentConfig(interval, f, (n,), 400)
+        for f, n in ((above, 7), (spike, bernstein.DE_CASTELJAU_MAX_ORDER + 1)):
+            with pytest.raises(FunctionEvaluationError, match=r"is inf at point \[0\.8025\]"):
+                run_convergence(config(f, n))
+        with mock.patch.object(lattice, "_ENTRY_BUDGET", 6 * 37):
+            with pytest.raises(FunctionEvaluationError, match=r"at point \[0\.857142857142857"):
+                run_convergence(config(above, 7))  # the control point 6/7
+            with pytest.raises(bezsimplex.SizeOverflowError, match="use --evaluator direct"):
+                run_convergence(config(spike, bernstein.DE_CASTELJAU_MAX_ORDER + 1))
+            with pytest.raises(FunctionEvaluationError, match=r"is inf at point \[0\.8025\]"):
+                run_convergence(config(spike, bernstein.DE_CASTELJAU_MAX_ORDER + 1), "direct")
 
     @pytest.mark.parametrize("evaluator", bernstein.EVALUATORS)
     def test_memory_is_bounded_by_the_entry_budget(self, evaluator):

@@ -319,13 +319,13 @@ class TestGrids:
     def test_blocks_stack_to_the_grid(self, dimension, resolution, parts):
         # The reference is the integer lattice over the resolution. A budget
         # of 1/parts of the grid cuts it anywhere, across slabs and lines: the
-        # blocks are its row_chunks(count, D+1) slices, each within the
-        # budget or a single row.
+        # blocks are its row_chunks(count, D+1, GEMM_COLUMNS) slices, each
+        # within the budget or a single block of GEMM_COLUMNS rows.
         count = count_multi_indices(resolution, dimension)
         budget = max(1, count * (dimension + 1) // parts) if parts else lattice._ENTRY_BUDGET
         with mock.patch.object(lattice, "_ENTRY_BUDGET", budget):
             blocks = list(grid_weight_blocks(resolution, dimension))
-            chunks = lattice.row_chunks(count, dimension + 1)
+            chunks = lattice.row_chunks(count, dimension + 1, lattice.GEMM_COLUMNS)
         whole = enumerate_multi_indices(resolution, dimension) / float(resolution)
         stacked = np.vstack(blocks)
         assert stacked.dtype == whole.dtype and stacked.shape == whole.shape
@@ -333,7 +333,7 @@ class TestGrids:
         assert len(blocks) == len(chunks)
         for block, rows in zip(blocks, chunks):
             assert np.array_equal(block.view(np.int64), whole[rows].view(np.int64))
-            assert block.size <= max(budget, dimension + 1)
+            assert block.size <= max(budget, lattice.GEMM_COLUMNS * (dimension + 1))
 
     def test_a_line_is_cut_within_the_budget(self):
         # 2,000,001 points on an interval are one line of 4,000,002 doubles
