@@ -8,15 +8,22 @@ Two evaluators are provided. Direct summation computes each basis value in
 log space and is the correctness reference. It groups points by the face
 their nonzero weights span, where B_k vanishes if k_j > 0 at a zero weight,
 and sums each group over that face's lattice rows only (Farin 1986,
-Lai-Schumaker 2007): per chunk, one matrix product of log weights and
-indices, one add and one in-place exp, every log finite. The production
-path, named ``decasteljau``, sums the net out one collapsed coordinate at a
-time (Ainsworth-Andriamaro-Davydov 2011, Kirby 2011), O(n^D) a point instead
+Lai-Schumaker 2007): per tile of one shape, one matrix product of log weights
+and indices, one add, one in-place exp and one product with the net. The
+production path, ``decasteljau``, sums the net out one collapsed coordinate at
+a time (Ainsworth-Andriamaro-Davydov 2011, Kirby 2011), O(n^D) a point instead
 of O(n^{D+1}), in the scaled power form (Schumaker-Volk 1986): stage 1 is a
 zero-padded matrix product on BLAS in one-thread tiles, each later stage one
-product and one sum over runs; no result depends on chunking or thread count.
-Its forward error is at most g(N) sum_k |c_k| B_k(w) + 2**-270 max |c_k|, with
-g(N) = N u / (1 - N u), u = 2**-53 and N = n (3 D^2 + 11 D) / 2 + 5 D.
+product and one sum over runs. No result depends on chunking or thread count.
+
+Forward errors at weights w, u = 2**-53, g(N) = N u / (1 - N u), exp and log
+within 4 ulps: decasteljau's is at most g(N) sum_k |c_k| B_k(w) + 2**-270 max
+|c_k|, N = n (3 D^2 + 11 D) / 2 + 5 D; direct's (r + g(W) (1 + r)) sum_k |c_k|
+B_k(w), W <= C(n + D, D) the rows of w's face, r = exp(h) (1 + 8 u) - 1 from an
+exponent error h = g(D + 10) n L + 2 g(D + 9) log n!, L = max |log w_j| over
+w_j > 0: the logs (8 u), the (D+1)-term product (g(D + 1)) and the add (u) of
+terms of at most n L, the log-factorial table (8 u) and its D + 1 sums
+(g(D + 1)) of log n! + sum_j log k_j! <= 2 log n!; the W-term sum adds g(W).
 """
 
 from __future__ import annotations
@@ -121,32 +128,27 @@ def read_control_net_csv(simplex: Simplex, source) -> ControlNet:
 
 
 def _direct_blocks(indices: np.ndarray, w: np.ndarray):
-    # Yields (points, rows, B), B[p, i] = B_{k_rows[i]} at weight row points[p];
-    # the rows left out are structural zeros there. Points are grouped by their
-    # nonzero weights; a zero weight's log reads 0, which every kept row
-    # multiplies by k_j = 0. Chunks share one buffer that holds the largest, so
-    # a caller holding a block never keeps two alive.
+    # Yields (points, rows, B): B[p, i] = B_{k_rows[i]} at weight row points[p] for p <
+    # len(points), 0 beyond; the rows left out are structural zeros there. Points are grouped
+    # by their nonzero weights (a zero weight's log reads 0; every kept row has k_j = 0 there;
+    # interior points take the whole lattice, uncopied). A face's points go in tiles of one
+    # shape, at most 64 (a small face pads to one), zero-padded: no bits depend on the batch.
     logm = multinomial_log_table(indices)
     bits = 1 << np.arange(w.shape[1] - 1, -1, -1)  # a face's integer sorts as its row of w != 0
     patterns, group = np.unique((w != 0.0) @ bits, return_inverse=True)
-    faces = []
     for key, live in enumerate((patterns[:, None] & bits) != 0):
-        rows = slice(None)  # interior points: the whole lattice, uncopied
-        if not live.all():
-            rows = np.flatnonzero(~indices[:, ~live].any(axis=1))
-        points, width = np.flatnonzero(group == key), len(logm[rows])
-        faces.append((live, rows, points, width, row_chunks(len(points), width)))
-    buffer = np.empty(max((points[chunks[0]].size * width
-                           for _, _, points, width, chunks in faces), default=0))
-    for live, rows, points, width, chunks in faces:
+        rows = slice(None) if live.all() else np.flatnonzero(~indices[:, ~live].any(axis=1))
         indices_t, log_multinomials = indices[rows].T.astype(float), logm[rows]
-        for chunk in chunks:
-            part = points[chunk]
-            basis = buffer[:len(part) * width].reshape(len(part), width)
-            logw = np.log(w[part], out=np.zeros((len(part), len(live))), where=live)
-            np.matmul(logw, indices_t, out=basis)
-            basis += log_multinomials
-            yield part, rows, np.exp(basis, out=basis)
+        tile = min(64, row_chunks(1, len(log_multinomials))[0].stop)  # the budget's step, capped
+        points = np.flatnonzero(group == key)
+        logw = np.zeros((-(-len(points) // tile) * tile, len(live)))
+        np.log(w[points], out=logw[:len(points)], where=live)
+        basis = np.empty((tile, len(log_multinomials)))
+        for start in range(0, len(points), tile):
+            np.matmul(logw[start:start + tile], indices_t, out=basis)  # 0 in the pad rows
+            real = basis[:len(points) - start]
+            np.exp(np.add(real, log_multinomials, out=real), out=real)
+            yield points[start:start + tile], rows, basis
 
 
 def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
@@ -239,12 +241,12 @@ def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALU
     if evaluator == DIRECT:
         indices = enumerate_multi_indices(order, net.simplex.dimension)
         for points, rows, basis in _direct_blocks(indices, w):
-            out[points] = basis @ net.coefficients[rows]
+            out[points] = (basis @ net.coefficients[rows])[:len(points)]
     elif evaluator == DE_CASTELJAU:
         if order > DE_CASTELJAU_MAX_ORDER:
             raise SizeOverflowError(f"order > {DE_CASTELJAU_MAX_ORDER}: use --evaluator direct")
         *plan, held, per_point = _power_plan(net.coefficients, order, net.simplex.dimension)
-        for chunk in row_chunks(w.shape[0], per_point, GEMM_COLUMNS, held=held):
+        for chunk in row_chunks(w.shape[0], per_point, held=held):
             out[chunk] = _power_chunk(*plan, order, w[chunk])
     else:
         raise ConfigError(f"unknown evaluator {evaluator!r}; use one of {EVALUATORS}")

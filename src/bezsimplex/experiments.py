@@ -298,8 +298,7 @@ def run_convergence(config: ExperimentConfig, evaluator: str = DEFAULT_EVALUATOR
     on the first block, after f), keeping the running max of |f| and each order's of
     |net - f|. An order's wall_ms is its sampling plus its evaluations on all blocks.
     So on a grid of more than one block a net's errors (f at a control point, an order
-    past the de Casteljau cap) come before f's on later blocks, and direct's sup_error,
-    unlike decasteljau's, may differ in its last bits from one whole-grid evaluation."""
+    past the de Casteljau cap) come before f's on later blocks."""
     simplex, function, orders = config.simplex, config.function, config.n_values
     nets, sup_errors, seconds, sup_f = [], np.zeros(len(orders)), np.zeros(len(orders)), 0.0
     # Beside its weights a row holds its point (D doubles), f, a net's values and |values - f|.
@@ -346,15 +345,15 @@ def fit_power_law(orders, errors) -> RateFit:
     return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r_squared)
 
 
-def fit_rate(rows, noise_floor: float = NOISE_FLOOR) -> RateFit:
+def fit_rate(rows) -> RateFit:
     """Fit the decay rate of sup_error across convergence rows.
 
-    Rows at the noise floor are excluded; if nothing remains the
+    Rows at or below NOISE_FLOOR are excluded; if nothing remains the
     reproduction was exact and ZeroError is raised instead of a bogus fit.
     """
     if len(rows) < 3:
         raise InsufficientDataError(f"rate fit needs >= 3 rows, got {len(rows)}")
-    kept = [(row.n, row.sup_error) for row in rows if row.sup_error > noise_floor]
+    kept = [(row.n, row.sup_error) for row in rows if row.sup_error > NOISE_FLOOR]
     if not kept:
         raise ZeroError("all sup errors at the noise floor: reproduction is exact")
     if len(kept) < 3:

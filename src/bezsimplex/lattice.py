@@ -125,10 +125,10 @@ def multinomial_log_table(indices: np.ndarray) -> np.ndarray:
     return log_factorial[n] - log_factorial[k].sum(axis=1)
 
 
-def row_chunks(count: int, doubles_per_row: int, multiple: int = 1, held: int = 0) -> list:
-    """Slices of `count` rows: chunks of (_ENTRY_BUDGET - held) // doubles_per_row rows
-    (0 counts as 1) beside `held` doubles, rounded down to a multiple of `multiple`, never fewer."""
-    step = max(1, (_ENTRY_BUDGET - held) // max(1, doubles_per_row) // multiple) * multiple
+def row_chunks(count: int, doubles_per_row: int, *, held: int = 0) -> list:
+    """Slices of `count` rows: chunks of (_ENTRY_BUDGET - held) // doubles_per_row rows (0 counts
+    as 1) beside `held` doubles, rounded down to a multiple of GEMM_COLUMNS, never fewer."""
+    step = max(1, (_ENTRY_BUDGET - held) // max(1, doubles_per_row) // GEMM_COLUMNS) * GEMM_COLUMNS
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
@@ -142,13 +142,12 @@ def grid_weights(resolution: int, dimension: int) -> np.ndarray:
 
 
 def grid_weight_blocks(resolution: int, dimension: int, beside: int = 0):
-    """grid_weights as consecutive float blocks, the row_chunks(count, D+1+beside,
-    GEMM_COLUMNS) slices of the grid: a block and the `beside` doubles a consumer holds
-    next to each row fit _ENTRY_BUDGET doubles, and each row of a product such as
-    weights @ vertices takes the BLAS path of one whole-grid product."""
+    """grid_weights as consecutive float blocks, the row_chunks(count, D+1+beside) slices of the
+    grid: a block and the `beside` doubles a consumer holds next to each row fit _ENTRY_BUDGET
+    doubles, and each row of a product such as weights @ vertices keeps its whole-grid bits."""
     check_order(resolution)
     count = _capped_count(resolution, dimension)
-    for rows in row_chunks(count, dimension + 1 + beside, GEMM_COLUMNS):
+    for rows in row_chunks(count, dimension + 1 + beside):
         yield _weights(resolution, dimension, rows.start, min(rows.stop, count))
 
 

@@ -526,6 +526,19 @@ def forward_bound(order, dimension):
     return terms * unit / (1.0 - terms * unit)
 
 
+def direct_forward_bound(order, dimension, weights):
+    """The direct forward error bound of the bernstein docstring at a batch of
+    weights, as a fraction of sum_k |c_k| B_k: r + g(W) (1 + r), with
+    r = exp(h) (1 + 8 u) - 1 and h = g(D + 10) n L + 2 g(D + 9) log n!, L the
+    largest |log w_j| over the nonzero weights and W = C(n + D, D)."""
+    unit = 2.0**-53
+    g = lambda terms: terms * unit / (1.0 - terms * unit)
+    largest_log = float(-np.log(weights[weights > 0]).min())
+    h = g(dimension + 10) * order * largest_log + 2 * g(dimension + 9) * math.lgamma(order + 1)
+    r = math.exp(h) * (1.0 + 8.0 * unit) - 1.0
+    return r + g(count_multi_indices(order, dimension)) * (1.0 + r)
+
+
 class TestPowerFormRange:
     @PROPERTY
     @given(dimension=st.integers(1, 2), data=st.data(), seed=SEEDS)
@@ -589,9 +602,10 @@ class TestDirectKernel:
         assert enumerate_multi_indices(300, 2)[hit].tolist() == [0, 0, 300]
 
     def test_working_set_is_bounded_by_the_entry_budget(self, rng):
-        # One reused chunk of at most _ENTRY_BUDGET doubles; beside it the
-        # lattice table, its float copy and the log-multinomial table's
-        # temporaries, (D+1) numbers per coefficient each.
+        # One reused tile buffer per face, two across a change of face, here
+        # within _ENTRY_BUDGET doubles together; beside them the lattice table,
+        # its float copy and the log-multinomial table's temporaries, (D+1)
+        # numbers per coefficient each.
         net = random_net(rng, 3, 60)
         w = grid_weights(15, 3)
         tracemalloc.start()
@@ -601,6 +615,25 @@ class TestDirectKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * lattice._ENTRY_BUDGET + 3 * 8 * 4 * count_multi_indices(60, 3)
+
+    @PROPERTY
+    @given(dimension=st.integers(1, 4), data=st.data(), seed=SEEDS)
+    def test_points_have_the_same_bits_alone_in_batches_and_whole(self, dimension, data, seed):
+        # Each face's points go in tiles of one shape, zero-padded, so a point's
+        # value depends neither on the points evaluated beside it nor on its
+        # place among them.
+        order = data.draw(st.integers(1, {1: 60, 2: 40, 3: 20, 4: 10}[dimension]))
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, dimension, order)
+        w = rng.permutation(np.vstack([face_weights(rng, dimension, 30),
+                                       grid_weights(4, dimension)]))
+        cuts = sorted(set(data.draw(st.lists(st.integers(1, len(w) - 1), max_size=8))))
+        whole = evaluate_at_weights(net, w, evaluator="direct")
+        alone = [evaluate_at_weights(net, row[None, :], evaluator="direct")[0] for row in w]
+        batches = [evaluate_at_weights(net, w[a:b], evaluator="direct")
+                   for a, b in zip([0, *cuts], [*cuts, len(w)])]
+        np.testing.assert_array_equal(whole, alone)
+        np.testing.assert_array_equal(whole, np.concatenate(batches))
 
     @PROPERTY
     @given(dimension=st.integers(1, 4), order=st.integers(1, 30), seed=SEEDS)
@@ -678,8 +711,9 @@ class TestOperatorProperties:
 
     @PROPERTY
     @given(dimension=st.integers(1, 3), order=st.integers(1, 40), terms=st.integers(1, 3),
-           epsilon=st.floats(1e-3, 1.0), seed=SEEDS)
-    def test_convergence_estimate(self, dimension, order, terms, epsilon, seed):
+           epsilon=st.floats(1e-3, 1.0), evaluator=st.sampled_from(bernstein.EVALUATORS),
+           seed=SEEDS)
+    def test_convergence_estimate(self, dimension, order, terms, epsilon, evaluator, seed):
         # The paper's estimate: B_n is positive with norm one, so for any g
         #   |B_n f - f| <= |B_n (f - g)| + |B_n g - g| + |g - f|
         #              <= max_ctrl |f - g| + |B_n g - g| + |f - g|,
@@ -687,7 +721,7 @@ class TestOperatorProperties:
         # closed form term by term, every quantity as computed. The rounding
         # terms are first order in u; at these sizes each is below 1e-12
         # relative, so the u**2 terms they drop are below 1e-12 of them:
-        # - the decasteljau forward bound (module docstring of bernstein), over
+        # - the evaluator's forward bound (module docstring of bernstein), over
         #   sum_k B_k(w) = (sum_j w_j)**n <= (1 + u)**n, since w_j = fl(k_j / m);
         # - g at a computed point, against g at the exact point: the point is off
         #   by (D + 2) u max_j |x_j|, per coordinate, its dot a.x by D u more, exp
@@ -714,7 +748,7 @@ class TestOperatorProperties:
         points = w @ s.vertices
         f_grid, g_grid = f.evaluate(points), g.evaluate_many(points)
         closed = sum(ci * closed_form_at_weights(s, order, ai, w) for ci, ai in zip(c, a))
-        observed = np.abs(evaluate_at_weights(net, w, evaluator="decasteljau") - f_grid).max()
+        observed = np.abs(evaluate_at_weights(net, w, evaluator=evaluator) - f_grid).max()
         at_control = np.abs(net.coefficients - g.evaluate_many(control_points(s, order))).max()
         estimate = at_control + np.abs(f_grid - g_grid).max() + np.abs(closed - g_grid).max()
 
@@ -723,10 +757,13 @@ class TestOperatorProperties:
         size_a, peak = np.abs(a) @ reach, np.abs(c) * np.exp((s.vertices @ a.T).max(axis=0))
         unity = 1.0 + 2.0 * order * u  # >= (1 + u)**n
         largest = np.abs(net.coefficients).max()
-        evaluator = forward_bound(order, dimension) * largest * unity + 2.0**-270 * largest
+        if evaluator == "decasteljau":
+            kernel = forward_bound(order, dimension) * largest * unity + 2.0**-270 * largest
+        else:
+            kernel = direct_forward_bound(order, dimension, w) * largest * unity
         at_points = u * peak @ ((2 * dimension + 2) * size_a + 8 + terms)
         closed_form = u * peak @ ((dimension + 10) * size_a + (dimension + 9) * order + 8 + terms)
-        rounding = evaluator + at_points * unity + closed_form + at_control * (unity - 1.0)
+        rounding = kernel + at_points * unity + closed_form + at_control * (unity - 1.0)
         assert observed <= (estimate + rounding) * (1.0 + 16.0 * u)
 
     def test_vertex_interpolation(self, rng):

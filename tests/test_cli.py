@@ -509,6 +509,17 @@ FIVE_EXP = {"simplex": {"vertices": np.vstack([np.zeros(5), np.eye(5) + 0.1]).to
             "n_values": [40, 160, 640], "grid_resolution": 30}
 
 
+def stdout_at_one_and_two_blas_threads(args):
+    """The distinct stdouts of `python *args` at 1 and 2 BLAS threads."""
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=SOURCE, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        outputs.add(subprocess.run([sys.executable, *args], capture_output=True, check=True,
+                                   env=env, timeout=120).stdout)
+    return outputs
+
+
 @pytest.mark.parametrize("command, fields, header", [
     (["converge", "--evaluator", "direct"], TETRAHEDRON_RUNGE, b"n,sup_error,"),
     (["converge", "--evaluator", "decasteljau"], TETRAHEDRON_RUNGE, b"n,sup_error,"),
@@ -517,23 +528,32 @@ FIVE_EXP = {"simplex": {"vertices": np.vstack([np.zeros(5), np.eye(5) + 0.1]).to
     (["bound-check"], FIVE_EXP, b"n,observed_rel_error,"),
 ], ids=["direct", "decasteljau", "decasteljau-triangle", "scaling", "bound-check"])
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, command, fields, header):
-    # The direct evaluator is a matrix product per chunk, de Casteljau's first
+    # The direct evaluator is two products per tile, de Casteljau's first
     # stage a set of product tiles per chunk (the triangle at n = 80 on grid 50
     # takes several chunks and tiles), and the exp studies one product per grid
     # block (a 5-simplex grid of 30 spans several blocks); the CSV must be the
     # same whatever number of threads the BLAS may split them over.
     config = write_config(tmp_path, **fields)
-    outputs = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=SOURCE, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        result = subprocess.run(
-            [sys.executable, "-m", "bezsimplex.cli", command[0], "--config", config, *command[1:]],
-            capture_output=True, check=True, env=env, timeout=120,
-        )
-        outputs.add(result.stdout)
+    outputs = stdout_at_one_and_two_blas_threads(
+        ["-m", "bezsimplex.cli", command[0], "--config", config, *command[1:]])
     assert len(outputs) == 1
     assert next(iter(outputs)).startswith(header)
+
+
+def test_values_do_not_depend_on_blas_threads():
+    # A CSV's sup hides a point whose last bits move, so this hashes every
+    # point's value: runge on the triangle at n = 80 over grid 50, whose
+    # products are large enough for the BLAS to split over threads.
+    probe = (
+        "import hashlib, json, sys; import bezsimplex as b; "
+        "s = b.Simplex(json.loads(sys.argv[1])); "
+        "net = b.sample_control_net(s, 80, b.make_function('runge', s)); "
+        "w = b.grid_weights(50, 2); "
+        "print([hashlib.sha256(b.evaluate_at_weights(net, w, e).tobytes()).hexdigest()"
+        " for e in b.bernstein.EVALUATORS])"
+    )
+    vertices = json.dumps(TRIANGLE_EXP["simplex"]["vertices"])
+    assert len(stdout_at_one_and_two_blas_threads(["-c", probe, vertices])) == 1
 
 
 def entry_process(args):

@@ -394,9 +394,8 @@ class TestRunConvergence:
     def test_rows_match_the_whole_grid(self, rng, evaluator, dimension, resolution, blocks):
         # Streamed in several blocks, with the kernels in small chunks too, each
         # row is the max over the blocks of one evaluation per block, bit for
-        # bit. decasteljau's values do not depend on the chunk, so its rows are
-        # the whole-grid sups; direct's last bits do (its BLAS products take
-        # edge paths by row position), so its rows match them to rounding.
+        # bit. Neither evaluator's values depend on the chunk, so its rows are
+        # the whole-grid sups.
         s = random_simplex(rng, dimension)
         direction = rng.normal(size=dimension)
         weights = grid_weights(resolution, dimension)
@@ -420,10 +419,7 @@ class TestRunConvergence:
                 result = run_convergence(config, evaluator)
             assert [(row.sup_error, row.sup_relative_error) for row in result] == [
                 (e, e / sup_f) for e in per_block]
-            if evaluator == "decasteljau":
-                assert per_block == whole
-            else:
-                np.testing.assert_allclose(per_block, whole, rtol=1e-13, atol=0)
+            assert per_block == whole
 
     def test_points_have_their_whole_grid_bits(self, rng):
         # On an interval weights @ vertices is a gemv, whose last rows take

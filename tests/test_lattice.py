@@ -319,13 +319,13 @@ class TestGrids:
     def test_blocks_stack_to_the_grid(self, dimension, resolution, parts):
         # The reference is the integer lattice over the resolution. A budget
         # of 1/parts of the grid cuts it anywhere, across slabs and lines: the
-        # blocks are its row_chunks(count, D+1, GEMM_COLUMNS) slices, each
+        # blocks are its row_chunks(count, D+1) slices, each
         # within the budget or a single block of GEMM_COLUMNS rows.
         count = count_multi_indices(resolution, dimension)
         budget = max(1, count * (dimension + 1) // parts) if parts else lattice._ENTRY_BUDGET
         with mock.patch.object(lattice, "_ENTRY_BUDGET", budget):
             blocks = list(grid_weight_blocks(resolution, dimension))
-            chunks = lattice.row_chunks(count, dimension + 1, lattice.GEMM_COLUMNS)
+            chunks = lattice.row_chunks(count, dimension + 1)
         whole = enumerate_multi_indices(resolution, dimension) / float(resolution)
         stacked = np.vstack(blocks)
         assert stacked.dtype == whole.dtype and stacked.shape == whole.shape
@@ -353,13 +353,13 @@ class TestGrids:
         assert peak <= 3 * 8 * lattice._ENTRY_BUDGET
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(count=st.integers(0, 3000), doubles=st.integers(0, 600), multiple=st.integers(1, 9),
-           budget=st.integers(1, 5000))
-    def test_row_chunks_cover_the_rows(self, count, doubles, multiple, budget):
+    @given(count=st.integers(0, 3000), doubles=st.integers(0, 600), budget=st.integers(1, 5000))
+    def test_row_chunks_cover_the_rows(self, count, doubles, budget):
         # Consecutive chunks of one step, the last one short: the largest
-        # multiple of `multiple` rows within the budget, or `multiple` rows.
+        # multiple of GEMM_COLUMNS rows within the budget, or GEMM_COLUMNS rows.
+        multiple = lattice.GEMM_COLUMNS
         with mock.patch.object(lattice, "_ENTRY_BUDGET", budget):
-            chunks = lattice.row_chunks(count, doubles, multiple)
+            chunks = lattice.row_chunks(count, doubles)
         step = chunks[0].stop if chunks else multiple
         assert chunks == [slice(start, start + step) for start in range(0, count, step)]
         assert step % multiple == 0 and step >= multiple
@@ -367,7 +367,7 @@ class TestGrids:
         assert step * per_row <= budget or step == multiple
         assert (step + multiple) * per_row > budget or not chunks
         # The 11 cases of a six-scale study at 32 doubles each, as before.
-        assert lattice.row_chunks(2000, 32 * 11, 8)[0] == slice(0, 1488)
+        assert lattice.row_chunks(2000, 32 * 11)[0] == slice(0, 1488)
 
     def test_default_resolutions(self):
         assert default_grid_resolution(1) == 50
