@@ -15,7 +15,6 @@ a time (Ainsworth-Andriamaro-Davydov 2011, Kirby 2011), O(n^D) a point instead
 of O(n^{D+1}), in the scaled power form (Schumaker-Volk 1986): stage 1 is a
 zero-padded matrix product on BLAS in one-thread tiles, each later stage one
 product and one sum over runs. No result depends on chunking or thread count.
-
 Forward errors at weights w, u = 2**-53, g(N) = N u / (1 - N u), exp and log
 within 4 ulps: decasteljau's is at most g(N) sum_k |c_k| B_k(w) + 2**-270 max
 |c_k|, N = n (3 D^2 + 11 D) / 2 + 5 D; direct's (r + g(W) (1 + r)) sum_k |c_k|
@@ -128,27 +127,28 @@ def read_control_net_csv(simplex: Simplex, source) -> ControlNet:
 
 
 def _direct_blocks(indices: np.ndarray, w: np.ndarray):
-    # Yields (points, rows, B): B[p, i] = B_{k_rows[i]} at weight row points[p] for p <
-    # len(points), 0 beyond; the rows left out are structural zeros there. Points are grouped
-    # by their nonzero weights (a zero weight's log reads 0; every kept row has k_j = 0 there;
-    # interior points take the whole lattice, uncopied). A face's points go in tiles of one
-    # shape, at most 64 (a small face pads to one), zero-padded: no bits depend on the batch.
+    # Yields (points, rows, B), B[p, i] = B_{k_rows[i]} at weight row points[p] for p <
+    # len(points); rows left out are structural zeros (a zero weight's log reads 0, and kept
+    # rows have k_j = 0 there). A face's products take tiles of at most 64 points by its rows;
+    # both counts are zero-padded to multiples of GEMM_COLUMNS, so no bits depend on the batch.
     logm = multinomial_log_table(indices)
     bits = 1 << np.arange(w.shape[1] - 1, -1, -1)  # a face's integer sorts as its row of w != 0
     patterns, group = np.unique((w != 0.0) @ bits, return_inverse=True)
     for key, live in enumerate((patterns[:, None] & bits) != 0):
         rows = slice(None) if live.all() else np.flatnonzero(~indices[:, ~live].any(axis=1))
-        indices_t, log_multinomials = indices[rows].T.astype(float), logm[rows]
-        tile = min(64, row_chunks(1, len(log_multinomials))[0].stop)  # the budget's step, capped
-        points = np.flatnonzero(group == key)
+        width, points = len(logm[rows]), np.flatnonzero(group == key)
+        table = np.zeros((len(live) + 1, -(-width // GEMM_COLUMNS) * GEMM_COLUMNS))
+        table[:-1, :width], table[-1, :width] = indices[rows].T, logm[rows]
+        indices_t, log_multinomials = table[:-1], table[-1]  # pad columns: B = exp(0)
+        tile = min(64, row_chunks(1, table.shape[1])[0].stop)  # the budget's step, capped
         logw = np.zeros((-(-len(points) // tile) * tile, len(live)))
         np.log(w[points], out=logw[:len(points)], where=live)
-        basis = np.empty((tile, len(log_multinomials)))
+        basis = np.empty((tile, table.shape[1]))
         for start in range(0, len(points), tile):
             np.matmul(logw[start:start + tile], indices_t, out=basis)  # 0 in the pad rows
             real = basis[:len(points) - start]
             np.exp(np.add(real, log_multinomials, out=real), out=real)
-            yield points[start:start + tile], rows, basis
+            yield points[start:start + tile], rows, basis[:, :width]
 
 
 def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
@@ -241,7 +241,7 @@ def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALU
     if evaluator == DIRECT:
         indices = enumerate_multi_indices(order, net.simplex.dimension)
         for points, rows, basis in _direct_blocks(indices, w):
-            out[points] = (basis @ net.coefficients[rows])[:len(points)]
+            out[points] = (net.coefficients[rows] @ basis.T)[:len(points)]  # BLAS, unlike B @ c
     elif evaluator == DE_CASTELJAU:
         if order > DE_CASTELJAU_MAX_ORDER:
             raise SizeOverflowError(f"order > {DE_CASTELJAU_MAX_ORDER}: use --evaluator direct")

@@ -634,6 +634,23 @@ class TestDirectKernel:
                    for a, b in zip([0, *cuts], [*cuts, len(w)])]
         np.testing.assert_array_equal(whole, alone)
         np.testing.assert_array_equal(whole, np.concatenate(batches))
+        np.testing.assert_array_equal(whole, evaluate_at_weights(net, w[::-1], "direct")[::-1])
+
+    @pytest.mark.parametrize("dimension, order", [(1, 301), (2, 41), (3, 22), (4, 12)])
+    def test_place_in_a_tile_does_not_change_the_bits(self, rng, dimension, order):
+        # Lattices of C(n + D, D) rows, not a multiple of GEMM_COLUMNS, and a net
+        # on the last 9 rows only: OpenBLAS takes the last columns of an unpadded
+        # log-weights x indices product along an edge path whose bits depend on
+        # the point's row in the tile, and here the value is made of those columns.
+        coefficients = np.zeros(count_multi_indices(order, dimension))
+        coefficients[-9:] = rng.normal(size=9)
+        net = ControlNet(random_simplex(rng, dimension), order, coefficients)
+        w = interior_weights(rng, dimension, 200)
+        whole = evaluate_at_weights(net, w, evaluator="direct")
+        reversed_order = evaluate_at_weights(net, w[::-1], evaluator="direct")[::-1]
+        rolled = np.roll(evaluate_at_weights(net, np.roll(w, 5, axis=0), evaluator="direct"), -5)
+        np.testing.assert_array_equal(whole, reversed_order)
+        np.testing.assert_array_equal(whole, rolled)
 
     @PROPERTY
     @given(dimension=st.integers(1, 4), order=st.integers(1, 30), seed=SEEDS)
