@@ -6,7 +6,7 @@ Library layout:
 - lattice: multi-index enumeration, multinomials, control points
 - bernstein: basis evaluation and the sampling operator (two evaluators)
 - exponentials: closed-form images of exp(a.x) and error budgets
-- experiments: convergence sweeps, rate fits, bound checks, scaling studies
+- experiments: convergence sweeps, bound checks, scaling studies
 - csvio: deterministic CSV emission
 - cli: the ``bezsimplex`` command
 """
@@ -35,11 +35,9 @@ from .errors import (
     EmptyGridError,
     ExpOverflowError,
     FunctionEvaluationError,
-    InsufficientDataError,
     InvalidBarycentricError,
     NegativeWeightError,
     SizeOverflowError,
-    ZeroError,
 )
 from .exponentials import (
     ErrorBudget,
@@ -56,11 +54,8 @@ from .experiments import (
     BoundCheckRow,
     ConvergenceRow,
     ExperimentConfig,
-    RateFit,
     ScalingRow,
     TestFunction,
-    fit_power_law,
-    fit_rate,
     load_config,
     load_simplex,
     make_function,

@@ -8,8 +8,9 @@ Two evaluators are provided. Direct summation computes each basis value in
 log space and is the correctness reference. It groups points by the face
 their nonzero weights span, where B_k vanishes if k_j > 0 at a zero weight,
 and sums each group over that face's lattice rows only (Farin 1986,
-Lai-Schumaker 2007): per tile of one shape, one matrix product of log weights
-and indices, one add, one in-place exp and one product with the net. The
+Lai-Schumaker 2007), in blocks of at most _FACE_ROWS rows added in order: per
+block and tile of one shape, one matrix product of log weights and indices,
+one add, one in-place exp and one product with the net. The
 production path, ``decasteljau``, sums the net out one collapsed coordinate at
 a time (Ainsworth-Andriamaro-Davydov 2011, Kirby 2011), O(n^D) a point instead
 of O(n^{D+1}), in the scaled power form (Schumaker-Volk 1986): stage 1 is a
@@ -36,8 +37,9 @@ import numpy as np
 from .csvio import emit_lattice_csv, open_csv
 from .errors import ConfigError, DimensionMismatchError, FunctionEvaluationError, SizeOverflowError
 from .geometry import Simplex, clip_weights, grid_points, validate_barycentric
-from .lattice import (GEMM_COLUMNS, check_order, control_points, count_multi_indices,
-                      enumerate_multi_indices, multinomial_log_table, row_chunks)
+from .lattice import (_ENTRY_BUDGET, GEMM_COLUMNS, check_order, control_points,
+                      count_multi_indices, enumerate_multi_indices, multinomial_log_table,
+                      row_chunks)
 
 DIRECT = "direct"
 DE_CASTELJAU = "decasteljau"
@@ -45,6 +47,9 @@ EVALUATORS = (DIRECT, DE_CASTELJAU)
 DEFAULT_EVALUATOR = DE_CASTELJAU
 DE_CASTELJAU_MAX_ORDER = 1022  # t**m >= 2**-m and C(m, i) <= 2**m stay normal doubles
 _TILE = 1 << 18  # most multiply-adds a product tile takes: OpenBLAS runs it on one thread
+# Most lattice rows in one of direct's blocks: a tile of GEMM_COLUMNS points by them fits
+# _ENTRY_BUDGET. Fixed at import, so a block's sums, hence the bits, never follow the budget.
+_FACE_ROWS = _ENTRY_BUDGET // GEMM_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -127,28 +132,33 @@ def read_control_net_csv(simplex: Simplex, source) -> ControlNet:
 
 
 def _direct_blocks(indices: np.ndarray, w: np.ndarray):
-    # Yields (points, rows, B), B[p, i] = B_{k_rows[i]} at weight row points[p] for p <
+    # Yields (points, rows, B, first), B[p, i] = B_{k_rows[i]} at weight row points[p] for p <
     # len(points); rows left out are structural zeros (a zero weight's log reads 0, and kept
-    # rows have k_j = 0 there). A face's products take tiles of at most 64 points by its rows;
-    # both counts are zero-padded to multiples of GEMM_COLUMNS, so no bits depend on the batch.
+    # rows have k_j = 0 there). A face's rows go in blocks of at most _FACE_ROWS; a consumer
+    # writes the `first` block's sums and adds each later one's, in order. A block's products
+    # take tiles of at most 64 points by its rows, both counts zero-padded to multiples of
+    # GEMM_COLUMNS, so no bits depend on the batch; its buffers go before the next block's.
     logm = multinomial_log_table(indices)
     bits = 1 << np.arange(w.shape[1] - 1, -1, -1)  # a face's integer sorts as its row of w != 0
     patterns, group = np.unique((w != 0.0) @ bits, return_inverse=True)
     for key, live in enumerate((patterns[:, None] & bits) != 0):
-        rows = slice(None) if live.all() else np.flatnonzero(~indices[:, ~live].any(axis=1))
-        width, points = len(logm[rows]), np.flatnonzero(group == key)
-        table = np.zeros((len(live) + 1, -(-width // GEMM_COLUMNS) * GEMM_COLUMNS))
-        table[:-1, :width], table[-1, :width] = indices[rows].T, logm[rows]
-        indices_t, log_multinomials = table[:-1], table[-1]  # pad columns: B = exp(0)
-        tile = min(64, row_chunks(1, table.shape[1])[0].stop)  # the budget's step, capped
-        logw = np.zeros((-(-len(points) // tile) * tile, len(live)))
-        np.log(w[points], out=logw[:len(points)], where=live)
-        basis = np.empty((tile, table.shape[1]))
-        for start in range(0, len(points), tile):
-            np.matmul(logw[start:start + tile], indices_t, out=basis)  # 0 in the pad rows
-            real = basis[:len(points) - start]
-            np.exp(np.add(real, log_multinomials, out=real), out=real)
-            yield points[start:start + tile], rows, basis[:, :width]
+        face = None if live.all() else np.flatnonzero(~indices[:, ~live].any(axis=1))
+        points = np.flatnonzero(group == key)
+        for lo in range(0, len(indices) if face is None else len(face), _FACE_ROWS):
+            rows = slice(lo, lo + _FACE_ROWS) if face is None else face[lo:lo + _FACE_ROWS]
+            width = len(logm[rows])
+            table = np.zeros((len(live) + 1, -(-width // GEMM_COLUMNS) * GEMM_COLUMNS))
+            table[:-1, :width], table[-1, :width] = indices[rows].T, logm[rows]  # pad: exp(0)
+            tile = min(64, row_chunks(1, table.shape[1])[0].stop)  # the budget's step, capped
+            logw = np.zeros((-(-len(points) // tile) * tile, len(live)))
+            np.log(w[points], out=logw[:len(points)], where=live)
+            basis = np.empty((tile, table.shape[1]))
+            for start in range(0, len(points), tile):
+                np.matmul(logw[start:start + tile], table[:-1], out=basis)  # 0 in the pad rows
+                real = basis[:len(points) - start]
+                np.exp(np.add(real, table[-1], out=real), out=real)
+                yield points[start:start + tile], rows, basis[:, :width], lo == 0
+            del table, logw, basis, real
 
 
 def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
@@ -157,8 +167,9 @@ def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
     indices = enumerate_multi_indices(order, simplex.dimension)
     w = clip_weights(simplex.barycentric(x)[None, :], simplex.dimension)
     values = np.zeros(len(indices))
-    for _, rows, basis in _direct_blocks(indices, w):
+    for _, rows, basis, _ in _direct_blocks(indices, w):
         values[rows] = basis[0]
+        del basis  # its buffer goes before the next block's is built
     return values
 
 
@@ -240,8 +251,10 @@ def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALU
     order, out = net.order, np.empty(w.shape[0])
     if evaluator == DIRECT:
         indices = enumerate_multi_indices(order, net.simplex.dimension)
-        for points, rows, basis in _direct_blocks(indices, w):
-            out[points] = (net.coefficients[rows] @ basis.T)[:len(points)]  # BLAS, unlike B @ c
+        for points, rows, basis, first in _direct_blocks(indices, w):
+            values = (net.coefficients[rows] @ basis.T)[:len(points)]  # BLAS, unlike B @ c
+            out[points] = values if first else out[points] + values
+            del basis  # its buffer goes before the next block's is built
     elif evaluator == DE_CASTELJAU:
         if order > DE_CASTELJAU_MAX_ORDER:
             raise SizeOverflowError(f"order > {DE_CASTELJAU_MAX_ORDER}: use --evaluator direct")

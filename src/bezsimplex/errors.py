@@ -37,14 +37,6 @@ class EmptyGridError(BezSimplexError, ValueError):
     """A sup-norm estimate was requested over an empty point set."""
 
 
-class InsufficientDataError(BezSimplexError, ValueError):
-    """Too few usable rows for a rate fit."""
-
-
-class ZeroError(BezSimplexError, ValueError):
-    """All residuals sit at the noise floor: reproduction is exact, no rate to fit."""
-
-
 class FunctionEvaluationError(BezSimplexError, RuntimeError, ValueError):
     """A user-supplied function failed at, or gave a non-finite value at, a control point."""
 

@@ -1,4 +1,4 @@
-"""Experiment runner: convergence sweeps, rate fits, bound checks, scaling.
+"""Experiment runner: convergence sweeps, bound checks, scaling.
 
 Everything here reduces to the same loop: sample a function into a control
 net, evaluate the net over a barycentric lattice grid, take the sup of the
@@ -21,14 +21,10 @@ import numpy as np
 
 from .bernstein import DEFAULT_EVALUATOR, evaluate_at_weights, sample_control_net
 from .csvio import emit_csv  # re-exported: experiments.emit_csv is public
-from .errors import (ConfigError, DimensionMismatchError, ExpOverflowError,
-                     FunctionEvaluationError, InsufficientDataError, ZeroError)
+from .errors import ConfigError, DimensionMismatchError, ExpOverflowError, FunctionEvaluationError
 from .exponentials import ExpPolynomial, _vertex_dots, error_budget, relative_error_reports
 from .geometry import Simplex, power_of_two_scaled
 from .lattice import check_order, default_grid_resolution, grid_weight_blocks
-
-# Rows with sup_error below this are floating-point noise, not signal.
-NOISE_FLOOR = 1e-13
 
 # The first-order bound is asymptotic; violations are only flagged from here on.
 BOUND_CHECK_MIN_ORDER = 40
@@ -241,12 +237,6 @@ class ConvergenceRow(NamedTuple):
     wall_ms: float
 
 
-class RateFit(NamedTuple):
-    slope: float
-    intercept: float
-    r_squared: float
-
-
 class BoundCheckRow(NamedTuple):
     n: int
     observed_rel_error: float
@@ -325,43 +315,6 @@ def run_convergence(config: ExperimentConfig, evaluator: str = DEFAULT_EVALUATOR
         rows.append(ConvergenceRow(n, sup_error, sup_error / sup_f if sup_f > 0 else sup_error,
                                    predicted, evaluator, wall_s * 1000.0))
     return rows
-
-
-def fit_power_law(orders, errors) -> RateFit:
-    """Least-squares fit of log(error) against log(order)."""
-    ns = np.asarray(orders, dtype=float)
-    errs = np.asarray(errors, dtype=float)
-    if ns.shape != errs.shape or ns.ndim != 1 or ns.shape[0] < 3:
-        raise InsufficientDataError("rate fit needs at least 3 (order, error) pairs")
-    if not np.all(np.isfinite(ns) & (ns > 0) & np.isfinite(errs) & (errs > 0)):
-        raise InsufficientDataError("rate fit needs finite, strictly positive orders and errors")
-    log_n = np.log(ns)
-    log_e = np.log(errs)
-    slope, intercept = np.polyfit(log_n, log_e, 1)
-    predicted = slope * log_n + intercept
-    ss_res = float(((log_e - predicted) ** 2).sum())
-    ss_tot = float(((log_e - log_e.mean()) ** 2).sum())
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r_squared)
-
-
-def fit_rate(rows) -> RateFit:
-    """Fit the decay rate of sup_error across convergence rows.
-
-    Rows at or below NOISE_FLOOR are excluded; if nothing remains the
-    reproduction was exact and ZeroError is raised instead of a bogus fit.
-    """
-    if len(rows) < 3:
-        raise InsufficientDataError(f"rate fit needs >= 3 rows, got {len(rows)}")
-    kept = [(row.n, row.sup_error) for row in rows if row.sup_error > NOISE_FLOOR]
-    if not kept:
-        raise ZeroError("all sup errors at the noise floor: reproduction is exact")
-    if len(kept) < 3:
-        raise InsufficientDataError(
-            f"only {len(kept)} rows above the noise floor; rate fit needs >= 3"
-        )
-    ns, errs = zip(*kept)
-    return fit_power_law(ns, errs)
 
 
 def run_bound_check(config: ExperimentConfig, margin: float = 0.25) -> BoundCheckResult:

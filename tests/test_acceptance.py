@@ -20,7 +20,6 @@ from bezsimplex import (
     enumerate_multi_indices,
     error_budget,
     evaluate_at_weights,
-    fit_power_law,
     grid_weights,
     load_config,
     multinomial_log_table,
@@ -188,11 +187,12 @@ def test_convergence_rate(sweep_rows):
     started = time.perf_counter()
     rows = run_convergence(load_config(dict(SWEEP_CONFIG)))
     elapsed = time.perf_counter() - started
-    fit = fit_power_law([r.n for r in rows], [r.sup_relative_error for r in rows])
+    errors = [r.sup_relative_error for r in rows]
+    slope = np.polyfit(np.log([r.n for r in rows]), np.log(errors), 1)[0]
     report(
         "convergence-rate",
-        -1.2 <= fit.slope <= -0.8 and elapsed < 60.0,
-        f"slope = {fit.slope:.4f}, sweep took {elapsed:.1f}s",
+        -1.2 <= slope <= -0.8 and elapsed < 60.0,
+        f"slope = {slope:.4f}, sweep took {elapsed:.1f}s",
     )
     assert all(a.sup_error == b.sup_error for a, b in zip(rows, sweep_rows))
 

@@ -40,7 +40,8 @@ from bezsimplex import (
     write_control_net_csv,
 )
 
-from conftest import exact_multinomial, interior_weights, pointwise, random_simplex
+from conftest import (direct_forward_bound, exact_multinomial, forward_bound, interior_weights,
+                      pointwise, random_simplex)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -510,35 +511,6 @@ class TestCollapsedKernel:
         assert np.abs(direct / exact - 1.0).max() <= 1e-12
 
 
-def forward_bound(order, dimension):
-    """The decasteljau forward error bound of the bernstein docstring, as a
-    fraction of sum_k |c_k| B_k: g(N) with N = n (3 D^2 + 11 D) / 2 + 5 D.
-
-    Stage j adds (3j + 4) n + 5 roundings to each term: r and t are rounded j
-    and 2j + 1 times (a prefix sum, then a division) and raised to the powers
-    e and m <= n by as many products; C(m, i), two products, the scale and a
-    sum of at most n + 1 terms add n + 4 more. The absolute 2**-270 max |c_k|
-    covers every r**e that underflows below 2**-1022: there C(m, e) t^m is
-    below 2**760 for m <= 1022, at most 2**27 terms each carry e < 2**10
-    half-ulps of 2**-1074."""
-    terms = order * (3 * dimension**2 + 11 * dimension) // 2 + 5 * dimension
-    unit = 2.0**-53
-    return terms * unit / (1.0 - terms * unit)
-
-
-def direct_forward_bound(order, dimension, weights):
-    """The direct forward error bound of the bernstein docstring at a batch of
-    weights, as a fraction of sum_k |c_k| B_k: r + g(W) (1 + r), with
-    r = exp(h) (1 + 8 u) - 1 and h = g(D + 10) n L + 2 g(D + 9) log n!, L the
-    largest |log w_j| over the nonzero weights and W = C(n + D, D)."""
-    unit = 2.0**-53
-    g = lambda terms: terms * unit / (1.0 - terms * unit)
-    largest_log = float(-np.log(weights[weights > 0]).min())
-    h = g(dimension + 10) * order * largest_log + 2 * g(dimension + 9) * math.lgamma(order + 1)
-    r = math.exp(h) * (1.0 + 8.0 * unit) - 1.0
-    return r + g(count_multi_indices(order, dimension)) * (1.0 + r)
-
-
 class TestPowerFormRange:
     @PROPERTY
     @given(dimension=st.integers(1, 2), data=st.data(), seed=SEEDS)
@@ -602,10 +574,10 @@ class TestDirectKernel:
         assert enumerate_multi_indices(300, 2)[hit].tolist() == [0, 0, 300]
 
     def test_working_set_is_bounded_by_the_entry_budget(self, rng):
-        # One reused tile buffer per face, two across a change of face, here
-        # within _ENTRY_BUDGET doubles together; beside them the lattice table,
-        # its float copy and the log-multinomial table's temporaries, (D+1)
-        # numbers per coefficient each.
+        # One reused tile buffer per face and row block, released before the
+        # next one is built, within _ENTRY_BUDGET doubles; beside it the lattice
+        # table, its float copy and the log-multinomial table's temporaries,
+        # (D+1) numbers per coefficient each.
         net = random_net(rng, 3, 60)
         w = grid_weights(15, 3)
         tracemalloc.start()
@@ -615,6 +587,15 @@ class TestDirectKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * lattice._ENTRY_BUDGET + 3 * 8 * 4 * count_multi_indices(60, 3)
+
+    def test_tiles_of_a_wide_face_fit_the_entry_budget(self, rng):
+        # The triangle's interior face at n = 400 has C(402, 2) = 80,601 rows,
+        # more than a tile of GEMM_COLUMNS points can span in _ENTRY_BUDGET
+        # doubles; each yielded tile is a view, so the buffer it is cut from counts.
+        indices = enumerate_multi_indices(400, 2)
+        w = np.vstack([grid_weights(3, 2), interior_weights(rng, 2, 70)])
+        sizes = [block[2].base.size for block in bernstein._direct_blocks(indices, w)]
+        assert sizes and max(sizes) <= lattice._ENTRY_BUDGET
 
     @PROPERTY
     @given(dimension=st.integers(1, 4), data=st.data(), seed=SEEDS)

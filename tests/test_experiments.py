@@ -16,13 +16,9 @@ from bezsimplex import (
     ConfigError,
     ConvergenceRow,
     FunctionEvaluationError,
-    InsufficientDataError,
     SizeOverflowError,
-    ZeroError,
     emit_csv,
     evaluate_at_weights,
-    fit_power_law,
-    fit_rate,
     grid_weights,
     load_config,
     make_function,
@@ -42,7 +38,7 @@ from bezsimplex.experiments import (
     SCALING_COLUMNS,
 )
 
-from conftest import random_simplex
+from conftest import direct_forward_bound, forward_bound, random_simplex
 
 TRIANGLE_SPEC = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
 INTERVAL_SPEC = {"vertices": [[0.0], [1.0]]}
@@ -359,8 +355,8 @@ class TestRunConvergence:
         errors = [row.sup_error for row in rows]
         for before, after in zip(errors, errors[1:]):
             assert after <= 1.05 * before
-        fit = fit_rate(rows)
-        assert -1.0 < fit.slope < -0.2
+        slope = np.polyfit(np.log([row.n for row in rows]), np.log(errors), 1)[0]
+        assert -1.0 < slope < -0.2
 
     def test_direct_evaluator_recorded(self):
         rows = run_convergence(load_config(config_dict()), evaluator="direct")
@@ -390,12 +386,18 @@ class TestRunConvergence:
             )
 
     @pytest.mark.parametrize("evaluator", bernstein.EVALUATORS)
-    @pytest.mark.parametrize("dimension, resolution, blocks", [(1, 400, 8), (2, 30, 3), (3, 12, 2)])
-    def test_rows_match_the_whole_grid(self, rng, evaluator, dimension, resolution, blocks):
+    @pytest.mark.parametrize("dimension, resolution, blocks, orders", [
+        (1, 400, 8, (3, 10, 25)), (2, 30, 3, (3, 10, 25)), (3, 12, 2, (3, 10, 25)),
+        (2, 3, 2, (400,)),  # C(402, 2) = 80,601 interior rows: direct sums them in two blocks
+    ], ids=["1-400-8", "2-30-3", "3-12-2", "2-3-2-wide-face"])
+    def test_rows_match_the_whole_grid(self, rng, evaluator, dimension, resolution, blocks,
+                                       orders):
         # Streamed in several blocks, with the kernels in small chunks too, each
         # row is the max over the blocks of one evaluation per block, bit for
         # bit. Neither evaluator's values depend on the chunk, so its rows are
-        # the whole-grid sups.
+        # the whole-grid sups. The two evaluators agree within the sum of the
+        # forward bounds of the bernstein docstring, over sum_k |c_k| B_k <=
+        # max |c_k| (1 + u)**n.
         s = random_simplex(rng, dimension)
         direction = rng.normal(size=dimension)
         weights = grid_weights(resolution, dimension)
@@ -403,12 +405,18 @@ class TestRunConvergence:
         budget = mock.patch.object(lattice, "_ENTRY_BUDGET", rows * (2 * dimension + 4))
         for function in ("runge", {"terms": [{"c": 1.0, "a": direction.tolist()}]}):
             f = make_function(function, s)
-            config = experiments.ExperimentConfig(s, f, (3, 10, 25), resolution)
+            config = experiments.ExperimentConfig(s, f, orders, resolution)
             nets = [sample_control_net(s, n, f) for n in config.n_values]
             exact = f.evaluate(weights @ s.vertices)
             sup_f = float(np.abs(exact).max())
             whole = [float(np.abs(evaluate_at_weights(net, weights, evaluator) - exact).max())
                      for net in nets]
+            for net in nets:
+                n, largest = net.order, float(np.abs(net.coefficients).max())
+                bound = (forward_bound(n, dimension) + direct_forward_bound(n, dimension, weights)
+                         ) * largest * (1.0 + 2.0 * n * 2.0**-53) + 2.0**-270 * largest
+                assert np.abs(evaluate_at_weights(net, weights, "direct")
+                              - evaluate_at_weights(net, weights, "decasteljau")).max() <= bound
             with budget:
                 parts = [slice(start, start + rows) for start in range(0, len(weights), rows)]
                 assert [len(w) for w in lattice.grid_weight_blocks(
@@ -481,64 +489,6 @@ class TestRunConvergence:
         meta = run_metadata(config)
         assert meta["grid_resolution"] == 10
         assert "lower bound" in meta["note"]
-
-
-class TestRateFit:
-    def test_exact_first_order_power_law(self):
-        ns = np.array([10, 20, 40, 80, 160])
-        fit = fit_power_law(ns, 3.7 / ns)
-        assert fit.slope == pytest.approx(-1.0, abs=1e-9)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-
-    def test_exact_second_order_power_law(self):
-        ns = np.array([5, 10, 20, 40])
-        fit = fit_power_law(ns, 0.8 / ns**2)
-        assert fit.slope == pytest.approx(-2.0, abs=1e-9)
-
-    def test_exponential_sweep_slope(self):
-        config = load_config(config_dict(
-            simplex=INTERVAL_SPEC, function=EXP_1,
-            n_values=[10, 20, 40, 80, 160], grid_resolution=50,
-        ))
-        fit = fit_rate(run_convergence(config))
-        assert -1.2 <= fit.slope <= -0.8
-
-    def test_too_few_rows(self):
-        rows = [ConvergenceRow(n, 1.0 / n, 1.0 / n, None, "direct", 0.0) for n in (2, 4)]
-        with pytest.raises(InsufficientDataError):
-            fit_rate(rows)
-        rows.append(ConvergenceRow(8, 1e-16, 1e-16, None, "direct", 0.0))
-        with pytest.raises(InsufficientDataError, match="only 2 rows above the noise floor"):
-            fit_rate(rows)
-        with pytest.raises(InsufficientDataError, match="at least 3"):
-            fit_power_law([2, 4], [0.5, 0.25])
-
-    def test_exact_reproduction_raises_zero_error(self):
-        rows = [ConvergenceRow(n, 1e-16, 1e-16, None, "direct", 0.0) for n in (2, 4, 8)]
-        with pytest.raises(ZeroError):
-            fit_rate(rows)
-
-    def test_noise_floor_rows_dropped(self):
-        rows = [ConvergenceRow(n, 1.0 / n, 1.0 / n, None, "direct", 0.0)
-                for n in (2, 4, 8, 16)]
-        rows.append(ConvergenceRow(32, 5e-14, 5e-14, None, "direct", 0.0))
-        fit = fit_rate(rows)
-        assert fit.slope == pytest.approx(-1.0, abs=1e-9)
-
-    def test_nonpositive_errors_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            fit_power_law([1, 2, 3], [0.1, 0.0, 0.01])
-
-    @pytest.mark.parametrize("orders, errors", [
-        ([1, 2, 3], [1.0, np.nan, 0.1]),
-        ([1, 2, 3], [1.0, np.inf, 0.1]),
-        ([1, np.nan, 3], [1.0, 0.5, 0.1]),
-        ([1, 2, np.inf], [1.0, 0.5, 0.1]),
-        ([0, 2, 3], [1.0, 0.5, 0.1]),
-    ], ids=["nan-error", "inf-error", "nan-order", "inf-order", "zero-order"])
-    def test_non_finite_pairs_rejected(self, orders, errors):
-        with pytest.raises(InsufficientDataError, match="finite"):
-            fit_power_law(orders, errors)
 
 
 class TestBoundCheck:
