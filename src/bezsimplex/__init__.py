@@ -5,7 +5,7 @@ Library layout:
 - geometry: simplices and barycentric coordinate maps
 - lattice: multi-index enumeration, multinomials, control points
 - bernstein: basis evaluation and the sampling operator (two evaluators)
-- exponentials: closed-form images of exp(a.x) and error budgets
+- exponentials: closed-form images of exp(a.x), observed errors and error budgets
 - experiments: convergence sweeps, bound checks, scaling studies
 - csvio: deterministic CSV emission
 - cli: the ``bezsimplex`` command
@@ -42,7 +42,6 @@ from .errors import (
 from .exponentials import (
     ErrorBudget,
     ExpPolynomial,
-    RelativeErrorReport,
     closed_form_at_weights,
     error_budget,
     relative_error_at_weights,
@@ -50,7 +49,6 @@ from .exponentials import (
     residual_at_weights,
 )
 from .experiments import (
-    BoundCheckResult,
     BoundCheckRow,
     ConvergenceRow,
     ExperimentConfig,

@@ -51,10 +51,10 @@ def _cmd_converge(args) -> int:
 
 def _cmd_bound_check(args) -> int:
     config = load_config(args.config)
-    result = run_bound_check(config, margin=args.margin)
-    _report(args, config, result.rows, BOUND_CHECK_COLUMNS,
-            margin=result.margin, passed=result.passed)
-    return 0 if result.passed else 2
+    rows = run_bound_check(config, margin=args.margin)
+    passed = not any(row.violation for row in rows)
+    _report(args, config, rows, BOUND_CHECK_COLUMNS, margin=args.margin, passed=passed)
+    return 0 if passed else 2
 
 
 def _cmd_scaling(args) -> int:

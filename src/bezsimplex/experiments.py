@@ -22,12 +22,15 @@ import numpy as np
 from .bernstein import DEFAULT_EVALUATOR, evaluate_at_weights, sample_control_net
 from .csvio import emit_csv  # re-exported: experiments.emit_csv is public
 from .errors import ConfigError, DimensionMismatchError, ExpOverflowError, FunctionEvaluationError
-from .exponentials import ExpPolynomial, _vertex_dots, error_budget, relative_error_reports
+from .exponentials import ExpPolynomial, _vertex_dots, error_budget, sup_relative_errors
 from .geometry import Simplex, power_of_two_scaled
 from .lattice import check_order, default_grid_resolution, grid_weight_blocks
 
 # The first-order bound is asymptotic; violations are only flagged from here on.
 BOUND_CHECK_MIN_ORDER = 40
+# Observed relative errors at or below this count as exactly zero in a bound
+# check's ratio, since the prediction may be exactly 0 (a zero direction).
+ZERO_OBSERVED_FLOOR = 1e-12
 
 @dataclass
 class TestFunction:
@@ -245,15 +248,6 @@ class BoundCheckRow(NamedTuple):
     violation: bool
 
 
-class BoundCheckResult(NamedTuple):
-    rows: tuple
-    margin: float
-
-    @property
-    def passed(self) -> bool:
-        return not any(row.violation for row in self.rows)
-
-
 class ScalingRow(NamedTuple):
     diameter_scale: float
     magnitude_scale: float
@@ -317,34 +311,34 @@ def run_convergence(config: ExperimentConfig, evaluator: str = DEFAULT_EVALUATOR
     return rows
 
 
-def run_bound_check(config: ExperimentConfig, margin: float = 0.25) -> BoundCheckResult:
-    """Compare observed relative error with the first-order prediction per order.
+def run_bound_check(config: ExperimentConfig, margin: float = 0.25) -> list:
+    """One BoundCheckRow per configured order: the observed sup relative error
+    over the lattice grid, the first-order prediction of error_budget (the one
+    converge prints) and their ratio, which is 0 for an observation at or
+    below ZERO_OBSERVED_FLOOR even when the prediction is exactly 0.
 
-    A row is a violation when the observed/predicted ratio exceeds 1+margin
-    at order >= BOUND_CHECK_MIN_ORDER; below that the neglected second-order
-    term may legitimately dominate.
+    A row is a violation when the ratio exceeds 1+margin at order >=
+    BOUND_CHECK_MIN_ORDER; below that the neglected second-order term may
+    legitimately dominate. A budget past a double raises ExpOverflowError.
     """
     if not (math.isfinite(margin) and margin >= 0):
         raise ConfigError(f"margin must be finite and non-negative, got {margin!r}")
     direction = exp_study_direction(config.function)
     simplex = config.simplex
     cases = [(_vertex_dots(simplex, direction, n), n) for n in config.n_values]
-    reports = relative_error_reports(
+    observed = sup_relative_errors(
         cases, grid_weight_blocks(config.grid_resolution, simplex.dimension, 2 * len(cases)))
 
     rows = []
-    for n, report in zip(config.n_values, reports):
-        violation = n >= BOUND_CHECK_MIN_ORDER and report.ratio > 1.0 + margin
-        rows.append(
-            BoundCheckRow(
-                n=n,
-                observed_rel_error=report.max_rel_error,
-                predicted_rel_error=report.predicted_rel_error,
-                ratio=report.ratio,
-                violation=violation,
-            )
-        )
-    return BoundCheckResult(rows=tuple(rows), margin=margin)
+    for n, error in zip(config.n_values, observed):
+        predicted = error_budget(simplex, direction, n).predicted_rel_error
+        if predicted > 0.0:
+            ratio = error / predicted
+        else:
+            ratio = 0.0 if error <= ZERO_OBSERVED_FLOOR else math.inf
+        rows.append(BoundCheckRow(n, error, predicted, ratio,
+                                  n >= BOUND_CHECK_MIN_ORDER and ratio > 1.0 + margin))
+    return rows
 
 
 def run_scaling_study(simplex: Simplex, direction, order: int, resolution: int,
@@ -355,7 +349,8 @@ def run_scaling_study(simplex: Simplex, direction, order: int, resolution: int,
     observed growth is roughly quadratic per doubling of either factor.
     The error depends on (d, m) only through the vertex dots d*m*a.x_j: each
     distinct dot vector is one case of the kernel, and pairs such as (1, 2)
-    and (2, 1) share its report bit for bit.
+    and (2, 1) share its error bit for bit. No prediction is formed, so an
+    error budget past a double does not stop the study.
     """
     factors = [float(s) for s in scales]
     if not factors or not all(math.isfinite(s) and s > 0 for s in factors):
@@ -375,6 +370,6 @@ def run_scaling_study(simplex: Simplex, direction, order: int, resolution: int,
             rows.append((d_scale, m_scale, scaled.diameter, float(norm), case))
     # Barycentric weights do not change when the simplex is scaled.
     blocks = grid_weight_blocks(resolution, simplex.dimension, 2 * len(cases))
-    reports = relative_error_reports([(dots, order) for _, dots in cases.values()], blocks)
-    return [ScalingRow(d_scale, m_scale, diameter, norm, order, reports[case].max_rel_error)
+    errors = sup_relative_errors([(dots, order) for _, dots in cases.values()], blocks)
+    return [ScalingRow(d_scale, m_scale, diameter, norm, order, errors[case])
             for d_scale, m_scale, diameter, norm, case in rows]

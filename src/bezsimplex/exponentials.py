@@ -6,9 +6,9 @@ theorem, to the closed form
     [ sum_j s_j(x) exp(a.x_j / n) ]^n
 
 over the barycentric weights s_j of x. Exponentials are therefore the one
-family whose operator error carries an a-priori first-order rate constant;
-``error_budget`` computes that constant and ``relative_error_at_weights``
-measures the observed error against it.
+family whose operator error carries an a-priori first-order rate constant:
+``error_budget`` computes that constant, the one prediction in the package,
+and ``relative_error_at_weights`` measures the observed error alone.
 
 The closed form, its first-order residual and the relative error depend on
 the weights alone: a.x is sum_j s_j a.x_j, so the ``*_at_weights`` kernels
@@ -18,7 +18,7 @@ points; ``relative_error_report`` is the one cartesian-grid adapter.
 Every quantity is read off one padded matrix product of a ``case_table``
 (each (vertex dots, order) case's exp(a.x_j / n), then its a.x_j) with the
 weights: the closed form, its residual and the log ratio that
-``relative_error_reports`` reduces, one product per block of the grid.
+``sup_relative_errors`` reduces, one product per block of the grid.
 A value has the same bits alone or in a batch, in any order and chunking.
 This is the collapse of Bernstein sums to a power of one weighted sum that
 Kirby (Numer. Math. 2011) and Ainsworth-Andriamaro-Davydov (SISC 2011) use.
@@ -40,10 +40,6 @@ EXP_ARG_LIMIT = 700.0
 
 # log of the largest finite double; a relative error past exp of it overflows.
 _LOG_DOUBLE_MAX = float(np.log(np.finfo(float).max))
-
-# Observed relative errors at or below this are treated as exactly zero when
-# forming observed/predicted ratios (the predicted bound may be exactly 0).
-ZERO_OBSERVED_FLOOR = 1e-12
 
 
 def _term(coefficient, direction) -> tuple:
@@ -112,13 +108,6 @@ class ErrorBudget(NamedTuple):
     remainder_cap: float
     rate_constant: float
     predicted_rel_error: float
-
-
-class RelativeErrorReport(NamedTuple):
-    order: int
-    max_rel_error: float
-    predicted_rel_error: float
-    ratio: float
 
 
 def _exponents(points: np.ndarray, directions: np.ndarray, row: str) -> np.ndarray:
@@ -209,7 +198,17 @@ def residual_at_weights(simplex: Simplex, order: int, direction,
     return sums - 1.0 - dots / order
 
 
-def _budget_of_dots(dots: np.ndarray, order: int) -> ErrorBudget:
+def error_budget(simplex: Simplex, direction, order: int) -> ErrorBudget:
+    """First-order error constants for exp(a.x) at the given order.
+
+    remainder_coeff = 1/2 sum_j (a.x_j)^2 exp(a.x_j / n)
+    remainder_cap   = 1/2 sum_j (a.x_j)^2 exp(max(a.x_j, 0))   (n-independent)
+    rate_constant   = remainder_cap + 1/2 max_j a.x_j
+
+    The cap majorizes the coefficient for every order >= 1, and the max of
+    the linear functional a.x over the simplex is attained at a vertex.
+    """
+    dots = _vertex_dots(simplex, direction, order)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0 = nan
         remainder_coeff = 0.5 * float(np.sum(dots**2 * np.exp(dots / order)))
         remainder_cap = 0.5 * float(np.sum(dots**2 * np.exp(np.maximum(dots, 0.0))))
@@ -225,19 +224,6 @@ def _budget_of_dots(dots: np.ndarray, order: int) -> ErrorBudget:
     )
 
 
-def error_budget(simplex: Simplex, direction, order: int) -> ErrorBudget:
-    """First-order error constants for exp(a.x) at the given order.
-
-    remainder_coeff = 1/2 sum_j (a.x_j)^2 exp(a.x_j / n)
-    remainder_cap   = 1/2 sum_j (a.x_j)^2 exp(max(a.x_j, 0))   (n-independent)
-    rate_constant   = remainder_cap + 1/2 max_j a.x_j
-
-    The cap majorizes the coefficient for every order >= 1, and the max of
-    the linear functional a.x over the simplex is attained at a vertex.
-    """
-    return _budget_of_dots(_vertex_dots(simplex, direction, order), order)
-
-
 def log_ratios(table: np.ndarray, orders: np.ndarray, w: np.ndarray) -> np.ndarray:
     """log(closed_form / exp(a.x)) of every case of case_table at each row of
     clipped weights w (P, D+1), shape (C, P): the per-row kernel, which forms
@@ -248,12 +234,13 @@ def log_ratios(table: np.ndarray, orders: np.ndarray, w: np.ndarray) -> np.ndarr
     return log_ratio
 
 
-def relative_error_reports(cases: list, blocks) -> list:
-    """One RelativeErrorReport per (vertex dots, order) case in a single pass
-    over blocks of weights that passed clip_weights (grid weights need no
-    clipping), such as grid_weight_blocks with 2 C doubles beside each row for
-    the (2C, rows) product. Each block takes one log_ratios call for every
-    case; only the extremes of each case's log ratio are kept."""
+def sup_relative_errors(cases: list, blocks) -> list:
+    """The observed sup relative error, a float, of each (vertex dots, order)
+    case in a single pass over blocks of weights that passed clip_weights
+    (grid weights need no clipping), such as grid_weight_blocks with 2 C
+    doubles beside each row for the (2C, rows) product. Each block takes one
+    log_ratios call for every case; only the extremes of each case's log
+    ratio are kept."""
     table, orders = case_table(cases)
     lowest, largest = np.full(len(cases), np.inf), np.full(len(cases), -np.inf)
     for w in blocks:
@@ -262,41 +249,30 @@ def relative_error_reports(cases: list, blocks) -> list:
         np.minimum(lowest, log_ratio.min(axis=1), out=lowest)
         np.maximum(largest, log_ratio.max(axis=1), out=largest)
         del w, log_ratio  # free this block and its product before the next block is built
-    reports = []
-    for (dots, order), low, high in zip(cases, lowest, largest):
+    errors = []
+    for low, high in zip(lowest, largest):
         if high > _LOG_DOUBLE_MAX:
             raise ExpOverflowError(f"relative error reaches exp({high:.6g}), beyond the largest double")
         # expm1 is monotone, so |expm1| peaks at an extreme of the log ratio
-        observed = float(max(abs(np.expm1(high)), abs(np.expm1(low))))
-        predicted = _budget_of_dots(dots, order).predicted_rel_error
-        if predicted > 0.0:
-            ratio = observed / predicted
-        else:
-            ratio = 0.0 if observed <= ZERO_OBSERVED_FLOOR else float("inf")
-        reports.append(RelativeErrorReport(order=order, max_rel_error=observed,
-                                           predicted_rel_error=predicted, ratio=ratio))
-    return reports
+        errors.append(float(max(abs(np.expm1(high)), abs(np.expm1(low)))))
+    return errors
 
 
 def relative_error_at_weights(simplex: Simplex, direction, order: int,
-                              weights: np.ndarray) -> RelativeErrorReport:
+                              weights: np.ndarray) -> float:
     """Max relative error of the closed form against exp(a.x) over a (P, D+1)
-    batch of barycentric weights.
-
-    The ratio field compares the observation with the predicted first-order
-    bound; observations at the zero floor give ratio 0 even when the
-    prediction is exactly zero. A relative error past the largest double
-    raises ExpOverflowError.
+    batch of barycentric weights: the observation alone, with no prediction
+    (bound-check compares observations with error_budget). A relative error
+    past the largest double raises ExpOverflowError.
     """
     dots = _vertex_dots(simplex, direction, order)
     w = clip_weights(weights, simplex.dimension)
     if w.shape[0] == 0:
         raise EmptyGridError("relative error requested over no weights")
-    return relative_error_reports([(dots, order)], [w])[0]
+    return sup_relative_errors([(dots, order)], [w])[0]
 
 
-def relative_error_report(simplex: Simplex, direction, order: int,
-                          grid) -> RelativeErrorReport:
+def relative_error_report(simplex: Simplex, direction, order: int, grid) -> float:
     """relative_error_at_weights over a grid of cartesian points."""
     weights = simplex.barycentric_many(grid_points(simplex, grid))
     return relative_error_at_weights(simplex, direction, order, weights)

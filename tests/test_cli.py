@@ -16,7 +16,7 @@ import bezsimplex
 from bezsimplex import basis_vector, closed_form_at_weights, count_multi_indices, standard_simplex
 from bezsimplex.bernstein import DE_CASTELJAU_MAX_ORDER
 from bezsimplex.cli import main
-from bezsimplex.experiments import BoundCheckResult, BoundCheckRow
+from bezsimplex.experiments import BoundCheckRow
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 SOURCE = str(Path(bezsimplex.__file__).resolve().parents[1])  # the src/ that tests import
@@ -101,13 +101,18 @@ class TestConverge:
 
     def test_budget_past_a_double_leaves_the_prediction_empty(self, tmp_path, capsys):
         # exp(700 x) on [0, 1]: finite sup errors, an error budget past a double.
+        # scaling prints no prediction, so it runs; bound-check prints one, so it refuses.
         config = write_config(tmp_path, simplex=INTERVAL, n_values=[4, 8],
                               function={"terms": [{"c": 1.0, "a": [700.0]}]})
         assert main(["converge", "--config", config]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [row["predicted_rel_error"] for row in rows] == ["", ""]
+        assert main(["scaling", "--config", config, "--scales", "1"]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["n"] == "8" and np.isfinite(float(row["sup_relative_error"]))
         assert main(["bound-check", "--config", config]) == 1
-        assert "overflows a double" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "overflows a double" in err
 
     def test_order_past_the_decasteljau_limit(self, tmp_path, capsys):
         limit = DE_CASTELJAU_MAX_ORDER
@@ -163,14 +168,13 @@ class TestBoundCheck:
         assert meta["margin"] == 0.25
 
     def test_violation_exit_code(self, tmp_path, capsys, monkeypatch):
-        rows = (BoundCheckRow(40, 1.0, 0.1, 10.0, True),)
-        monkeypatch.setattr(
-            "bezsimplex.cli.run_bound_check",
-            lambda config, margin: BoundCheckResult(rows=rows, margin=margin),
-        )
+        # One violating row among passing ones fails the check; the margin is echoed.
+        rows = [BoundCheckRow(40, 1.0, 0.1, 10.0, True), BoundCheckRow(80, 0.1, 0.5, 0.2, False)]
+        monkeypatch.setattr("bezsimplex.cli.run_bound_check", lambda config, margin: rows)
         config = write_config(tmp_path)
-        assert main(["bound-check", "--config", config]) == 2
-        assert json.loads(capsys.readouterr().err)["passed"] is False
+        assert main(["bound-check", "--config", config, "--margin", "0.5"]) == 2
+        meta = json.loads(capsys.readouterr().err)
+        assert meta["passed"] is False and meta["margin"] == 0.5
 
     @pytest.mark.parametrize("margin", ["nan", "inf", "-0.5"])
     def test_bad_margin(self, tmp_path, capsys, margin):

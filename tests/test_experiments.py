@@ -11,13 +11,12 @@ import pytest
 
 import bezsimplex
 from bezsimplex import (
-    BoundCheckResult,
-    BoundCheckRow,
     ConfigError,
     ConvergenceRow,
     FunctionEvaluationError,
     SizeOverflowError,
     emit_csv,
+    error_budget,
     evaluate_at_weights,
     grid_weights,
     load_config,
@@ -367,6 +366,8 @@ class TestRunConvergence:
     def test_budget_past_a_double_gives_no_prediction(self):
         # exp(700 x) on [0, 1]: its sup errors are finite, its error budget is
         # not, so the rows carry no prediction instead of refusing the run.
+        # The scaling study prints no prediction and never forms one; only
+        # the bound check, which prints it, refuses.
         config = load_config(config_dict(simplex=INTERVAL_SPEC, n_values=[4, 8],
                                          function={"terms": [{"c": 1.0, "a": [700.0]}]}))
         with pytest.raises(bezsimplex.ExpOverflowError, match="overflows a double"):
@@ -375,6 +376,9 @@ class TestRunConvergence:
         assert [row.predicted_rel_error for row in rows] == [None, None]
         assert all(math.isfinite(row.sup_error) and 0 < row.sup_relative_error < 1
                    for row in rows)
+        for order in config.n_values:
+            (row,) = run_scaling_study(config.simplex, [700.0], order, config.grid_resolution, [1.0])
+            assert math.isfinite(row.sup_relative_error) and row.sup_relative_error > 1.0
 
     def test_deterministic_rows(self):
         config = load_config(config_dict(function=EXP_11))
@@ -497,18 +501,20 @@ class TestBoundCheck:
             function={"terms": [{"c": 1.0, "a": [0.0, 0.0]}]},
             n_values=[10, 40, 100],
         ))
-        result = run_bound_check(config)
-        assert result.passed
-        assert all(row.ratio == 0.0 for row in result.rows)
+        rows = run_bound_check(config)
+        assert not any(row.violation for row in rows)
+        for row in rows:
+            assert (row.predicted_rel_error, row.ratio) == (0.0, 0.0)
+            assert row.observed_rel_error <= experiments.ZERO_OBSERVED_FLOOR
 
     def test_interval_ratios_stay_below_margin(self):
         config = load_config(config_dict(
             simplex=INTERVAL_SPEC, function=EXP_1,
             n_values=[10, 20, 40, 80, 160], grid_resolution=50,
         ))
-        result = run_bound_check(config, margin=0.25)
-        assert result.passed
-        checked = [row for row in result.rows if row.n >= 40]
+        rows = run_bound_check(config, margin=0.25)
+        assert not any(row.violation for row in rows)
+        checked = [row for row in rows if row.n >= 40]
         assert checked
         for row in checked:
             assert row.ratio < 1.25
@@ -525,8 +531,35 @@ class TestBoundCheck:
             with pytest.raises(ConfigError, match="margin"):
                 run_bound_check(config, margin=margin)
 
+    def test_ratio_is_observed_over_predicted(self):
+        # On the triangle with a = (1, 1) the first-order prediction holds
+        # from n = 40 on; each ratio is the quotient of its row's two errors.
+        config = load_config(config_dict(function=EXP_11, n_values=[40, 80, 160],
+                                         grid_resolution=50))
+        rows = run_bound_check(config)
+        assert [row.n for row in rows] == [40, 80, 160]
+        for row in rows:
+            assert row.observed_rel_error <= row.predicted_rel_error
+            assert row.ratio == row.observed_rel_error / row.predicted_rel_error
+            assert not row.violation
+
+    def test_violation_needs_the_minimum_order_and_the_margin(self):
+        # Here every ratio is near 0.039; with each prediction cut by 50 it is
+        # near 2: a violation from BOUND_CHECK_MIN_ORDER on at margin 0.25,
+        # none below it, and none at all once the margin is past the ratio.
+        config = load_config(config_dict(function=EXP_11, n_values=[20, 40, 80],
+                                         grid_resolution=20))
+        shrunk = lambda *args: error_budget(*args)._replace(
+            predicted_rel_error=error_budget(*args).predicted_rel_error / 50.0)
+        with mock.patch.object(experiments, "error_budget", shrunk):
+            rows = run_bound_check(config, margin=0.25)
+            assert all(1.5 < row.ratio < 2.5 for row in rows)
+            assert [row.violation for row in rows] == [False, True, True]
+            assert not any(row.violation for row in run_bound_check(config, margin=10.0))
+
     def test_rows_match_the_whole_grid_kernel(self, rng):
-        # Streamed in several blocks, each row is the one-batch report bit for bit.
+        # Streamed in several blocks, each row's observation is the one-batch
+        # kernel's and its prediction is error_budget's, bit for bit.
         s = random_simplex(rng, 3)
         direction = rng.normal(size=3)
         config = experiments.ExperimentConfig(
@@ -534,19 +567,12 @@ class TestBoundCheck:
             (5, 40, 160, 640), 9)
         with mock.patch.object(lattice, "_ENTRY_BUDGET", 200):
             assert len(list(lattice.grid_weight_blocks(9, 3))) > 1
-            result = run_bound_check(config)
+            rows = run_bound_check(config)
         grid = grid_weights(9, 3)
-        for row in result.rows:
-            expected = relative_error_at_weights(s, direction, row.n, grid)
-            assert (row.observed_rel_error, row.predicted_rel_error, row.ratio) == (
-                expected.max_rel_error, expected.predicted_rel_error, expected.ratio)
-
-    def test_violation_flag_controls_passed(self):
-        rows = (
-            BoundCheckRow(40, 1.0, 0.5, 2.0, True),
-            BoundCheckRow(80, 0.1, 0.5, 0.2, False),
-        )
-        assert not BoundCheckResult(rows=rows, margin=0.25).passed
+        for row in rows:
+            assert row.observed_rel_error == relative_error_at_weights(s, direction, row.n, grid)
+            assert row.predicted_rel_error == error_budget(s, direction, row.n).predicted_rel_error
+            assert row.ratio == row.observed_rel_error / row.predicted_rel_error
 
 
 class TestScalingStudy:
@@ -603,9 +629,7 @@ class TestScalingStudy:
         for row in rows:
             scaled = s.scaled(row.diameter_scale)
             points = grid_weights(resolution, 3) @ scaled.vertices
-            expected = relative_error_report(
-                scaled, direction * row.magnitude_scale, order, points
-            ).max_rel_error
+            expected = relative_error_report(scaled, direction * row.magnitude_scale, order, points)
             assert abs(row.sup_relative_error - expected) <= 1e-12 * expected + order * 1e-14
 
     @pytest.mark.parametrize("scales, cases", [
@@ -640,7 +664,7 @@ class TestScalingStudy:
             expected = relative_error_at_weights(
                 s.scaled(row.diameter_scale), direction * row.magnitude_scale, order, grid
             )
-            assert row.sup_relative_error == expected.max_rel_error
+            assert row.sup_relative_error == expected
 
     @pytest.mark.parametrize("study", ["bound-check", "scaling"])
     def test_each_block_and_its_product_fit_the_entry_budget(self, rng, study):
