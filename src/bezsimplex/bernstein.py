@@ -37,9 +37,8 @@ import numpy as np
 from .csvio import emit_lattice_csv, open_csv
 from .errors import ConfigError, DimensionMismatchError, FunctionEvaluationError, SizeOverflowError
 from .geometry import Simplex, clip_weights, grid_points, validate_barycentric
-from .lattice import (_ENTRY_BUDGET, GEMM_COLUMNS, check_order, control_points,
-                      count_multi_indices, enumerate_multi_indices, multinomial_log_table,
-                      row_chunks)
+from .lattice import (GEMM_COLUMNS, check_order, chunk_rows, control_points, count_multi_indices,
+                      enumerate_multi_indices, multinomial_log_table, padded, row_chunks)
 
 DIRECT = "direct"
 DE_CASTELJAU = "decasteljau"
@@ -49,7 +48,7 @@ DE_CASTELJAU_MAX_ORDER = 1022  # t**m >= 2**-m and C(m, i) <= 2**m stay normal d
 _TILE = 1 << 18  # most multiply-adds a product tile takes: OpenBLAS runs it on one thread
 # Most lattice rows in one of direct's blocks: a tile of GEMM_COLUMNS points by them fits
 # _ENTRY_BUDGET. Fixed at import, so a block's sums, hence the bits, never follow the budget.
-_FACE_ROWS = _ENTRY_BUDGET // GEMM_COLUMNS
+_FACE_ROWS = chunk_rows(GEMM_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -143,13 +142,13 @@ def _direct_blocks(indices: np.ndarray, w: np.ndarray):
     patterns, group = np.unique((w != 0.0) @ bits, return_inverse=True)
     for key, live in enumerate((patterns[:, None] & bits) != 0):
         face = None if live.all() else np.flatnonzero(~indices[:, ~live].any(axis=1))
-        points = np.flatnonzero(group == key)
-        for lo in range(0, len(indices) if face is None else len(face), _FACE_ROWS):
+        points, total = np.flatnonzero(group == key), len(indices if face is None else face)
+        for lo in range(0, total, _FACE_ROWS):
             rows = slice(lo, lo + _FACE_ROWS) if face is None else face[lo:lo + _FACE_ROWS]
-            width = len(logm[rows])
-            table = np.zeros((len(live) + 1, -(-width // GEMM_COLUMNS) * GEMM_COLUMNS))
+            width = min(_FACE_ROWS, total - lo)
+            table = np.zeros((len(live) + 1, padded(width)))
             table[:-1, :width], table[-1, :width] = indices[rows].T, logm[rows]  # pad: exp(0)
-            tile = min(64, row_chunks(1, table.shape[1])[0].stop)  # the budget's step, capped
+            tile = min(64, chunk_rows(table.shape[1]))  # the budget's chunk length, capped
             logw = np.zeros((-(-len(points) // tile) * tile, len(live)))
             np.log(w[points], out=logw[:len(points)], where=live)
             basis = np.empty((tile, table.shape[1]))
@@ -191,6 +190,8 @@ def _power_plan(coefficients: np.ndarray, order: int, dimension: int) -> tuple:
     # Stage j sums out k_j: each run of rows sharing (k_(j+1)..k_D) is a block k_j = i = 0..m,
     # the runs being the rows of the order-n lattice of dimension D-j, m their k_0; a stage is
     # m, the run starts and per row i, m - i, C(m, i), stage 1 a table of c C(m, i) 2**-scale.
+    # Returned: _power_chunk's arguments, among them stage 1's tile (`rows` of the table by
+    # `step` points, at most _TILE multiply-adds), then the doubles held and those of a point.
     low = order if dimension == 1 else 0  # C(m, i) is needed for these m only
     comb = _binomials(order, low)
     scale = max(0, int(np.frexp(np.abs(coefficients).max(initial=0.0))[1]) + order - 1023)
@@ -206,19 +207,21 @@ def _power_plan(coefficients: np.ndarray, order: int, dimension: int) -> tuple:
     table = np.zeros((2, max(2, len(first_m) + len(first_m) % 2), order + 1))  # even: no gemv
     table[0, run, i] = table[1, run, reverse] = c * np.ldexp(coefficients, -scale)
     held = table.size + first_m.size + sum(a.size for stage in stages for a in stage)
-    return table, first_m, stages, scale, held, 4 * len(first_m) + (2 * order + 8) * (dimension + 1)
+    rows = max(2, min(table.shape[1], int((_TILE / (order + 1)) ** 0.5) // 2 * 2))
+    kernel = table, first_m, stages, scale, rows, chunk_rows(rows * (order + 1), _TILE), order
+    return kernel, held, 4 * len(first_m) + (2 * order + 8) * (dimension + 1)
 
 
-def _power_chunk(table, first_m, stages, scale, order: int, weights: np.ndarray) -> np.ndarray:
+def _power_chunk(table, first_m, stages, scale, rows, step, order, weights) -> np.ndarray:
     # Collapsed coordinates u_j = s_j / (s_0 + .. + s_j) make the basis prod_j C(m, i) r^e t^m:
     # p = s_0 + .. + s_(j-1), r = min(p, s_j) / max(p, s_j), t = max(p, s_j) / (p + s_j), e = i
     # if s_j <= p else m - i (r = 0, t = 1 where p = s_j = 0: faces stay exact). Points are
     # sorted by e's choice; a tile of stage 1's low half may spill into high columns, redone.
     rank = np.lexsort((weights[:, 1:] > np.cumsum(weights, axis=1)[:, :-1]).T[::-1])
     low = int(np.count_nonzero(weights[:, 1] <= weights[:, 0]))
-    split = -(-low // GEMM_COLUMNS) * GEMM_COLUMNS  # each of stage 1's two gemms is padded
+    split = padded(low)  # each of stage 1's two gemms is padded
     column = np.concatenate([np.arange(low), np.arange(split, split + len(weights) - low)])
-    s = np.zeros((weights.shape[1], split - (low - len(weights)) // GEMM_COLUMNS * GEMM_COLUMNS))
+    s = np.zeros((weights.shape[1], split + padded(len(weights) - low)))
     s[:, column] = weights[rank].T
     p = np.cumsum(s, axis=0)
     hi, high = np.maximum(p[:-1], s[1:]), s[1:] > p[:-1]
@@ -227,8 +230,6 @@ def _power_chunk(table, first_m, stages, scale, order: int, weights: np.ndarray)
     powers[1:, 1] = np.divide(hi, p[1:], out=np.ones(hi.shape), where=hi > 0)
     for e in range(2, order + 1):
         powers[e] *= powers[e - 1]
-    rows = max(2, min(table.shape[1], int((_TILE / (order + 1)) ** 0.5) // 2 * 2))  # fixed
-    step = max(GEMM_COLUMNS, _TILE // (rows * (order + 1)) // GEMM_COLUMNS * GEMM_COLUMNS)
     product = np.empty((table.shape[1], s.shape[1]))
     for half, (o, e) in enumerate(((0, split), (split, s.shape[1]))):
         for a, r in itertools.product(range(o, e, step), range(0, table.shape[1], rows)):
@@ -258,9 +259,9 @@ def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALU
     elif evaluator == DE_CASTELJAU:
         if order > DE_CASTELJAU_MAX_ORDER:
             raise SizeOverflowError(f"order > {DE_CASTELJAU_MAX_ORDER}: use --evaluator direct")
-        *plan, held, per_point = _power_plan(net.coefficients, order, net.simplex.dimension)
+        kernel, held, per_point = _power_plan(net.coefficients, order, net.simplex.dimension)
         for chunk in row_chunks(w.shape[0], per_point, held=held):
-            out[chunk] = _power_chunk(*plan, order, w[chunk])
+            out[chunk] = _power_chunk(*kernel, w[chunk])
     else:
         raise ConfigError(f"unknown evaluator {evaluator!r}; use one of {EVALUATORS}")
     return out

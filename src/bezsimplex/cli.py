@@ -61,7 +61,7 @@ def _cmd_scaling(args) -> int:
     config = load_config(args.config)
     direction = exp_study_direction(config.function)
     try:
-        scales = [float(s) for s in args.scales.split(",") if s.strip()]
+        scales = [float(s) for s in args.scales.split(",")]  # an empty entry is refused too
     except ValueError as exc:
         raise ConfigError(f"--scales: non-numeric entry in {args.scales!r}") from exc
     order = max(config.n_values)

@@ -22,7 +22,7 @@ import numpy as np
 from .bernstein import DEFAULT_EVALUATOR, evaluate_at_weights, sample_control_net
 from .csvio import emit_csv  # re-exported: experiments.emit_csv is public
 from .errors import ConfigError, DimensionMismatchError, ExpOverflowError, FunctionEvaluationError
-from .exponentials import ExpPolynomial, _vertex_dots, error_budget, sup_relative_errors
+from .exponentials import ExpPolynomial, error_budget, sup_relative_errors, vertex_dots
 from .geometry import Simplex, power_of_two_scaled
 from .lattice import check_order, default_grid_resolution, grid_weight_blocks
 
@@ -325,7 +325,7 @@ def run_bound_check(config: ExperimentConfig, margin: float = 0.25) -> list:
         raise ConfigError(f"margin must be finite and non-negative, got {margin!r}")
     direction = exp_study_direction(config.function)
     simplex = config.simplex
-    cases = [(_vertex_dots(simplex, direction, n), n) for n in config.n_values]
+    cases = [(vertex_dots(simplex, direction, n), n) for n in config.n_values]
     observed = sup_relative_errors(
         cases, grid_weight_blocks(config.grid_resolution, simplex.dimension, 2 * len(cases)))
 
@@ -364,7 +364,7 @@ def run_scaling_study(simplex: Simplex, direction, order: int, resolution: int,
         for m_scale in factors:
             a = power_of_two_scaled(base_direction, lambda u: u * m_scale,
                                     f"scaling by {m_scale!r}")[0]
-            dots = _vertex_dots(scaled, a, order)
+            dots = vertex_dots(scaled, a, order)
             case = cases.setdefault(dots.tobytes(), (len(cases), dots))[0]
             norm = power_of_two_scaled(a, np.linalg.norm, "direction norm")[0]
             rows.append((d_scale, m_scale, scaled.diameter, float(norm), case))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, DomainError, EmptyGridError, ExpOverflowError,
                      SizeOverflowError)
-from .lattice import GEMM_COLUMNS, check_order
+from .lattice import check_order, padded
 from .geometry import Simplex, clip_weights, grid_points
 
 # exp() overflows double precision near 709; stay clear with a round guard.
@@ -124,8 +124,8 @@ def _exponents(points: np.ndarray, directions: np.ndarray, row: str) -> np.ndarr
     return dots
 
 
-def _vertex_dots(simplex: Simplex, direction, order: int) -> np.ndarray:
-    # a.x_j per vertex, after checking the order and the direction of a kernel.
+def vertex_dots(simplex: Simplex, direction, order: int) -> np.ndarray:
+    """A case's vertex dots a.x_j, one per vertex, after checking the order and the direction."""
     check_order(order)
     a = np.asarray(direction, dtype=float)
     if a.ndim != 1 or a.shape[0] != simplex.dimension:
@@ -146,13 +146,11 @@ def case_table(cases: list) -> tuple:
 
 def _weighted_sums(table: np.ndarray, w: np.ndarray) -> np.ndarray:
     # table @ w.T (2C, P): each case's sum_j s_j exp(a.x_j / n), then its a.x.
-    # Two or more rows and a multiple of GEMM_COLUMNS columns (zero-padded)
-    # make it a gemm whose bits hold across case counts, chunks and threads.
-    rows = w.shape[0]
-    width = -(-rows // GEMM_COLUMNS) * GEMM_COLUMNS
-    columns = w.T
-    if width != rows:
-        columns = np.zeros((w.shape[1], width))
+    # Two or more rows and padded columns (zeros) make it a gemm whose bits
+    # hold across case counts, chunks and threads.
+    rows, columns = w.shape[0], w.T
+    if padded(rows) != rows:
+        columns = np.zeros((w.shape[1], padded(rows)))
         columns[:, :rows] = w.T
     return (table @ columns)[:, :rows]
 
@@ -185,7 +183,7 @@ def closed_form_at_weights(simplex: Simplex, order: int, direction,
     Evaluated as exp(n * log(sum_j s_j exp(a.x_j / n))) so high orders never
     overflow an intermediate power.
     """
-    dots = _vertex_dots(simplex, direction, order)
+    dots = vertex_dots(simplex, direction, order)
     w = clip_weights(weights, simplex.dimension)
     return np.exp(_log_powers(*case_table([(dots, order)]), w)[0])
 
@@ -193,7 +191,7 @@ def closed_form_at_weights(simplex: Simplex, order: int, direction,
 def residual_at_weights(simplex: Simplex, order: int, direction,
                         weights: np.ndarray) -> np.ndarray:
     """First-order residual sum_j s_j exp(a.x_j/n) - 1 - a.x/n, batched."""
-    table, _ = case_table([(_vertex_dots(simplex, direction, order), order)])
+    table, _ = case_table([(vertex_dots(simplex, direction, order), order)])
     sums, dots = _weighted_sums(table, clip_weights(weights, simplex.dimension))
     return sums - 1.0 - dots / order
 
@@ -208,7 +206,7 @@ def error_budget(simplex: Simplex, direction, order: int) -> ErrorBudget:
     The cap majorizes the coefficient for every order >= 1, and the max of
     the linear functional a.x over the simplex is attained at a vertex.
     """
-    dots = _vertex_dots(simplex, direction, order)
+    dots = vertex_dots(simplex, direction, order)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0 = nan
         remainder_coeff = 0.5 * float(np.sum(dots**2 * np.exp(dots / order)))
         remainder_cap = 0.5 * float(np.sum(dots**2 * np.exp(np.maximum(dots, 0.0))))
@@ -265,7 +263,7 @@ def relative_error_at_weights(simplex: Simplex, direction, order: int,
     (bound-check compares observations with error_budget). A relative error
     past the largest double raises ExpOverflowError.
     """
-    dots = _vertex_dots(simplex, direction, order)
+    dots = vertex_dots(simplex, direction, order)
     w = clip_weights(weights, simplex.dimension)
     if w.shape[0] == 0:
         raise EmptyGridError("relative error requested over no weights")

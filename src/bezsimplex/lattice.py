@@ -125,10 +125,21 @@ def multinomial_log_table(indices: np.ndarray) -> np.ndarray:
     return log_factorial[n] - log_factorial[k].sum(axis=1)
 
 
+def padded(count: int) -> int:
+    """`count` rounded up to a multiple of GEMM_COLUMNS: the width of a zero-padded product."""
+    return -(-count // GEMM_COLUMNS) * GEMM_COLUMNS
+
+
+def chunk_rows(per_row: int, capacity: int | None = None) -> int:
+    """A chunk's length: rows of `per_row` entries (0 counts as 1) within `capacity` (default
+    _ENTRY_BUDGET doubles), rounded down to a multiple of GEMM_COLUMNS, never fewer."""
+    capacity = _ENTRY_BUDGET if capacity is None else capacity
+    return max(1, capacity // max(1, per_row) // GEMM_COLUMNS) * GEMM_COLUMNS
+
+
 def row_chunks(count: int, doubles_per_row: int, *, held: int = 0) -> list:
-    """Slices of `count` rows: chunks of (_ENTRY_BUDGET - held) // doubles_per_row rows (0 counts
-    as 1) beside `held` doubles, rounded down to a multiple of GEMM_COLUMNS, never fewer."""
-    step = max(1, (_ENTRY_BUDGET - held) // max(1, doubles_per_row) // GEMM_COLUMNS) * GEMM_COLUMNS
+    """Slices of `count` rows, chunk_rows(doubles_per_row) each beside `held` doubles."""
+    step = chunk_rows(doubles_per_row, _ENTRY_BUDGET - held)
     return [slice(start, start + step) for start in range(0, count, step)]
 
 

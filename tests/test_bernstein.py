@@ -393,7 +393,7 @@ class TestCollapsedKernel:
                 mock.patch.object(bernstein, "_power_chunk", spy):
             chunked = evaluate_at_weights(net, w, evaluator="decasteljau")
             direct = evaluate_at_weights(net, w, evaluator="direct")
-        sizes = [len(call.args[5]) for call in spy.call_args_list]
+        sizes = [len(call.args[-1]) for call in spy.call_args_list]
         assert sizes == [chunk] * full + [rest]
         np.testing.assert_array_equal(chunked, one_by_one)
         scale = float(np.abs(net.coefficients).max())
@@ -421,7 +421,7 @@ class TestCollapsedKernel:
         # order: its row r sums the consecutive input rows k_j = i = 0..m, m = k_0
         # of r, each times C(m, i). Stage 1's table holds them forward and reversed.
         net = random_net(rng, dimension, order)
-        table, first_m, stages, scale, _, _ = bernstein._power_plan(
+        (table, first_m, stages, scale, *_), _, _ = bernstein._power_plan(
             net.coefficients, order, dimension)
         assert scale == 0 and len(stages) == dimension - 1
         rows = count_multi_indices(order, dimension)

@@ -234,6 +234,15 @@ class TestScaling:
         assert main(["scaling", "--config", config, "--scales", "1,2"]) == 1
         assert "single-exponential" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scales", ["1,,2", "1,2,", ""])
+    def test_empty_scale_entries_are_a_config_error(self, tmp_path, capsys, scales):
+        # As with --point, an empty entry is refused, not dropped: "1,,2" never runs [1, 2].
+        config = write_config(tmp_path)
+        assert main(["scaling", "--config", config, "--scales", scales]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --scales: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("scales", ["-1,2", "-0.5"])
     def test_negative_scales_are_a_config_error(self, tmp_path, capsys, scales):
         config = write_config(tmp_path)

@@ -475,18 +475,27 @@ class TestRunConvergence:
 
     @pytest.mark.parametrize("evaluator", bernstein.EVALUATORS)
     def test_memory_is_bounded_by_the_entry_budget(self, evaluator):
-        # 2,000,001 grid points, 16 MB a column: one pass over the whole grid
-        # would hold its weights, points, f and each order's values at once.
+        # A budget of 2**16 doubles and 250,001 grid points, 2 MB a column: one
+        # pass over the whole grid would hold its weights, points, f and each
+        # order's values at once, each of them past the bound. The grid spans at
+        # least 20 blocks, as 2,000,001 points do at the default budget. The
+        # collapsed kernel loops in Python over the order on each of its chunks,
+        # of about budget / (4 n) points on an interval: at n = 80 that is some
+        # 1,400 chunks and 3 s. Orders 4 and 8 stream the same blocks, which the
+        # bound is about, in some 200 chunks each.
+        orders = [40, 80] if evaluator == bernstein.DIRECT else [4, 8]
         config = load_config(config_dict(
             simplex=INTERVAL_SPEC, function={"terms": [{"c": 1.0, "a": [2.0]}]},
-            n_values=[40, 80], grid_resolution=2_000_000))
-        tracemalloc.start()
-        try:
-            run_convergence(config, evaluator)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 8 * lattice._ENTRY_BUDGET
+            n_values=orders, grid_resolution=250_000))
+        with mock.patch.object(lattice, "_ENTRY_BUDGET", 1 << 16):
+            assert sum(1 for _ in lattice.grid_weight_blocks(250_000, 1, 4)) >= 20
+            tracemalloc.start()
+            try:
+                run_convergence(config, evaluator)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 8 * lattice._ENTRY_BUDGET
 
     def test_metadata_notes_grid_semantics(self):
         config = load_config(config_dict())
@@ -652,7 +661,7 @@ class TestScalingStudy:
                 mock.patch.object(exponentials, "log_ratios", spy):
             rows = run_scaling_study(s, direction, order, resolution, scales)
         assert spy.call_count > 1
-        distinct = {exponentials._vertex_dots(s.scaled(d), direction * m, order).tobytes()
+        distinct = {exponentials.vertex_dots(s.scaled(d), direction * m, order).tobytes()
                     for d in scales for m in scales}
         assert len(distinct) == cases
         for call in spy.call_args_list:

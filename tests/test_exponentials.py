@@ -377,7 +377,7 @@ class TestRelativeErrorReport:
         s = random_simplex(rng, dimension, scale=scale)
         a = rng.normal(size=dimension) * rng.uniform(0.1, 3.0)
         w = np.vstack([grid_weights(3, dimension), interior_weights(rng, dimension, 40)])
-        dots = exponentials._vertex_dots(s, a, order)
+        dots = exponentials.vertex_dots(s, a, order)
         log_ratio = exponentials.log_ratios(*exponentials.case_table([(dots, order)]), w)[0]
         observed = relative_error_at_weights(s, a, order, w)
         assert observed == float(np.abs(np.expm1(log_ratio)).max())
@@ -399,13 +399,13 @@ class TestRelativeErrorReport:
         rng = np.random.default_rng(seed)
         resolution = min(resolution, {1: 400, 2: 60, 3: 20, 4: 12, 5: 9}[dimension])
         s = random_simplex(rng, dimension)
-        cases = [(exponentials._vertex_dots(s, rng.normal(size=dimension) * rng.uniform(0.1, 3.0),
+        cases = [(exponentials.vertex_dots(s, rng.normal(size=dimension) * rng.uniform(0.1, 3.0),
                                             n), n)
                  for n in rng.integers(1, 641, size=count).tolist()]
         if underflow:
             shifted = Simplex(s.vertices + 1e4)
             cases.insert(int(rng.integers(count + 1)),
-                         (exponentials._vertex_dots(shifted, -np.ones(dimension), 10), 10))
+                         (exponentials.vertex_dots(shifted, -np.ones(dimension), 10), 10))
         grid = grid_weights(resolution, dimension)
         alone = [exponentials.sup_relative_errors([case], [grid])[0] for case in cases]
         blocks = lambda: grid_weight_blocks(resolution, dimension)
