@@ -21,9 +21,7 @@ from .bernstein import (
     basis_vector,
     evaluate_at_weights,
     operator_sup_error,
-    read_control_net_csv,
     sample_control_net,
-    write_control_net_csv,
 )
 from .csvio import emit_csv
 from .errors import (

@@ -28,13 +28,11 @@ terms of at most n L, the log-factorial table (8 u) and its D + 1 sums
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import emit_lattice_csv, open_csv
 from .errors import ConfigError, DimensionMismatchError, FunctionEvaluationError, SizeOverflowError
 from .geometry import Simplex, clip_weights, grid_points, validate_barycentric
 from .lattice import (GEMM_COLUMNS, check_order, chunk_rows, control_points, count_multi_indices,
@@ -87,47 +85,6 @@ class ControlNet:
 def sample_control_net(simplex: Simplex, order: int, f) -> ControlNet:
     """The net of f, a TestFunction: one f.evaluate call on every control point."""
     return ControlNet(simplex, order, f.evaluate(control_points(simplex, order)))
-
-
-def write_control_net_csv(net: ControlNet, destination) -> None:
-    """Columns k_0..k_D then coefficient, one row per lattice entry."""
-    indices = enumerate_multi_indices(net.order, net.simplex.dimension)
-    emit_lattice_csv(indices, net.coefficients, destination, ["coefficient"])
-
-
-def read_control_net_csv(simplex: Simplex, source) -> ControlNet:
-    """Load a net written by write_control_net_csv; order is inferred.
-
-    The multi-index columns must reproduce the enumeration order exactly;
-    that is the portability contract for coefficient vectors.
-    """
-    try:
-        with open_csv(source, "r") as handle:
-            rows = list(csv.reader(handle))
-    except UnicodeDecodeError as exc:
-        raise DimensionMismatchError(f"control net CSV {source}: not UTF-8 (byte {exc.start})") from exc
-    d1 = simplex.dimension + 1
-    if len(rows) < 2:
-        raise DimensionMismatchError("control net CSV has no data rows")
-    indices = np.empty((len(rows) - 1, d1), dtype=np.int64)
-    coefficients = np.empty(len(rows) - 1)
-    for i, row in enumerate(rows[1:]):
-        where = f"control net CSV line {i + 2}"
-        if len(row) != d1 + 1:
-            raise DimensionMismatchError(f"{where}: expected {d1 + 1} cells, got {len(row)}")
-        try:
-            indices[i] = [int(v) for v in row[:d1]]
-            coefficients[i] = float(row[d1])
-        except (ValueError, OverflowError) as exc:
-            raise DimensionMismatchError(f"{where}: {exc}") from exc
-        if not np.isfinite(coefficients[i]):
-            raise DimensionMismatchError(f"{where}: non-finite coefficient {row[d1]!r}")
-    order = int(indices[0].sum())
-    if not np.array_equal(indices, enumerate_multi_indices(order, simplex.dimension)):
-        raise DimensionMismatchError(
-            "control net CSV rows are not the lattice enumeration of a single order"
-        )
-    return ControlNet(simplex=simplex, order=order, coefficients=coefficients)
 
 
 def _direct_blocks(indices: np.ndarray, w: np.ndarray):

@@ -1,7 +1,7 @@
-"""Deterministic CSV emission and lattice layout; the one place that opens CSV files.
+"""Deterministic CSV emission and lattice layout; the one place that writes CSV.
 
-A destination or source is either a path, which is opened as UTF-8 and
-closed here, or an open text stream, which is borrowed and left open.
+A destination is either a path, which is opened as UTF-8 and closed here,
+or an open text stream, which is borrowed and left open.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import numpy as np
 
 
 @contextmanager
-def open_csv(target, mode: str):
-    """The text handle for a path (opened, then closed) or a stream (borrowed)."""
+def open_csv(target):
+    """The text handle to write for a path (opened, then closed) or a stream (borrowed)."""
     if isinstance(target, (str, os.PathLike)):
-        with open(target, mode, newline="", encoding="utf-8") as handle:
+        with open(target, "w", newline="", encoding="utf-8") as handle:
             yield handle
     else:
         yield target
@@ -48,7 +48,7 @@ def emit_csv(rows, destination, columns) -> None:
             return [getattr(row, name) for name in columns]
         return list(row)
 
-    with open_csv(destination, "w") as handle:
+    with open_csv(destination) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, fields
@@ -101,12 +102,50 @@ def _load_json(spec, what: str) -> tuple:
         raise ConfigError(f"{where}: JSON nested too deeply") from exc
 
 
+def _fields(data, where: str, known: tuple, required: tuple = ()) -> dict:
+    # The one check of a JSON object's keys: none outside known, and every one of required
+    # (of known, if none is given) present. The messages name the keys.
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: need a JSON object with {sorted(known)}, got {type(data).__name__}")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}; known fields: {sorted(known)}")
+    for field in required or known:
+        if field not in data:
+            raise ConfigError(f"{where}: missing {field!r}")
+    return data
+
+
+def _items(value, where: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: need a list, got {type(value).__name__}")
+    return list(value)
+
+
+def _number(value, where: str):
+    # numpy reads the string "12" as 12.0 and true as 1.0; a JSON number is neither.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where}: need a number, got {type(value).__name__}")
+    return value
+
+
+def _numbers(values, where: str) -> list:
+    return [_number(value, f"{where}[{i}]") for i, value in enumerate(_items(values, where))]
+
+
 def _parse_exp_polynomial(spec) -> ExpPolynomial:
+    # {"terms": [{"c": c, "a": [a_1, .., a_D]}, ...]}; ExpPolynomial checks the values.
     data, _ = _load_json(spec, "function")
+    where = "function: malformed exponential polynomial"
+    terms = _items(_fields(data, where, ("terms",))["terms"], f"{where}: terms")
+    for i, term in enumerate(terms):
+        term = _fields(term, f"{where}: terms[{i}]", ("c", "a"))
+        terms[i] = (_number(term["c"], f"{where}: terms[{i}].c"),
+                    _numbers(term["a"], f"{where}: terms[{i}].a"))
     try:
-        return ExpPolynomial.from_dict(data)
-    except ValueError as exc:
-        raise ConfigError(f"function: {exc}") from exc
+        return ExpPolynomial(terms)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def make_function(spec, simplex: Simplex) -> TestFunction:
@@ -196,12 +235,15 @@ class ExperimentConfig:
 
 
 def load_simplex(spec) -> Simplex:
-    """Simplex from a mapping, inline JSON or a JSON file path."""
+    """Simplex {"vertices": [[x_1, .., x_D], ...]} from a mapping, inline JSON or a JSON file path."""
     data, _ = _load_json(spec, "simplex")
+    where = "invalid simplex"
+    vertices = _items(_fields(data, where, ("vertices",))["vertices"], f"{where}: vertices")
+    vertices = [_numbers(vertex, f"{where}: vertices[{j}]") for j, vertex in enumerate(vertices)]
     try:
-        return Simplex.from_dict(data)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid simplex: {exc}") from exc
+        return Simplex(vertices)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(source) -> ExperimentConfig:
@@ -210,13 +252,8 @@ def load_config(source) -> ExperimentConfig:
 
     if not isinstance(data, dict):
         raise ConfigError(f"{origin}: top level must be a JSON object")
-    known = {field.name for field in fields(ExperimentConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"{origin}: unknown field(s) {sorted(unknown)}; known fields: {sorted(known)}")
-    for field in ("simplex", "function", "n_values"):
-        if field not in data:
-            raise ConfigError(f"{origin}: missing required field {field!r}")
+    _fields(data, origin, tuple(field.name for field in fields(ExperimentConfig)),
+            ("simplex", "function", "n_values"))
 
     try:
         simplex = load_simplex(data["simplex"])

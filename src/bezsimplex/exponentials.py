@@ -78,22 +78,6 @@ class ExpPolynomial:
         dots = _exponents(np.asarray(points, dtype=float), self.directions.T, "point")
         return np.exp(dots) @ self.coefficients
 
-    def to_dict(self) -> dict:
-        return {"terms": [{"c": c, "a": a} for c, a in
-                          zip(self.coefficients.tolist(), self.directions.tolist())]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExpPolynomial":
-        if not isinstance(data, dict) or "terms" not in data:
-            raise DimensionMismatchError('exponential polynomial JSON must be {"terms": [...]}')
-        try:
-            terms = [_term(entry["c"], entry["a"]) for entry in data["terms"]]
-        except KeyError as exc:
-            raise DimensionMismatchError(f"exponential term is missing {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DimensionMismatchError(f"malformed exponential polynomial: {exc}") from exc
-        return cls(terms)
-
 
 class ErrorBudget(NamedTuple):
     """First-order error constants for exp(a.x) on a fixed simplex.

@@ -199,15 +199,6 @@ class Simplex:
         scale = lambda unit: unit * float(factor)
         return Simplex(power_of_two_scaled(self._vertices, scale, f"scaling by {factor!r}")[0])
 
-    def to_dict(self) -> dict:
-        return {"vertices": self._vertices.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Simplex":
-        if not isinstance(data, dict) or "vertices" not in data:
-            raise DimensionMismatchError('simplex JSON must be {"vertices": [[...], ...]}')
-        return cls(data["vertices"])
-
 
 def standard_simplex(dimension: int) -> Simplex:
     """Simplex with vertices at the origin and the unit coordinate points."""

@@ -79,7 +79,7 @@ def test_unit_preservation():
     for dim in (1, 2, 3, 4):
         simplex = random_simplex(rng, dim)
         config = load_config({
-            "simplex": simplex.to_dict(),
+            "simplex": {"vertices": simplex.vertices.tolist()},
             "function": "const1",
             "n_values": [1, 5, 10, 20],
         })

@@ -35,9 +35,7 @@ from bezsimplex import (
     grid_weights,
     make_function,
     operator_sup_error,
-    read_control_net_csv,
     sample_control_net,
-    write_control_net_csv,
 )
 
 from conftest import (direct_forward_bound, exact_multinomial, forward_bound, interior_weights,
@@ -802,65 +800,6 @@ class TestOperatorProperties:
         w = interior_weights(rng, 2, 10)
         values = evaluate_at_weights(net, w)
         assert np.abs(values).max() == pytest.approx(4.0, abs=1e-12)
-
-
-class TestNetSerialization:
-    def test_round_trip(self, rng, triangle):
-        import io
-
-        net = ControlNet(triangle, 3, rng.normal(size=10))
-        buf = io.StringIO()
-        write_control_net_csv(net, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "k_0,k_1,k_2,coefficient"
-        assert len(lines) == 11
-        restored = read_control_net_csv(triangle, io.StringIO(buf.getvalue()))
-        assert restored.order == 3
-        np.testing.assert_array_equal(restored.coefficients, net.coefficients)
-
-    def test_rejects_scrambled_rows(self, triangle):
-        import io
-
-        net = ControlNet(triangle, 2, np.arange(6.0))
-        buf = io.StringIO()
-        write_control_net_csv(net, buf)
-        lines = buf.getvalue().splitlines()
-        scrambled = "\n".join([lines[0]] + lines[2:] + [lines[1]]) + "\n"
-        with pytest.raises(DimensionMismatchError):
-            read_control_net_csv(triangle, io.StringIO(scrambled))
-
-    @pytest.mark.parametrize("line,cell", [
-        ("1.5,0,0,1.0", "invalid literal"),
-        ("2,0,0", "expected 4 cells, got 3"),
-        ("2,0,0,abc", "could not convert"),
-        ("2,0,0,nan", "non-finite coefficient"),
-        ("2,0,0,1.0,7", "expected 4 cells, got 5"),
-    ])
-    def test_rejects_malformed_row(self, triangle, line, cell):
-        import io
-
-        net = ControlNet(triangle, 2, np.arange(6.0))
-        buf = io.StringIO()
-        write_control_net_csv(net, buf)
-        lines = buf.getvalue().splitlines()
-        lines[3] = line
-        with pytest.raises(DimensionMismatchError, match=f"line 4: {cell}"):
-            read_control_net_csv(triangle, io.StringIO("\n".join(lines) + "\n"))
-
-    def test_rejects_a_file_that_is_not_utf8(self, unit_interval, tmp_path):
-        path = tmp_path / "net.csv"
-        write_control_net_csv(ControlNet(unit_interval, 1, np.array([0.5, 2.0])), path)
-        text = path.read_bytes().decode("ascii")
-        assert read_control_net_csv(unit_interval, path).order == 1
-        path.write_bytes(text.encode("utf-16"))
-        with pytest.raises(DimensionMismatchError, match="net.csv: not UTF-8"):
-            read_control_net_csv(unit_interval, path)
-
-    def test_rejects_empty(self, triangle):
-        import io
-
-        with pytest.raises(DimensionMismatchError):
-            read_control_net_csv(triangle, io.StringIO("k_0,k_1,k_2,coefficient\n"))
 
 
 class TestSupError:

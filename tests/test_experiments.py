@@ -156,6 +156,17 @@ class TestMakeFunction:
         ({"c": "x", "a": [1.0, 1.0]}, "malformed"),
         ({"c": float("nan"), "a": [1.0, 1.0]}, "finite"),
         ({"c": 10**400, "a": [1.0, 1.0]}, "malformed"),
+        pytest.param(5, "malformed", id="not-an-object"),
+        # numpy reads a string or a bool as a number; a term has only c and a.
+        pytest.param({"c": 1.0, "a": "12"}, r"terms\[0\]\.a: need a list, got str", id="a-str"),
+        pytest.param({"c": 1.0, "a": [1.0, "2"]}, r"terms\[0\]\.a\[1\]: need a number, got str",
+                     id="a-entry-str"),
+        pytest.param({"c": True, "a": [1.0, 1.0]}, r"terms\[0\]\.c: need a number, got bool",
+                     id="c-true"),
+        pytest.param({"c": "2", "a": [1.0, 1.0]}, r"terms\[0\]\.c: need a number, got str",
+                     id="c-str"),
+        pytest.param({"c": 1.0, "a": [1.0, 1.0], "zz": 5},
+                     r"unknown field\(s\) \['zz'\]; known fields: \['a', 'c'\]", id="term-key"),
     ])
     def test_malformed_exp_term(self, term, message):
         with pytest.raises(ConfigError, match=message):
@@ -166,6 +177,14 @@ class TestMakeFunction:
     def test_terms_not_a_list(self):
         with pytest.raises(ConfigError, match="malformed"):
             make_function({"terms": 3}, self.triangle)
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"coefficients": []}, r"unknown field\(s\) \['coefficients'\]; known fields: \['terms'\]"),
+        ({**EXP_11, "extra": 1}, r"unknown field\(s\) \['extra'\]; known fields: \['terms'\]"),
+    ], ids=["no-terms", "extra-key"])
+    def test_malformed_exp_spec(self, spec, message):
+        with pytest.raises(ConfigError, match=message):
+            make_function(spec, self.triangle)
 
 
 class TestLoadConfig:
@@ -224,6 +243,19 @@ class TestLoadConfig:
     def test_huge_integer_vertex_is_a_config_error(self):
         with pytest.raises(ConfigError, match="invalid simplex"):
             experiments.load_simplex('{"vertices": [[1%s], [1.0]]}' % ("0" * 400))
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"vertices": [["0"], ["1"]]}, r"vertices\[0\]\[0\]: need a number, got str"),
+        ({"vertices": [[False], [True]]}, r"vertices\[0\]\[0\]: need a number, got bool"),
+        ({**INTERVAL_SPEC, "typo": 1}, r"unknown field\(s\) \['typo'\]; known fields: \['vertices'\]"),
+        ({"points": []}, r"unknown field\(s\) \['points'\]"),
+        ({"vertices": [[0, 0], [1, 0], [2, 0]]}, "affinely dependent"),
+        ({"vertices": [[10**400], [1.0]]}, "must be doubles"),
+    ], ids=["coordinate-str", "coordinate-bool", "extra-key", "no-vertices", "collinear", "huge"])
+    def test_malformed_simplex_spec(self, spec, message):
+        for source in (spec, json.dumps(spec)):
+            with pytest.raises(ConfigError, match=f"invalid simplex: .*{message}"):
+                experiments.load_simplex(source)
 
     def test_spec_of_wrong_type(self):
         with pytest.raises(ConfigError, match="config must be a mapping or path"):

@@ -1,4 +1,3 @@
-import io
 import math
 import tracemalloc
 from unittest import mock
@@ -20,7 +19,6 @@ from bezsimplex import (
     grid_weight_blocks,
     grid_weights,
     multinomial_log_table,
-    read_control_net_csv,
     standard_simplex,
 )
 
@@ -219,17 +217,6 @@ class TestMultinomials:
         indices = enumerate_multi_indices(5, 2)
         total = sum(exact_multinomial(indices))
         assert total == 3**5 == 243
-
-    def test_negative_entries_rejected(self, triangle):
-        # Multi-indices enter from outside only as the index columns of a
-        # control-net CSV, which must be the enumeration of one order.
-        for bad in ([3, -1, 0], [2, 0]):
-            rows = enumerate_multi_indices(2, 2).tolist()
-            rows[1] = bad
-            text = "k_0,k_1,k_2,coefficient\n" + "".join(
-                ",".join(map(str, k + [1.0])) + "\n" for k in rows)
-            with pytest.raises(DimensionMismatchError):
-                read_control_net_csv(triangle, io.StringIO(text))
 
 
 class TestControlPoints:
