@@ -156,7 +156,6 @@ class TestMakeFunction:
         ({"c": "x", "a": [1.0, 1.0]}, "malformed"),
         ({"c": float("nan"), "a": [1.0, 1.0]}, "finite"),
         ({"c": 10**400, "a": [1.0, 1.0]}, "malformed"),
-        pytest.param(5, "malformed", id="not-an-object"),
         # numpy reads a string or a bool as a number; a term has only c and a.
         pytest.param({"c": 1.0, "a": "12"}, r"terms\[0\]\.a: need a list, got str", id="a-str"),
         pytest.param({"c": 1.0, "a": [1.0, "2"]}, r"terms\[0\]\.a\[1\]: need a number, got str",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bezsimplex import (
+    ConfigError,
     ControlNet,
     DimensionMismatchError,
     DomainError,
@@ -127,6 +128,19 @@ class TestExpPolynomial:
         restored = make_function(json.dumps(spec), standard_simplex(2)).exp_terms
         np.testing.assert_array_equal(restored.coefficients, poly.coefficients)
         np.testing.assert_array_equal(restored.directions, poly.directions)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"terms": [{"c": 1.0}]}, "missing 'a'"),
+        ({"terms": [{"a": [1.0]}]}, "missing 'c'"),
+        ({"terms": 3}, "malformed"),
+        ({"terms": [5]}, "malformed"),
+        ({"terms": [{"c": "x", "a": [1.0]}]}, "malformed"),
+        ({"terms": [{"c": 10**400, "a": [1.0]}]}, "malformed"),
+    ])
+    def test_malformed_terms_are_typed(self, data, message):
+        for source in (data, json.dumps(data)):
+            with pytest.raises(ConfigError, match=message):
+                make_function(source, standard_simplex(1))
 
 
 class TestClosedForm:
