@@ -5,7 +5,7 @@ Library layout:
 - geometry: simplices and barycentric coordinate maps
 - lattice: multi-index enumeration, multinomials, control points
 - bernstein: basis evaluation and the sampling operator (two evaluators)
-- exponentials: closed-form images of exp(a.x), observed errors and error budgets
+- exponentials: closed-form images of exp(a.x), observed errors and the first-order prediction
 - experiments: convergence sweeps, bound checks, scaling studies
 - csvio: deterministic CSV emission
 - cli: the ``bezsimplex`` command
@@ -38,13 +38,13 @@ from .errors import (
     SizeOverflowError,
 )
 from .exponentials import (
-    ErrorBudget,
     ExpPolynomial,
     closed_form_at_weights,
     error_budget,
     relative_error_at_weights,
     relative_error_report,
     residual_at_weights,
+    residual_constants,
 )
 from .experiments import (
     BoundCheckRow,

@@ -22,6 +22,7 @@ from .csvio import emit_csv, emit_lattice_csv
 from .errors import BezSimplexError, ConfigError
 from .experiments import (
     BOUND_CHECK_COLUMNS,
+    BOUND_CHECK_MARGIN,
     CONVERGENCE_COLUMNS,
     SCALING_COLUMNS,
     exp_study_direction,
@@ -51,9 +52,9 @@ def _cmd_converge(args) -> int:
 
 def _cmd_bound_check(args) -> int:
     config = load_config(args.config)
-    rows = run_bound_check(config, margin=args.margin)
+    rows = run_bound_check(config)
     passed = not any(row.violation for row in rows)
-    _report(args, config, rows, BOUND_CHECK_COLUMNS, margin=args.margin, passed=passed)
+    _report(args, config, rows, BOUND_CHECK_COLUMNS, margin=BOUND_CHECK_MARGIN, passed=passed)
     return 0 if passed else 2
 
 
@@ -112,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bound = sub.add_parser("bound-check", help="observed error vs first-order bound")
     bound.add_argument("--config", required=True)
-    bound.add_argument("--margin", type=float, default=0.25,
-                       help="allowed overshoot of the predicted bound (default 0.25)")
     bound.add_argument("--out")
     bound.set_defaults(handler=_cmd_bound_check)
 

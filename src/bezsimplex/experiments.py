@@ -27,8 +27,10 @@ from .exponentials import ExpPolynomial, error_budget, sup_relative_errors, vert
 from .geometry import Simplex, power_of_two_scaled
 from .lattice import check_order, default_grid_resolution, grid_weight_blocks
 
-# The first-order bound is asymptotic; violations are only flagged from here on.
+# The first-order bound is asymptotic; violations are only flagged from here on,
+# where the observation passes the prediction by more than this share of it.
 BOUND_CHECK_MIN_ORDER = 40
+BOUND_CHECK_MARGIN = 0.25
 # Observed relative errors at or below this count as exactly zero in a bound
 # check's ratio, since the prediction may be exactly 0 (a zero direction).
 ZERO_OBSERVED_FLOOR = 1e-12
@@ -100,6 +102,8 @@ def _load_json(spec, what: str) -> tuple:
         raise ConfigError(f"{where}: not UTF-8 text (byte {exc.start})") from exc
     except RecursionError as exc:
         raise ConfigError(f"{where}: JSON nested too deeply") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"{where}: {exc.strerror or exc}") from exc
 
 
 def _fields(data, where: str, known: tuple, required: tuple = ()) -> dict:
@@ -257,7 +261,7 @@ def load_config(source) -> ExperimentConfig:
 
     try:
         simplex = load_simplex(data["simplex"])
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{origin}: field 'simplex': {exc}") from exc
 
     function = make_function(data["function"], simplex)
@@ -342,24 +346,22 @@ def run_convergence(config: ExperimentConfig, evaluator: str = DEFAULT_EVALUATOR
         predicted = None
         if direction is not None:
             with contextlib.suppress(ExpOverflowError):  # a budget past a double: no prediction
-                predicted = error_budget(simplex, direction, n).predicted_rel_error
+                predicted = error_budget(simplex, direction, n)
         rows.append(ConvergenceRow(n, sup_error, sup_error / sup_f if sup_f > 0 else sup_error,
                                    predicted, evaluator, wall_s * 1000.0))
     return rows
 
 
-def run_bound_check(config: ExperimentConfig, margin: float = 0.25) -> list:
+def run_bound_check(config: ExperimentConfig) -> list:
     """One BoundCheckRow per configured order: the observed sup relative error
     over the lattice grid, the first-order prediction of error_budget (the one
     converge prints) and their ratio, which is 0 for an observation at or
     below ZERO_OBSERVED_FLOOR even when the prediction is exactly 0.
 
-    A row is a violation when the ratio exceeds 1+margin at order >=
-    BOUND_CHECK_MIN_ORDER; below that the neglected second-order term may
-    legitimately dominate. A budget past a double raises ExpOverflowError.
+    A row is a violation when the ratio exceeds 1 + BOUND_CHECK_MARGIN at
+    order >= BOUND_CHECK_MIN_ORDER; below that the neglected second-order term
+    may legitimately dominate. A budget past a double raises ExpOverflowError.
     """
-    if not (math.isfinite(margin) and margin >= 0):
-        raise ConfigError(f"margin must be finite and non-negative, got {margin!r}")
     direction = exp_study_direction(config.function)
     simplex = config.simplex
     cases = [(vertex_dots(simplex, direction, n), n) for n in config.n_values]
@@ -368,13 +370,13 @@ def run_bound_check(config: ExperimentConfig, margin: float = 0.25) -> list:
 
     rows = []
     for n, error in zip(config.n_values, observed):
-        predicted = error_budget(simplex, direction, n).predicted_rel_error
+        predicted = error_budget(simplex, direction, n)
         if predicted > 0.0:
             ratio = error / predicted
         else:
             ratio = 0.0 if error <= ZERO_OBSERVED_FLOOR else math.inf
         rows.append(BoundCheckRow(n, error, predicted, ratio,
-                                  n >= BOUND_CHECK_MIN_ORDER and ratio > 1.0 + margin))
+                                  n >= BOUND_CHECK_MIN_ORDER and ratio > 1.0 + BOUND_CHECK_MARGIN))
     return rows
 
 

@@ -6,9 +6,10 @@ theorem, to the closed form
     [ sum_j s_j(x) exp(a.x_j / n) ]^n
 
 over the barycentric weights s_j of x. Exponentials are therefore the one
-family whose operator error carries an a-priori first-order rate constant:
-``error_budget`` computes that constant, the one prediction in the package,
-and ``relative_error_at_weights`` measures the observed error alone.
+family with an a-priori first-order error estimate: ``error_budget`` returns
+it, the one prediction in the package, ``residual_constants`` the Taylor
+residual's constants it builds on, and ``relative_error_at_weights`` measures
+the observed error alone.
 
 The closed form, its first-order residual and the relative error depend on
 the weights alone: a.x is sum_j s_j a.x_j, so the ``*_at_weights`` kernels
@@ -25,8 +26,6 @@ Kirby (Numer. Math. 2011) and Ainsworth-Andriamaro-Davydov (SISC 2011) use.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,21 +76,6 @@ class ExpPolynomial:
     def evaluate_many(self, points) -> np.ndarray:
         dots = _exponents(np.asarray(points, dtype=float), self.directions.T, "point")
         return np.exp(dots) @ self.coefficients
-
-
-class ErrorBudget(NamedTuple):
-    """First-order error constants for exp(a.x) on a fixed simplex.
-
-    remainder_coeff bounds n^2 times the Taylor residual at this order;
-    remainder_cap is its order-independent majorant; rate_constant divided
-    by the order is the predicted relative error bound.
-    """
-
-    order: int
-    remainder_coeff: float
-    remainder_cap: float
-    rate_constant: float
-    predicted_rel_error: float
 
 
 def _exponents(points: np.ndarray, directions: np.ndarray, row: str) -> np.ndarray:
@@ -180,30 +164,28 @@ def residual_at_weights(simplex: Simplex, order: int, direction,
     return sums - 1.0 - dots / order
 
 
-def error_budget(simplex: Simplex, direction, order: int) -> ErrorBudget:
-    """First-order error constants for exp(a.x) at the given order.
-
-    remainder_coeff = 1/2 sum_j (a.x_j)^2 exp(a.x_j / n)
-    remainder_cap   = 1/2 sum_j (a.x_j)^2 exp(max(a.x_j, 0))   (n-independent)
-    rate_constant   = remainder_cap + 1/2 max_j a.x_j
-
-    The cap majorizes the coefficient for every order >= 1, and the max of
-    the linear functional a.x over the simplex is attained at a vertex.
-    """
+def residual_constants(simplex: Simplex, direction, order: int) -> tuple:
+    """The Taylor-residual constants (coeff, cap) of exp(a.x) at the given order:
+    coeff = 1/2 sum_j (a.x_j)^2 exp(a.x_j / n) bounds n^2 times the residual, and
+    cap = 1/2 sum_j (a.x_j)^2 exp(max(a.x_j, 0)) majorizes coeff at every order.
+    A cap past a double raises ExpOverflowError."""
     dots = vertex_dots(simplex, direction, order)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0 = nan
-        remainder_coeff = 0.5 * float(np.sum(dots**2 * np.exp(dots / order)))
-        remainder_cap = 0.5 * float(np.sum(dots**2 * np.exp(np.maximum(dots, 0.0))))
-    if not np.isfinite(remainder_cap):  # the coefficient is at most the cap
+        coeff = 0.5 * float(np.sum(dots**2 * np.exp(dots / order)))
+        cap = 0.5 * float(np.sum(dots**2 * np.exp(np.maximum(dots, 0.0))))
+    if not np.isfinite(cap):  # the coefficient is at most the cap
         raise ExpOverflowError(f"the error budget of a.x = {dots.tolist()} overflows a double")
-    rate_constant = remainder_cap + 0.5 * float(dots.max())
-    return ErrorBudget(
-        order=order,
-        remainder_coeff=remainder_coeff,
-        remainder_cap=remainder_cap,
-        rate_constant=rate_constant,
-        predicted_rel_error=rate_constant / order,
-    )
+    return coeff, cap
+
+
+def error_budget(simplex: Simplex, direction, order: int) -> float:
+    """The first-order predicted relative error of exp(a.x) at the given order,
+    (cap + 1/2 max_j a.x_j) / n with the cap of residual_constants: the one
+    prediction, which converge prints and bound-check compares against. The
+    max of the linear functional a.x over the simplex is attained at a vertex.
+    """
+    _, cap = residual_constants(simplex, direction, order)
+    return (cap + 0.5 * float(vertex_dots(simplex, direction, order).max())) / order
 
 
 def log_ratios(table: np.ndarray, orders: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -18,12 +18,12 @@ from bezsimplex import (
     control_points,
     count_multi_indices,
     enumerate_multi_indices,
-    error_budget,
     evaluate_at_weights,
     grid_weights,
     load_config,
     multinomial_log_table,
     residual_at_weights,
+    residual_constants,
     run_bound_check,
     run_convergence,
     run_scaling_study,
@@ -198,7 +198,7 @@ def test_convergence_rate(sweep_rows):
 
 
 def test_bound_check(sweep_rows):
-    rows = run_bound_check(load_config(dict(SWEEP_CONFIG)), margin=0.25)
+    rows = run_bound_check(load_config(dict(SWEEP_CONFIG)))
     checked = [row for row in rows if row.n >= 40]
     ok = not any(row.violation for row in rows) and checked and all(
         row.observed_rel_error <= 1.25 * row.predicted_rel_error for row in checked
@@ -218,10 +218,10 @@ def test_residual_bound():
         direction = rng.normal(size=dim)
         weights = grid_weights(12, dim)
         for order in (10, 100, 1000):
-            budget = error_budget(simplex, direction, order)
+            coeff, cap = residual_constants(simplex, direction, order)
             scaled = order**2 * np.abs(residual_at_weights(simplex, order, direction, weights))
-            worst_margin = max(worst_margin, float(scaled.max()) - budget.remainder_coeff)
-            worst_cap_margin = max(worst_cap_margin, float(scaled.max()) - budget.remainder_cap)
+            worst_margin = max(worst_margin, float(scaled.max()) - coeff)
+            worst_cap_margin = max(worst_cap_margin, float(scaled.max()) - cap)
     # The order-independent cap must hold outright; see the exponentials
     # module tests for why the per-order coefficient needs the 0.01 slack.
     report(

@@ -823,7 +823,7 @@ class TestSupError:
         for order in (40, 80):
             net = sample_control_net(unit_interval, order, f)
             err = operator_sup_error(net, f, grid)
-            bound = error_budget(unit_interval, a, order).predicted_rel_error * sup_f
+            bound = error_budget(unit_interval, a, order) * sup_f
             assert err <= 1.25 * bound
 
     def test_nan_point_refused(self, triangle):

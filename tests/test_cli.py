@@ -170,19 +170,11 @@ class TestBoundCheck:
     def test_violation_exit_code(self, tmp_path, capsys, monkeypatch):
         # One violating row among passing ones fails the check; the margin is echoed.
         rows = [BoundCheckRow(40, 1.0, 0.1, 10.0, True), BoundCheckRow(80, 0.1, 0.5, 0.2, False)]
-        monkeypatch.setattr("bezsimplex.cli.run_bound_check", lambda config, margin: rows)
+        monkeypatch.setattr("bezsimplex.cli.run_bound_check", lambda config: rows)
         config = write_config(tmp_path)
-        assert main(["bound-check", "--config", config, "--margin", "0.5"]) == 2
+        assert main(["bound-check", "--config", config]) == 2
         meta = json.loads(capsys.readouterr().err)
-        assert meta["passed"] is False and meta["margin"] == 0.5
-
-    @pytest.mark.parametrize("margin", ["nan", "inf", "-0.5"])
-    def test_bad_margin(self, tmp_path, capsys, margin):
-        config = write_config(tmp_path)
-        assert main(["bound-check", "--config", config, f"--margin={margin}"]) == 1
-        captured = capsys.readouterr()
-        assert "margin" in captured.err and "Traceback" not in captured.err
-        assert captured.out == ""
+        assert meta["passed"] is False and meta["margin"] == 0.25
 
     def test_rejects_non_exponential(self, tmp_path, capsys):
         config = write_config(tmp_path, function="runge")
@@ -471,6 +463,7 @@ class TestControlPoints:
     ["basis", "--simplex", json.dumps(TRIANGLE), "--n", "2", "--point"],
     ["converge"],
     ["no-such-command"],
+    ["bound-check", "--config", "{}", "--margin", "0.5"],  # the margin is a constant
 ])
 def test_usage_errors_exit_1(capsys, argv):
     # Exit code 2 is reserved for bound violations.

@@ -1,7 +1,10 @@
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -234,6 +237,21 @@ class TestLoadConfig:
             load_config(str(path))
         with pytest.raises(ConfigError, match=f"simplex file .*: {message}"):
             experiments.load_simplex(str(path))
+
+    @pytest.mark.parametrize("load, source, name, reason", [
+        (lambda path: load_config(config_dict(function=str(path))), "function", "nope.json",
+         errno.ENOENT),
+        (load_config, "config", "nope_config.json", errno.ENOENT),
+        (experiments.load_simplex, "simplex", "nope.json", errno.ENOENT),
+        (experiments.load_simplex, "simplex", "", errno.EISDIR),
+    ], ids=["function-in-config", "config", "simplex", "simplex-directory"])
+    def test_missing_or_unreadable_file_is_a_config_error(self, tmp_path, load, source, name,
+                                                          reason):
+        # A JSON file that cannot be opened is refused naming its source and the OS reason.
+        path = tmp_path / name
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{source} file {str(path)!r}: {os.strerror(reason)}")):
+            load(path)
 
     def test_deep_inline_json_is_a_config_error(self):
         with pytest.raises(ConfigError, match="config: JSON nested too deeply"):
@@ -552,7 +570,7 @@ class TestBoundCheck:
             simplex=INTERVAL_SPEC, function=EXP_1,
             n_values=[10, 20, 40, 80, 160], grid_resolution=50,
         ))
-        rows = run_bound_check(config, margin=0.25)
+        rows = run_bound_check(config)
         assert not any(row.violation for row in rows)
         checked = [row for row in rows if row.n >= 40]
         assert checked
@@ -564,12 +582,6 @@ class TestBoundCheck:
     def test_requires_single_exponential(self):
         with pytest.raises(ConfigError, match="single"):
             run_bound_check(load_config(config_dict(function="const1")))
-
-    def test_negative_margin_rejected(self):
-        config = load_config(config_dict(function=EXP_11))
-        for margin in (-0.1, math.nan, math.inf):
-            with pytest.raises(ConfigError, match="margin"):
-                run_bound_check(config, margin=margin)
 
     def test_ratio_is_observed_over_predicted(self):
         # On the triangle with a = (1, 1) the first-order prediction holds
@@ -589,13 +601,13 @@ class TestBoundCheck:
         # none below it, and none at all once the margin is past the ratio.
         config = load_config(config_dict(function=EXP_11, n_values=[20, 40, 80],
                                          grid_resolution=20))
-        shrunk = lambda *args: error_budget(*args)._replace(
-            predicted_rel_error=error_budget(*args).predicted_rel_error / 50.0)
+        shrunk = lambda *args: error_budget(*args) / 50.0
         with mock.patch.object(experiments, "error_budget", shrunk):
-            rows = run_bound_check(config, margin=0.25)
+            rows = run_bound_check(config)
             assert all(1.5 < row.ratio < 2.5 for row in rows)
             assert [row.violation for row in rows] == [False, True, True]
-            assert not any(row.violation for row in run_bound_check(config, margin=10.0))
+            with mock.patch.object(experiments, "BOUND_CHECK_MARGIN", 10.0):
+                assert not any(row.violation for row in run_bound_check(config))
 
     def test_rows_match_the_whole_grid_kernel(self, rng):
         # Streamed in several blocks, each row's observation is the one-batch
@@ -611,7 +623,7 @@ class TestBoundCheck:
         grid = grid_weights(9, 3)
         for row in rows:
             assert row.observed_rel_error == relative_error_at_weights(s, direction, row.n, grid)
-            assert row.predicted_rel_error == error_budget(s, direction, row.n).predicted_rel_error
+            assert row.predicted_rel_error == error_budget(s, direction, row.n)
             assert row.ratio == row.observed_rel_error / row.predicted_rel_error
 
 

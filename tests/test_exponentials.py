@@ -30,6 +30,7 @@ from bezsimplex import (
     relative_error_at_weights,
     relative_error_report,
     residual_at_weights,
+    residual_constants,
     standard_simplex,
 )
 
@@ -223,9 +224,9 @@ class TestResidual:
             a = rng.normal(size=dim)
             w = grid_weights(12, dim)
             for n in (10, 100, 1000):
-                budget = error_budget(s, a, n)
+                coeff, _ = residual_constants(s, a, n)
                 worst = float(np.abs(residual_at_weights(s, n, a, w)).max())
-                assert n**2 * worst <= budget.remainder_coeff + 0.01
+                assert n**2 * worst <= coeff + 0.01
 
     def test_batch_matches_scalar(self, unit_interval):
         # The batch takes the weights that the scalar path solves for.
@@ -240,10 +241,10 @@ class TestResidual:
         # vertex dot is strongly negative at small order: the Lagrange factor
         # exp(xi) sits between exp(u) and 1, not below exp(u). Known sharp
         # case: exp(-0.2) - 1 + 0.2 scaled by n^2 exceeds the coefficient.
-        budget = error_budget(unit_interval, [-2.0], 10)
+        coeff, _ = residual_constants(unit_interval, [-2.0], 10)
         worst = 100.0 * abs(at_point(residual_at_weights, unit_interval, 10, [-2.0], [1.0]))
         assert worst == pytest.approx(100 * (math.exp(-0.2) - 0.8), rel=1e-12)
-        assert worst - budget.remainder_coeff == pytest.approx(0.235614, abs=1e-5)
+        assert worst - coeff == pytest.approx(0.235614, abs=1e-5)
 
     def test_order_independent_cap_always_bounds(self, rng):
         # Unlike the per-order coefficient, the cap majorizes n^2 |r| for
@@ -254,18 +255,15 @@ class TestResidual:
             a = rng.normal(size=dim) * rng.uniform(0.2, 3.0)
             w = grid_weights(10, dim)
             for n in (1, 10, 100):
-                cap = error_budget(s, a, n).remainder_cap
+                _, cap = residual_constants(s, a, n)
                 worst = float(np.abs(residual_at_weights(s, n, a, w)).max())
                 assert n**2 * worst <= cap + 1e-9
 
 
 class TestErrorBudget:
     def test_zero_direction(self, triangle):
-        budget = error_budget(triangle, [0.0, 0.0], 10)
-        assert budget.remainder_coeff == 0.0
-        assert budget.remainder_cap == 0.0
-        assert budget.rate_constant == 0.0
-        assert budget.predicted_rel_error == 0.0
+        assert residual_constants(triangle, [0.0, 0.0], 10) == (0.0, 0.0)
+        assert error_budget(triangle, [0.0, 0.0], 10) == 0.0
 
     def test_order_checked(self, triangle):
         with pytest.raises(DimensionMismatchError, match="order"):
@@ -278,16 +276,16 @@ class TestErrorBudget:
         # A vertex dot of -1e300 squares to inf; one of 700 gives 700^2 e^700.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ExpOverflowError, match="error budget .* overflows a double"):
-                error_budget(unit_interval, [a], 40)
+            for constants in (error_budget, residual_constants):
+                with pytest.raises(ExpOverflowError, match="error budget .* overflows a double"):
+                    constants(unit_interval, [a], 40)
 
     def test_interval_closed_form(self, unit_interval):
-        # Vertex dots are (0, 1): cap = e/2, constant = e/2 + 1/2.
-        budget = error_budget(unit_interval, [1.0], 10)
-        assert budget.remainder_coeff == pytest.approx(0.5 * math.exp(0.1), rel=1e-14)
-        assert budget.remainder_cap == pytest.approx(math.e / 2, rel=1e-14)
-        assert budget.rate_constant == pytest.approx(math.e / 2 + 0.5, rel=1e-14)
-        assert budget.rate_constant == pytest.approx(1.8591409142295225, abs=1e-12)
+        # Vertex dots are (0, 1): cap = e/2, and the prediction is (cap + 1/2) / n.
+        coeff, cap = residual_constants(unit_interval, [1.0], 10)
+        assert coeff == pytest.approx(0.5 * math.exp(0.1), rel=1e-14)
+        assert cap == pytest.approx(math.e / 2, rel=1e-14)
+        assert error_budget(unit_interval, [1.0], 10) == (cap + 0.5 * 1.0) / 10
 
     def test_cap_majorizes_coefficient(self, rng):
         for _ in range(20):
@@ -295,15 +293,13 @@ class TestErrorBudget:
             s = random_simplex(rng, dim)
             a = rng.normal(size=dim) * rng.uniform(0.1, 3.0)
             for n in (1, 2, 10, 1000):
-                budget = error_budget(s, a, n)
-                assert budget.remainder_cap >= budget.remainder_coeff
-                assert budget.rate_constant == pytest.approx(
-                    budget.remainder_cap + 0.5 * float((s.vertices @ a).max()), rel=1e-14
-                )
+                coeff, cap = residual_constants(s, a, n)
+                assert cap >= coeff
+                assert error_budget(s, a, n) == (cap + 0.5 * float((s.vertices @ a).max())) / n
 
     def test_constant_grows_with_simplex_scale(self, triangle):
         # Vertex-wise comparison: same direction, growing simplex.
-        budgets = [error_budget(triangle.scaled(f), [1.0, 1.0], 20).rate_constant
+        budgets = [error_budget(triangle.scaled(f), [1.0, 1.0], 20)
                    for f in (0.5, 1.0, 2.0, 4.0)]
         assert all(b < c for b, c in zip(budgets, budgets[1:]))
 
@@ -325,7 +321,7 @@ class TestRelativeErrorReport:
         grid = grid_weights(50, 2) @ triangle.vertices
         for n in (40, 80, 160):
             assert relative_error_report(triangle, [1.0, 1.0], n, grid) \
-                <= error_budget(triangle, [1.0, 1.0], n).predicted_rel_error
+                <= error_budget(triangle, [1.0, 1.0], n)
 
     def test_empty_grid(self, triangle):
         with pytest.raises(EmptyGridError):
