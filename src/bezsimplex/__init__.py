@@ -60,7 +60,7 @@ from .experiments import (
     run_metadata,
     run_scaling_study,
 )
-from .geometry import COORDINATE_TOL, Simplex, standard_simplex, validate_barycentric
+from .geometry import COORDINATE_TOL, Simplex, standard_simplex
 from .lattice import (
     control_points,
     count_multi_indices,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, FunctionEvaluationError, SizeOverflowError
-from .geometry import Simplex, clip_weights, grid_points, validate_barycentric
+from .geometry import Simplex, clip_weights, grid_points
 from .lattice import (GEMM_COLUMNS, check_order, chunk_rows, control_points, count_multi_indices,
                       enumerate_multi_indices, multinomial_log_table, padded, row_chunks)
 
@@ -231,9 +231,9 @@ def apply_direct(net: ControlNet, x) -> float:
 
 
 def apply_de_casteljau(net: ControlNet, weights) -> float:
-    """Stable evaluation at validated barycentric weights."""
-    t = validate_barycentric(weights, net.simplex.dimension)
-    return float(evaluate_at_weights(net, t[None, :], evaluator=DE_CASTELJAU)[0])
+    """Stable evaluation at one vector of barycentric weights, a one-row batch."""
+    t = np.asarray(weights, dtype=float)[None]
+    return float(evaluate_at_weights(net, t, evaluator=DE_CASTELJAU)[0])
 
 
 def operator_sup_error(net: ControlNet, f, grid) -> float:

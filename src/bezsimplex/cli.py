@@ -15,11 +15,9 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from .bernstein import DEFAULT_EVALUATOR, EVALUATORS, basis_vector
 from .csvio import emit_csv, emit_lattice_csv
-from .errors import BezSimplexError, ConfigError
+from .errors import BezSimplexError
 from .experiments import (
     BOUND_CHECK_COLUMNS,
     BOUND_CHECK_MARGIN,
@@ -28,6 +26,7 @@ from .experiments import (
     exp_study_direction,
     load_config,
     load_simplex,
+    parse_floats,
     run_bound_check,
     run_convergence,
     run_metadata,
@@ -61,10 +60,7 @@ def _cmd_bound_check(args) -> int:
 def _cmd_scaling(args) -> int:
     config = load_config(args.config)
     direction = exp_study_direction(config.function)
-    try:
-        scales = [float(s) for s in args.scales.split(",")]  # an empty entry is refused too
-    except ValueError as exc:
-        raise ConfigError(f"--scales: non-numeric entry in {args.scales!r}") from exc
+    scales = parse_floats(args.scales, "--scales")
     order = max(config.n_values)
     rows = run_scaling_study(config.simplex, direction, order, config.grid_resolution, scales)
     _report(args, config, rows, SCALING_COLUMNS, scales=scales, order=order)
@@ -73,11 +69,7 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_basis(args) -> int:
     simplex = load_simplex(args.simplex)
-    try:
-        point = np.array([float(v) for v in args.point.split(",")])
-    except ValueError as exc:
-        raise ConfigError(f"--point: non-numeric entry in {args.point!r}") from exc
-    values = basis_vector(simplex, args.n, point)
+    values = basis_vector(simplex, args.n, parse_floats(args.point, "--point"))
     indices = enumerate_multi_indices(args.n, simplex.dimension)
     emit_lattice_csv(indices, values, args.out or sys.stdout, ["basis_value"])
     return 0

@@ -14,7 +14,7 @@ class DegenerateSimplexError(BezSimplexError, ValueError):
 
 
 class DomainError(BezSimplexError, ValueError):
-    """A non-finite coordinate or coefficient, or a negative tolerance."""
+    """A non-finite coordinate (of a vertex or a point) or exponential-polynomial entry."""
 
 
 class InvalidBarycentricError(BezSimplexError, ValueError):
@@ -26,7 +26,8 @@ class NegativeWeightError(InvalidBarycentricError):
 
 
 class SizeOverflowError(BezSimplexError, OverflowError):
-    """Requested lattice or exact coefficient exceeds the configured cap."""
+    """A lattice past SIZE_CAP entries, an order past an evaluator's limit, or a number
+    past the largest double."""
 
 
 class ExpOverflowError(BezSimplexError, OverflowError):

@@ -104,6 +104,8 @@ def _load_json(spec, what: str) -> tuple:
         raise ConfigError(f"{where}: JSON nested too deeply") from exc
     except OSError as exc:  # missing, a directory, unreadable
         raise ConfigError(f"{where}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a NUL byte in the path, an integer past Python's digit limit
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _fields(data, where: str, known: tuple, required: tuple = ()) -> dict:
@@ -135,6 +137,15 @@ def _number(value, where: str):
 
 def _numbers(values, where: str) -> list:
     return [_number(value, f"{where}[{i}]") for i, value in enumerate(_items(values, where))]
+
+
+def parse_floats(text: str, what: str) -> list:
+    """The numbers of a comma-separated list (--point, --scales, affine:), as floats.
+    An empty or non-numeric entry raises ConfigError naming what."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{what}: non-numeric entry in {text!r}") from exc
 
 
 def _parse_exp_polynomial(spec) -> ExpPolynomial:
@@ -177,10 +188,7 @@ def make_function(spec, simplex: Simplex) -> TestFunction:
                 "runge", lambda pts: 1.0 / (1.0 + 25.0 * ((pts - centroid) ** 2).sum(axis=1))
             )
         if text.startswith("affine:"):
-            try:
-                values = [float(v) for v in text[len("affine:"):].split(",")]
-            except ValueError as exc:
-                raise ConfigError(f"function {text!r}: non-numeric affine parameter") from exc
+            values = parse_floats(text[len("affine:"):], f"function {text!r}")
             if len(values) != dim + 1:
                 raise ConfigError(
                     f"function {text!r}: affine needs {dim} direction entries plus an offset"
@@ -253,9 +261,6 @@ def load_simplex(spec) -> Simplex:
 def load_config(source) -> ExperimentConfig:
     """Parse an experiment config from a dict, a JSON string, or a file path."""
     data, origin = _load_json(source, "config")
-
-    if not isinstance(data, dict):
-        raise ConfigError(f"{origin}: top level must be a JSON object")
     _fields(data, origin, tuple(field.name for field in fields(ExperimentConfig)),
             ("simplex", "function", "n_values"))
 

@@ -29,22 +29,6 @@ COORDINATE_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-12
 
 
-def validate_barycentric(weights, dimension: int) -> np.ndarray:
-    """Check one weight vector against the barycentric invariants of clip_weights.
-
-    Returns the weights as a float array of length dimension+1. Raises
-    DimensionMismatchError on wrong length, InvalidBarycentricError as
-    clip_weights does.
-    """
-    t = np.asarray(weights, dtype=float)
-    if t.ndim != 1 or t.shape[0] != dimension + 1:
-        raise DimensionMismatchError(
-            f"expected {dimension + 1} barycentric weights, got shape {t.shape}"
-        )
-    clip_weights(t[None, :], dimension)
-    return t
-
-
 def clip_weights(weights, dimension: int) -> np.ndarray:
     """(P, D+1) float weights, round-off negatives set to 0 (uncopied if none).
 
@@ -168,27 +152,25 @@ class Simplex:
     def __repr__(self) -> str:
         return f"Simplex(dimension={self._dimension}, diameter={self._diameter:.6g})"
 
-    def _check_point(self, x) -> np.ndarray:
-        p = np.asarray(x, dtype=float)
-        if p.ndim != 1 or p.shape[0] != self._dimension:
-            raise DimensionMismatchError(
-                f"expected point of length {self._dimension}, got shape {p.shape}"
-            )
-        if not np.all(np.isfinite(p)):
-            raise DomainError("point coordinates must be finite")
-        return p
-
     def barycentric(self, x) -> np.ndarray:
         """Barycentric coordinates of x; signed, so valid outside the simplex too."""
-        return self.barycentric_many(self._check_point(x)[None, :])[0]
+        return self.barycentric_many(np.asarray(x, dtype=float)[None])[0]
 
     def barycentric_many(self, points) -> np.ndarray:
-        """Barycentric coordinates of a (P, D) batch of points, shape (P, D+1)."""
+        """Barycentric coordinates of a (P, D) batch of points, shape (P, D+1).
+
+        The one check of a point: D coordinates, each finite. Raises
+        DimensionMismatchError, or DomainError naming the first non-finite row.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self._dimension:
             raise DimensionMismatchError(
                 f"expected points of shape (P, {self._dimension}), got {pts.shape}"
             )
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise DomainError(f"point coordinates must be finite: row {row} is {pts[row].tolist()}")
         rhs = np.empty((self._dimension + 1, pts.shape[0]))
         rhs[0] = 1.0
         rhs[1:] = pts.T

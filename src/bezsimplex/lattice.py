@@ -3,8 +3,8 @@
 A multi-index of order n over a D-simplex is a vector k of D+1 non-negative
 integers with |k| = sum(k) = n; there are binomial(n+D, D) of them. The
 enumeration order used everywhere in this package is colexicographic on
-(k_1, ..., k_D) with k_0 = n - sum implied, so coefficient vectors written
-by one process can be read back by any other.
+(k_1, ..., k_D) with k_0 = n - sum implied: control points, coefficient
+vectors and the rows of the lattice CSVs all follow it.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from bezsimplex import (
     ConfigError,
     ControlNet,
     DimensionMismatchError,
+    DomainError,
     EmptyGridError,
     ExpPolynomial,
     FunctionEvaluationError,
@@ -828,7 +829,7 @@ class TestSupError:
 
     def test_nan_point_refused(self, triangle):
         net = sample_control_net(triangle, 2, ONE)
-        with pytest.raises(InvalidBarycentricError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             operator_sup_error(net, ONE, np.array([[np.nan, 0.2]]))
 
     def test_empty_grid(self, triangle):

@@ -303,8 +303,9 @@ def test_overflow_in_f_is_ieee_or_a_typed_error(capsys, vertices, function):
 
 # Hostile-config property: a valid config with one field replaced by a
 # hostile value, run in process with warnings as errors.
-HOSTILE_VALUES = [None, True, False, "x", "", [], {}, [[]], {"k": 1}, 10**400, -10**400,
-                  float("nan"), float("inf"), -float("inf"), 1e300, -1e300, 5e-324, 0, -1, 2.5]
+HOSTILE_VALUES = [None, True, False, "x", "nope\u0000.json", "", [], {}, [[]], {"k": 1}, 10**400,
+                  -10**400, float("nan"), float("inf"), -float("inf"), 1e300, -1e300, 5e-324, 0,
+                  -1, 2.5]
 HOSTILE_FIELDS = [
     ("simplex",), ("simplex", "vertices"), ("simplex", "vertices", 0),
     ("simplex", "vertices", 1, 0),
@@ -353,14 +354,81 @@ def test_hostile_configs_exit_0_1_or_2_without_warnings(tmp_path_factory, argv):
         assert not any(cell.lstrip("-") in ("nan", "inf") for cell in cells)
 
 
+def converge_on(vertices, function, n_values, **fields):
+    """converge's argv for a config of these fields."""
+    config = {"simplex": {"vertices": vertices}, "function": function, "n_values": n_values}
+    return ["converge", "--config", json.dumps({**config, **fields})]
+
+
+EXP_700 = json.dumps({"simplex": INTERVAL, "function": {"terms": [{"c": 1.0, "a": [700.0]}]},
+                      "n_values": [4, 8]})
+
+# Console calls on hostile inputs; None expects exit 0, a string exit 1 with one error line
+# holding it.
+HOSTILE_CALLS = {
+    "minus-inf-dot": (["bound-check", "--config", json.dumps(
+        {**MINUS_INF_DOT, "function": {"terms": [{"c": 1.0, "a": [1e10]}]}})],
+        "a.x reaches -inf at vertex 1"),
+    "string-direction": (converge_on([[0.0], [1.0]], {"terms": [{"c": 1.0, "a": "12"}]}, [4, 8]),
+                         "terms[0].a: need a list, got str"),
+    "simplex-extra-key": (["basis", "--simplex", json.dumps({**INTERVAL, "typo": 1}), "--n", "2",
+                           "--point", "0.5"], "unknown field(s) ['typo']"),
+    "missing-function-file": (converge_on([[0.0], [1.0]], "nope.json", [4, 8]),
+                              "function file 'nope.json'"),
+    # |a| = 1e154, whose square overflows: the direction norm is still finite.
+    "huge-direction-norm": (["scaling", "--config", json.dumps(
+        {"simplex": {"vertices": [[0.0], [1e-300]]}, "n_values": [4],
+         "function": {"terms": [{"c": 1.0, "a": [1e154]}]}}), "--scales", "1,2"], None),
+    # runge on [0, 1e300]: its square overflows to inf, so f reads 0.
+    "runge-1e300": (converge_on([[0.0], [1e300]], "runge", [4, 8]), None),
+    # exp(700 x) on [0, 1]: finite sup errors and an error budget past a double, so
+    # converge leaves predicted_rel_error empty and scaling, which prints none, forms none.
+    "exp-700-converge": (["converge", "--config", EXP_700], None),
+    "exp-700-scaling": (["scaling", "--scales", "1", "--config", EXP_700], None),
+    # direct at n = 1100: exp(log multinomial) of a tile's pad row would overflow; pad rows
+    # are never exponentiated.
+    "direct-pad-rows": (converge_on([[0.0], [1.0]], {"terms": [{"c": 1.0, "a": [2.0]}]}, [1100],
+                                    grid_resolution=5) + ["--evaluator", "direct"], None),
+    # direct at n = 400 on the triangle: the interior face's 80,601 lattice rows go in two
+    # row blocks, each tile within the entry budget.
+    "direct-row-blocks": (converge_on(TRIANGLE["vertices"],
+                                      {"terms": [{"c": 1.0, "a": [1.0, -0.5]}]}, [400],
+                                      grid_resolution=3) + ["--evaluator", "direct"], None),
+}
+
+
+@pytest.mark.parametrize("argv, error", HOSTILE_CALLS.values(), ids=HOSTILE_CALLS.keys())
+def test_hostile_calls_exit_0_or_1_with_one_error_line(capsys, argv, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    if error is None:
+        assert (code, errors) == (0, [])
+    else:
+        assert code == 1 and len(errors) == 1 and error in errors[0]
+
+
+# Two sources the JSON reader once let escape as a bare ValueError: a path with a NUL byte,
+# which no file can have, and an integer past Python's 4300-digit limit (json.dumps refuses
+# to write one, so it is written as bytes).
+NUL_PATH_CONFIG = json.dumps({"simplex": INTERVAL, "function": "nope\u0000.json", "n_values": [2]})
+HUGE_INT_CONFIG = (b'{"simplex": {"vertices": [[1' + b"0" * 5000 + b'], [1.0]]},'
+                   b' "function": "const1", "n_values": [2]}')
+
+
 @pytest.mark.parametrize("flag, payload", [
     ("--config", json.dumps({"simplex": TRIANGLE, "function": "const1", "n_values": [2]})
      .encode("utf-16")),
     ("--simplex", json.dumps(TRIANGLE).encode("utf-16")),
     ("--config", b"[" * 100_000),
-], ids=["utf-16-config", "utf-16-simplex", "deep-config"])
+    ("--config", NUL_PATH_CONFIG.encode()),
+    ("--config", HUGE_INT_CONFIG),
+], ids=["utf-16-config", "utf-16-simplex", "deep-config", "nul-function-path", "5001-digit-vertex"])
 def test_unreadable_spec_file_is_an_error(tmp_path, capsys, flag, payload):
-    # A file that is not UTF-8, or JSON nested past the parser's limit.
+    # A file that is not UTF-8, JSON nested past the parser's limit, a config naming a
+    # function file by a path with a NUL byte, or an integer past Python's digit limit.
     path = tmp_path / "spec.json"
     path.write_bytes(payload)
     if flag == "--config":
@@ -369,7 +437,7 @@ def test_unreadable_spec_file_is_an_error(tmp_path, capsys, flag, payload):
         argv = ["basis", "--simplex", str(path), "--n", "2", "--point", "0.2,0.2"]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestBasis:
@@ -583,8 +651,14 @@ class TestProcessEntry:
     @pytest.mark.parametrize("args", [
         ["converge", "--config", "{\"simplex\": 1}"],
         ["no-such-command"],
-    ], ids=["malformed-config", "usage"])
-    def test_error_exits_1_with_one_error_line(self, args):
+        ["converge", "--config", NUL_PATH_CONFIG],
+        ["converge", "--config", HUGE_INT_CONFIG],
+    ], ids=["malformed-config", "usage", "nul-function-path", "5001-digit-vertex"])
+    def test_error_exits_1_with_one_error_line(self, tmp_path, args):
+        if isinstance(args[-1], bytes):  # the content of a config file, passed by its path
+            path = tmp_path / "config.json"
+            path.write_bytes(args[-1])
+            args = [*args[:-1], str(path)]
         child = entry_process(args)
         _, err = child.communicate(timeout=60)
         assert child.returncode == 1

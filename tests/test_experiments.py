@@ -222,8 +222,10 @@ class TestLoadConfig:
         path.write_text('{\n  "simplex": ]\n}')
         with pytest.raises(ConfigError, match="line 2"):
             load_config(str(path))
-        path.write_text("[1]")
-        with pytest.raises(ConfigError, match="top level must be a JSON object"):
+        path.write_text("[1]")  # the top level is checked by _fields, as every JSON object is
+        with pytest.raises(ConfigError, match=r"config file .*: need a JSON object with \["
+                                              r"'function', 'grid_resolution', 'n_values',"
+                                              r" 'seed', 'simplex'\], got list"):
             load_config(str(path))
 
     @pytest.mark.parametrize("payload, message", [

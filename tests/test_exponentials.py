@@ -323,6 +323,11 @@ class TestRelativeErrorReport:
             assert relative_error_report(triangle, [1.0, 1.0], n, grid) \
                 <= error_budget(triangle, [1.0, 1.0], n)
 
+    def test_non_finite_point_is_a_domain_error(self, triangle):
+        # The point rule's one owner is barycentric_many; it names the first bad row.
+        with pytest.raises(DomainError, match=r"finite: row 1 is \[nan, 0.2\]"):
+            relative_error_report(triangle, [1.0, 1.0], 10, [[0.2, 0.2], [np.nan, 0.2]])
+
     def test_empty_grid(self, triangle):
         with pytest.raises(EmptyGridError):
             relative_error_report(triangle, [1.0, 1.0], 10, np.empty((0, 2)))

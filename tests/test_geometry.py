@@ -14,7 +14,6 @@ from bezsimplex import (
     SizeOverflowError,
     load_simplex,
     standard_simplex,
-    validate_barycentric,
 )
 from bezsimplex.geometry import clip_weights
 
@@ -150,6 +149,8 @@ class TestBarycentric:
             triangle.barycentric_many([0.1, 0.2])
         with pytest.raises(ValueError, match="finite"):
             triangle.barycentric([np.nan, 0.2])
+        with pytest.raises(DomainError, match=r"finite: row 1 is \[0.1, inf\]"):
+            triangle.barycentric_many([[0.1, 0.2], [0.1, np.inf], [np.nan, 0.0]])
 
 
 class TestPointFromBarycentric:
@@ -180,16 +181,16 @@ class TestPointFromBarycentric:
 
     def test_invalid_weights_rejected(self, triangle):
         with pytest.raises(InvalidBarycentricError):
-            validate_barycentric([0.8, 0.4, -0.2], triangle.dimension)
+            clip_weights([[0.8, 0.4, -0.2]], triangle.dimension)
         with pytest.raises(InvalidBarycentricError):
-            validate_barycentric([0.5, 0.5, 0.5], triangle.dimension)
+            clip_weights([[0.5, 0.5, 0.5]], triangle.dimension)
         with pytest.raises(DimensionMismatchError):
-            validate_barycentric([1.0, 0.0], triangle.dimension)
+            clip_weights([[1.0, 0.0]], triangle.dimension)
 
     def test_tolerated_face_noise(self, triangle):
         # Values a hair below zero appear when grids are built in floats.
-        t = np.array([0.5, 0.5 + 1e-12, -1e-12])
-        x = validate_barycentric(t, triangle.dimension) @ triangle.vertices
+        t = np.array([[0.5, 0.5 + 1e-12, -1e-12]])
+        x = clip_weights(t, triangle.dimension) @ triangle.vertices
         assert np.all(np.isfinite(x))
 
 
@@ -239,23 +240,24 @@ class TestSerialization:
 
 
 class TestValidateBarycentric:
+    # clip_weights is the one check of barycentric weights, a single vector included.
     def test_accepts_valid(self):
-        t = validate_barycentric([0.2, 0.3, 0.5], 2)
+        t = clip_weights([[0.2, 0.3, 0.5]], 2)
         assert t.dtype == float
 
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidBarycentricError):
-            validate_barycentric([0.2, 0.3, 0.4], 2)
+            clip_weights([[0.2, 0.3, 0.4]], 2)
         with pytest.raises(InvalidBarycentricError, match="finite"):
-            validate_barycentric([0.5, np.nan, 0.5], 2)
+            clip_weights([[0.5, np.nan, 0.5]], 2)
 
     def test_rejects_negative_beyond_tol(self):
         with pytest.raises(InvalidBarycentricError):
-            validate_barycentric([1.1, -0.1, 0.0], 2)
+            clip_weights([[1.1, -0.1, 0.0]], 2)
 
     def test_allows_tolerated_negative(self):
         slack = COORDINATE_TOL / 2
-        validate_barycentric([0.5, 0.5 + slack, -slack], 2)
+        clip_weights([[0.5, 0.5 + slack, -slack]], 2)
 
     def test_clip_weights_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
