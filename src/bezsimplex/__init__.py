@@ -2,7 +2,7 @@
 
 Library layout:
 
-- geometry: simplices and barycentric coordinate maps
+- geometry: simplices, barycentric coordinate maps and Frozen, the value types' base
 - lattice: multi-index enumeration, multinomials, control points
 - bernstein: basis evaluation and the sampling operator (two evaluators)
 - exponentials: closed-form images of exp(a.x), observed errors and the first-order prediction

@@ -29,12 +29,11 @@ terms of at most n L, the log-factorial table (8 u) and its D + 1 sums
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, FunctionEvaluationError, SizeOverflowError
-from .geometry import Simplex, clip_weights, grid_points
+from .geometry import Frozen, Simplex, clip_weights, grid_points
 from .lattice import (GEMM_COLUMNS, check_order, chunk_rows, control_points, count_multi_indices,
                       enumerate_multi_indices, multinomial_log_table, padded, row_chunks)
 
@@ -49,37 +48,33 @@ _TILE = 1 << 18  # most multiply-adds a product tile takes: OpenBLAS runs it on 
 _FACE_ROWS = chunk_rows(GEMM_COLUMNS)
 
 
-@dataclass(frozen=True)
-class ControlNet:
-    """Coefficient vector of a degree-n Bernstein polynomial on a simplex.
+class ControlNet(Frozen):
+    """Coefficient vector of a degree-n Bernstein polynomial on a simplex: its
+    `simplex`, its `order` n and its read-only `coefficients`.
 
     Entry i holds the coefficient for the i-th multi-index in enumeration
     order; for a sampled net that is f at the i-th control point.
     """
 
-    simplex: Simplex
-    order: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        check_order(self.order)
-        c = np.asarray(self.coefficients, dtype=float)
-        expected = count_multi_indices(self.order, self.simplex.dimension)
+    def __init__(self, simplex: Simplex, order: int, coefficients) -> None:
+        check_order(order)
+        c = np.asarray(coefficients, dtype=float)
+        expected = count_multi_indices(order, simplex.dimension)
         if c.ndim != 1 or c.shape[0] != expected:
             raise DimensionMismatchError(
-                f"net of order {self.order} needs {expected} coefficients, got shape {c.shape}"
+                f"net of order {order} needs {expected} coefficients, got shape {c.shape}"
             )
         bad = np.flatnonzero(~np.isfinite(c))
         if bad.size:
             i = int(bad[0])
-            k = enumerate_multi_indices(self.order, self.simplex.dimension)[i]
+            k = enumerate_multi_indices(order, simplex.dimension)[i]
             raise FunctionEvaluationError(
                 f"control net coefficient {i} (multi-index {tuple(k.tolist())}) is {float(c[i])!r};"
                 " coefficients must be finite"
             )
         c = c.copy()
         c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
+        self._set(simplex=simplex, order=order, coefficients=c)
 
 
 def sample_control_net(simplex: Simplex, order: int, f) -> ControlNet:

@@ -15,7 +15,6 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,7 +23,7 @@ from .bernstein import DEFAULT_EVALUATOR, evaluate_at_weights, sample_control_ne
 from .csvio import emit_csv  # re-exported: experiments.emit_csv is public
 from .errors import ConfigError, DimensionMismatchError, ExpOverflowError, FunctionEvaluationError
 from .exponentials import ExpPolynomial, error_budget, sup_relative_errors, vertex_dots
-from .geometry import Simplex, power_of_two_scaled
+from .geometry import Frozen, Simplex, power_of_two_scaled
 from .lattice import check_order, default_grid_resolution, grid_weight_blocks
 
 # The first-order bound is asymptotic; violations are only flagged from here on,
@@ -35,14 +34,12 @@ BOUND_CHECK_MARGIN = 0.25
 # check's ratio, since the prediction may be exactly 0 (a zero direction).
 ZERO_OBSERVED_FLOOR = 1e-12
 
-@dataclass
-class TestFunction:
+class TestFunction(Frozen):
     """A named target function, evaluated on (P, D) batches of points, with
     its exponential terms when it is an exponential polynomial."""
 
-    name: str
-    batch: Callable
-    exp_terms: ExpPolynomial | None = None
+    def __init__(self, name: str, batch: Callable, exp_terms: ExpPolynomial | None = None) -> None:
+        self._set(name=name, batch=batch, exp_terms=exp_terms)
 
     def evaluate(self, points) -> np.ndarray:
         """f on a (P, D) batch, the one owner of f's floating point: overflow gives inf,
@@ -78,7 +75,7 @@ def exp_study_direction(function: TestFunction) -> np.ndarray:
 
 def _load_json(spec, what: str) -> tuple:
     # The one reader of a JSON source, and the one check of its type. A dict
-    # passes through; text starting with "{" is inline JSON; any other str or
+    # passes through; text starting with "{" or "[" is inline JSON; any other str or
     # os.PathLike is the path of a JSON file. A source inside a config is a spec.
     # Returns the data and the source's name for messages.
     if isinstance(spec, dict):
@@ -87,7 +84,7 @@ def _load_json(spec, what: str) -> tuple:
         noun = what if what == "config" else f"{what} spec"
         raise ConfigError(f"{noun} must be a mapping or path, got {type(spec).__name__}")
     text = str(spec).strip()
-    inline = text.startswith("{")
+    inline = text.startswith(("{", "["))
     where = what if inline else f"{what} file {text!r}"
     try:
         if inline:
@@ -223,27 +220,24 @@ def _config_orders(field: str, values, least: int, need: str) -> tuple:
     return tuple(int(value) for value in values)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    simplex: Simplex
-    function: TestFunction
-    n_values: tuple
-    grid_resolution: int
-    seed: int = 0
+class ExperimentConfig(Frozen):
+    """A run's configuration; FIELDS lists its attributes, which are the config's keys."""
 
-    def __post_init__(self):
+    FIELDS = ("simplex", "function", "n_values", "grid_resolution", "seed")
+
+    def __init__(self, simplex: Simplex, function: TestFunction, n_values, grid_resolution,
+                 seed=0) -> None:
         need = "a non-empty list of integers >= 1"
-        if not (isinstance(self.n_values, (list, tuple)) and self.n_values):
+        if not (isinstance(n_values, (list, tuple)) and n_values):
             raise ConfigError(f"field 'n_values': need {need}")
-        n_values = _config_orders("n_values", self.n_values, 1, need)
+        n_values = _config_orders("n_values", n_values, 1, need)
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ConfigError("field 'n_values': must be strictly increasing")
-        object.__setattr__(self, "n_values", n_values)
-        (resolution,) = _config_orders("grid_resolution", [self.grid_resolution], 2,
-                                       "an integer >= 2")
-        object.__setattr__(self, "grid_resolution", resolution)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):  # JSON true is an int
+        (resolution,) = _config_orders("grid_resolution", [grid_resolution], 2, "an integer >= 2")
+        if isinstance(seed, bool) or not isinstance(seed, int):  # JSON true is an int
             raise ConfigError("field 'seed': need an integer")
+        self._set(simplex=simplex, function=function, n_values=n_values,
+                  grid_resolution=resolution, seed=seed)
 
 
 def load_simplex(spec) -> Simplex:
@@ -261,8 +255,7 @@ def load_simplex(spec) -> Simplex:
 def load_config(source) -> ExperimentConfig:
     """Parse an experiment config from a dict, a JSON string, or a file path."""
     data, origin = _load_json(source, "config")
-    _fields(data, origin, tuple(field.name for field in fields(ExperimentConfig)),
-            ("simplex", "function", "n_values"))
+    _fields(data, origin, ExperimentConfig.FIELDS, ("simplex", "function", "n_values"))
 
     try:
         simplex = load_simplex(data["simplex"])

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (DimensionMismatchError, DomainError, EmptyGridError, ExpOverflowError,
                      SizeOverflowError)
 from .lattice import check_order, padded
-from .geometry import Simplex, clip_weights, grid_points
+from .geometry import Frozen, Simplex, clip_weights, grid_points
 
 # exp() overflows double precision near 709; stay clear with a round guard.
 EXP_ARG_LIMIT = 700.0
@@ -48,7 +48,7 @@ def _term(coefficient, direction) -> tuple:
         raise SizeOverflowError(f"exponential term entries must be doubles: {exc}") from exc
 
 
-class ExpPolynomial:
+class ExpPolynomial(Frozen):
     """Finite linear combination sum_i c_i exp(a_i . x) of (c_i, a_i) pairs,
     held as a read-only (T,) `coefficients` and (T, D) `directions` array."""
 
@@ -59,13 +59,13 @@ class ExpPolynomial:
         dim = len(pairs[0][1])
         if any(len(a) != dim for _, a in pairs):
             raise DimensionMismatchError("all term directions must share one dimension")
-        self.coefficients = np.array([c for c, _ in pairs])
-        self.directions = np.array([a for _, a in pairs]).reshape(len(pairs), dim)
-        if not (np.isfinite(self.coefficients).all() and np.isfinite(self.directions).all()):
+        coefficients = np.array([c for c, _ in pairs])
+        directions = np.array([a for _, a in pairs]).reshape(len(pairs), dim)
+        if not (np.isfinite(coefficients).all() and np.isfinite(directions).all()):
             raise DomainError("exponential polynomial entries must be finite")
-        self.coefficients.setflags(write=False)
-        self.directions.setflags(write=False)
-        self.dimension = dim
+        coefficients.setflags(write=False)
+        directions.setflags(write=False)
+        self._set(coefficients=coefficients, directions=directions, dimension=dim)
 
     def __len__(self) -> int:
         return len(self.coefficients)

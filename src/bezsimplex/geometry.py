@@ -83,14 +83,30 @@ def grid_points(simplex: Simplex, grid) -> np.ndarray:
     return points
 
 
-class Simplex:
-    """Closed, non-degenerate simplex spanned by D+1 vertices in R^D.
+class Frozen:
+    """Base of the value types (Simplex, ExpPolynomial, ControlNet, TestFunction and
+    ExperimentConfig), and their one immutability rule: __init__ checks its arguments
+    and sets every attribute once, through _set; assigning or deleting an attribute
+    afterwards raises AttributeError."""
+
+    def _set(self, **values) -> None:
+        vars(self).update(values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class Simplex(Frozen):
+    """Closed, non-degenerate simplex spanned by D+1 vertices in R^D: its
+    `dimension` D, its read-only (D+1, D) `vertices` (row j is vertex x_j) and
+    its `diameter`, the largest pairwise vertex distance (the longest side).
 
     The (D+1)x(D+1) affine system (ones row stacked on the vertex columns)
     that maps cartesian to barycentric coordinates is built once at
-    construction and solved per query. Vertex order is fixed for the
-    lifetime of the instance; instances are immutable and safe to share
-    across threads.
+    construction and solved per query. Instances are safe to share across threads.
     """
 
     def __init__(self, vertices) -> None:
@@ -125,32 +141,15 @@ class Simplex:
             )
 
         vtx.setflags(write=False)
-        self._vertices = vtx
-        self._dimension = dim
-        self._diameter = float(diameter)
         system.setflags(write=False)
-        self._system = system
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
-
-    @property
-    def vertices(self) -> np.ndarray:
-        """Read-only (D+1, D) vertex array; row j is vertex x_j."""
-        return self._vertices
-
-    @property
-    def diameter(self) -> float:
-        """Largest pairwise vertex distance (the longest side)."""
-        return self._diameter
+        self._set(vertices=vtx, dimension=dim, diameter=float(diameter), _system=system)
 
     @property
     def centroid(self) -> np.ndarray:
-        return power_of_two_scaled(self._vertices, lambda unit: unit.mean(axis=0), "centroid")[0]
+        return power_of_two_scaled(self.vertices, lambda unit: unit.mean(axis=0), "centroid")[0]
 
     def __repr__(self) -> str:
-        return f"Simplex(dimension={self._dimension}, diameter={self._diameter:.6g})"
+        return f"Simplex(dimension={self.dimension}, diameter={self.diameter:.6g})"
 
     def barycentric(self, x) -> np.ndarray:
         """Barycentric coordinates of x; signed, so valid outside the simplex too."""
@@ -163,15 +162,15 @@ class Simplex:
         DimensionMismatchError, or DomainError naming the first non-finite row.
         """
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self._dimension:
+        if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise DimensionMismatchError(
-                f"expected points of shape (P, {self._dimension}), got {pts.shape}"
+                f"expected points of shape (P, {self.dimension}), got {pts.shape}"
             )
         finite = np.isfinite(pts).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))
             raise DomainError(f"point coordinates must be finite: row {row} is {pts[row].tolist()}")
-        rhs = np.empty((self._dimension + 1, pts.shape[0]))
+        rhs = np.empty((self.dimension + 1, pts.shape[0]))
         rhs[0] = 1.0
         rhs[1:] = pts.T
         return np.linalg.solve(self._system, rhs).T
@@ -179,7 +178,7 @@ class Simplex:
     def scaled(self, factor: float) -> "Simplex":
         """Simplex with all vertices scaled about the origin."""
         scale = lambda unit: unit * float(factor)
-        return Simplex(power_of_two_scaled(self._vertices, scale, f"scaling by {factor!r}")[0])
+        return Simplex(power_of_two_scaled(self.vertices, scale, f"scaling by {factor!r}")[0])
 
 
 def standard_simplex(dimension: int) -> Simplex:

@@ -131,7 +131,7 @@ class TestBasisValue:
         for w in face_weights(rng, dimension, 0):
             x = w @ s.vertices
             supported = ~np.any((indices > 0) & (w == 0.0), axis=1)
-            with mock.patch.object(s, "barycentric", return_value=w):
+            with mock.patch.object(type(s), "barycentric", return_value=w):  # s is frozen
                 values = basis_vector(s, order, x)
                 assert np.all(values[~supported] == 0.0)
                 assert np.all(values[supported] > 0.0)

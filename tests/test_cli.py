@@ -327,13 +327,7 @@ def hostile_calls(draw):
               "grid_resolution": draw(st.integers(2, 6))}
     path = draw(st.sampled_from(HOSTILE_FIELDS + [None]))
     if path is not None:
-        parent = config
-        try:
-            for key in path[:-1]:
-                parent = parent[key]
-            parent[path[-1]] = draw(st.sampled_from(HOSTILE_VALUES))
-        except (TypeError, KeyError, IndexError):  # the path does not exist in this config
-            pass
+        config = with_hostile_value(config, path, draw(st.sampled_from(HOSTILE_VALUES)))
     command = draw(st.sampled_from(["converge", "bound-check", "scaling"]))
     extra = []
     if command == "scaling":
@@ -341,10 +335,19 @@ def hostile_calls(draw):
     return [command, "--config", json.dumps(config), *extra]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(argv=hostile_calls())
-def test_hostile_configs_exit_0_1_or_2_without_warnings(tmp_path_factory, argv):
-    out = tmp_path_factory.mktemp("hostile") / "rows.csv"
+def with_hostile_value(config, path, value):
+    """config with its entry at path set to value, where the path exists in it."""
+    parent = config
+    try:
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    except (TypeError, KeyError, IndexError):  # the path does not exist in this config
+        pass
+    return config
+
+
+def assert_exit_0_1_or_2_without_warnings(argv, out):
     with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("error")
         code = main(argv + ["--out", str(out)])
@@ -352,6 +355,27 @@ def test_hostile_configs_exit_0_1_or_2_without_warnings(tmp_path_factory, argv):
     if code != 1:
         cells = [cell for row in out.read_text().splitlines()[1:] for cell in row.split(",")]
         assert not any(cell.lstrip("-") in ("nan", "inf") for cell in cells)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=hostile_calls())
+def test_hostile_configs_exit_0_1_or_2_without_warnings(tmp_path_factory, argv):
+    assert_exit_0_1_or_2_without_warnings(argv, tmp_path_factory.mktemp("hostile") / "rows.csv")
+
+
+# Every hostile value at every field, once each, on one small valid config: the property
+# above reaches only the pairs its fixed examples happen to draw.
+SMALL_CONFIG = {"simplex": TRIANGLE, "function": {"terms": [{"c": 1.0, "a": [0.5, 0.5]}]},
+                "n_values": [2, 4], "grid_resolution": 4}
+
+
+@pytest.mark.parametrize("value", HOSTILE_VALUES, ids=[f"{v!r:.12}" for v in HOSTILE_VALUES])
+@pytest.mark.parametrize("path", HOSTILE_FIELDS,
+                         ids=[".".join(map(str, p)) for p in HOSTILE_FIELDS])
+def test_every_hostile_value_at_every_field_exits_0_1_or_2(tmp_path, path, value):
+    config = with_hostile_value(json.loads(json.dumps(SMALL_CONFIG)), path, value)
+    assert_exit_0_1_or_2_without_warnings(["converge", "--config", json.dumps(config)],
+                                          tmp_path / "rows.csv")
 
 
 def converge_on(vertices, function, n_values, **fields):
@@ -375,6 +399,10 @@ HOSTILE_CALLS = {
                            "--point", "0.5"], "unknown field(s) ['typo']"),
     "missing-function-file": (converge_on([[0.0], [1.0]], "nope.json", [4, 8]),
                               "function file 'nope.json'"),
+    # Inline text starting with "[" is JSON, as a file holding it is: not an object.
+    "inline-list-config": (["converge", "--config", "[1]"],
+                           "config: need a JSON object with ['function', 'grid_resolution',"
+                           " 'n_values', 'seed', 'simplex'], got list"),
     # |a| = 1e154, whose square overflows: the direction norm is still finite.
     "huge-direction-norm": (["scaling", "--config", json.dumps(
         {"simplex": {"vertices": [[0.0], [1e-300]]}, "n_values": [4],
@@ -570,6 +598,17 @@ def test_import_loads_numpy_and_stdlib_only():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             check=True, timeout=60)
     assert result.stdout.strip() == "[]"
+
+
+def test_import_leaves_dataclasses_out():
+    # The value types share geometry.Frozen; dataclasses cost start-up time to generate code.
+    probe = (
+        f"import sys; sys.path.insert(0, {SOURCE!r}); import bezsimplex.cli; "
+        "print('dataclasses' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, timeout=60)
+    assert result.stdout.strip() == "False"
 
 
 TETRAHEDRON_RUNGE = {"simplex": {"vertices": [[0.1, -0.2, 0.0], [1.2, 0.1, 0.3], [-0.1, 0.9, 0.2],

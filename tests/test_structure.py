@@ -1,9 +1,12 @@
-"""Module boundaries of the package."""
+"""Module boundaries of the package, and the one immutability rule of its value types."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import bezsimplex
+from bezsimplex.geometry import Frozen
 
 PACKAGE = Path(bezsimplex.__file__).parent
 
@@ -36,3 +39,27 @@ def test_only_experiments_and_csvio_handle_file_formats():
             found += [f"{name}: {module}" for module in modules
                       if {"json", "csv", "csvio"} & set(module.split("."))]
     assert found == []
+
+
+def value_types():
+    """One instance of each value type, keyed by its class name."""
+    simplex = bezsimplex.standard_simplex(2)
+    function = bezsimplex.make_function("runge", simplex)
+    values = [simplex, bezsimplex.ExpPolynomial([(1.0, [1.0, 2.0])]),
+              bezsimplex.sample_control_net(simplex, 2, function), function,
+              bezsimplex.ExperimentConfig(simplex, function, [2], 4)]
+    return {type(value).__name__: value for value in values}
+
+
+@pytest.mark.parametrize("name", ["Simplex", "ExpPolynomial", "ControlNet", "TestFunction",
+                                  "ExperimentConfig"])
+def test_value_types_are_frozen_after_construction(name):
+    value = value_types()[name]
+    assert isinstance(value, Frozen)
+    before = dict(vars(value))
+    for attribute in [*before, "added"]:
+        with pytest.raises(AttributeError, match=f"{name} is immutable: cannot set '{attribute}'"):
+            setattr(value, attribute, None)
+        with pytest.raises(AttributeError, match=f"{name} is immutable: cannot delete"):
+            delattr(value, attribute)
+    assert vars(value) == before
