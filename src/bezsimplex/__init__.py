@@ -20,7 +20,6 @@ from .bernstein import (
     apply_direct,
     basis_vector,
     evaluate_at_weights,
-    operator_sup_error,
     sample_control_net,
 )
 from .csvio import emit_csv

@@ -33,7 +33,7 @@ import itertools
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, FunctionEvaluationError, SizeOverflowError
-from .geometry import Frozen, Simplex, clip_weights, grid_points
+from .geometry import Frozen, Simplex, clip_weights
 from .lattice import (GEMM_COLUMNS, check_order, chunk_rows, control_points, count_multi_indices,
                       enumerate_multi_indices, multinomial_log_table, padded, row_chunks)
 
@@ -230,9 +230,3 @@ def apply_de_casteljau(net: ControlNet, weights) -> float:
     t = np.asarray(weights, dtype=float)[None]
     return float(evaluate_at_weights(net, t, evaluator=DE_CASTELJAU)[0])
 
-
-def operator_sup_error(net: ControlNet, f, grid) -> float:
-    """Max over the grid of |net(x) - f(x)|, f a TestFunction: the discrete sup error."""
-    points = grid_points(net.simplex, grid)
-    values = evaluate_at_weights(net, net.simplex.barycentric_many(points))
-    return float(np.abs(values - f.evaluate(points)).max())

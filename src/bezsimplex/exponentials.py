@@ -14,7 +14,7 @@ the observed error alone.
 The closed form, its first-order residual and the relative error depend on
 the weights alone: a.x is sum_j s_j a.x_j, so the ``*_at_weights`` kernels
 take a (P, D+1) batch of barycentric weights and never form cartesian
-points; ``relative_error_report`` is the one cartesian-grid adapter.
+points; ``relative_error_report`` adapts a (P, D) batch of points for the benchmark's tracer.
 
 Every quantity is read off one padded matrix product of a ``case_table``
 (each (vertex dots, order) case's exp(a.x_j / n), then its a.x_j) with the
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (DimensionMismatchError, DomainError, EmptyGridError, ExpOverflowError,
                      SizeOverflowError)
 from .lattice import check_order, padded
-from .geometry import Frozen, Simplex, clip_weights, grid_points
+from .geometry import Frozen, Simplex, clip_weights
 
 # exp() overflows double precision near 709; stay clear with a round guard.
 EXP_ARG_LIMIT = 700.0
@@ -236,7 +236,7 @@ def relative_error_at_weights(simplex: Simplex, direction, order: int,
     return sup_relative_errors([(dots, order)], [w])[0]
 
 
-def relative_error_report(simplex: Simplex, direction, order: int, grid) -> float:
-    """relative_error_at_weights over a grid of cartesian points."""
-    weights = simplex.barycentric_many(grid_points(simplex, grid))
-    return relative_error_at_weights(simplex, direction, order, weights)
+def relative_error_report(simplex: Simplex, direction, order: int, points) -> float:
+    """relative_error_at_weights at a (P, D) batch of cartesian points. Kept only because
+    perfbench/tracer.py binds it by name: ROADMAP item 6 drops that binding, then item 5 deletes it."""
+    return relative_error_at_weights(simplex, direction, order, simplex.barycentric_many(points))

@@ -15,7 +15,6 @@ from .errors import (
     DegenerateSimplexError,
     DimensionMismatchError,
     DomainError,
-    EmptyGridError,
     InvalidBarycentricError,
     NegativeWeightError,
     SizeOverflowError,
@@ -70,17 +69,6 @@ def power_of_two_scaled(x, reduce, what: str) -> tuple:
     if not np.all(np.isfinite(value)):
         raise SizeOverflowError(f"{what} overflows a double at scale 2**{e}")
     return value, unit, unit_value
-
-
-def grid_points(simplex: Simplex, grid) -> np.ndarray:
-    """A non-empty grid as (P, D) points; a 1-d grid is P points of an
-    interval, or one point of a higher-dimensional simplex."""
-    points = np.asarray(grid, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None] if simplex.dimension == 1 else points[None, :]
-    if points.shape[0] == 0:
-        raise EmptyGridError("sup requested over an empty grid")
-    return points
 
 
 class Frozen:

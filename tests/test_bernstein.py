@@ -17,7 +17,6 @@ from bezsimplex import (
     ControlNet,
     DimensionMismatchError,
     DomainError,
-    EmptyGridError,
     ExpPolynomial,
     FunctionEvaluationError,
     InvalidBarycentricError,
@@ -35,7 +34,6 @@ from bezsimplex import (
     evaluate_at_weights,
     grid_weights,
     make_function,
-    operator_sup_error,
     sample_control_net,
 )
 
@@ -182,8 +180,8 @@ class TestSampling:
            bad=st.sampled_from(["nan", "inf", "-inf", "overflow"]), seed=SEEDS)
     def test_non_finite_value_names_its_point(self, dimension, order, bad, seed):
         # f is 1 everywhere but at one control point, where it is not finite or
-        # overflows: both the sampler and the sup error refuse it by that point,
-        # and no numpy warning escapes.
+        # overflows: the sampler, and f itself on a grid holding that point, refuse
+        # it by that point, and no numpy warning escapes.
         rng = np.random.default_rng(seed)
         s = random_simplex(rng, dimension)
         points = control_points(s, order)
@@ -203,14 +201,14 @@ class TestSampling:
             with pytest.raises(FunctionEvaluationError, match=named):
                 sample_control_net(s, order, f)
             with pytest.raises(FunctionEvaluationError, match=named):
-                operator_sup_error(sample_control_net(s, order, ONE), f, grid)
+                f.evaluate(grid)
 
     def test_batch_of_the_wrong_shape_is_refused(self, triangle):
         column = Function("column", lambda points: np.ones((len(points), 1)))
         with pytest.raises(FunctionEvaluationError, match=r"column gave shape \(6, 1\) at 6"):
             sample_control_net(triangle, 2, column)
         with pytest.raises(FunctionEvaluationError, match="shape"):
-            operator_sup_error(sample_control_net(triangle, 2, ONE), column, [[0.2, 0.3]])
+            column.evaluate([[0.2, 0.3]])
 
     def test_net_length_validated(self, triangle):
         with pytest.raises(DimensionMismatchError):
@@ -803,18 +801,24 @@ class TestOperatorProperties:
         assert np.abs(values).max() == pytest.approx(4.0, abs=1e-12)
 
 
+def sup_error(net, f, points):
+    """Max over a (P, D) batch of points of |net(x) - f(x)|, through the one point rule."""
+    values = evaluate_at_weights(net, net.simplex.barycentric_many(points))
+    return float(np.abs(values - f.evaluate(points)).max())
+
+
 class TestSupError:
     def test_constant_function(self, triangle, rng):
         net = sample_control_net(triangle, 5, ONE)
         grid = interior_weights(rng, 2, 30) @ triangle.vertices
-        assert operator_sup_error(net, ONE, grid) <= 1e-12
+        assert sup_error(net, ONE, grid) <= 1e-12
 
     def test_affine_linear_precision(self, rng):
         s = random_simplex(rng, 2)
         affine = Function("affine", lambda p: 2.0 * p[:, 0] - p[:, 1] + 0.5)
         net = sample_control_net(s, 6, affine)
         grid = interior_weights(rng, 2, 50) @ s.vertices
-        assert operator_sup_error(net, affine, grid) <= 1e-10
+        assert sup_error(net, affine, grid) <= 1e-10
 
     def test_exponential_within_first_order_bound(self, unit_interval, rng):
         a = np.array([1.0])
@@ -823,16 +827,114 @@ class TestSupError:
         sup_f = math.e
         for order in (40, 80):
             net = sample_control_net(unit_interval, order, f)
-            err = operator_sup_error(net, f, grid)
+            err = sup_error(net, f, grid)
             bound = error_budget(unit_interval, a, order) * sup_f
             assert err <= 1.25 * bound
 
     def test_nan_point_refused(self, triangle):
         net = sample_control_net(triangle, 2, ONE)
         with pytest.raises(DomainError, match="finite"):
-            operator_sup_error(net, ONE, np.array([[np.nan, 0.2]]))
+            sup_error(net, ONE, np.array([[np.nan, 0.2]]))
 
-    def test_empty_grid(self, triangle):
-        net = sample_control_net(triangle, 2, ONE)
-        with pytest.raises(EmptyGridError):
-            operator_sup_error(net, ONE, np.empty((0, 2)))
+
+UNIT = 2.0**-53
+READING_GRID = {1: 60, 2: 14, 3: 7, 4: 5}  # lattice grid resolution of the evaluation points
+
+
+def convex_function(name, s, rng):
+    """A convex f on s, and a first-order bound on |f as computed at a computed
+    point - f at the exact point|, over the simplex. A computed point fl(fl(k/m) @ V)
+    is off by at most delta_d = (D + 2) u R_d per coordinate, R_d = max_j |x_jd|
+    (the D + 1 term product and the rounded weights), and |x_d|, |c_d| <= R_d.
+    - abs, |(x - c).e| with e_d = 1/sqrt(D): the difference adds 2 u R_d and the
+      D-term dot D u 2 R_d / sqrt(D) summed, so u (3D + 4) sum_d R_d / sqrt(D);
+    - c exp(a.x), c > 0: the bound of test_convergence_estimate with T = 1,
+      c E u ((2D + 2) A + 9), E = max_j exp(a.x_j) and A = sum_d |a_d| R_d;
+    - |x|^2: each square 2 R_d delta_d + u R_d^2, the D-term sum D u R_d^2, so
+      u (3D + 4) sum_d R_d^2."""
+    dim, reach = s.dimension, np.abs(s.vertices).max(axis=0)
+    if name == "abs":
+        return make_function("abs", s), UNIT * (3 * dim + 4) * reach.sum() / math.sqrt(dim)
+    if name == "exp":
+        c, a = rng.uniform(0.1, 3.0), rng.normal(size=dim)
+        a *= rng.uniform(0.1, 3.0) / np.linalg.norm(a)
+        poly, peak = ExpPolynomial([(c, a)]), c * math.exp((s.vertices @ a).max())
+        at_point = UNIT * peak * ((2 * dim + 2) * (np.abs(a) @ reach) + 9)
+        return Function("c exp(a.x)", poly.evaluate_many), at_point
+    return Function("|x|^2", lambda p: (p**2).sum(axis=1)), UNIT * (3 * dim + 4) * (reach**2).sum()
+
+
+def operator_rounding(net, evaluator, w, at_control):
+    """A bound on |B_n f as computed at grid weights w - B_n f at the exact grid point|,
+    f's rounding at a control point at most at_control: the evaluator's forward bound
+    (module docstring of bernstein) over sum_k B_k(w) <= (1 + u)**n <= unity, the
+    coefficients' error at_control times unity, and w_j = fl(k_j / m) = (k_j / m)(1 + e_j),
+    so B_k(w) is off its exact value by at most (unity - 1) B_k(k / m)."""
+    order, dim = net.order, net.simplex.dimension
+    unity, largest = 1.0 + 2.0 * order * UNIT, float(np.abs(net.coefficients).max())
+    if evaluator == bernstein.DE_CASTELJAU:
+        kernel = forward_bound(order, dim) * largest * unity + 2.0**-270 * largest
+    else:
+        kernel = direct_forward_bound(order, dim, w) * largest * unity
+    return kernel + at_control * unity + (largest + at_control) * (unity - 1.0)
+
+
+READING = dict(dimension=st.integers(1, 4), shift=st.sampled_from([0.0, 1.0, 5.0]),
+               order=st.sampled_from([3, 4, 7, 8, 20, 21, 60]),
+               evaluator=st.sampled_from(bernstein.EVALUATORS), seed=SEEDS)
+
+
+class TestMultinomialReading:
+    # Bernstein (1912): B_n f(x) is the mean of f(sum_j (K_j / n) x_j), K a multinomial
+    # draw of n trials with probabilities s(x). On random simplices, translated by 0, 1
+    # or 5 along the diagonal, at the lattice grid, each invariant holds up to its
+    # rounding terms, derived above; the factor 1 + 16 u covers the test's own sums.
+
+    @PROPERTY
+    @given(name=st.sampled_from(["abs", "exp", "square"]), **READING)
+    def test_jensen_for_convex_f(self, name, dimension, shift, order, evaluator, seed):
+        # B_n f >= f, as the mean of a convex f is at least f at the mean point x.
+        rng = np.random.default_rng(seed)
+        s = Simplex(random_simplex(rng, dimension).vertices + shift)
+        f, at_point = convex_function(name, s, rng)
+        w = grid_weights(READING_GRID[dimension], dimension)
+        net = sample_control_net(s, order, f)
+        gap = evaluate_at_weights(net, w, evaluator=evaluator) - f.evaluate(w @ s.vertices)
+        rounding = operator_rounding(net, evaluator, w, at_point) + at_point
+        assert gap.min() >= -rounding * (1.0 + 16.0 * UNIT)
+
+    @PROPERTY
+    @given(name=st.sampled_from(["abs", "exp", "square"]), **READING)
+    def test_monotone_in_the_order_for_convex_f(self, name, dimension, shift, order, evaluator, seed):
+        # B_n f >= B_(n+1) f for convex f.
+        rng = np.random.default_rng(seed)
+        s = Simplex(random_simplex(rng, dimension).vertices + shift)
+        f, at_point = convex_function(name, s, rng)
+        w = grid_weights(READING_GRID[dimension], dimension)
+        nets = [sample_control_net(s, n, f) for n in (order, order + 1)]
+        low, high = (evaluate_at_weights(net, w, evaluator=evaluator) for net in nets)
+        rounding = sum(operator_rounding(net, evaluator, w, at_point) for net in nets)
+        assert (low - high).min() >= -rounding * (1.0 + 16.0 * UNIT)
+
+    @PROPERTY
+    @given(**READING)
+    def test_exact_second_moment(self, dimension, shift, order, evaluator, seed):
+        # B_n |x|^2 = |x|^2 + (1/n) sum_j s_j |x_j - x|^2, the variance of the mean of n
+        # draws. The right side as computed: |x|^2 within u (3D + 4) R2, R2 = sum_d R_d^2;
+        # each x_jd - x_d (at most 2 R_d) within (D + 4) u R_d, its square within
+        # (4D + 20) u R_d^2 and the D-term sum D u 4 R2; the weights' own rounding, the
+        # products and the (D + 1)-term sum add u 4 R2 (2 + D), so (12D + 28) u R2 / n
+        # after the division, which adds u 4 R2 / n; the last add u (R2 + 4 R2 / n):
+        # u R2 (3D + 5 + (12D + 36) / n) in all.
+        rng = np.random.default_rng(seed)
+        s = Simplex(random_simplex(rng, dimension).vertices + shift)
+        f, at_point = convex_function("square", s, rng)
+        w = grid_weights(READING_GRID[dimension], dimension)
+        points = w @ s.vertices
+        spread = ((s.vertices[None] - points[:, None]) ** 2).sum(axis=2)
+        expected = (points**2).sum(axis=1) + (w * spread).sum(axis=1) / order
+        net = sample_control_net(s, order, f)
+        error = np.abs(evaluate_at_weights(net, w, evaluator=evaluator) - expected).max()
+        reach2 = float((np.abs(s.vertices).max(axis=0) ** 2).sum())
+        right = UNIT * reach2 * (3 * dimension + 5 + (12 * dimension + 36) / order)
+        assert error <= (operator_rounding(net, evaluator, w, at_point) + right) * (1.0 + 16.0 * UNIT)

@@ -314,8 +314,14 @@ class TestRelativeErrorReport:
         errors = {n: relative_error_report(unit_interval, [1.0], n, grid) for n in (20, 40, 80)}
         assert 0.4 <= errors[40] / errors[20] <= 0.6
         assert 0.4 <= errors[80] / errors[40] <= 0.6
-        # A flat grid on an interval is P points, not one point.
-        assert relative_error_report(unit_interval, [1.0], 20, grid.ravel()) == errors[20]
+
+    def test_one_d_batch_is_refused(self, unit_interval, triangle):
+        # (P, D) is the one point shape: a flat batch is neither P points of an
+        # interval nor one point of a triangle.
+        with pytest.raises(DimensionMismatchError, match=r"shape \(P, 1\), got \(51,\)"):
+            relative_error_report(unit_interval, [1.0], 20, np.linspace(0.0, 1.0, 51))
+        with pytest.raises(DimensionMismatchError, match=r"shape \(P, 2\), got \(2,\)"):
+            relative_error_report(triangle, [1.0, 1.0], 10, [0.2, 0.3])
 
     def test_observed_below_prediction_at_high_order(self, triangle):
         grid = grid_weights(50, 2) @ triangle.vertices

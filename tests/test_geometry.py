@@ -10,6 +10,7 @@ from bezsimplex import (
     DimensionMismatchError,
     DomainError,
     InvalidBarycentricError,
+    NegativeWeightError,
     Simplex,
     SizeOverflowError,
     load_simplex,
@@ -258,6 +259,20 @@ class TestValidateBarycentric:
     def test_allows_tolerated_negative(self):
         slack = COORDINATE_TOL / 2
         clip_weights([[0.5, 0.5 + slack, -slack]], 2)
+
+    # The README's contract, read by value rather than through the constants, so a
+    # looser rule fails here.
+    def test_weight_tolerance_is_1e_9(self):
+        with pytest.raises(NegativeWeightError, match="-2.000e-09 below -1e-09"):
+            clip_weights([[0.5, 0.5 + 2e-9, -2e-9]], 2)
+        clipped = clip_weights([[0.5, 0.5 + 5e-10, -5e-10]], 2)
+        assert clipped[0, 2] == 0.0 and clipped[0, 1] == 0.5 + 5e-10
+
+    def test_sum_tolerance_is_1e_12(self):
+        with pytest.raises(InvalidBarycentricError, match="sum to 1"):
+            clip_weights([[0.5, 0.5 + 5e-12, 0.0]], 2)
+        np.testing.assert_array_equal(clip_weights([[0.5, 0.5 + 5e-13, 0.0]], 2),
+                                      [[0.5, 0.5 + 5e-13, 0.0]])
 
     def test_clip_weights_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
