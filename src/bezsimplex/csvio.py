@@ -8,19 +8,8 @@ from __future__ import annotations
 
 import csv
 import os
-from contextlib import contextmanager
 
 import numpy as np
-
-
-@contextmanager
-def open_csv(target):
-    """The text handle to write for a path (opened, then closed) or a stream (borrowed)."""
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, "w", newline="", encoding="utf-8") as handle:
-            yield handle
-    else:
-        yield target
 
 
 def _format_cell(value) -> str:
@@ -38,25 +27,28 @@ def _format_cell(value) -> str:
 def emit_csv(rows, destination, columns) -> None:
     """Write header + rows as CSV: newline-terminated, '.' decimal points.
 
-    Rows may be named tuples, such as ConvergenceRow (fields looked up by
-    column name, so a row may carry fields the columns leave out), or plain
-    sequences matching the column order. Output is byte-stable for
-    identical inputs.
+    Rows are written as they are drawn from any iterable: named tuples, such
+    as ConvergenceRow (fields looked up by column name, so a row may carry
+    fields the columns leave out), or plain sequences matching the column
+    order. Output is byte-stable for identical inputs.
     """
+    if isinstance(destination, (str, os.PathLike)):
+        with open(destination, "w", newline="", encoding="utf-8") as handle:
+            return emit_csv(rows, handle, columns)
+
     def cells(row):
         if hasattr(row, "_fields"):
             return [getattr(row, name) for name in columns]
         return list(row)
 
-    with open_csv(destination) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in cells(row)])
+    writer = csv.writer(destination, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_format_cell(v) for v in cells(row)])
 
 
 def emit_lattice_csv(indices, values, destination, columns) -> None:
     """Columns k_0..k_D, then ``columns`` from a scalar or row of ``values`` per index row."""
     values = np.asarray(values).reshape(len(indices), -1)
     header = [f"k_{j}" for j in range(indices.shape[1])] + list(columns)
-    emit_csv([tuple(k) + tuple(v) for k, v in zip(indices, values)], destination, header)
+    emit_csv((tuple(k) + tuple(v) for k, v in zip(indices, values)), destination, header)

@@ -188,31 +188,22 @@ def error_budget(simplex: Simplex, direction, order: int) -> float:
     return (cap + 0.5 * float(vertex_dots(simplex, direction, order).max())) / order
 
 
-def log_ratios(table: np.ndarray, orders: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """log(closed_form / exp(a.x)) of every case of case_table at each row of
-    clipped weights w (P, D+1), shape (C, P): the per-row kernel, which forms
-    neither huge factor. One matrix product gives every case's weighted mean
-    of exp(a.x_j / n) and its a.x."""
-    log_ratio, dots = np.split(_log_powers(table, orders, w), 2)
-    log_ratio -= dots
-    return log_ratio
-
-
 def sup_relative_errors(cases: list, blocks) -> list:
     """The observed sup relative error, a float, of each (vertex dots, order)
     case in a single pass over blocks of weights that passed clip_weights
     (grid weights need no clipping), such as grid_weight_blocks with 2 C
     doubles beside each row for the (2C, rows) product. Each block takes one
-    log_ratios call for every case; only the extremes of each case's log
-    ratio are kept."""
+    _log_powers call for every case, whose log closed form less a.x is the log
+    ratio, formed without either huge factor; only its extremes are kept."""
     table, orders = case_table(cases)
     lowest, largest = np.full(len(cases), np.inf), np.full(len(cases), -np.inf)
     for w in blocks:
-        log_ratio = log_ratios(table, orders, w)
+        log_ratio, dots = np.split(_log_powers(table, orders, w), 2)
+        log_ratio -= dots
         # np.minimum and np.maximum keep a NaN, as one reduction over all rows does
         np.minimum(lowest, log_ratio.min(axis=1), out=lowest)
         np.maximum(largest, log_ratio.max(axis=1), out=largest)
-        del w, log_ratio  # free this block and its product before the next block is built
+        del w, log_ratio, dots  # free this block and its product before the next block is built
     errors = []
     for low, high in zip(lowest, largest):
         if high > _LOG_DOUBLE_MAX:

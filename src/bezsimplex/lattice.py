@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatchError, SizeOverflowError
 from .geometry import Simplex
 
-# Refuse lattices with more entries than this (desk-scale guarantee).
+# Refuse lattice arrays with more entries than this, rows times columns (desk-scale guarantee).
 SIZE_CAP = 100_000_000
 
 # Doubles per chunk a streamed pass may hold: a row chunk of row_chunks, such
@@ -45,11 +45,13 @@ def count_multi_indices(order: int, dimension: int) -> int:
     return math.comb(order + dimension, dimension)
 
 
-def _capped_count(order: int, dimension: int) -> int:
+def _capped_count(order: int, dimension: int, columns: int) -> int:
+    # The lattice's row count, refused before anything is allocated if an array
+    # of its rows with `columns` entries each would pass SIZE_CAP entries.
     count = count_multi_indices(order, dimension)
-    if count > SIZE_CAP:
+    if count * columns > SIZE_CAP:
         raise SizeOverflowError(
-            f"lattice of order {order} in dimension {dimension} has {count} entries"
+            f"lattice of order {order} in dimension {dimension} has {count * columns} entries"
             f" (cap {SIZE_CAP})"
         )
     return count
@@ -59,9 +61,9 @@ def enumerate_multi_indices(order: int, dimension: int) -> np.ndarray:
     """All multi-indices of the given order, one per row, shape (count, D+1).
 
     Deterministic colexicographic order on (k_1..k_D); row sums all equal
-    ``order``. Raises SizeOverflowError beyond SIZE_CAP entries.
+    ``order``. Raises SizeOverflowError beyond SIZE_CAP entries, rows times D+1.
     """
-    count = _capped_count(order, dimension)
+    count = _capped_count(order, dimension, dimension + 1)
     indices = np.empty((count, dimension + 1), dtype=np.int64)
     for column, values in _colex_rows(order, dimension, 0, count):
         indices[:, column] = values
@@ -116,10 +118,10 @@ def multinomial_log_table(indices: np.ndarray) -> np.ndarray:
     n = k.sum(axis=1)
     # log(i!) for every i <= max |k|: from the exact integer while i! is a
     # finite double (correctly rounded), lgamma beyond; lgamma alone is 1 ulp
-    # low at i = 2..6. Its max |k| + 1 entries are those of an interval's lattice,
-    # refused past the same cap, so no lattice under SIZE_CAP can trip it.
+    # low at i = 2..6. Its max |k| + 1 entries, one column of an interval's lattice,
+    # are refused past the same cap, so no lattice under SIZE_CAP can trip it.
     top = int(n.max(initial=0))
-    _capped_count(top, 1)
+    _capped_count(top, 1, 1)
     log_factorial = np.array([math.log(math.factorial(i)) if i <= 170 else math.lgamma(i + 1)
                               for i in range(top + 1)])
     return log_factorial[n] - log_factorial[k].sum(axis=1)
@@ -149,7 +151,7 @@ def grid_weights(resolution: int, dimension: int) -> np.ndarray:
     Covers the closed simplex uniformly, faces and vertices included.
     """
     check_order(resolution)
-    return _weights(resolution, dimension, 0, _capped_count(resolution, dimension))
+    return _weights(resolution, dimension, 0, _capped_count(resolution, dimension, dimension + 1))
 
 
 def grid_weight_blocks(resolution: int, dimension: int, beside: int = 0):
@@ -157,7 +159,7 @@ def grid_weight_blocks(resolution: int, dimension: int, beside: int = 0):
     grid: a block and the `beside` doubles a consumer holds next to each row fit _ENTRY_BUDGET
     doubles, and each row of a product such as weights @ vertices keeps its whole-grid bits."""
     check_order(resolution)
-    count = _capped_count(resolution, dimension)
+    count = _capped_count(resolution, dimension, dimension + 1)
     for rows in row_chunks(count, dimension + 1 + beside):
         yield _weights(resolution, dimension, rows.start, min(rows.stop, count))
 

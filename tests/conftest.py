@@ -1,11 +1,22 @@
 import itertools
 import math
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bezsimplex
 from bezsimplex import DegenerateSimplexError, Simplex, TestFunction, standard_simplex
+
+SOURCE = str(Path(bezsimplex.__file__).resolve().parents[1])  # the src/ that tests import
+
+# A child's address space in child_within_address_space: a size check that fails there raises
+# MemoryError rather than allocating the gigabytes of the request it should refuse.
+CHILD_ADDRESS_SPACE = 1 << 30
 
 
 def random_simplex(rng, dimension, scale=1.0):
@@ -65,6 +76,19 @@ def direct_forward_bound(order, dimension, weights):
     h = g(dimension + 10) * order * largest_log + 2 * g(dimension + 9) * math.lgamma(order + 1)
     r = math.exp(h) * (1.0 + 8.0 * unit) - 1.0
     return r + g(math.comb(order + dimension, dimension)) * (1.0 + r)
+
+
+def child_within_address_space(code, *args):
+    """`python -c code args` on the src/ under test, at one BLAS thread and with an
+    address space of CHILD_ADDRESS_SPACE bytes, set before numpy loads."""
+    limit = ("import resource\n"
+             "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+             f"soft = {CHILD_ADDRESS_SPACE} if hard == resource.RLIM_INFINITY"
+             f" else min(hard, {CHILD_ADDRESS_SPACE})\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n")
+    env = dict(os.environ, PYTHONPATH=SOURCE, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", limit + code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture

@@ -18,8 +18,9 @@ from bezsimplex.bernstein import DE_CASTELJAU_MAX_ORDER
 from bezsimplex.cli import main
 from bezsimplex.experiments import BoundCheckRow
 
+from conftest import SOURCE, child_within_address_space
+
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-SOURCE = str(Path(bezsimplex.__file__).resolve().parents[1])  # the src/ that tests import
 TRIANGLE = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
 INTERVAL = {"vertices": [[0.0], [1.0]]}
 
@@ -552,6 +553,19 @@ class TestControlPoints:
         bad = json.dumps({"vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]})
         assert main(["control-points", "--simplex", bad, "--n", "2"]) == 1
         assert "affinely dependent" in capsys.readouterr().err
+
+    def test_lattice_past_the_entry_cap_is_refused(self):
+        # 96,560,646 rows of 6 entries on a 5-simplex at n = 100 (about 13 GB of
+        # weights, points and indices): one error line, with nothing built. The
+        # child has 1 GB of address space, so a cap that let the call through
+        # would end in MemoryError, not in an allocation.
+        simplex = json.dumps({"vertices": np.vstack([np.zeros(5), np.eye(5)]).tolist()})
+        child = child_within_address_space(
+            "import runpy; runpy.run_module('bezsimplex.cli', run_name='__main__')",
+            "control-points", "--simplex", simplex, "--n", "100")
+        assert (child.returncode, child.stdout) == (1, "")
+        assert child.stderr == ("error: lattice of order 100 in dimension 5 has 579363876 entries"
+                                " (cap 100000000)\n")
 
 
 @pytest.mark.parametrize("argv", [

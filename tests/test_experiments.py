@@ -17,7 +17,9 @@ from bezsimplex import (
     ConvergenceRow,
     FunctionEvaluationError,
     SizeOverflowError,
+    control_points,
     emit_csv,
+    enumerate_multi_indices,
     error_budget,
     evaluate_at_weights,
     grid_weights,
@@ -33,6 +35,7 @@ from bezsimplex import (
     standard_simplex,
 )
 from bezsimplex import bernstein, experiments, exponentials, lattice
+from bezsimplex.csvio import emit_lattice_csv
 from bezsimplex.experiments import (
     BOUND_CHECK_COLUMNS,
     CONVERGENCE_COLUMNS,
@@ -700,9 +703,9 @@ class TestScalingStudy:
         s = random_simplex(rng, 3)
         direction = rng.normal(size=3)
         order, resolution = 40, 6
-        spy = mock.Mock(wraps=exponentials.log_ratios)
+        spy = mock.Mock(wraps=exponentials._log_powers)
         with mock.patch.object(lattice, "_ENTRY_BUDGET", 100), \
-                mock.patch.object(exponentials, "log_ratios", spy):
+                mock.patch.object(exponentials, "_log_powers", spy):
             rows = run_scaling_study(s, direction, order, resolution, scales)
         assert spy.call_count > 1
         distinct = {exponentials.vertex_dots(s.scaled(d), direction * m, order).tobytes()
@@ -721,13 +724,13 @@ class TestScalingStudy:
 
     @pytest.mark.parametrize("study", ["bound-check", "scaling"])
     def test_each_block_and_its_product_fit_the_entry_budget(self, rng, study):
-        # Each log_ratios call takes one whole grid block: its D+1 weight
+        # Each _log_powers call takes one whole grid block: its D+1 weight
         # columns and the (2C, rows) product of its C cases fill the budget,
         # in a multiple of GEMM_COLUMNS rows.
         s = random_simplex(rng, 5)
         direction = rng.normal(size=5)
-        spy = mock.Mock(wraps=exponentials.log_ratios)
-        with mock.patch.object(exponentials, "log_ratios", spy):
+        spy = mock.Mock(wraps=exponentials._log_powers)
+        with mock.patch.object(exponentials, "_log_powers", spy):
             if study == "scaling":
                 run_scaling_study(s, direction, 640, 30, [0.5, 1.0, 2.0])
             else:
@@ -802,6 +805,29 @@ class TestEmitCsv:
             ("a", "b", "c", "d"),
         )
         assert buf.getvalue().splitlines()[1] == "3,0.5,true,"
+
+    def test_lattice_rows_stream(self, tmp_path):
+        # The triangle at n = 300 has 45,451 rows. Built as one list, its rows
+        # of numpy scalars take about nine times the index array's 1.09 MB;
+        # streamed, the writer holds one row beside csv.writer's own 128 KiB
+        # record buffer, under half of the smaller array it reads from.
+        indices = enumerate_multi_indices(300, 2)
+        points = control_points(standard_simplex(2), 300)
+        assert len(indices) > 45_000
+        with open(os.devnull, "w", newline="") as sink:
+            tracemalloc.start()
+            try:
+                emit_lattice_csv(indices, points, sink, ["x_1", "x_2"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < min(indices.nbytes, points.nbytes) / 2
+        # A path is opened, written and closed: the same bytes as a borrowed stream.
+        buffer, path = io.StringIO(), tmp_path / "lattice.csv"
+        emit_lattice_csv(indices[:50], points[:50], buffer, ["x_1", "x_2"])
+        emit_lattice_csv(indices[:50], points[:50], path, ["x_1", "x_2"])
+        assert path.read_text(encoding="utf-8") == buffer.getvalue()
+        assert buffer.getvalue().count("\n") == 51
 
     def test_scaling_and_bound_columns_cover_fields(self):
         assert BOUND_CHECK_COLUMNS == ("n", "observed_rel_error", "predicted_rel_error", "ratio", "violation")

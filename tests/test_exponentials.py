@@ -384,7 +384,8 @@ class TestRelativeErrorReport:
         a = rng.normal(size=dimension) * rng.uniform(0.1, 3.0)
         w = np.vstack([grid_weights(3, dimension), interior_weights(rng, dimension, 40)])
         dots = exponentials.vertex_dots(s, a, order)
-        log_ratio = exponentials.log_ratios(*exponentials.case_table([(dots, order)]), w)[0]
+        log_closed, dot = exponentials._log_powers(*exponentials.case_table([(dots, order)]), w)
+        log_ratio = log_closed - dot
         observed = relative_error_at_weights(s, a, order, w)
         assert observed == float(np.abs(np.expm1(log_ratio)).max())
         # The plain formula takes two matrix-vector products, whose sums
@@ -438,6 +439,55 @@ class TestRelativeErrorReport:
         for i in range(len(w)):
             assert closed_form_at_weights(s, order, a, w[i:i + 1])[0] == closed[i]
             assert residual_at_weights(s, order, a, w[i:i + 1])[0] == residual[i]
+
+
+def phi(h):
+    """n phi(Delta / n) is the log of 1 + the exact sup of exp's relative error:
+    phi(h) = log(expm1(h) / h) - 1 + h / expm1(h), even in h, by its series below 0.1."""
+    h = abs(h)
+    if h < 0.1:
+        return h**2 / 8 - h**4 / 576 + h**6 / 25920
+    return math.log(math.expm1(h) / h) - 1.0 + h / math.expm1(h)
+
+
+class TestSupUpperBounds:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(dimension=st.integers(1, 3), shift=st.sampled_from([0.0, 1.0, 5.0]),
+           magnitude=st.floats(0.05, 6.0), order=st.integers(1, 640),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lattice_below_exact_below_hoeffding(self, dimension, shift, magnitude, order, seed):
+        # lattice sup <= expm1(n phi(Delta/n)), the exact sup, attained on the edge
+        # of the extreme vertex dots; <= expm1(Delta^2 / (8n)), Hoeffding's lemma
+        # (phi(h) <= h^2 / 8). Every term is a function of the computed dots, so
+        # only the kernel's and phi's own roundings count, with M = max_j |a.x_j|:
+        # - the log ratio n log S - a.x: a.x_j / n is off by u M / n, each exp by
+        #   8 u, the weights k/m and the gemm sum of D + 1 positive terms by
+        #   (D + 3) u, log by 8 u M / n and the product by n by u M; the dot a.x by
+        #   (D + 3) u M and the difference by 2 u M: (D + 15) n u (1 + M / n);
+        # - n phi by the formula: expm1 / h and h / expm1 within 10 u each, log
+        #   and the sums within 10 u (1 + h), h <= 2 M / n: 22 n u (1 + M / n), and
+        #   8 u n phi for h itself and the product. The series' truncation, under
+        #   its next term h^8 / 1075200, only raises phi, and the series is below
+        #   h^2 / 8;
+        # - each expm1 within 8 u, so the ratio of two within 17 u.
+        rng = np.random.default_rng(seed)
+        toward = rng.normal(size=dimension)
+        toward *= shift / np.linalg.norm(toward)
+        s = Simplex(random_simplex(rng, dimension).vertices + toward)
+        a = rng.normal(size=dimension)
+        a *= magnitude / np.linalg.norm(a)
+        dots = exponentials.vertex_dots(s, a, order)
+        grid = {1: 200, 2: 50, 3: 15}[dimension]
+        (lattice_sup,) = exponentials.sup_relative_errors(
+            [(dots, order)], grid_weight_blocks(grid, dimension, 2))
+        u, reach, spread = 2.0**-53, float(np.abs(dots).max()), float(dots.max() - dots.min())
+        exact_log = order * phi(spread / order)
+        hoeffding_log = spread**2 / (8 * order)
+        kernel = (dimension + 15) * order * u * (1 + reach / order)
+        formula = 22 * order * u * (1 + reach / order) + 8 * u * exact_log
+        exact = math.expm1(exact_log)
+        assert lattice_sup <= math.expm1(exact_log + kernel + formula) * (1 + 17 * u)
+        assert exact <= math.expm1(hoeffding_log * (1 + 4 * u) + formula) * (1 + 17 * u)
 
 
 class TestExpPolynomialImage:

@@ -24,7 +24,7 @@ from bezsimplex import (
 
 from bezsimplex import lattice
 
-from conftest import exact_multinomial, random_simplex
+from conftest import child_within_address_space, exact_multinomial, random_simplex
 
 
 def log_multinomial(k):
@@ -97,6 +97,40 @@ class TestEnumeration:
         assert math.comb(110, 5) > 100_000_000
         with pytest.raises(SizeOverflowError):
             enumerate_multi_indices(105, 5)
+
+    def test_cap_counts_entries_not_rows(self):
+        # C(105, 5) = 96,560,646 rows pass a row count of 1e8, but the (rows, 6)
+        # lattice holds 579,363,876 entries (4.6 GB of int64): refused before
+        # anything is built. A child with 1 GB of address space makes the calls,
+        # so a cap that let them through ends in MemoryError, not in an allocation.
+        assert math.comb(105, 5) < lattice.SIZE_CAP < 6 * math.comb(105, 5)
+        child = child_within_address_space(
+            "import tracemalloc\n"
+            "from bezsimplex import SizeOverflowError, enumerate_multi_indices, grid_weight_blocks,"
+            " grid_weights\n"
+            "tracemalloc.start()\n"
+            "for build in (enumerate_multi_indices, grid_weights, grid_weight_blocks):\n"
+            "    try:\n"
+            "        next(iter(build(100, 5)))\n"
+            "    except SizeOverflowError as exc:\n"
+            "        print(exc)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+        assert child.returncode == 0, child.stderr
+        *refusals, peak = child.stdout.splitlines()
+        assert refusals == ["lattice of order 100 in dimension 5 has 579363876 entries"
+                            " (cap 100000000)"] * 3
+        assert int(peak) < 1 << 20
+
+    def test_cap_holds_rows_times_columns(self):
+        # The order-2 triangle has 6 rows of 3 entries: 18 pass a cap of 18, not one of 17.
+        with mock.patch.object(lattice, "SIZE_CAP", 18):
+            assert enumerate_multi_indices(2, 2).shape == (6, 3)
+            assert grid_weights(2, 2).shape == (6, 3)
+            assert sum(len(w) for w in grid_weight_blocks(2, 2)) == 6
+        with mock.patch.object(lattice, "SIZE_CAP", 17):
+            for build in (enumerate_multi_indices, grid_weights, grid_weight_blocks):
+                with pytest.raises(SizeOverflowError, match=r"has 18 entries \(cap 17\)"):
+                    next(iter(build(2, 2)))
 
     def test_invalid_arguments(self):
         with pytest.raises(DimensionMismatchError):
