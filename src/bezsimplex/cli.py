@@ -20,67 +20,39 @@ from .csvio import emit_csv, emit_lattice_csv
 from .errors import BezSimplexError
 from .experiments import (
     BOUND_CHECK_COLUMNS,
-    BOUND_CHECK_MARGIN,
     CONVERGENCE_COLUMNS,
     SCALING_COLUMNS,
-    exp_study_direction,
     load_config,
     load_simplex,
     parse_floats,
     run_bound_check,
     run_convergence,
-    run_metadata,
     run_scaling_study,
 )
-from .lattice import control_points, enumerate_multi_indices
+from .lattice import control_point_blocks, enumerate_multi_indices
 
 
-def _report(args, config, rows, columns, **extra) -> None:
-    """A study's CSV to --out or stdout; its metadata to stderr."""
-    emit_csv(rows, args.out or sys.stdout, columns)
-    print(json.dumps({**run_metadata(config), **extra}, sort_keys=True), file=sys.stderr)
-
-
-def _cmd_converge(args) -> int:
-    config = load_config(args.config)
-    rows = run_convergence(config, args.evaluator)
-    _report(args, config, rows, CONVERGENCE_COLUMNS, evaluator=args.evaluator,
-            wall_ms=[round(row.wall_ms, 3) for row in rows])
-    return 0
-
-
-def _cmd_bound_check(args) -> int:
-    config = load_config(args.config)
-    rows = run_bound_check(config)
-    passed = not any(row.violation for row in rows)
-    _report(args, config, rows, BOUND_CHECK_COLUMNS, margin=BOUND_CHECK_MARGIN, passed=passed)
-    return 0 if passed else 2
-
-
-def _cmd_scaling(args) -> int:
-    config = load_config(args.config)
-    direction = exp_study_direction(config.function)
-    scales = parse_floats(args.scales, "--scales")
-    order = max(config.n_values)
-    rows = run_scaling_study(config.simplex, direction, order, config.grid_resolution, scales)
-    _report(args, config, rows, SCALING_COLUMNS, scales=scales, order=order)
-    return 0
+def _cmd_study(args) -> int:
+    """A study's CSV to --out or stdout and its metadata to stderr; 2 when a bound check fails."""
+    rows, metadata = args.study(load_config(args.config), args)
+    emit_csv(rows, args.out or sys.stdout, args.columns)
+    print(json.dumps(metadata, sort_keys=True), file=sys.stderr)
+    return 2 if metadata.get("passed") is False else 0
 
 
 def _cmd_basis(args) -> int:
     simplex = load_simplex(args.simplex)
     values = basis_vector(simplex, args.n, parse_floats(args.point, "--point"))
     indices = enumerate_multi_indices(args.n, simplex.dimension)
-    emit_lattice_csv(indices, values, args.out or sys.stdout, ["basis_value"])
+    emit_lattice_csv([(indices, values)], args.out or sys.stdout, simplex.dimension, ["basis_value"])
     return 0
 
 
 def _cmd_control_points(args) -> int:
     simplex = load_simplex(args.simplex)
-    points = control_points(simplex, args.n)
-    columns = [f"x_{j}" for j in range(1, simplex.dimension + 1)]
-    emit_lattice_csv(enumerate_multi_indices(args.n, simplex.dimension), points,
-                     args.out or sys.stdout, columns)
+    dim = simplex.dimension
+    blocks = control_point_blocks(simplex, args.n)  # refuses an oversized lattice before --out opens
+    emit_lattice_csv(blocks, args.out or sys.stdout, dim, [f"x_{j}" for j in range(1, dim + 1)])
     return 0
 
 
@@ -101,18 +73,21 @@ def build_parser() -> argparse.ArgumentParser:
     converge.add_argument("--evaluator", choices=EVALUATORS, default=DEFAULT_EVALUATOR,
                           help=f"kernel of the operator (default {DEFAULT_EVALUATOR})")
     converge.add_argument("--out", help="CSV output path (default stdout)")
-    converge.set_defaults(handler=_cmd_converge)
+    converge.set_defaults(handler=_cmd_study, columns=CONVERGENCE_COLUMNS,
+                          study=lambda config, args: run_convergence(config, args.evaluator))
 
     bound = sub.add_parser("bound-check", help="observed error vs first-order bound")
     bound.add_argument("--config", required=True)
     bound.add_argument("--out")
-    bound.set_defaults(handler=_cmd_bound_check)
+    bound.set_defaults(handler=_cmd_study, columns=BOUND_CHECK_COLUMNS,
+                       study=lambda config, args: run_bound_check(config))
 
     scaling = sub.add_parser("scaling", help="error growth with diameter and direction size")
     scaling.add_argument("--config", required=True)
     scaling.add_argument("--scales", required=True, help="comma-separated positive factors")
     scaling.add_argument("--out")
-    scaling.set_defaults(handler=_cmd_scaling)
+    scaling.set_defaults(handler=_cmd_study, columns=SCALING_COLUMNS,
+                         study=lambda config, args: run_scaling_study(config, args.scales))
 
     basis = sub.add_parser("basis", help="print all basis values at a point")
     basis.add_argument("--simplex", required=True, help="simplex JSON: path or inline object")

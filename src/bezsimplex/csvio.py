@@ -27,28 +27,23 @@ def _format_cell(value) -> str:
 def emit_csv(rows, destination, columns) -> None:
     """Write header + rows as CSV: newline-terminated, '.' decimal points.
 
-    Rows are written as they are drawn from any iterable: named tuples, such
-    as ConvergenceRow (fields looked up by column name, so a row may carry
-    fields the columns leave out), or plain sequences matching the column
-    order. Output is byte-stable for identical inputs.
+    Rows are plain sequences in column order, such as the row NamedTuples of
+    experiments, written as they are drawn from any iterable. Output is
+    byte-stable for identical inputs.
     """
     if isinstance(destination, (str, os.PathLike)):
         with open(destination, "w", newline="", encoding="utf-8") as handle:
             return emit_csv(rows, handle, columns)
-
-    def cells(row):
-        if hasattr(row, "_fields"):
-            return [getattr(row, name) for name in columns]
-        return list(row)
-
     writer = csv.writer(destination, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_format_cell(v) for v in cells(row)])
+        writer.writerow([_format_cell(v) for v in row])
 
 
-def emit_lattice_csv(indices, values, destination, columns) -> None:
-    """Columns k_0..k_D, then ``columns`` from a scalar or row of ``values`` per index row."""
-    values = np.asarray(values).reshape(len(indices), -1)
-    header = [f"k_{j}" for j in range(indices.shape[1])] + list(columns)
-    emit_csv((tuple(k) + tuple(v) for k, v in zip(indices, values)), destination, header)
+def emit_lattice_csv(blocks, destination, dimension: int, columns) -> None:
+    """Columns k_0..k_D, then ``columns``, from consecutive (indices, values) blocks of a
+    lattice: (rows, D+1) integer indices beside a scalar or row of values per index row."""
+    header = [f"k_{j}" for j in range(dimension + 1)] + list(columns)
+    rows = (tuple(k) + tuple(v) for indices, values in blocks
+            for k, v in zip(indices, np.asarray(values).reshape(len(indices), -1)))
+    emit_csv(rows, destination, header)

@@ -276,7 +276,6 @@ class ConvergenceRow(NamedTuple):
     sup_relative_error: float
     predicted_rel_error: float | None
     evaluator: str
-    wall_ms: float
 
 
 class BoundCheckRow(NamedTuple):
@@ -296,14 +295,14 @@ class ScalingRow(NamedTuple):
     sup_relative_error: float
 
 
-# CSV headers: each row type's fields, in order; wall_ms goes to the metadata.
-CONVERGENCE_COLUMNS = ConvergenceRow._fields[:-1]
+# CSV headers: each row type's fields, in order.
+CONVERGENCE_COLUMNS = ConvergenceRow._fields
 BOUND_CHECK_COLUMNS = BoundCheckRow._fields
 SCALING_COLUMNS = ScalingRow._fields
 
 
 def run_metadata(config: ExperimentConfig) -> dict:
-    """Run provenance for sidecar output; not part of the CSV contract."""
+    """Run provenance, the first keys of every study's metadata; not part of the CSV contract."""
     return {
         "function": config.function.name,
         "simplex_dimension": config.simplex.dimension,
@@ -315,13 +314,13 @@ def run_metadata(config: ExperimentConfig) -> dict:
     }
 
 
-def run_convergence(config: ExperimentConfig, evaluator: str = DEFAULT_EVALUATOR) -> list:
+def run_convergence(config: ExperimentConfig, evaluator: str = DEFAULT_EVALUATOR) -> tuple:
     """One ConvergenceRow per configured order, sup over the lattice grid, in one
     pass over grid_weight_blocks: per block, f once, then each order's net (sampled
     on the first block, after f), keeping the running max of |f| and each order's of
-    |net - f|. An order's wall_ms is its sampling plus its evaluations on all blocks.
-    So on a grid of more than one block a net's errors (f at a control point, an order
-    past the de Casteljau cap) come before f's on later blocks."""
+    |net - f|. So on a grid of more than one block a net's errors (f at a control point,
+    an order past the de Casteljau cap) come before f's on later blocks. The metadata adds
+    the evaluator and each order's wall_ms: its sampling plus its evaluations on all blocks."""
     simplex, function, orders = config.simplex, config.function, config.n_values
     nets, sup_errors, seconds, sup_f = [], np.zeros(len(orders)), np.zeros(len(orders)), 0.0
     # Beside its weights a row holds its point (D doubles), f, a net's values and |values - f|.
@@ -340,21 +339,23 @@ def run_convergence(config: ExperimentConfig, evaluator: str = DEFAULT_EVALUATOR
 
     direction = function.single_exponential()
     rows = []
-    for n, sup_error, wall_s in zip(orders, sup_errors.tolist(), seconds.tolist()):
+    for n, sup_error in zip(orders, sup_errors.tolist()):
         predicted = None
         if direction is not None:
             with contextlib.suppress(ExpOverflowError):  # a budget past a double: no prediction
                 predicted = error_budget(simplex, direction, n)
         rows.append(ConvergenceRow(n, sup_error, sup_error / sup_f if sup_f > 0 else sup_error,
-                                   predicted, evaluator, wall_s * 1000.0))
-    return rows
+                                   predicted, evaluator))
+    return rows, {**run_metadata(config), "evaluator": evaluator,
+                  "wall_ms": [round(wall_s * 1000.0, 3) for wall_s in seconds.tolist()]}
 
 
-def run_bound_check(config: ExperimentConfig) -> list:
+def run_bound_check(config: ExperimentConfig) -> tuple:
     """One BoundCheckRow per configured order: the observed sup relative error
     over the lattice grid, the first-order prediction of error_budget (the one
     converge prints) and their ratio, which is 0 for an observation at or
-    below ZERO_OBSERVED_FLOOR even when the prediction is exactly 0.
+    below ZERO_OBSERVED_FLOOR even when the prediction is exactly 0. The
+    metadata adds the margin and passed, true when no row is a violation.
 
     A row is a violation when the ratio exceeds 1 + BOUND_CHECK_MARGIN at
     order >= BOUND_CHECK_MIN_ORDER; below that the neglected second-order term
@@ -375,12 +376,14 @@ def run_bound_check(config: ExperimentConfig) -> list:
             ratio = 0.0 if error <= ZERO_OBSERVED_FLOOR else math.inf
         rows.append(BoundCheckRow(n, error, predicted, ratio,
                                   n >= BOUND_CHECK_MIN_ORDER and ratio > 1.0 + BOUND_CHECK_MARGIN))
-    return rows
+    return rows, {**run_metadata(config), "margin": BOUND_CHECK_MARGIN,
+                  "passed": not any(row.violation for row in rows)}
 
 
-def run_scaling_study(simplex: Simplex, direction, order: int, resolution: int,
-                      scales) -> list:
-    """Sup relative error of exp((m*a).x) on the d-scaled simplex, per (d, m).
+def run_scaling_study(config: ExperimentConfig, scales) -> tuple:
+    """Sup relative error of the config's exp((m*a).x) on the d-scaled simplex at its top
+    order, per (d, m) of the scales: numbers, or the comma list of --scales, read after
+    the function is checked. The metadata adds the scales and the order.
 
     Exposes how the error grows with the diameter-magnitude product; the
     observed growth is roughly quadratic per doubling of either factor.
@@ -389,24 +392,27 @@ def run_scaling_study(simplex: Simplex, direction, order: int, resolution: int,
     and (2, 1) share its error bit for bit. No prediction is formed, so an
     error budget past a double does not stop the study.
     """
-    factors = [float(s) for s in scales]
+    base_direction = exp_study_direction(config.function)
+    factors = parse_floats(scales, "--scales") if isinstance(scales, str) else [float(s) for s in scales]
     if not factors or not all(math.isfinite(s) and s > 0 for s in factors):
         raise ConfigError(f"scale factors must be finite and positive, got {factors}")
-    base_direction = np.asarray(direction, dtype=float)
+    simplex, order = config.simplex, max(config.n_values)
 
+    # m*a and |m*a| for each magnitude scale m, formed once: they do not depend on d
+    directions = [power_of_two_scaled(base_direction, lambda u: u * m, f"scaling by {m!r}")[0]
+                  for m in factors]
+    norms = [float(power_of_two_scaled(a, np.linalg.norm, "direction norm")[0]) for a in directions]
     cases = {}  # case index per distinct dots.tobytes(), in first-seen order
     rows = []
     for d_scale in factors:
         scaled = simplex.scaled(d_scale)
-        for m_scale in factors:
-            a = power_of_two_scaled(base_direction, lambda u: u * m_scale,
-                                    f"scaling by {m_scale!r}")[0]
+        for m_scale, a, norm in zip(factors, directions, norms):
             dots = vertex_dots(scaled, a, order)
             case = cases.setdefault(dots.tobytes(), (len(cases), dots))[0]
-            norm = power_of_two_scaled(a, np.linalg.norm, "direction norm")[0]
-            rows.append((d_scale, m_scale, scaled.diameter, float(norm), case))
+            rows.append((d_scale, m_scale, scaled.diameter, norm, case))
     # Barycentric weights do not change when the simplex is scaled.
-    blocks = grid_weight_blocks(resolution, simplex.dimension, 2 * len(cases))
+    blocks = grid_weight_blocks(config.grid_resolution, simplex.dimension, 2 * len(cases))
     errors = sup_relative_errors([(dots, order) for _, dots in cases.values()], blocks)
-    return [ScalingRow(d_scale, m_scale, diameter, norm, order, errors[case])
-            for d_scale, m_scale, diameter, norm, case in rows]
+    return ([ScalingRow(d_scale, m_scale, diameter, norm, order, errors[case])
+             for d_scale, m_scale, diameter, norm, case in rows],
+            {**run_metadata(config), "scales": factors, "order": order})

@@ -191,3 +191,16 @@ def control_points(simplex: Simplex, order: int) -> np.ndarray:
     points = grid_weights(order, simplex.dimension) @ simplex.vertices
     points.setflags(write=False)
     return points
+
+
+def control_point_blocks(simplex: Simplex, order: int):
+    """(indices, points) per block w of the grid of resolution order: the exact int64
+    multi-indices rint(w n) and the points w @ vertices, each row with its bits in control_points.
+    The order and SIZE_CAP are checked at the call, not when the first block is drawn."""
+    check_order(order)
+    dim = simplex.dimension
+    _capped_count(order, dim, dim + 1)
+    # Beside a row's weights a block holds w n, its rint, the indices and the point, and the
+    # previous block's weights, indices and point while it is built: 7 D + 5 doubles.
+    return ((np.rint(w * order).astype(np.int64), w @ simplex.vertices)
+            for w in grid_weight_blocks(order, dim, 7 * dim + 5))

@@ -29,6 +29,13 @@ def random_simplex(rng, dimension, scale=1.0):
             continue
 
 
+def exp_config(simplex, direction, n_values, resolution):
+    """The ExperimentConfig of exp(a.x) on the simplex, the input of the exp studies."""
+    function = bezsimplex.make_function({"terms": [{"c": 1.0, "a": [float(v) for v in direction]}]},
+                                        simplex)
+    return bezsimplex.ExperimentConfig(simplex, function, n_values, resolution)
+
+
 def exact_multinomial(k):
     """Independent factorial-ratio oracle: n! / prod(k_j!) in exact Python
     ints, for one multi-index or for every row of an index array."""

@@ -31,7 +31,7 @@ from bezsimplex import (
 )
 from bezsimplex.cli import main as cli_main
 
-from conftest import exact_multinomial, interior_weights, random_simplex
+from conftest import exact_multinomial, exp_config, interior_weights, random_simplex
 
 TRIANGLE_SPEC = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
 
@@ -52,7 +52,7 @@ def report(name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def sweep_rows():
-    return run_convergence(load_config(dict(SWEEP_CONFIG)))
+    return run_convergence(load_config(dict(SWEEP_CONFIG)))[0]
 
 
 def test_partition_of_unity():
@@ -83,7 +83,7 @@ def test_unit_preservation():
             "function": "const1",
             "n_values": [1, 5, 10, 20],
         })
-        for row in run_convergence(config):
+        for row in run_convergence(config)[0]:
             worst = max(worst, row.sup_error)
     report("unit-preservation", worst <= 1e-12, f"max sup error = {worst:.2e}")
 
@@ -185,7 +185,7 @@ def test_contraction_and_monotonicity():
 
 def test_convergence_rate(sweep_rows):
     started = time.perf_counter()
-    rows = run_convergence(load_config(dict(SWEEP_CONFIG)))
+    rows, _ = run_convergence(load_config(dict(SWEEP_CONFIG)))
     elapsed = time.perf_counter() - started
     errors = [r.sup_relative_error for r in rows]
     slope = np.polyfit(np.log([r.n for r in rows]), np.log(errors), 1)[0]
@@ -198,7 +198,7 @@ def test_convergence_rate(sweep_rows):
 
 
 def test_bound_check(sweep_rows):
-    rows = run_bound_check(load_config(dict(SWEEP_CONFIG)))
+    rows, _ = run_bound_check(load_config(dict(SWEEP_CONFIG)))
     checked = [row for row in rows if row.n >= 40]
     ok = not any(row.violation for row in rows) and checked and all(
         row.observed_rel_error <= 1.25 * row.predicted_rel_error for row in checked
@@ -255,7 +255,7 @@ def test_combinatorics():
 
 def test_scaling_study():
     simplex = standard_simplex(2)
-    rows = run_scaling_study(simplex, [1.0, 1.0], 80, 50, [0.5, 1.0, 2.0, 4.0])
+    rows, _ = run_scaling_study(exp_config(simplex, [1.0, 1.0], [80], 50), [0.5, 1.0, 2.0, 4.0])
     table = {(r.diameter_scale, r.magnitude_scale): r.sup_relative_error for r in rows}
     ratios = []
     ok = True

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,12 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bezsimplex
-from bezsimplex import basis_vector, closed_form_at_weights, count_multi_indices, standard_simplex
+from bezsimplex import (basis_vector, closed_form_at_weights, control_points, count_multi_indices,
+                        enumerate_multi_indices, experiments, lattice, standard_simplex)
 from bezsimplex.bernstein import DE_CASTELJAU_MAX_ORDER
 from bezsimplex.cli import main
-from bezsimplex.experiments import BoundCheckRow
 
-from conftest import SOURCE, child_within_address_space
+from conftest import SOURCE, child_within_address_space, random_simplex
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 TRIANGLE = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
@@ -169,11 +170,15 @@ class TestBoundCheck:
         assert meta["margin"] == 0.25
 
     def test_violation_exit_code(self, tmp_path, capsys, monkeypatch):
-        # One violating row among passing ones fails the check; the margin is echoed.
-        rows = [BoundCheckRow(40, 1.0, 0.1, 10.0, True), BoundCheckRow(80, 0.1, 0.5, 0.2, False)]
-        monkeypatch.setattr("bezsimplex.cli.run_bound_check", lambda config: rows)
-        config = write_config(tmp_path)
-        assert main(["bound-check", "--config", config]) == 2
+        # With each prediction cut by 50 both ratios are near 2: n = 20, below
+        # BOUND_CHECK_MIN_ORDER, passes and n = 40 violates, which fails the check.
+        # The margin is echoed.
+        budget = experiments.error_budget
+        monkeypatch.setattr(experiments, "error_budget", lambda *args: budget(*args) / 50.0)
+        config = write_config(tmp_path, n_values=[20, 40], grid_resolution=20)
+        out = tmp_path / "bound.csv"
+        assert main(["bound-check", "--config", config, "--out", str(out)]) == 2
+        assert [row["violation"] for row in read_rows(out)] == ["false", "true"]
         meta = json.loads(capsys.readouterr().err)
         assert meta["passed"] is False and meta["margin"] == 0.25
 
@@ -199,6 +204,12 @@ class TestScaling:
         config = write_config(tmp_path)
         assert main(["scaling", "--config", config, "--scales", "1,zwei"]) == 1
         assert "scales" in capsys.readouterr().err
+
+    def test_function_is_checked_before_the_scales(self, tmp_path, capsys):
+        config = write_config(tmp_path, function="runge")
+        assert main(["scaling", "--config", config, "--scales", "1,zwei"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "single-exponential function" in err
 
     @pytest.mark.parametrize("scales", ["nan,1", "1,inf", "1e400"])
     def test_non_finite_scales(self, tmp_path, capsys, scales):
@@ -241,6 +252,33 @@ class TestScaling:
         config = write_config(tmp_path)
         assert main(["scaling", "--config", config, "--scales", scales]) == 1
         assert "error: scale factors must be finite and positive" in capsys.readouterr().err
+
+
+RUN_KEYS = {"function", "simplex_dimension", "simplex_diameter", "grid_resolution", "n_values",
+            "seed", "note"}
+
+
+@pytest.mark.parametrize("argv, added", [
+    (["converge"], {"evaluator": "decasteljau"}),
+    (["bound-check"], {"margin": 0.25, "passed": True}),
+    (["scaling", "--scales", "1,2"], {"scales": [1.0, 2.0], "order": 20}),
+], ids=["converge", "bound-check", "scaling"])
+def test_each_study_prints_the_run_record(tmp_path, capsys, argv, added):
+    # Each study's metadata: the run's provenance, then its own keys (converge's
+    # wall_ms, one timing per order, varies run to run).
+    config = write_config(tmp_path)
+    assert main([*argv, "--config", config]) == 0
+    meta = json.loads(capsys.readouterr().err)
+    timings = meta.pop("wall_ms", None)
+    assert set(meta) == RUN_KEYS | set(added)
+    assert {key: meta[key] for key in added} == added
+    assert (meta["function"], meta["simplex_dimension"], meta["grid_resolution"],
+            meta["n_values"], meta["seed"]) == ("exp-polynomial", 2, 12, [5, 10, 20], 0)
+    assert meta["simplex_diameter"] == pytest.approx(2**0.5, rel=1e-15)
+    if argv == ["converge"]:
+        assert len(timings) == 3 and all(ms >= 0.0 for ms in timings)
+    else:
+        assert timings is None
 
 
 # A vertex at -1e300 makes a vertex dot -inf; both exp studies once wrote NaN rows.
@@ -553,6 +591,42 @@ class TestControlPoints:
         bad = json.dumps({"vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]})
         assert main(["control-points", "--simplex", bad, "--n", "2"]) == 1
         assert "affinely dependent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vertices, n, digest", [
+        (TRIANGLE["vertices"], 400, "c741274ad73ec6680cf3d808118fe586cf09a90f1d27feef1c0615847a98a38f"),
+        (np.vstack([np.zeros(3), np.eye(3)]).tolist(), 30,
+         "69ddeccd4a4df0ac0ed1ccfac2ec7aaeb2f2bcfd42af8d2684fd3749a01f4ed6"),
+    ], ids=["triangle-400", "tetrahedron-30"])
+    def test_streamed_export_keeps_the_whole_array_bytes(self, tmp_path, vertices, n, digest):
+        # The sha256 of the export as the whole-array writer made it, before it streamed.
+        out = tmp_path / "cps.csv"
+        assert main(["control-points", "--simplex", json.dumps({"vertices": vertices}),
+                     "--n", str(n), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_blocks_keep_the_whole_lattice_bits(self, tmp_path, rng, monkeypatch):
+        # In blocks of 40 rows, each point has the bits of control_points' one product.
+        simplex = random_simplex(rng, 2)
+        monkeypatch.setattr(lattice, "_ENTRY_BUDGET", 1000)
+        out = tmp_path / "cps.csv"
+        assert main(["control-points", "--simplex", json.dumps({"vertices": simplex.vertices.tolist()}),
+                     "--n", "40", "--out", str(out)]) == 0
+        assert [len(k) for k, _ in lattice.control_point_blocks(simplex, 40)][:-1] == [40] * 21
+        rows = zip(enumerate_multi_indices(40, 2).tolist(), control_points(simplex, 40).tolist())
+        assert out.read_text().splitlines() == ["k_0,k_1,k_2,x_1,x_2"] + [
+            ",".join([*map(str, k), *map(repr, x)]) for k, x in rows]
+
+    @pytest.mark.parametrize("vertices, n, error", [
+        (np.vstack([np.zeros(5), np.eye(5)]).tolist(), 100, "579363876 entries (cap 100000000)"),
+        (TRIANGLE["vertices"], 0, "order must be an integer >= 1, got 0"),
+    ], ids=["past-the-cap", "order-0"])
+    def test_refused_lattice_leaves_no_file(self, tmp_path, capsys, vertices, n, error):
+        # The rows are drawn only once --out is open: the lattice is checked before that.
+        out = tmp_path / "cps.csv"
+        assert main(["control-points", "--simplex", json.dumps({"vertices": vertices}),
+                     "--n", str(n), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert error in capsys.readouterr().err
 
     def test_lattice_past_the_entry_cap_is_refused(self):
         # 96,560,646 rows of 6 entries on a 5-simplex at n = 100 (about 13 GB of

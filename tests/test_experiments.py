@@ -42,7 +42,7 @@ from bezsimplex.experiments import (
     SCALING_COLUMNS,
 )
 
-from conftest import direct_forward_bound, forward_bound, random_simplex
+from conftest import direct_forward_bound, exp_config, forward_bound, random_simplex
 
 TRIANGLE_SPEC = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
 INTERVAL_SPEC = {"vertices": [[0.0], [1.0]]}
@@ -367,21 +367,21 @@ class TestLoadConfig:
         config = load_config(config_dict())
         built = experiments.ExperimentConfig(config.simplex, config.function, [2, 4], 10)
         assert built.n_values == (2, 4)
-        assert [row.n for row in run_convergence(built)] == [2, 4]
+        assert [row.n for row in run_convergence(built)[0]] == [2, 4]
 
 
 class TestRunConvergence:
     def test_constant_function_is_exact(self):
-        rows = run_convergence(load_config(config_dict(n_values=[1, 5, 10, 20])))
+        rows, metadata = run_convergence(load_config(config_dict(n_values=[1, 5, 10, 20])))
         assert [row.n for row in rows] == [1, 5, 10, 20]
-        for row in rows:
+        for row, wall_ms in zip(rows, metadata["wall_ms"], strict=True):
             assert row.sup_error <= 1e-12
             assert row.predicted_rel_error is None
             assert row.evaluator == "decasteljau"
-            assert row.wall_ms >= 0.0
+            assert wall_ms >= 0.0
 
     def test_affine_linear_precision(self):
-        rows = run_convergence(load_config(config_dict(function="affine:1.5,-2,0.25")))
+        rows, _ = run_convergence(load_config(config_dict(function="affine:1.5,-2,0.25")))
         for row in rows:
             assert row.sup_error <= 1e-10
 
@@ -390,7 +390,7 @@ class TestRunConvergence:
             simplex=INTERVAL_SPEC, function=EXP_1,
             n_values=[10, 20, 40, 80, 160], grid_resolution=50,
         ))
-        rows = run_convergence(config)
+        rows, _ = run_convergence(config)
         errors = [row.sup_error for row in rows]
         for before, after in zip(errors, errors[1:]):
             assert after <= 1.05 * before
@@ -403,7 +403,7 @@ class TestRunConvergence:
             simplex=INTERVAL_SPEC, function="abs",
             n_values=[10, 20, 40, 80, 160], grid_resolution=50,
         ))
-        rows = run_convergence(config)
+        rows, _ = run_convergence(config)
         errors = [row.sup_error for row in rows]
         for before, after in zip(errors, errors[1:]):
             assert after <= 1.05 * before
@@ -411,7 +411,7 @@ class TestRunConvergence:
         assert -1.0 < slope < -0.2
 
     def test_direct_evaluator_recorded(self):
-        rows = run_convergence(load_config(config_dict()), evaluator="direct")
+        rows, _ = run_convergence(load_config(config_dict()), evaluator="direct")
         assert all(row.evaluator == "direct" for row in rows)
         with pytest.raises(ConfigError, match="horner"):
             run_convergence(load_config(config_dict()), evaluator="horner")
@@ -425,18 +425,19 @@ class TestRunConvergence:
                                          function={"terms": [{"c": 1.0, "a": [700.0]}]}))
         with pytest.raises(bezsimplex.ExpOverflowError, match="overflows a double"):
             run_bound_check(config)
-        rows = run_convergence(config)
+        rows, _ = run_convergence(config)
         assert [row.predicted_rel_error for row in rows] == [None, None]
         assert all(math.isfinite(row.sup_error) and 0 < row.sup_relative_error < 1
                    for row in rows)
         for order in config.n_values:
-            (row,) = run_scaling_study(config.simplex, [700.0], order, config.grid_resolution, [1.0])
+            (row,), _ = run_scaling_study(
+                exp_config(config.simplex, [700.0], [order], config.grid_resolution), [1.0])
             assert math.isfinite(row.sup_relative_error) and row.sup_relative_error > 1.0
 
     def test_deterministic_rows(self):
         config = load_config(config_dict(function=EXP_11))
-        first = run_convergence(config)
-        second = run_convergence(config)
+        first, _ = run_convergence(config)
+        second, _ = run_convergence(config)
         for a, b in zip(first, second):
             assert (a.n, a.sup_error, a.sup_relative_error, a.predicted_rel_error) == (
                 b.n, b.sup_error, b.sup_relative_error, b.predicted_rel_error
@@ -481,7 +482,7 @@ class TestRunConvergence:
                     len(weights[p]) for p in parts] and len(parts) == blocks
                 per_block = [max(float(np.abs(evaluate_at_weights(net, weights[p], evaluator)
                                               - exact[p]).max()) for p in parts) for net in nets]
-                result = run_convergence(config, evaluator)
+                result, _ = run_convergence(config, evaluator)
             assert [(row.sup_error, row.sup_relative_error) for row in result] == [
                 (e, e / sup_f) for e in per_block]
             assert per_block == whole
@@ -563,7 +564,7 @@ class TestBoundCheck:
             function={"terms": [{"c": 1.0, "a": [0.0, 0.0]}]},
             n_values=[10, 40, 100],
         ))
-        rows = run_bound_check(config)
+        rows, _ = run_bound_check(config)
         assert not any(row.violation for row in rows)
         for row in rows:
             assert (row.predicted_rel_error, row.ratio) == (0.0, 0.0)
@@ -574,7 +575,7 @@ class TestBoundCheck:
             simplex=INTERVAL_SPEC, function=EXP_1,
             n_values=[10, 20, 40, 80, 160], grid_resolution=50,
         ))
-        rows = run_bound_check(config)
+        rows, _ = run_bound_check(config)
         assert not any(row.violation for row in rows)
         checked = [row for row in rows if row.n >= 40]
         assert checked
@@ -592,7 +593,7 @@ class TestBoundCheck:
         # from n = 40 on; each ratio is the quotient of its row's two errors.
         config = load_config(config_dict(function=EXP_11, n_values=[40, 80, 160],
                                          grid_resolution=50))
-        rows = run_bound_check(config)
+        rows, _ = run_bound_check(config)
         assert [row.n for row in rows] == [40, 80, 160]
         for row in rows:
             assert row.observed_rel_error <= row.predicted_rel_error
@@ -607,11 +608,14 @@ class TestBoundCheck:
                                          grid_resolution=20))
         shrunk = lambda *args: error_budget(*args) / 50.0
         with mock.patch.object(experiments, "error_budget", shrunk):
-            rows = run_bound_check(config)
+            rows, metadata = run_bound_check(config)
             assert all(1.5 < row.ratio < 2.5 for row in rows)
             assert [row.violation for row in rows] == [False, True, True]
+            assert (metadata["margin"], metadata["passed"]) == (0.25, False)
             with mock.patch.object(experiments, "BOUND_CHECK_MARGIN", 10.0):
-                assert not any(row.violation for row in run_bound_check(config))
+                rows, metadata = run_bound_check(config)
+                assert not any(row.violation for row in rows)
+                assert (metadata["margin"], metadata["passed"]) == (10.0, True)
 
     def test_rows_match_the_whole_grid_kernel(self, rng):
         # Streamed in several blocks, each row's observation is the one-batch
@@ -623,7 +627,7 @@ class TestBoundCheck:
             (5, 40, 160, 640), 9)
         with mock.patch.object(lattice, "_ENTRY_BUDGET", 200):
             assert len(list(lattice.grid_weight_blocks(9, 3))) > 1
-            rows = run_bound_check(config)
+            rows, _ = run_bound_check(config)
         grid = grid_weights(9, 3)
         for row in rows:
             assert row.observed_rel_error == relative_error_at_weights(s, direction, row.n, grid)
@@ -634,14 +638,14 @@ class TestBoundCheck:
 class TestScalingStudy:
     def test_error_vanishes_with_simplex_size(self):
         s = standard_simplex(2)
-        rows = run_scaling_study(s, [1.0, 1.0], 40, 12, [1e-3, 1.0])
+        rows, _ = run_scaling_study(exp_config(s, [1.0, 1.0], [40], 12), [1e-3, 1.0])
         small = [r for r in rows if r.diameter_scale == 1e-3 and r.magnitude_scale == 1e-3]
         large = [r for r in rows if r.diameter_scale == 1.0 and r.magnitude_scale == 1.0]
         assert small[0].sup_relative_error < 1e-6 * large[0].sup_relative_error
 
     def test_doubling_bands(self):
         s = standard_simplex(2)
-        rows = run_scaling_study(s, [1.0, 1.0], 80, 20, [0.5, 1.0, 2.0])
+        rows, _ = run_scaling_study(exp_config(s, [1.0, 1.0], [80], 20), [0.5, 1.0, 2.0])
         by_key = {(r.diameter_scale, r.magnitude_scale): r.sup_relative_error for r in rows}
         for lo, hi in ((0.5, 1.0), (1.0, 2.0)):
             assert 1.5 <= by_key[(hi, 1.0)] / by_key[(lo, 1.0)] <= 4.5
@@ -649,7 +653,7 @@ class TestScalingStudy:
 
     def test_rows_record_geometry(self):
         s = standard_simplex(2)
-        rows = run_scaling_study(s, [2.0, 0.0], 10, 8, [1.0, 3.0])
+        rows, _ = run_scaling_study(exp_config(s, [2.0, 0.0], [10], 8), [1.0, 3.0])
         assert len(rows) == 4
         for row in rows:
             assert row.diameter == pytest.approx(row.diameter_scale * s.diameter, rel=1e-14)
@@ -659,20 +663,20 @@ class TestScalingStudy:
         # |a| = 1e154 squares past the largest double, its norm does not;
         # a direction scaled past it is refused.
         s = bezsimplex.Simplex([[0.0], [1e-300]])
-        rows = run_scaling_study(s, [1e154], 4, 2, [1.0, 2.0])
+        rows, _ = run_scaling_study(exp_config(s, [1e154], [4], 2), [1.0, 2.0])
         assert [r.direction_norm for r in rows] == [1e154, 2e154] * 2
         with pytest.raises(SizeOverflowError, match="scaling by 1e\\+154 overflows"):
-            run_scaling_study(s, [1e300], 4, 2, [1.0, 1e154])
+            run_scaling_study(exp_config(s, [1e300], [4], 2), [1.0, 1e154])
 
     def test_bad_scales(self):
         s = standard_simplex(2)
         with pytest.raises(ConfigError):
-            run_scaling_study(s, [1.0, 0.0], 10, 8, [0.0, 1.0])
+            run_scaling_study(exp_config(s, [1.0, 0.0], [10], 8), [0.0, 1.0])
         with pytest.raises(ConfigError):
-            run_scaling_study(s, [1.0, 0.0], 10, 8, [])
+            run_scaling_study(exp_config(s, [1.0, 0.0], [10], 8), [])
         for scales in ([math.nan, 1.0], [1.0, math.inf], [float("1e400")]):
             with pytest.raises(ConfigError, match="finite"):
-                run_scaling_study(s, [1.0, 0.0], 10, 8, scales)
+                run_scaling_study(exp_config(s, [1.0, 0.0], [10], 8), scales)
 
     def test_rows_match_report_on_each_scaled_grid(self, rng):
         # The study shares one weight grid across scales; the reference
@@ -680,7 +684,7 @@ class TestScalingStudy:
         s = random_simplex(rng, 3)
         direction = rng.normal(size=3)
         order, resolution, scales = 160, 9, [0.25, 1.0, 3.0]
-        rows = run_scaling_study(s, direction, order, resolution, scales)
+        rows, _ = run_scaling_study(exp_config(s, direction, [order], resolution), scales)
         assert len(rows) == len(scales) ** 2
         for row in rows:
             scaled = s.scaled(row.diameter_scale)
@@ -706,7 +710,7 @@ class TestScalingStudy:
         spy = mock.Mock(wraps=exponentials._log_powers)
         with mock.patch.object(lattice, "_ENTRY_BUDGET", 100), \
                 mock.patch.object(exponentials, "_log_powers", spy):
-            rows = run_scaling_study(s, direction, order, resolution, scales)
+            rows, _ = run_scaling_study(exp_config(s, direction, [order], resolution), scales)
         assert spy.call_count > 1
         distinct = {exponentials.vertex_dots(s.scaled(d), direction * m, order).tobytes()
                     for d in scales for m in scales}
@@ -732,7 +736,7 @@ class TestScalingStudy:
         spy = mock.Mock(wraps=exponentials._log_powers)
         with mock.patch.object(exponentials, "_log_powers", spy):
             if study == "scaling":
-                run_scaling_study(s, direction, 640, 30, [0.5, 1.0, 2.0])
+                run_scaling_study(exp_config(s, direction, [640], 30), [0.5, 1.0, 2.0])
             else:
                 run_bound_check(experiments.ExperimentConfig(
                     s, make_function({"terms": [{"c": 1.0, "a": direction.tolist()}]}, s),
@@ -750,10 +754,10 @@ class TestScalingStudy:
         # 324,632 and 1,221,759 grid rows (15.6 and 58.6 MB as one array);
         # the streamed pass holds one block and its kernel temporaries.
         s = random_simplex(rng, 5)
-        direction = rng.normal(size=5)
+        config = exp_config(s, rng.normal(size=5), [640], resolution)
         tracemalloc.start()
         try:
-            run_scaling_study(s, direction, 640, resolution, [1.0, 2.0])
+            run_scaling_study(config, [1.0, 2.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -767,7 +771,7 @@ class TestEmitCsv:
         assert buf.getvalue() == ",".join(CONVERGENCE_COLUMNS) + "\n"
 
     def test_three_rows_four_lines(self):
-        rows = [ConvergenceRow(n, 1.0 / n, 2.0 / n, None, "direct", 1.25) for n in (1, 2, 3)]
+        rows = [ConvergenceRow(n, 1.0 / n, 2.0 / n, None, "direct") for n in (1, 2, 3)]
         buf = io.StringIO()
         emit_csv(rows, buf, CONVERGENCE_COLUMNS)
         lines = buf.getvalue().splitlines()
@@ -775,15 +779,18 @@ class TestEmitCsv:
         assert lines[1] == "1,1.0,2.0,,direct"
 
     def test_wall_ms_not_in_convergence_columns(self):
-        # Wall time varies run to run; the CSV contract stays byte-stable.
+        # Wall time varies run to run; the CSV contract stays byte-stable, and the
+        # metadata holds one wall_ms per order.
         assert "wall_ms" not in CONVERGENCE_COLUMNS
-        assert set(ConvergenceRow._fields) - set(CONVERGENCE_COLUMNS) == {"wall_ms"}
+        assert CONVERGENCE_COLUMNS == ConvergenceRow._fields
+        rows, metadata = run_convergence(load_config(config_dict()))
+        assert len(metadata["wall_ms"]) == len(rows) == 3
 
     def test_round_trip_is_textually_stable(self, tmp_path):
         import csv as csv_module
 
         config = load_config(config_dict(function=EXP_11, n_values=[3, 6, 12]))
-        rows = run_convergence(config)
+        rows, _ = run_convergence(config)
         path = tmp_path / "rows.csv"
         emit_csv(rows, str(path), CONVERGENCE_COLUMNS)
         text = path.read_text()
@@ -817,15 +824,15 @@ class TestEmitCsv:
         with open(os.devnull, "w", newline="") as sink:
             tracemalloc.start()
             try:
-                emit_lattice_csv(indices, points, sink, ["x_1", "x_2"])
+                emit_lattice_csv([(indices, points)], sink, 2, ["x_1", "x_2"])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peak < min(indices.nbytes, points.nbytes) / 2
         # A path is opened, written and closed: the same bytes as a borrowed stream.
         buffer, path = io.StringIO(), tmp_path / "lattice.csv"
-        emit_lattice_csv(indices[:50], points[:50], buffer, ["x_1", "x_2"])
-        emit_lattice_csv(indices[:50], points[:50], path, ["x_1", "x_2"])
+        emit_lattice_csv([(indices[:50], points[:50])], buffer, 2, ["x_1", "x_2"])
+        emit_lattice_csv([(indices[:50], points[:50])], path, 2, ["x_1", "x_2"])
         assert path.read_text(encoding="utf-8") == buffer.getvalue()
         assert buffer.getvalue().count("\n") == 51
 
