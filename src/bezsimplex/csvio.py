@@ -12,16 +12,11 @@ import os
 import numpy as np
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def _format_cell(value):
+    # csv.writer writes None as empty, an int by str and a float by repr.
+    if isinstance(value, np.generic):
+        value = value.item()
+    return ("false", "true")[value] if isinstance(value, bool) else value
 
 
 def emit_csv(rows, destination, columns) -> None:
@@ -44,6 +39,6 @@ def emit_lattice_csv(blocks, destination, dimension: int, columns) -> None:
     """Columns k_0..k_D, then ``columns``, from consecutive (indices, values) blocks of a
     lattice: (rows, D+1) integer indices beside a scalar or row of values per index row."""
     header = [f"k_{j}" for j in range(dimension + 1)] + list(columns)
-    rows = (tuple(k) + tuple(v) for indices, values in blocks
-            for k, v in zip(indices, np.asarray(values).reshape(len(indices), -1)))
+    rows = (k.tolist() + v.tolist() for indices, values in blocks
+            for k, v in zip(np.asarray(indices), np.asarray(values).reshape(len(indices), -1)))
     emit_csv(rows, destination, header)

@@ -209,6 +209,12 @@ class TestSampling:
             sample_control_net(triangle, 2, column)
         with pytest.raises(FunctionEvaluationError, match="shape"):
             column.evaluate([[0.2, 0.3]])
+        # A 1-d result needs one value a point: the order-3 triangle has 10 control points.
+        short = Function("short", lambda points: np.ones(len(points) - 1))
+        with pytest.raises(FunctionEvaluationError, match=r"short gave shape \(9,\) at 10 points"):
+            sample_control_net(triangle, 3, short)
+        with pytest.raises(FunctionEvaluationError, match=r"gave shape \(1,\) at 2 points"):
+            short.evaluate([[0.2, 0.3], [0.1, 0.1]])
 
     def test_net_length_validated(self, triangle):
         with pytest.raises(DimensionMismatchError):

@@ -617,29 +617,35 @@ class TestControlPoints:
             ",".join([*map(str, k), *map(repr, x)]) for k, x in rows]
 
     @pytest.mark.parametrize("vertices, n, error", [
-        (np.vstack([np.zeros(5), np.eye(5)]).tolist(), 100, "579363876 entries (cap 100000000)"),
+        (TRIANGLE["vertices"], 2, "has 18 entries (cap 17)"),
         (TRIANGLE["vertices"], 0, "order must be an integer >= 1, got 0"),
     ], ids=["past-the-cap", "order-0"])
-    def test_refused_lattice_leaves_no_file(self, tmp_path, capsys, vertices, n, error):
+    def test_refused_lattice_leaves_no_file(self, tmp_path, capsys, monkeypatch, vertices, n, error):
         # The rows are drawn only once --out is open: the lattice is checked before that.
+        # The cap is cut to 17 entries, so a cap that counted the 6 rows would write 6 rows,
+        # not gigabytes; test_lattice_past_the_entry_cap_is_refused keeps the real cap.
+        monkeypatch.setattr(lattice, "SIZE_CAP", 17)
         out = tmp_path / "cps.csv"
         assert main(["control-points", "--simplex", json.dumps({"vertices": vertices}),
                      "--n", str(n), "--out", str(out)]) == 1
         assert not out.exists()
         assert error in capsys.readouterr().err
 
-    def test_lattice_past_the_entry_cap_is_refused(self):
-        # 96,560,646 rows of 6 entries on a 5-simplex at n = 100 (about 13 GB of
-        # weights, points and indices): one error line, with nothing built. The
-        # child has 1 GB of address space, so a cap that let the call through
-        # would end in MemoryError, not in an allocation.
+    def test_lattice_past_the_entry_cap_is_refused(self, tmp_path):
+        # 96,560,646 rows of 6 entries on a 5-simplex at n = 100 (about 11 GB of
+        # CSV): one error line, with nothing built and no file. The child has 1 GB
+        # of address space and may write 1 MB, so a cap that let the call through
+        # fails at once as its rows stream, rather than filling the disk.
         simplex = json.dumps({"vertices": np.vstack([np.zeros(5), np.eye(5)]).tolist()})
+        out = tmp_path / "cps.csv"
         child = child_within_address_space(
-            "import runpy; runpy.run_module('bezsimplex.cli', run_name='__main__')",
-            "control-points", "--simplex", simplex, "--n", "100")
+            "import resource, runpy; resource.setrlimit(resource.RLIMIT_FSIZE, (2**20, 2**20));"
+            " runpy.run_module('bezsimplex.cli', run_name='__main__')",
+            "control-points", "--simplex", simplex, "--n", "100", "--out", str(out))
         assert (child.returncode, child.stdout) == (1, "")
         assert child.stderr == ("error: lattice of order 100 in dimension 5 has 579363876 entries"
                                 " (cap 100000000)\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

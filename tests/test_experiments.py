@@ -1,3 +1,4 @@
+import csv
 import errno
 import io
 import json
@@ -10,6 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import bezsimplex
 from bezsimplex import (
@@ -60,6 +62,29 @@ def config_dict(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def _as_numpy(value):
+    """The numpy scalar that holds a Python bool, int or float."""
+    return {bool: np.bool_, int: np.int64, float: np.float64}[type(value)](value)
+
+
+def expected_cell(value) -> str:
+    """The CSV text of one cell: empty, true/false, repr of the double or the integer's digits."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(int(value))
+
+
+NAMED_DOUBLES = [0.0, -0.0, 5e-324, 1e16, 1e-5]
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(NAMED_DOUBLES),
+                    st.integers(-2**63, 2**63 - 1), st.booleans())
+CELLS = st.one_of(NUMBERS, NUMBERS.map(_as_numpy), st.none(),
+                  st.integers(2**63, 2**200), st.integers(-2**200, -2**63 - 1))
 
 
 def value(fn, x):
@@ -812,6 +837,18 @@ class TestEmitCsv:
             ("a", "b", "c", "d"),
         )
         assert buf.getvalue().splitlines()[1] == "3,0.5,true,"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(row=st.lists(CELLS, min_size=1, max_size=6))
+    @example(row=[*NAMED_DOUBLES, *map(_as_numpy, NAMED_DOUBLES), 2**63, -2**63 - 1,
+                  np.int64(-2**63), True, False, np.bool_(True), np.bool_(False), None])
+    def test_cells_follow_one_rule(self, row):
+        # csv.writer formats every number; a numpy scalar reads as the Python value
+        # it holds and a bool as true/false, so either spelling gives the same text.
+        buf = io.StringIO()
+        emit_csv([row], buf, [f"c{i}" for i in range(len(row))])
+        header, cells = csv.reader(io.StringIO(buf.getvalue()))
+        assert cells == [expected_cell(v) for v in row]
 
     def test_lattice_rows_stream(self, tmp_path):
         # The triangle at n = 300 has 45,451 rows. Built as one list, its rows

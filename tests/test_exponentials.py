@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -352,11 +353,18 @@ class TestRelativeErrorReport:
             closed = closed_form_at_weights(Simplex(triangle.vertices + 1e4), 10, [-1.0, -1.0], w)
         assert np.all(closed == 0.0)
 
-    def test_overflowing_relative_error_is_typed(self, triangle):
+    def test_overflowing_relative_error_is_typed(self, triangle, unit_interval):
         # At the weight (0.05, 0.95, 0) of the 1e3-scaled triangle with
         # a = (-1e3, -1e3) the closed form over exp(a.x) is about e^950000.
         with pytest.raises(ExpOverflowError, match="largest double"):
             relative_error_at_weights(triangle.scaled(1e3), [-1e3, -1e3], 10, grid_weights(20, 2))
+        # Order 1 on [0, 1] with a = -1500 at the weight (0.5263, 0.4737): B_1 f is
+        # 0.5263 + 0.4737 e^-1500 and f is e^(-1500 * 0.4737), so the log ratio is
+        # about 709.91, within 0.2 of log(DBL_MAX) = 709.78: refused, not inf.
+        log_ratio = math.log(0.5263) + 1500 * 0.4737
+        assert 0.0 < log_ratio - math.log(sys.float_info.max) < 0.2
+        with pytest.raises(ExpOverflowError, match=r"reaches exp\(709\.908\), beyond the largest double"):
+            relative_error_at_weights(unit_interval, [-1500.0], 1, np.array([[0.5263, 0.4737]]))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dimension=st.integers(1, 4), order=st.integers(1, 640),

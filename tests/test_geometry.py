@@ -79,6 +79,16 @@ class TestConstruction:
         # The same shape inflated well past tolerance is fine.
         Simplex([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-3]])
 
+    @pytest.mark.parametrize("factor", [1.0, 2.0**400, 2.0**-400], ids=["1", "2^400", "2^-400"])
+    def test_degeneracy_threshold_is_1e_12(self, factor):
+        # The triangle (0, 0), (1, 0), (0.5, h) is tested at diameter 1/2, where |det| is
+        # h / 4 against 1e-12 * (1/2)^2: h = 1e-11 passes and h = 1e-13 is degenerate,
+        # at any power-of-two scale of the vertices.
+        thin = lambda height: np.array([[0.0, 0.0], [1.0, 0.0], [0.5, height]]) * factor
+        Simplex(thin(1e-11))
+        with pytest.raises(DegenerateSimplexError):
+            Simplex(thin(1e-13))
+
     def test_huge_vertices(self, rng):
         # Diameter and degeneracy test run on vertices scaled by a power of
         # two, so nothing overflows and the diameter scales exactly.
