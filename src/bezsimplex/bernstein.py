@@ -16,24 +16,22 @@ a time (Ainsworth-Andriamaro-Davydov 2011, Kirby 2011), O(n^D) a point instead
 of O(n^{D+1}), in the scaled power form (Schumaker-Volk 1986): stage 1 is a
 zero-padded matrix product on BLAS in one-thread tiles, each later stage one
 product and one sum over runs. No result depends on chunking or thread count.
-Forward errors at weights w, u = 2**-53, g(N) = N u / (1 - N u), exp and log
-within 4 ulps: decasteljau's is at most g(N) sum_k |c_k| B_k(w) + 2**-270 max
-|c_k|, N = n (3 D^2 + 11 D) / 2 + 5 D; direct's (r + g(W) (1 + r)) sum_k |c_k|
-B_k(w), W <= C(n + D, D) the rows of w's face, r = exp(h) (1 + 8 u) - 1 from an
-exponent error h = g(D + 10) n L + 2 g(D + 9) log n!, L = max |log w_j| over
-w_j > 0: the logs (8 u), the (D+1)-term product (g(D + 1)) and the add (u) of
-terms of at most n L, the log-factorial table (8 u) and its D + 1 sums
-(g(D + 1)) of log n! + sum_j log k_j! <= 2 log n!; the W-term sum adds g(W).
+A computed value at weights w is off B_n c(w) by at most sum_k |c_k| B_k(w) times
+the evaluator's forward error bound (Higham 2002), ``decasteljau_bound`` (plus
+UNDERFLOW_SHARE max |c_k|) or ``direct_bound``, each derived beside its code with
+g(N) = N u / (1 - N u) for N roundings and exp and log within 4 ulps;
+``rounding_floor`` bounds the evaluator's rounding in a net's value at grid weights.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, FunctionEvaluationError, SizeOverflowError
-from .geometry import Frozen, Simplex, clip_weights
+from .geometry import UNIT_ROUNDOFF, Frozen, Simplex, clip_weights
 from .lattice import (GEMM_COLUMNS, check_order, chunk_rows, control_points, count_multi_indices,
                       enumerate_multi_indices, multinomial_log_table, padded, row_chunks)
 
@@ -217,6 +215,49 @@ def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALU
     else:
         raise ConfigError(f"unknown evaluator {evaluator!r}; use one of {EVALUATORS}")
     return out
+
+
+UNDERFLOW_SHARE = 2.0**-270  # decasteljau's absolute error bound, a share of max |c_k|
+
+
+def _gamma(terms: int) -> float:
+    return terms * UNIT_ROUNDOFF / (1.0 - terms * UNIT_ROUNDOFF)
+
+
+def decasteljau_bound(order: int, dimension: int) -> float:
+    """g(N), N = n (3 D^2 + 11 D) / 2 + 5 D. Stage j adds (3j + 4) n + 5 roundings to each
+    term: r and t are rounded j and 2j + 1 times (a prefix sum, then a division) and raised
+    to the powers e and m <= n by as many products; C(m, i), two products, the scale and a
+    sum of at most n + 1 terms add n + 4 more. UNDERFLOW_SHARE covers every r**e that
+    underflows below 2**-1022: there C(m, e) t^m is below 2**760 for m <= 1022, and at most
+    2**27 terms each carry e < 2**10 half-ulps of 2**-1074."""
+    return _gamma(order * (3 * dimension**2 + 11 * dimension) // 2 + 5 * dimension)
+
+
+def direct_bound(order: int, dimension: int, smallest_weight: float) -> float:
+    """r + g(W) (1 + r) at weights whose nonzero entries are at least smallest_weight:
+    W = C(n + D, D) bounds the rows of a face and r = exp(h) (1 + 8 u) - 1 the relative error
+    of a basis value, from its exponent's error h = g(D + 10) n L + 2 g(D + 9) log n!,
+    L = -log smallest_weight: the logs (8 u), the (D+1)-term product (g(D + 1)) and the add
+    (u) of terms of at most n L, the log-factorial table (8 u) and its D + 1 sums (g(D + 1))
+    of log n! + sum_j log k_j! <= 2 log n!; the W-term sum adds g(W)."""
+    largest_log = -float(np.log(smallest_weight))
+    h = (_gamma(dimension + 10) * order * largest_log
+         + 2 * _gamma(dimension + 9) * math.lgamma(order + 1))
+    r = math.exp(h) * (1.0 + 8.0 * UNIT_ROUNDOFF) - 1.0
+    return r + _gamma(math.comb(order + dimension, dimension)) * (1.0 + r)
+
+
+def rounding_floor(net: ControlNet, evaluator: str, smallest_weight: float) -> float:
+    """A bound on the evaluator's own rounding in the net's value at grid weights fl(k_j / m),
+    nonzero ones at least smallest_weight: its bound times max |c_k| (1 + 2 n u), as sum_k |c_k|
+    B_k(w) <= max |c_k| (sum_j w_j)^n <= max |c_k| (1 + u)^n; for decasteljau UNDERFLOW_SHARE
+    max |c_k| more."""
+    order, dimension = net.order, net.simplex.dimension
+    unity, largest = 1.0 + 2.0 * order * UNIT_ROUNDOFF, float(np.abs(net.coefficients).max())
+    if evaluator == DE_CASTELJAU:
+        return decasteljau_bound(order, dimension) * largest * unity + UNDERFLOW_SHARE * largest
+    return direct_bound(order, dimension, smallest_weight) * largest * unity
 
 
 def apply_direct(net: ControlNet, x) -> float:

@@ -19,10 +19,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bernstein import DEFAULT_EVALUATOR, evaluate_at_weights, sample_control_net
+from .bernstein import DEFAULT_EVALUATOR, evaluate_at_weights, rounding_floor, sample_control_net
 from .csvio import emit_csv  # re-exported: experiments.emit_csv is public
 from .errors import ConfigError, DimensionMismatchError, ExpOverflowError, FunctionEvaluationError
-from .exponentials import ExpPolynomial, error_budget, sup_relative_errors, vertex_dots
+from .exponentials import (ExpPolynomial, error_budget, log_ratio_rounding, sup_relative_errors,
+                           vertex_dots)
 from .geometry import Frozen, Simplex, power_of_two_scaled
 from .lattice import check_order, default_grid_resolution, grid_weight_blocks
 
@@ -314,13 +315,19 @@ def run_metadata(config: ExperimentConfig) -> dict:
     }
 
 
+def _floors(cases: list) -> list:
+    # Per (vertex dots, order) case: the relative error that log_ratio_rounding alone can produce.
+    return [math.expm1(log_ratio_rounding(dots, order)) for dots, order in cases]
+
+
 def run_convergence(config: ExperimentConfig, evaluator: str = DEFAULT_EVALUATOR) -> tuple:
     """One ConvergenceRow per configured order, sup over the lattice grid, in one
     pass over grid_weight_blocks: per block, f once, then each order's net (sampled
     on the first block, after f), keeping the running max of |f| and each order's of
     |net - f|. So on a grid of more than one block a net's errors (f at a control point,
     an order past the de Casteljau cap) come before f's on later blocks. The metadata adds
-    the evaluator and each order's wall_ms: its sampling plus its evaluations on all blocks."""
+    the evaluator and, per order, wall_ms (its sampling plus its evaluations on all blocks)
+    and bernstein.rounding_floor, the most the evaluator's own rounding moves a value."""
     simplex, function, orders = config.simplex, config.function, config.n_values
     nets, sup_errors, seconds, sup_f = [], np.zeros(len(orders)), np.zeros(len(orders)), 0.0
     # Beside its weights a row holds its point (D doubles), f, a net's values and |values - f|.
@@ -346,7 +353,9 @@ def run_convergence(config: ExperimentConfig, evaluator: str = DEFAULT_EVALUATOR
                 predicted = error_budget(simplex, direction, n)
         rows.append(ConvergenceRow(n, sup_error, sup_error / sup_f if sup_f > 0 else sup_error,
                                    predicted, evaluator))
-    return rows, {**run_metadata(config), "evaluator": evaluator,
+    # The grid's smallest nonzero weight is fl(1 / m), which sets direct's largest |log w_j|.
+    floors = [rounding_floor(net, evaluator, 1.0 / config.grid_resolution) for net in nets]
+    return rows, {**run_metadata(config), "evaluator": evaluator, "rounding_floor": floors,
                   "wall_ms": [round(wall_s * 1000.0, 3) for wall_s in seconds.tolist()]}
 
 
@@ -355,7 +364,8 @@ def run_bound_check(config: ExperimentConfig) -> tuple:
     over the lattice grid, the first-order prediction of error_budget (the one
     converge prints) and their ratio, which is 0 for an observation at or
     below ZERO_OBSERVED_FLOOR even when the prediction is exactly 0. The
-    metadata adds the margin and passed, true when no row is a violation.
+    metadata adds the margin, passed, true when no row is a violation, and per row
+    rounding_floor, the relative error the log ratio's rounding alone can produce.
 
     A row is a violation when the ratio exceeds 1 + BOUND_CHECK_MARGIN at
     order >= BOUND_CHECK_MIN_ORDER; below that the neglected second-order term
@@ -376,14 +386,14 @@ def run_bound_check(config: ExperimentConfig) -> tuple:
             ratio = 0.0 if error <= ZERO_OBSERVED_FLOOR else math.inf
         rows.append(BoundCheckRow(n, error, predicted, ratio,
                                   n >= BOUND_CHECK_MIN_ORDER and ratio > 1.0 + BOUND_CHECK_MARGIN))
-    return rows, {**run_metadata(config), "margin": BOUND_CHECK_MARGIN,
+    return rows, {**run_metadata(config), "margin": BOUND_CHECK_MARGIN, "rounding_floor": _floors(cases),
                   "passed": not any(row.violation for row in rows)}
 
 
 def run_scaling_study(config: ExperimentConfig, scales) -> tuple:
     """Sup relative error of the config's exp((m*a).x) on the d-scaled simplex at its top
     order, per (d, m) of the scales: numbers, or the comma list of --scales, read after
-    the function is checked. The metadata adds the scales and the order.
+    the function is checked. The metadata adds the scales, the order and rounding_floor.
 
     Exposes how the error grows with the diameter-magnitude product; the
     observed growth is roughly quadratic per doubling of either factor.
@@ -412,7 +422,9 @@ def run_scaling_study(config: ExperimentConfig, scales) -> tuple:
             rows.append((d_scale, m_scale, scaled.diameter, norm, case))
     # Barycentric weights do not change when the simplex is scaled.
     blocks = grid_weight_blocks(config.grid_resolution, simplex.dimension, 2 * len(cases))
-    errors = sup_relative_errors([(dots, order) for _, dots in cases.values()], blocks)
+    cases = [(dots, order) for _, dots in cases.values()]
+    errors, floors = sup_relative_errors(cases, blocks), _floors(cases)
     return ([ScalingRow(d_scale, m_scale, diameter, norm, order, errors[case])
              for d_scale, m_scale, diameter, norm, case in rows],
-            {**run_metadata(config), "scales": factors, "order": order})
+            {**run_metadata(config), "scales": factors, "order": order,
+             "rounding_floor": [floors[case] for *_, case in rows]})

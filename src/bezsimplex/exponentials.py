@@ -19,7 +19,8 @@ points; ``relative_error_report`` adapts a (P, D) batch of points for the benchm
 Every quantity is read off one padded matrix product of a ``case_table``
 (each (vertex dots, order) case's exp(a.x_j / n), then its a.x_j) with the
 weights: the closed form, its residual and the log ratio that
-``sup_relative_errors`` reduces, one product per block of the grid.
+``sup_relative_errors`` reduces, one product per block of the grid;
+``log_ratio_rounding`` bounds the rounding in that log ratio.
 A value has the same bits alone or in a batch, in any order and chunking.
 This is the collapse of Bernstein sums to a power of one weighted sum that
 Kirby (Numer. Math. 2011) and Ainsworth-Andriamaro-Davydov (SISC 2011) use.
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import (DimensionMismatchError, DomainError, EmptyGridError, ExpOverflowError,
                      SizeOverflowError)
 from .lattice import check_order, padded
-from .geometry import Frozen, Simplex, clip_weights
+from .geometry import UNIT_ROUNDOFF, Frozen, Simplex, clip_weights
 
 # exp() overflows double precision near 709; stay clear with a round guard.
 EXP_ARG_LIMIT = 700.0
@@ -211,6 +212,16 @@ def sup_relative_errors(cases: list, blocks) -> list:
         # expm1 is monotone, so |expm1| peaks at an extreme of the log ratio
         errors.append(float(max(abs(np.expm1(high)), abs(np.expm1(low)))))
     return errors
+
+
+def log_ratio_rounding(dots, order: int) -> float:
+    """A bound on the rounding in the log ratio n log S - a.x that sup_relative_errors forms at
+    grid weights fl(k_j / m) from a case's vertex dots as computed, S = sum_j s_j exp(a.x_j / n):
+    (D + 15) n u (1 + M / n), M = max_j |a.x_j|. a.x_j / n is off by u M / n, each exp by 8 u,
+    the weights and the gemm sum of D + 1 positive terms by (D + 3) u, log by 8 u M / n and
+    the product by n by u M; the dot a.x by (D + 3) u M and the difference by 2 u M."""
+    reach = float(np.abs(dots).max())
+    return (len(dots) + 14) * order * UNIT_ROUNDOFF * (1 + reach / order)
 
 
 def relative_error_at_weights(simplex: Simplex, direction, order: int,

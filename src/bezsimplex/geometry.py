@@ -27,6 +27,9 @@ COORDINATE_TOL = 1e-9
 # Tolerance on sum(t) == 1 for every row of weights a kernel is given.
 WEIGHT_SUM_TOL = 1e-12
 
+# Unit roundoff u of a double: one rounded operation is off by at most u, relative.
+UNIT_ROUNDOFF = 2.0**-53
+
 
 def clip_weights(weights, dimension: int) -> np.ndarray:
     """(P, D+1) float weights, round-off negatives set to 0 (uncopied if none).

@@ -1,9 +1,9 @@
 import itertools
-import math
 import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -56,33 +56,21 @@ def interior_weights(rng, dimension, count):
     return rng.dirichlet(np.ones(dimension + 1), size=count)
 
 
-def forward_bound(order, dimension):
-    """The decasteljau forward error bound of the bernstein docstring, as a
-    fraction of sum_k |c_k| B_k: g(N) with N = n (3 D^2 + 11 D) / 2 + 5 D.
-
-    Stage j adds (3j + 4) n + 5 roundings to each term: r and t are rounded j
-    and 2j + 1 times (a prefix sum, then a division) and raised to the powers
-    e and m <= n by as many products; C(m, i), two products, the scale and a
-    sum of at most n + 1 terms add n + 4 more. The absolute 2**-270 max |c_k|
-    covers every r**e that underflows below 2**-1022: there C(m, e) t^m is
-    below 2**760 for m <= 1022, at most 2**27 terms each carry e < 2**10
-    half-ulps of 2**-1074."""
-    terms = order * (3 * dimension**2 + 11 * dimension) // 2 + 5 * dimension
-    unit = 2.0**-53
-    return terms * unit / (1.0 - terms * unit)
+def traced_peak(call, *args) -> int:
+    """The peak in bytes that tracemalloc sees while call(*args) runs."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-def direct_forward_bound(order, dimension, weights):
-    """The direct forward error bound of the bernstein docstring at a batch of
-    weights, as a fraction of sum_k |c_k| B_k: r + g(W) (1 + r), with
-    r = exp(h) (1 + 8 u) - 1 and h = g(D + 10) n L + 2 g(D + 9) log n!, L the
-    largest |log w_j| over the nonzero weights and W = C(n + D, D)."""
-    unit = 2.0**-53
-    g = lambda terms: terms * unit / (1.0 - terms * unit)
-    largest_log = float(-np.log(weights[weights > 0]).min())
-    h = g(dimension + 10) * order * largest_log + 2 * g(dimension + 9) * math.lgamma(order + 1)
-    r = math.exp(h) * (1.0 + 8.0 * unit) - 1.0
-    return r + g(math.comb(order + dimension, dimension)) * (1.0 + r)
+def python_child(*args, **env):
+    """`python *args` on the src/ under test, env added to the environment: its text output.
+    A nonzero exit raises."""
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SOURCE, **env),
+                          capture_output=True, text=True, check=True, timeout=120)
 
 
 def child_within_address_space(code, *args):

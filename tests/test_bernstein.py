@@ -1,13 +1,14 @@
 import itertools
 import math
+import operator
 import re
-import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies as st, target
 
 from bezsimplex import bernstein, lattice
 from bezsimplex.experiments import TestFunction as Function  # not a test class
@@ -37,8 +38,10 @@ from bezsimplex import (
     sample_control_net,
 )
 
-from conftest import (direct_forward_bound, exact_multinomial, forward_bound, interior_weights,
-                      pointwise, random_simplex)
+from bezsimplex.bernstein import UNDERFLOW_SHARE, decasteljau_bound, rounding_floor
+from bezsimplex.geometry import UNIT_ROUNDOFF as UNIT
+
+from conftest import exact_multinomial, interior_weights, pointwise, random_simplex, traced_peak
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -284,29 +287,6 @@ class TestDeCasteljau:
         for t in interior_weights(rng, 3, 10):
             assert apply_de_casteljau(net, t) == pytest.approx(2.5, abs=1e-13)
 
-    def test_matches_direct_on_random_nets(self, rng):
-        s = random_simplex(rng, 2)
-        count = len(control_points(s, 8))
-        net = ControlNet(s, 8, rng.normal(size=count))
-        weights = interior_weights(rng, 2, 50)
-        scale = float(np.abs(net.coefficients).max())
-        for t in weights:
-            direct = apply_direct(net, t @ s.vertices)
-            stable = apply_de_casteljau(net, t)
-            assert abs(stable - direct) <= 1e-10 * scale
-
-    def test_equivalence_sweep(self, rng):
-        for dim in (1, 2, 3):
-            s = random_simplex(rng, dim)
-            for order in (1, 4, 9, 15):
-                count = len(control_points(s, order))
-                net = ControlNet(s, order, rng.normal(size=count))
-                w = interior_weights(rng, dim, 30)
-                direct = evaluate_at_weights(net, w, evaluator="direct")
-                stable = evaluate_at_weights(net, w, evaluator="decasteljau")
-                scale = float(np.abs(net.coefficients).max())
-                np.testing.assert_allclose(stable, direct, atol=1e-10 * scale)
-
     def test_weight_validation(self, triangle):
         net = ControlNet(triangle, 2, np.zeros(6))
         with pytest.raises(InvalidBarycentricError):
@@ -471,12 +451,7 @@ class TestCollapsedKernel:
         # numbers per coefficient.
         net = random_net(rng, 3, 60)
         w = grid_weights(15, 3)
-        tracemalloc.start()
-        try:
-            evaluate_at_weights(net, w, evaluator="decasteljau")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(evaluate_at_weights, net, w, "decasteljau")
         assert peak <= 8 * lattice._ENTRY_BUDGET + 8 * 4 * count_multi_indices(60, 3)
 
     @PROPERTY
@@ -531,8 +506,8 @@ class TestPowerFormRange:
         exact = closed_form_at_weights(s, order, a, w)
         stable = evaluate_at_weights(net, w, evaluator="decasteljau")
         direct = evaluate_at_weights(net, w, evaluator="direct")
-        bound = np.maximum(np.abs(direct - exact), forward_bound(order, dimension) * exact
-                           + 2.0**-270 * net.coefficients.max())
+        bound = np.maximum(np.abs(direct - exact), decasteljau_bound(order, dimension) * exact
+                           + UNDERFLOW_SHARE * net.coefficients.max())
         assert np.all(np.abs(stable - exact) <= bound)
 
     def test_the_limit_order_evaluates(self, unit_interval, rng):
@@ -541,7 +516,7 @@ class TestPowerFormRange:
         w = np.vstack([np.eye(2), interior_weights(rng, 1, 20)])
         exact = closed_form_at_weights(unit_interval, order, [1.0], w)
         stable = evaluate_at_weights(net, w, evaluator="decasteljau")
-        assert np.all(np.abs(stable / exact - 1.0) <= forward_bound(order, 1))
+        assert np.all(np.abs(stable / exact - 1.0) <= decasteljau_bound(order, 1))
         np.testing.assert_array_equal(stable[:2], net.coefficients[[0, -1]])
 
     def test_past_the_limit_is_refused_before_any_table(self, unit_interval):
@@ -555,6 +530,63 @@ class TestPowerFormRange:
             evaluate_at_weights(net, np.eye(2), evaluator="decasteljau")
         assert not plan.called and not lattice_rows.called
         np.testing.assert_array_equal(evaluate_at_weights(net, np.eye(2), evaluator="direct"), 1.0)
+
+
+def exact_values(net, scaled, exponent):
+    """(B_n c(w), sum_k |c_k| B_k(w)) as Fractions at each row w = scaled / 2**exponent of
+    integers: one integer sum over the lattice, over the net's common power-of-two denominator."""
+    indices = enumerate_multi_indices(net.order, net.simplex.dimension).tolist()
+    ratios = [c.as_integer_ratio() for c in net.coefficients.tolist()]
+    common = max(q for _, q in ratios)
+    numerators = [p * (common // q) for p, q in ratios]
+    multinomials = exact_multinomial(indices).tolist()
+    values = []
+    for row in scaled:
+        powers = [list(itertools.accumulate([a] * net.order, operator.mul, initial=1)) for a in row]
+        terms = [m * math.prod(powers[j][kj] for j, kj in enumerate(k))
+                 for m, k in zip(multinomials, indices)]
+        scale = common << (exponent * net.order)
+        values.append((Fraction(sum(map(operator.mul, terms, numerators)), scale),
+                       Fraction(sum(t * abs(p) for t, p in zip(terms, numerators)), scale)))
+    return values
+
+
+ORACLE_ORDERS = {1: 200, 2: 30, 3: 10, 4: 6}
+
+
+class TestExactOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(dimension=st.integers(1, 4), positive=st.booleans(), data=st.data(), seed=SEEDS)
+    def test_each_evaluator_within_its_bound_of_the_exact_value(self, dimension, positive, data,
+                                                                 seed):
+        # At dyadic weights B_n c(w) of a float net is rational, so exact_values gives it and
+        # sum_k |c_k| B_k(w) with no rounding: the error is checked against each evaluator's
+        # stated bound with no tolerance, at a vertex, an edge midpoint, a weight of 2**-40
+        # and weights k / 2**20, for signed and positive nets of spread magnitudes. The
+        # largest share of a bound used is a target, which --hypothesis-show-statistics prints.
+        order = data.draw(st.integers(1, ORACLE_ORDERS[dimension]))
+        rng = np.random.default_rng(seed)
+        size = count_multi_indices(order, dimension)
+        c = rng.normal(size=size) * np.exp2(rng.integers(-8, 9, size=size))
+        net = ControlNet(random_simplex(rng, dimension), order, np.abs(c) if positive else c)
+        vertex, edge = np.eye(dimension + 1, dtype=np.int64) << 40, np.zeros(dimension + 1, np.int64)
+        edge[rng.choice(dimension + 1, 2, replace=False)] = 1 << 39
+        tiny = np.r_[1, rng.multinomial((1 << 40) - 1, np.ones(dimension) / dimension)]
+        scaled = np.vstack([vertex[rng.integers(dimension + 1)], edge, rng.permutation(tiny),
+                            rng.multinomial(1 << 20, np.ones(dimension + 1) / (dimension + 1),
+                                            size=3) << 20]).tolist()
+        w = np.ldexp(np.array(scaled, dtype=float), -40)
+        absolute = {bernstein.DIRECT: 0, bernstein.DE_CASTELJAU: Fraction(
+            UNDERFLOW_SHARE * float(np.abs(net.coefficients).max()))}
+        for evaluator in bernstein.EVALUATORS:
+            computed, shares = evaluate_at_weights(net, w, evaluator).tolist(), []
+            for row, value, (exact, magnitude) in zip(w, computed, exact_values(net, scaled, 40)):
+                relative = (decasteljau_bound(order, dimension) if evaluator == bernstein.DE_CASTELJAU
+                            else bernstein.direct_bound(order, dimension, row[row > 0].min()))
+                bound = Fraction(relative) * magnitude + absolute[evaluator]
+                assert abs(Fraction(value) - exact) <= bound
+                shares.append(float(abs(Fraction(value) - exact) / bound))
+            target(max(shares), label=f"{evaluator}: largest share of its bound")
 
 
 class TestDirectKernel:
@@ -583,12 +615,7 @@ class TestDirectKernel:
         # (D+1) numbers per coefficient each.
         net = random_net(rng, 3, 60)
         w = grid_weights(15, 3)
-        tracemalloc.start()
-        try:
-            evaluate_at_weights(net, w, evaluator="direct")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(evaluate_at_weights, net, w, "direct")
         assert peak <= 8 * lattice._ENTRY_BUDGET + 3 * 8 * 4 * count_multi_indices(60, 3)
 
     def test_tiles_of_a_wide_face_fit_the_entry_budget(self, rng):
@@ -722,8 +749,7 @@ class TestOperatorProperties:
         # closed form term by term, every quantity as computed. The rounding
         # terms are first order in u; at these sizes each is below 1e-12
         # relative, so the u**2 terms they drop are below 1e-12 of them:
-        # - the evaluator's forward bound (module docstring of bernstein), over
-        #   sum_k B_k(w) = (sum_j w_j)**n <= (1 + u)**n, since w_j = fl(k_j / m);
+        # - the evaluator's own rounding, bernstein.rounding_floor;
         # - g at a computed point, against g at the exact point: the point is off
         #   by (D + 2) u max_j |x_j|, per coordinate, its dot a.x by D u more, exp
         #   by 4 ulps (8 u) and the sum over T terms by T u, so
@@ -753,19 +779,14 @@ class TestOperatorProperties:
         at_control = np.abs(net.coefficients - g.evaluate_many(control_points(s, order))).max()
         estimate = at_control + np.abs(f_grid - g_grid).max() + np.abs(closed - g_grid).max()
 
-        u = 2.0**-53
         reach = np.abs(s.vertices).max(axis=0)
         size_a, peak = np.abs(a) @ reach, np.abs(c) * np.exp((s.vertices @ a.T).max(axis=0))
-        unity = 1.0 + 2.0 * order * u  # >= (1 + u)**n
-        largest = np.abs(net.coefficients).max()
-        if evaluator == "decasteljau":
-            kernel = forward_bound(order, dimension) * largest * unity + 2.0**-270 * largest
-        else:
-            kernel = direct_forward_bound(order, dimension, w) * largest * unity
-        at_points = u * peak @ ((2 * dimension + 2) * size_a + 8 + terms)
-        closed_form = u * peak @ ((dimension + 10) * size_a + (dimension + 9) * order + 8 + terms)
+        unity = 1.0 + 2.0 * order * UNIT  # >= (1 + u)**n >= sum_k B_k(w), as w_j = fl(k_j / m)
+        kernel = rounding_floor(net, evaluator, w[w > 0].min())
+        at_points = UNIT * peak @ ((2 * dimension + 2) * size_a + 8 + terms)
+        closed_form = UNIT * peak @ ((dimension + 10) * size_a + (dimension + 9) * order + 8 + terms)
         rounding = kernel + at_points * unity + closed_form + at_control * (unity - 1.0)
-        assert observed <= (estimate + rounding) * (1.0 + 16.0 * u)
+        assert observed <= (estimate + rounding) * (1.0 + 16.0 * UNIT)
 
     def test_vertex_interpolation(self, rng):
         s = random_simplex(rng, 2)
@@ -843,7 +864,6 @@ class TestSupError:
             sup_error(net, ONE, np.array([[np.nan, 0.2]]))
 
 
-UNIT = 2.0**-53
 READING_GRID = {1: 60, 2: 14, 3: 7, 4: 5}  # lattice grid resolution of the evaluation points
 
 
@@ -872,16 +892,12 @@ def convex_function(name, s, rng):
 
 def operator_rounding(net, evaluator, w, at_control):
     """A bound on |B_n f as computed at grid weights w - B_n f at the exact grid point|,
-    f's rounding at a control point at most at_control: the evaluator's forward bound
-    (module docstring of bernstein) over sum_k B_k(w) <= (1 + u)**n <= unity, the
-    coefficients' error at_control times unity, and w_j = fl(k_j / m) = (k_j / m)(1 + e_j),
-    so B_k(w) is off its exact value by at most (unity - 1) B_k(k / m)."""
-    order, dim = net.order, net.simplex.dimension
-    unity, largest = 1.0 + 2.0 * order * UNIT, float(np.abs(net.coefficients).max())
-    if evaluator == bernstein.DE_CASTELJAU:
-        kernel = forward_bound(order, dim) * largest * unity + 2.0**-270 * largest
-    else:
-        kernel = direct_forward_bound(order, dim, w) * largest * unity
+    f's rounding at a control point at most at_control: the evaluator's rounding_floor, the
+    coefficients' error at_control times unity = 1 + 2 n u >= sum_k B_k(w), and
+    w_j = fl(k_j / m) = (k_j / m)(1 + e_j), so B_k(w) is off its exact value by at most
+    (unity - 1) B_k(k / m)."""
+    unity, largest = 1.0 + 2.0 * net.order * UNIT, float(np.abs(net.coefficients).max())
+    kernel = rounding_floor(net, evaluator, w[w > 0].min())
     return kernel + at_control * unity + (largest + at_control) * (unity - 1.0)
 
 

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bezsimplex
-from bezsimplex import (basis_vector, closed_form_at_weights, control_points, count_multi_indices,
-                        enumerate_multi_indices, experiments, lattice, standard_simplex)
-from bezsimplex.bernstein import DE_CASTELJAU_MAX_ORDER
+from bezsimplex import (ControlNet, basis_vector, closed_form_at_weights, control_points,
+                        count_multi_indices, enumerate_multi_indices, evaluate_at_weights,
+                        experiments, grid_weights, lattice, standard_simplex)
+from bezsimplex.bernstein import DE_CASTELJAU_MAX_ORDER, EVALUATORS, rounding_floor
 from bezsimplex.cli import main
 
-from conftest import SOURCE, child_within_address_space, random_simplex
+from conftest import SOURCE, child_within_address_space, python_child, random_simplex
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 TRIANGLE = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
@@ -265,11 +266,13 @@ RUN_KEYS = {"function", "simplex_dimension", "simplex_diameter", "grid_resolutio
 ], ids=["converge", "bound-check", "scaling"])
 def test_each_study_prints_the_run_record(tmp_path, capsys, argv, added):
     # Each study's metadata: the run's provenance, then its own keys (converge's
-    # wall_ms, one timing per order, varies run to run).
+    # wall_ms, one timing per order, varies run to run), and one rounding_floor a CSV row.
     config = write_config(tmp_path)
     assert main([*argv, "--config", config]) == 0
-    meta = json.loads(capsys.readouterr().err)
-    timings = meta.pop("wall_ms", None)
+    captured = capsys.readouterr()
+    meta = json.loads(captured.err)
+    timings, floors = meta.pop("wall_ms", None), meta.pop("rounding_floor")
+    assert len(floors) == captured.out.count("\n") - 1 and all(0.0 < f < 1e-12 for f in floors)
     assert set(meta) == RUN_KEYS | set(added)
     assert {key: meta[key] for key in added} == added
     assert (meta["function"], meta["simplex_dimension"], meta["grid_resolution"],
@@ -685,24 +688,15 @@ def test_readme_library_use_runs():
 
 def test_import_loads_numpy_and_stdlib_only():
     # scipy's import cost was most of every CLI call's start-up time.
-    probe = (
-        f"import sys; sys.path.insert(0, {SOURCE!r}); import bezsimplex.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            check=True, timeout=60)
-    assert result.stdout.strip() == "[]"
+    probe = ("import sys, bezsimplex.cli; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    assert python_child("-c", probe).stdout.strip() == "[]"
 
 
 def test_import_leaves_dataclasses_out():
     # The value types share geometry.Frozen; dataclasses cost start-up time to generate code.
-    probe = (
-        f"import sys; sys.path.insert(0, {SOURCE!r}); import bezsimplex.cli; "
-        "print('dataclasses' in sys.modules)"
-    )
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            check=True, timeout=60)
-    assert result.stdout.strip() == "False"
+    probe = "import sys, bezsimplex.cli; print('dataclasses' in sys.modules)"
+    assert python_child("-c", probe).stdout.strip() == "False"
 
 
 TETRAHEDRON_RUNGE = {"simplex": {"vertices": [[0.1, -0.2, 0.0], [1.2, 0.1, 0.3], [-0.1, 0.9, 0.2],
@@ -763,6 +757,24 @@ def test_values_do_not_depend_on_blas_threads():
     assert len(stdout_at_one_and_two_blas_threads(["-c", probe, vertices])) == 1
 
 
+def test_values_agree_across_blas_kernels_within_their_bounds():
+    # Bytes follow the BLAS kernel. Under OpenBLAS's Sandybridge kernel, which has no FMA, a
+    # child's values of one net (dyadic coefficients at grid weights) move in the last digits,
+    # but each stays within the sum of the two runs' rounding floors of this process's value.
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas:
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS: OPENBLAS_CORETYPE picks no kernel")
+    net = ControlNet(standard_simplex(3), 24, (np.arange(2925) * 37 % 17 - 8) / 16)
+    probe = ("import json, sys, bezsimplex as b; w = b.grid_weights(12, 3);"
+             " net = b.ControlNet(b.standard_simplex(3), 24, json.loads(sys.argv[1]));"
+             " print(json.dumps({e: b.evaluate_at_weights(net, w, e).tolist() for e in sys.argv[2:]}))")
+    other = json.loads(python_child("-c", probe, json.dumps(net.coefficients.tolist()),
+                                    *EVALUATORS, OPENBLAS_CORETYPE="Sandybridge").stdout)
+    for evaluator, values in other.items():
+        here = evaluate_at_weights(net, grid_weights(12, 3), evaluator)
+        assert np.abs(here - values).max() <= 2 * rounding_floor(net, evaluator, 1.0 / 12)
+
+
 def entry_process(args):
     """A `python -m bezsimplex.cli` child. PYTHONUNBUFFERED is dropped, since
     writing through at once would hide what the entry's final flush does."""
@@ -816,10 +828,6 @@ def test_direct_evaluator_never_imports_numpy_ma(tmp_path):
         "import sys; import bezsimplex.cli as cli; "
         "code = cli.main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe, "converge", "--config", config, "--evaluator", "direct",
-         "--out", str(tmp_path / "rows.csv")],
-        capture_output=True, text=True, check=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=SOURCE),
-    )
+    result = python_child("-c", probe, "converge", "--config", config, "--evaluator", "direct",
+                          "--out", str(tmp_path / "rows.csv"))
     assert result.stdout.split() == ["0", "False"]

@@ -5,7 +5,6 @@ import json
 import math
 import os
 import re
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -43,8 +42,9 @@ from bezsimplex.experiments import (
     CONVERGENCE_COLUMNS,
     SCALING_COLUMNS,
 )
+from bezsimplex.geometry import UNIT_ROUNDOFF
 
-from conftest import direct_forward_bound, exp_config, forward_bound, random_simplex
+from conftest import exp_config, random_simplex, traced_peak
 
 TRIANGLE_SPEC = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
 INTERVAL_SPEC = {"vertices": [[0.0], [1.0]]}
@@ -410,6 +410,21 @@ class TestRunConvergence:
         for row in rows:
             assert row.sup_error <= 1e-10
 
+    @pytest.mark.parametrize("evaluator", bernstein.EVALUATORS)
+    def test_affine_rows_lie_within_their_rounding_floors(self, evaluator):
+        # B_n reproduces f = x + y, so every digit of a row's sup_error is rounding: the
+        # kernel's, at most its rounding_floor, and f's own. On the standard triangle a point
+        # is its weights (w_1, w_2), exactly, and f there fl(w_1 + w_2). So a control value is
+        # off (k_1 + k_2) / n by 2 u (1 + u), and B_n of the net off B_n f by that times
+        # 1 + 2 n u; B_n f at the computed weights is (w_1 + w_2)(sum_j w_j)^(n - 1), off
+        # w_1 + w_2 by 2 n u (1 + u); f at the grid point is off w_1 + w_2 by u (1 + u).
+        config = load_config(config_dict(function="affine:1,1,0", n_values=[10, 40, 160],
+                                         grid_resolution=50))
+        rows, metadata = run_convergence(config, evaluator)
+        for row, floor in zip(rows, metadata["rounding_floor"], strict=True):
+            f_rounding = (2 * row.n + 4) * UNIT_ROUNDOFF * (1.0 + 2.0 * row.n * UNIT_ROUNDOFF)
+            assert row.sup_error <= floor + f_rounding
+
     def test_exponential_errors_decrease(self):
         config = load_config(config_dict(
             simplex=INTERVAL_SPEC, function=EXP_1,
@@ -478,9 +493,8 @@ class TestRunConvergence:
         # Streamed in several blocks, with the kernels in small chunks too, each
         # row is the max over the blocks of one evaluation per block, bit for
         # bit. Neither evaluator's values depend on the chunk, so its rows are
-        # the whole-grid sups. The two evaluators agree within the sum of the
-        # forward bounds of the bernstein docstring, over sum_k |c_k| B_k <=
-        # max |c_k| (1 + u)**n.
+        # the whole-grid sups. The two evaluators agree within the sum of their
+        # rounding floors.
         s = random_simplex(rng, dimension)
         direction = rng.normal(size=dimension)
         weights = grid_weights(resolution, dimension)
@@ -495,9 +509,8 @@ class TestRunConvergence:
             whole = [float(np.abs(evaluate_at_weights(net, weights, evaluator) - exact).max())
                      for net in nets]
             for net in nets:
-                n, largest = net.order, float(np.abs(net.coefficients).max())
-                bound = (forward_bound(n, dimension) + direct_forward_bound(n, dimension, weights)
-                         ) * largest * (1.0 + 2.0 * n * 2.0**-53) + 2.0**-270 * largest
+                bound = sum(bernstein.rounding_floor(net, e, 1.0 / resolution)
+                            for e in bernstein.EVALUATORS)
                 assert np.abs(evaluate_at_weights(net, weights, "direct")
                               - evaluate_at_weights(net, weights, "decasteljau")).max() <= bound
             with budget:
@@ -568,12 +581,7 @@ class TestRunConvergence:
             n_values=orders, grid_resolution=250_000))
         with mock.patch.object(lattice, "_ENTRY_BUDGET", 1 << 16):
             assert sum(1 for _ in lattice.grid_weight_blocks(250_000, 1, 4)) >= 20
-            tracemalloc.start()
-            try:
-                run_convergence(config, evaluator)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(lambda: run_convergence(config, evaluator))
             assert peak <= 4 * 8 * lattice._ENTRY_BUDGET
 
     def test_metadata_notes_grid_semantics(self):
@@ -589,11 +597,12 @@ class TestBoundCheck:
             function={"terms": [{"c": 1.0, "a": [0.0, 0.0]}]},
             n_values=[10, 40, 100],
         ))
-        rows, _ = run_bound_check(config)
+        rows, metadata = run_bound_check(config)
         assert not any(row.violation for row in rows)
-        for row in rows:
+        for row, floor in zip(rows, metadata["rounding_floor"], strict=True):
+            # B_n reproduces exp(0.x) = 1: the observed error is the log ratio's rounding.
             assert (row.predicted_rel_error, row.ratio) == (0.0, 0.0)
-            assert row.observed_rel_error <= experiments.ZERO_OBSERVED_FLOOR
+            assert row.observed_rel_error <= min(floor, experiments.ZERO_OBSERVED_FLOOR)
 
     def test_interval_ratios_stay_below_margin(self):
         config = load_config(config_dict(
@@ -780,12 +789,7 @@ class TestScalingStudy:
         # the streamed pass holds one block and its kernel temporaries.
         s = random_simplex(rng, 5)
         config = exp_config(s, rng.normal(size=5), [640], resolution)
-        tracemalloc.start()
-        try:
-            run_scaling_study(config, [1.0, 2.0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: run_scaling_study(config, [1.0, 2.0]))
         assert peak <= 3 * 8 * lattice._ENTRY_BUDGET
 
 
@@ -859,12 +863,7 @@ class TestEmitCsv:
         points = control_points(standard_simplex(2), 300)
         assert len(indices) > 45_000
         with open(os.devnull, "w", newline="") as sink:
-            tracemalloc.start()
-            try:
-                emit_lattice_csv([(indices, points)], sink, 2, ["x_1", "x_2"])
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(emit_lattice_csv, [(indices, points)], sink, 2, ["x_1", "x_2"])
         assert peak < min(indices.nbytes, points.nbytes) / 2
         # A path is opened, written and closed: the same bytes as a borrowed stream.
         buffer, path = io.StringIO(), tmp_path / "lattice.csv"

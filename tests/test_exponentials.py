@@ -36,6 +36,7 @@ from bezsimplex import (
 )
 
 from bezsimplex import exponentials, lattice
+from bezsimplex.geometry import UNIT_ROUNDOFF
 
 from conftest import interior_weights, random_simplex
 
@@ -468,10 +469,7 @@ class TestSupUpperBounds:
         # of the extreme vertex dots; <= expm1(Delta^2 / (8n)), Hoeffding's lemma
         # (phi(h) <= h^2 / 8). Every term is a function of the computed dots, so
         # only the kernel's and phi's own roundings count, with M = max_j |a.x_j|:
-        # - the log ratio n log S - a.x: a.x_j / n is off by u M / n, each exp by
-        #   8 u, the weights k/m and the gemm sum of D + 1 positive terms by
-        #   (D + 3) u, log by 8 u M / n and the product by n by u M; the dot a.x by
-        #   (D + 3) u M and the difference by 2 u M: (D + 15) n u (1 + M / n);
+        # - the log ratio's, exponentials.log_ratio_rounding;
         # - n phi by the formula: expm1 / h and h / expm1 within 10 u each, log
         #   and the sums within 10 u (1 + h), h <= 2 M / n: 22 n u (1 + M / n), and
         #   8 u n phi for h itself and the product. The series' truncation, under
@@ -488,10 +486,10 @@ class TestSupUpperBounds:
         grid = {1: 200, 2: 50, 3: 15}[dimension]
         (lattice_sup,) = exponentials.sup_relative_errors(
             [(dots, order)], grid_weight_blocks(grid, dimension, 2))
-        u, reach, spread = 2.0**-53, float(np.abs(dots).max()), float(dots.max() - dots.min())
+        u, reach, spread = UNIT_ROUNDOFF, float(np.abs(dots).max()), float(dots.max() - dots.min())
         exact_log = order * phi(spread / order)
         hoeffding_log = spread**2 / (8 * order)
-        kernel = (dimension + 15) * order * u * (1 + reach / order)
+        kernel = exponentials.log_ratio_rounding(dots, order)
         formula = 22 * order * u * (1 + reach / order) + 8 * u * exact_log
         exact = math.expm1(exact_log)
         assert lattice_sup <= math.expm1(exact_log + kernel + formula) * (1 + 17 * u)
