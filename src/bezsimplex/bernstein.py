@@ -81,12 +81,12 @@ def sample_control_net(simplex: Simplex, order: int, f) -> ControlNet:
 
 
 def _direct_blocks(indices: np.ndarray, w: np.ndarray):
-    # Yields (points, rows, B, first), B[p, i] = B_{k_rows[i]} at weight row points[p] for p <
+    # Yields (points, rows, B), B[p, i] = B_{k_rows[i]} at weight row points[p] for p <
     # len(points); rows left out are structural zeros (a zero weight's log reads 0, and kept
-    # rows have k_j = 0 there). A face's rows go in blocks of at most _FACE_ROWS; a consumer
-    # writes the `first` block's sums and adds each later one's, in order. A block's products
-    # take tiles of at most 64 points by its rows, both counts zero-padded to multiples of
-    # GEMM_COLUMNS, so no bits depend on the batch; its buffers go before the next block's.
+    # rows have k_j = 0 there). A face's rows go in blocks of at most _FACE_ROWS, in order; a
+    # consumer folds each block's sums into zeros (0.0 + v = v). A block's products take tiles
+    # of at most 64 points by its rows, both counts zero-padded to multiples of GEMM_COLUMNS,
+    # so no bits depend on the batch; its buffers go before the next block's.
     logm = multinomial_log_table(indices)
     bits = 1 << np.arange(w.shape[1] - 1, -1, -1)  # a face's integer sorts as its row of w != 0
     patterns, group = np.unique((w != 0.0) @ bits, return_inverse=True)
@@ -106,7 +106,7 @@ def _direct_blocks(indices: np.ndarray, w: np.ndarray):
                 np.matmul(logw[start:start + tile], table[:-1], out=basis)  # 0 in the pad rows
                 real = basis[:len(points) - start]
                 np.exp(np.add(real, table[-1], out=real), out=real)
-                yield points[start:start + tile], rows, basis[:, :width], lo == 0
+                yield points[start:start + tile], rows, basis[:, :width]
             del table, logw, basis, real
 
 
@@ -116,7 +116,7 @@ def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
     indices = enumerate_multi_indices(order, simplex.dimension)
     w = clip_weights(simplex.barycentric(x)[None, :], simplex.dimension)
     values = np.zeros(len(indices))
-    for _, rows, basis, _ in _direct_blocks(indices, w):
+    for _, rows, basis in _direct_blocks(indices, w):
         values[rows] = basis[0]
         del basis  # its buffer goes before the next block's is built
     return values
@@ -199,12 +199,11 @@ def _power_chunk(table, first_m, stages, scale, rows, step, order, weights) -> n
 def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALUATOR) -> np.ndarray:
     """Evaluate the net at a (P, D+1) batch of barycentric weights."""
     w = clip_weights(weights, net.simplex.dimension)
-    order, out = net.order, np.empty(w.shape[0])
+    order, out = net.order, np.zeros(w.shape[0])
     if evaluator == DIRECT:
         indices = enumerate_multi_indices(order, net.simplex.dimension)
-        for points, rows, basis, first in _direct_blocks(indices, w):
-            values = (net.coefficients[rows] @ basis.T)[:len(points)]  # BLAS, unlike B @ c
-            out[points] = values if first else out[points] + values
+        for points, rows, basis in _direct_blocks(indices, w):
+            out[points] += (net.coefficients[rows] @ basis.T)[:len(points)]  # BLAS, unlike B @ c
             del basis  # its buffer goes before the next block's is built
     elif evaluator == DE_CASTELJAU:
         if order > DE_CASTELJAU_MAX_ORDER:

@@ -240,5 +240,5 @@ def relative_error_at_weights(simplex: Simplex, direction, order: int,
 
 def relative_error_report(simplex: Simplex, direction, order: int, points) -> float:
     """relative_error_at_weights at a (P, D) batch of cartesian points. Kept only because
-    perfbench/tracer.py binds it by name: ROADMAP item 6 drops that binding, then item 5 deletes it."""
+    perfbench/tracer.py binds it by name: ROADMAP item 1 drops that binding, then item 11 deletes it."""
     return relative_error_at_weights(simplex, direction, order, simplex.barycentric_many(points))

@@ -19,8 +19,14 @@ from bezsimplex import (ControlNet, basis_vector, closed_form_at_weights, contro
                         experiments, grid_weights, lattice, standard_simplex)
 from bezsimplex.bernstein import DE_CASTELJAU_MAX_ORDER, EVALUATORS, rounding_floor
 from bezsimplex.cli import main
+from bezsimplex.geometry import UNIT_ROUNDOFF
 
 from conftest import SOURCE, child_within_address_space, python_child, random_simplex
+
+try:  # numpy's SIMD dispatch: each CPU feature's name and whether it is on, and the targets
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 TRIANGLE = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
@@ -666,13 +672,30 @@ def test_usage_errors_exit_1(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
-def test_readme_sample_output(tmp_path):
-    # The README's sample converge output is what its sample config produces.
+def test_readme_sample_output(tmp_path, capsys):
+    # The README's sample converge output is what its sample config produces: its header and
+    # row count, and the text of every cell that no BLAS kernel moves. On the standard
+    # triangle the points, f and the prediction take only exact products, so across kernels
+    # only the net's values v move, each by at most the run's rounding_floor r. A sup s of
+    # |v - f|, each difference rounded once, then moves by at most 2 r + u (s + s') / (1 - u),
+    # and e = s / sup|f|, rounded once, by that over sup|f| plus u (e + e') / (1 - u).
     config = README.split("```json\n", 1)[1].split("```", 1)[0]
     sample = README.split("Sample `converge` output", 1)[1].split("```\n", 2)[1]
     out = tmp_path / "rows.csv"
     assert main(["converge", "--config", config, "--out", str(out)]) == 0
-    assert out.read_text() == sample
+    floors = json.loads(capsys.readouterr().err)["rounding_floor"]
+    text, expected = out.read_text().splitlines(), sample.splitlines()
+    assert text[0] == expected[0] and len(text) == len(expected) == len(floors) + 1
+    parsed = experiments.load_config(config)
+    points = grid_weights(parsed.grid_resolution, parsed.simplex.dimension) @ parsed.simplex.vertices
+    sup_f, u = float(np.abs(parsed.function.evaluate(points)).max()), UNIT_ROUNDOFF
+    for row, want, floor in zip(text[1:], expected[1:], floors):
+        (n, s, e, *rest), (n_, s_, e_, *rest_) = row.split(","), want.split(",")
+        assert [n, *rest] == [n_, *rest_]
+        (s, e, s_, e_) = map(float, (s, e, s_, e_))
+        moved = 2 * floor + u * (s + s_) / (1 - u)
+        assert abs(s - s_) <= moved
+        assert abs(e - e_) <= moved / sup_f + u * (e + e_) / (1 - u)
 
 
 def test_readme_library_use_runs():
@@ -757,22 +780,43 @@ def test_values_do_not_depend_on_blas_threads():
     assert len(stdout_at_one_and_two_blas_threads(["-c", probe, vertices])) == 1
 
 
+# One net, dyadic coefficients at grid weights, and a child's values of it by evaluator.
+DYADIC_NET = ControlNet(standard_simplex(3), 24, (np.arange(2925) * 37 % 17 - 8) / 16)
+KERNEL_PROBE = ("import json, sys, bezsimplex as b; w = b.grid_weights(12, 3);"
+                " net = b.ControlNet(b.standard_simplex(3), 24, json.loads(sys.argv[1]));"
+                " print(json.dumps({e: b.evaluate_at_weights(net, w, e).tolist() for e in sys.argv[2:]}))")
+
+
+def assert_child_within_rounding_floors(*flags, **env):
+    # Bytes follow the kernel, but each of a child's values, run with env added, lies within
+    # the sum of the two runs' rounding floors of this process's value.
+    other = json.loads(python_child(*flags, "-c", KERNEL_PROBE, json.dumps(DYADIC_NET.coefficients.tolist()),
+                                    *EVALUATORS, **env).stdout)
+    for evaluator, values in other.items():
+        here = evaluate_at_weights(DYADIC_NET, grid_weights(12, 3), evaluator)
+        assert np.abs(here - values).max() <= 2 * rounding_floor(DYADIC_NET, evaluator, 1.0 / 12)
+
+
 def test_values_agree_across_blas_kernels_within_their_bounds():
-    # Bytes follow the BLAS kernel. Under OpenBLAS's Sandybridge kernel, which has no FMA, a
-    # child's values of one net (dyadic coefficients at grid weights) move in the last digits,
-    # but each stays within the sum of the two runs' rounding floors of this process's value.
+    # Under OpenBLAS's Sandybridge kernel, which has no FMA, values move in the last digits.
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
     if "openblas" not in blas:
         pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS: OPENBLAS_CORETYPE picks no kernel")
-    net = ControlNet(standard_simplex(3), 24, (np.arange(2925) * 37 % 17 - 8) / 16)
-    probe = ("import json, sys, bezsimplex as b; w = b.grid_weights(12, 3);"
-             " net = b.ControlNet(b.standard_simplex(3), 24, json.loads(sys.argv[1]));"
-             " print(json.dumps({e: b.evaluate_at_weights(net, w, e).tolist() for e in sys.argv[2:]}))")
-    other = json.loads(python_child("-c", probe, json.dumps(net.coefficients.tolist()),
-                                    *EVALUATORS, OPENBLAS_CORETYPE="Sandybridge").stdout)
-    for evaluator, values in other.items():
-        here = evaluate_at_weights(net, grid_weights(12, 3), evaluator)
-        assert np.abs(here - values).max() <= 2 * rounding_floor(net, evaluator, 1.0 / 12)
+    assert_child_within_rounding_floors(OPENBLAS_CORETYPE="Sandybridge")
+
+
+def test_values_agree_across_cpu_features_within_their_bounds():
+    # Without numpy's AVX-512 targets, exp and log (direct's kernel) take other SIMD code.
+    targets = [t for t in __cpu_dispatch__ if ("AVX512" in t or t == "X86_V4") and __cpu_features__.get(t)]
+    if not targets:
+        pytest.skip(f"this CPU has none of numpy's AVX-512 targets among {__cpu_dispatch__}")
+    try:  # numpy warns of a target it will not disable, or fails on one of its baseline
+        assert_child_within_rounding_floors("-W", "error::ImportWarning",
+                                            NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    except subprocess.CalledProcessError as child:
+        if "NPY_DISABLE_CPU_FEATURES" not in child.stderr:
+            raise
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={' '.join(targets)}: {child.stderr}")
 
 
 def entry_process(args):
