@@ -141,7 +141,7 @@ def _power_plan(coefficients: np.ndarray, order: int, dimension: int) -> tuple:
     # the runs being the rows of the order-n lattice of dimension D-j, m their k_0; a stage is
     # m, the run starts and per row i, m - i, C(m, i), stage 1 a table of c C(m, i) 2**-scale.
     # Returned: _power_chunk's arguments, among them stage 1's tile (`rows` of the table by
-    # `step` points, at most _TILE multiply-adds), then the doubles held and those of a point.
+    # `step` points, at most _TILE multiply-adds), then the doubles a point's chunk state takes.
     low = order if dimension == 1 else 0  # C(m, i) is needed for these m only
     comb = _binomials(order, low)
     scale = max(0, int(np.frexp(np.abs(coefficients).max(initial=0.0))[1]) + order - 1023)
@@ -156,10 +156,9 @@ def _power_plan(coefficients: np.ndarray, order: int, dimension: int) -> tuple:
     run = np.repeat(np.arange(len(first_m)), first_m + 1)
     table = np.zeros((2, max(2, len(first_m) + len(first_m) % 2), order + 1))  # even: no gemv
     table[0, run, i] = table[1, run, reverse] = c * np.ldexp(coefficients, -scale)
-    held = table.size + first_m.size + sum(a.size for stage in stages for a in stage)
     rows = max(2, min(table.shape[1], int((_TILE / (order + 1)) ** 0.5) // 2 * 2))
     kernel = table, first_m, stages, scale, rows, chunk_rows(rows * (order + 1), _TILE), order
-    return kernel, held, 4 * len(first_m) + (2 * order + 8) * (dimension + 1)
+    return kernel, 4 * len(first_m) + (2 * order + 8) * (dimension + 1)
 
 
 def _power_chunk(table, first_m, stages, scale, rows, step, order, weights) -> np.ndarray:
@@ -208,8 +207,8 @@ def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALU
     elif evaluator == DE_CASTELJAU:
         if order > DE_CASTELJAU_MAX_ORDER:
             raise SizeOverflowError(f"order > {DE_CASTELJAU_MAX_ORDER}: use --evaluator direct")
-        kernel, held, per_point = _power_plan(net.coefficients, order, net.simplex.dimension)
-        for chunk in row_chunks(w.shape[0], per_point, held=held):
+        kernel, per_point = _power_plan(net.coefficients, order, net.simplex.dimension)
+        for chunk in row_chunks(w.shape[0], per_point):
             out[chunk] = _power_chunk(*kernel, w[chunk])
     else:
         raise ConfigError(f"unknown evaluator {evaluator!r}; use one of {EVALUATORS}")

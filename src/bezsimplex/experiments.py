@@ -193,7 +193,7 @@ def make_function(spec, simplex: Simplex) -> TestFunction:
                 )
             v = np.array(values[:dim])
             b = values[dim]
-            return TestFunction(spec, lambda pts: pts @ v + b)
+            return TestFunction(text, lambda pts: pts @ v + b)
         if not (text.startswith("{") or text.endswith(".json")):
             raise ConfigError(
                 f"unknown function spec {text!r}; expected const1, abs, runge, affine:..., "
@@ -315,9 +315,12 @@ def run_metadata(config: ExperimentConfig) -> dict:
     }
 
 
-def _floors(cases: list) -> list:
-    # Per (vertex dots, order) case: the relative error that log_ratio_rounding alone can produce.
-    return [math.expm1(log_ratio_rounding(dots, order)) for dots, order in cases]
+def _exp_study_errors(config: ExperimentConfig, cases: list) -> tuple:
+    # The exp studies' grid pass: per (vertex dots, order) case, the sup relative error over the
+    # grid, each row holding 2C doubles beside it for C cases, and log_ratio_rounding's floor.
+    blocks = grid_weight_blocks(config.grid_resolution, config.simplex.dimension, 2 * len(cases))
+    return (sup_relative_errors(cases, blocks),
+            [math.expm1(log_ratio_rounding(dots, order)) for dots, order in cases])
 
 
 def run_convergence(config: ExperimentConfig, evaluator: str = DEFAULT_EVALUATOR) -> tuple:
@@ -374,8 +377,7 @@ def run_bound_check(config: ExperimentConfig) -> tuple:
     direction = exp_study_direction(config.function)
     simplex = config.simplex
     cases = [(vertex_dots(simplex, direction, n), n) for n in config.n_values]
-    observed = sup_relative_errors(
-        cases, grid_weight_blocks(config.grid_resolution, simplex.dimension, 2 * len(cases)))
+    observed, floors = _exp_study_errors(config, cases)
 
     rows = []
     for n, error in zip(config.n_values, observed):
@@ -386,7 +388,7 @@ def run_bound_check(config: ExperimentConfig) -> tuple:
             ratio = 0.0 if error <= ZERO_OBSERVED_FLOOR else math.inf
         rows.append(BoundCheckRow(n, error, predicted, ratio,
                                   n >= BOUND_CHECK_MIN_ORDER and ratio > 1.0 + BOUND_CHECK_MARGIN))
-    return rows, {**run_metadata(config), "margin": BOUND_CHECK_MARGIN, "rounding_floor": _floors(cases),
+    return rows, {**run_metadata(config), "margin": BOUND_CHECK_MARGIN, "rounding_floor": floors,
                   "passed": not any(row.violation for row in rows)}
 
 
@@ -421,9 +423,7 @@ def run_scaling_study(config: ExperimentConfig, scales) -> tuple:
             case = cases.setdefault(dots.tobytes(), (len(cases), dots))[0]
             rows.append((d_scale, m_scale, scaled.diameter, norm, case))
     # Barycentric weights do not change when the simplex is scaled.
-    blocks = grid_weight_blocks(config.grid_resolution, simplex.dimension, 2 * len(cases))
-    cases = [(dots, order) for _, dots in cases.values()]
-    errors, floors = sup_relative_errors(cases, blocks), _floors(cases)
+    errors, floors = _exp_study_errors(config, [(dots, order) for _, dots in cases.values()])
     return ([ScalingRow(d_scale, m_scale, diameter, norm, order, errors[case])
              for d_scale, m_scale, diameter, norm, case in rows],
             {**run_metadata(config), "scales": factors, "order": order,

@@ -19,8 +19,8 @@ from .geometry import Simplex
 # Refuse lattice arrays with more entries than this, rows times columns (desk-scale guarantee).
 SIZE_CAP = 100_000_000
 
-# Doubles per chunk a streamed pass may hold: a row chunk of row_chunks, such
-# as a block of grid weights. Bounds the memory of any streamed grid.
+# Doubles of its own rows' state a streamed pass may hold per row_chunks chunk. Fixed tables (the
+# lattice, the net, direct's log multinomials, the de Casteljau plan) sit beside it, each O(net).
 _ENTRY_BUDGET = 1 << 19
 # Product columns are zero-padded to a multiple of this: OpenBLAS's AVX-512 kernel takes
 # the last P mod 8 columns of a wide product along another path, whose bits differ.
@@ -139,9 +139,9 @@ def chunk_rows(per_row: int, capacity: int | None = None) -> int:
     return max(1, capacity // max(1, per_row) // GEMM_COLUMNS) * GEMM_COLUMNS
 
 
-def row_chunks(count: int, doubles_per_row: int, *, held: int = 0) -> list:
-    """Slices of `count` rows, chunk_rows(doubles_per_row) each beside `held` doubles."""
-    step = chunk_rows(doubles_per_row, _ENTRY_BUDGET - held)
+def row_chunks(count: int, doubles_per_row: int) -> list:
+    """Slices of `count` rows, chunk_rows(doubles_per_row) each."""
+    step = chunk_rows(doubles_per_row)
     return [slice(start, start + step) for start in range(0, count, step)]
 
 

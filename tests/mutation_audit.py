@@ -69,6 +69,12 @@ MUTANTS = [
     # direct folds each row block into zeros: writing in place of adding keeps the last block
     # only, which a face of more than one block (the triangle's interior at n = 400) shows.
     ("src/bezsimplex/bernstein.py", "out[points] +=", "out[points] =", "caught"),
+    # A chunk's own state is the one memory rule: a per-point count 4x low overruns the
+    # working-set bound, and chunks half the budget's length miss the spied chunk sizes.
+    ("src/bezsimplex/bernstein.py", "return kernel, 4 * len(first_m)", "return kernel, len(first_m)",
+     "caught"),
+    ("src/bezsimplex/bernstein.py", "row_chunks(w.shape[0], per_point)", "row_chunks(w.shape[0], 2 * per_point)",
+     "caught"),
 ]
 
 

@@ -362,17 +362,17 @@ class TestCollapsedKernel:
     @given(dimension=st.integers(2, 4), order=st.integers(1, 12), chunk=st.sampled_from([8, 16, 24]),
            full=st.integers(0, 3), data=st.data(), seed=SEEDS)
     def test_point_counts_off_the_chunk_size(self, dimension, order, chunk, full, data, seed):
-        # A budget of the plan's tables plus `chunk` times the kernel's doubles
-        # per point gives chunks of exactly `chunk` points plus a remainder.
+        # A budget of `chunk` times the kernel's doubles per point gives chunks
+        # of exactly `chunk` points plus a remainder.
         rng = np.random.default_rng(seed)
         net = random_net(rng, dimension, order)
         rest = data.draw(st.integers(1, chunk - 1))
         points = full * chunk + rest
         w = rng.permutation(face_weights(rng, dimension, points))[:points]
         one_by_one = np.array([evaluate_at_weights(net, row[None, :])[0] for row in w])
-        *_, held, per_point = bernstein._power_plan(net.coefficients, order, dimension)
+        _, per_point = bernstein._power_plan(net.coefficients, order, dimension)
         spy = mock.Mock(wraps=bernstein._power_chunk)
-        with mock.patch.object(lattice, "_ENTRY_BUDGET", held + chunk * per_point), \
+        with mock.patch.object(lattice, "_ENTRY_BUDGET", chunk * per_point), \
                 mock.patch.object(bernstein, "_power_chunk", spy):
             chunked = evaluate_at_weights(net, w, evaluator="decasteljau")
             direct = evaluate_at_weights(net, w, evaluator="direct")
@@ -404,7 +404,7 @@ class TestCollapsedKernel:
         # order: its row r sums the consecutive input rows k_j = i = 0..m, m = k_0
         # of r, each times C(m, i). Stage 1's table holds them forward and reversed.
         net = random_net(rng, dimension, order)
-        (table, first_m, stages, scale, *_), _, _ = bernstein._power_plan(
+        (table, first_m, stages, scale, *_), _ = bernstein._power_plan(
             net.coefficients, order, dimension)
         assert scale == 0 and len(stages) == dimension - 1
         rows = count_multi_indices(order, dimension)
@@ -446,13 +446,19 @@ class TestCollapsedKernel:
         np.testing.assert_array_equal(whole, chunked)
 
     def test_working_set_is_bounded_by_the_entry_budget(self, rng):
-        # The plan's tables and a chunk hold at most _ENTRY_BUDGET doubles;
-        # beside them there are only the plan's temporaries, fewer than (D+1)
-        # numbers per coefficient.
-        net = random_net(rng, 3, 60)
+        # A chunk holds at most _ENTRY_BUDGET doubles of its own points' state;
+        # beside it the plan holds at most K doubles per coefficient. Stage 1's
+        # table has 2 (n + 1) entries per row of the (D-1)-lattice, at most 2 D
+        # per coefficient; while it is filled, stage 1's i, m - i and C(m, i),
+        # the run index, the scaled net and its product with C(m, i) add one
+        # each: K = 2 D + 6. The later stages' arrays, of C(n+D-1, D-1) entries,
+        # are a D / (n + D) share of the net each, and stage 1's six are gone
+        # before the first chunk.
         w = grid_weights(15, 3)
-        peak = traced_peak(evaluate_at_weights, net, w, "decasteljau")
-        assert peak <= 8 * lattice._ENTRY_BUDGET + 8 * 4 * count_multi_indices(60, 3)
+        for order in (60, 80):
+            net = random_net(rng, 3, order)
+            peak = traced_peak(evaluate_at_weights, net, w, "decasteljau")
+            assert peak <= 8 * lattice._ENTRY_BUDGET + 8 * (2 * 3 + 6) * count_multi_indices(order, 3)
 
     @PROPERTY
     @given(dimension=st.integers(1, 4), order=st.integers(1, 20), seed=SEEDS)
@@ -612,11 +618,11 @@ class TestDirectKernel:
         # One reused tile buffer per face and row block, released before the
         # next one is built, within _ENTRY_BUDGET doubles; beside it the lattice
         # table, its float copy and the log-multinomial table's temporaries,
-        # (D+1) numbers per coefficient each.
+        # (D+1) numbers per coefficient each: K = 3 (D + 1).
         net = random_net(rng, 3, 60)
         w = grid_weights(15, 3)
         peak = traced_peak(evaluate_at_weights, net, w, "direct")
-        assert peak <= 8 * lattice._ENTRY_BUDGET + 3 * 8 * 4 * count_multi_indices(60, 3)
+        assert peak <= 8 * lattice._ENTRY_BUDGET + 8 * 3 * (3 + 1) * count_multi_indices(60, 3)
 
     def test_tiles_of_a_wide_face_fit_the_entry_budget(self, rng):
         # The triangle's interior face at n = 400 has C(402, 2) = 80,601 rows,

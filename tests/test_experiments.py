@@ -107,6 +107,9 @@ class TestMakeFunction:
         assert value(fn, [0.25, 0.5]) == pytest.approx(2 * 0.25 - 0.5 + 0.5)
         batch = fn.evaluate([[0.0, 0.0], [1.0, 0.0]])
         np.testing.assert_allclose(batch, [0.5, 2.5])
+        # The name is the stripped text, as for every other builtin.
+        assert fn.name == "affine:2,-1,0.5"
+        assert make_function(" affine:1,1,0 ", self.triangle).name == "affine:1,1,0"
 
     def test_affine_parameter_count(self):
         with pytest.raises(ConfigError, match="affine"):
