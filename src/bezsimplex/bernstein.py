@@ -32,8 +32,9 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, FunctionEvaluationError, SizeOverflowError
 from .geometry import UNIT_ROUNDOFF, Frozen, Simplex, clip_weights
-from .lattice import (GEMM_COLUMNS, check_order, chunk_rows, control_points, count_multi_indices,
-                      enumerate_multi_indices, multinomial_log_table, padded, row_chunks)
+from .lattice import (GEMM_COLUMNS, check_order, chunk_rows, control_point_blocks, control_points,
+                      count_multi_indices, enumerate_multi_indices, multi_index, multinomial_log_table,
+                      padded, row_chunks)
 
 DIRECT = "direct"
 DE_CASTELJAU = "decasteljau"
@@ -65,10 +66,9 @@ class ControlNet(Frozen):
         bad = np.flatnonzero(~np.isfinite(c))
         if bad.size:
             i = int(bad[0])
-            k = enumerate_multi_indices(order, simplex.dimension)[i]
             raise FunctionEvaluationError(
-                f"control net coefficient {i} (multi-index {tuple(k.tolist())}) is {float(c[i])!r};"
-                " coefficients must be finite"
+                f"control net coefficient {i} (multi-index {multi_index(order, simplex.dimension, i)})"
+                f" is {float(c[i])!r}; coefficients must be finite"
             )
         c = c.copy()
         c.setflags(write=False)
@@ -110,16 +110,22 @@ def _direct_blocks(indices: np.ndarray, w: np.ndarray):
             del table, logw, basis, real
 
 
+def basis_blocks(simplex: Simplex, order: int, x):
+    """(indices, values) per block of control_point_blocks, its points unused: B_k^order(x) for each
+    multi-index k, zero off x's face. The order, SIZE_CAP and then x are checked at the call."""
+    blocks = control_point_blocks(simplex, order)
+    w = clip_weights(simplex.barycentric(x)[None, :], simplex.dimension)
+    def fold(indices):  # one point, one face, a block under _FACE_ROWS rows: one tile at most
+        values = np.zeros(len(indices))
+        for _, rows, basis in _direct_blocks(indices, w):
+            values[rows] = basis[0]
+        return indices, values
+    return (fold(k) for k, _ in blocks)
+
+
 def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
     """All basis values B_k^order(x) in enumeration order, zero off x's face."""
-    check_order(order)
-    indices = enumerate_multi_indices(order, simplex.dimension)
-    w = clip_weights(simplex.barycentric(x)[None, :], simplex.dimension)
-    values = np.zeros(len(indices))
-    for _, rows, basis in _direct_blocks(indices, w):
-        values[rows] = basis[0]
-        del basis  # its buffer goes before the next block's is built
-    return values
+    return np.concatenate([values for _, values in basis_blocks(simplex, order, x)])
 
 
 def _binomials(order: int, low: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import os
 import re
 import sys
 
-from .bernstein import DEFAULT_EVALUATOR, EVALUATORS, basis_vector
+from .bernstein import DEFAULT_EVALUATOR, EVALUATORS, basis_blocks
 from .csvio import emit_csv, emit_lattice_csv
 from .errors import BezSimplexError
 from .experiments import (
@@ -29,7 +29,7 @@ from .experiments import (
     run_convergence,
     run_scaling_study,
 )
-from .lattice import control_point_blocks, enumerate_multi_indices
+from .lattice import control_point_blocks
 
 
 def _cmd_study(args) -> int:
@@ -40,19 +40,10 @@ def _cmd_study(args) -> int:
     return 2 if metadata.get("passed") is False else 0
 
 
-def _cmd_basis(args) -> int:
+def _cmd_lattice(args) -> int:
     simplex = load_simplex(args.simplex)
-    values = basis_vector(simplex, args.n, parse_floats(args.point, "--point"))
-    indices = enumerate_multi_indices(args.n, simplex.dimension)
-    emit_lattice_csv([(indices, values)], args.out or sys.stdout, simplex.dimension, ["basis_value"])
-    return 0
-
-
-def _cmd_control_points(args) -> int:
-    simplex = load_simplex(args.simplex)
-    dim = simplex.dimension
-    blocks = control_point_blocks(simplex, args.n)  # refuses an oversized lattice before --out opens
-    emit_lattice_csv(blocks, args.out or sys.stdout, dim, [f"x_{j}" for j in range(1, dim + 1)])
+    blocks, columns = args.lattice(simplex, args)  # checked here, before --out opens
+    emit_lattice_csv(blocks, args.out or sys.stdout, simplex.dimension, columns)
     return 0
 
 
@@ -94,13 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
     basis.add_argument("--n", type=int, required=True)
     basis.add_argument("--point", required=True, help="comma-separated coordinates")
     basis.add_argument("--out")
-    basis.set_defaults(handler=_cmd_basis)
+    basis.set_defaults(handler=_cmd_lattice, lattice=lambda simplex, args: (
+        basis_blocks(simplex, args.n, parse_floats(args.point, "--point")), ["basis_value"]))
 
     cpoints = sub.add_parser("control-points", help="export the control point lattice")
     cpoints.add_argument("--simplex", required=True)
     cpoints.add_argument("--n", type=int, required=True)
     cpoints.add_argument("--out")
-    cpoints.set_defaults(handler=_cmd_control_points)
+    cpoints.set_defaults(handler=_cmd_lattice, lattice=lambda simplex, args: (
+        control_point_blocks(simplex, args.n), [f"x_{j}" for j in range(1, simplex.dimension + 1)]))
 
     return parser
 

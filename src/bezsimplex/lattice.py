@@ -70,6 +70,13 @@ def enumerate_multi_indices(order: int, dimension: int) -> np.ndarray:
     return indices
 
 
+def multi_index(order: int, dimension: int, row: int) -> tuple:
+    """Row `row` of enumerate_multi_indices(order, dimension), read off the colex walk of that row
+    alone: no lattice is built, so SIZE_CAP does not apply."""
+    columns = dict(_colex_rows(order, dimension, row, row + 1))
+    return tuple(int(columns[j][0]) for j in range(dimension + 1))
+
+
 def _colex_rows(order: int, dimension: int, lo: int, hi: int):
     # Yields (column, values) for rows lo..hi-1 of the colex lattice of the
     # order: k_D, then k_(D-1), .. k_1, then k_0, each column once. A node of

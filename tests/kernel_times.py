@@ -85,10 +85,11 @@ def main():
         rss, wall = child_rss_and_wall(*call, "--config", interval)
         print(f"{' '.join(call)} on [0, 1], exp(2x), n 40 and 80, grid 2,000,000:"
               f" child peak RSS {rss:.1f} MB, wall {wall:.2f} s")
-    # The lattice CSV streams its rows: control-points on 501,501 rows of a triangle.
+    # Both lattice CSVs stream their rows: 501,501 rows of a triangle each.
     triangle = json.dumps({"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]})
-    rss, wall = child_rss_and_wall("control-points", "--simplex", triangle, "--n", "1000")
-    print(f"control-points --n 1000 on the standard triangle: child peak RSS {rss:.1f} MB, wall {wall:.2f} s")
+    for call in (["control-points", "--n", "1000"], ["basis", "--n", "1000", "--point", "0.3,0.2"]):
+        rss, wall = child_rss_and_wall(*call, "--simplex", triangle)
+        print(f"{' '.join(call)} on the standard triangle: child peak RSS {rss:.1f} MB, wall {wall:.2f} s")
 
 
 if __name__ == "__main__":

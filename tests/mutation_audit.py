@@ -75,6 +75,18 @@ MUTANTS = [
      "caught"),
     ("src/bezsimplex/bernstein.py", "row_chunks(w.shape[0], per_point)", "row_chunks(w.shape[0], 2 * per_point)",
      "caught"),
+    # basis_blocks writes x's tile into zeros at its face's rows: at the block's first rows
+    # in place of them, a face point's values land on the wrong rows.
+    ("src/bezsimplex/bernstein.py", "values[rows] = basis[0]", "values[:len(basis[0])] = basis[0]", "caught"),
+    ("src/bezsimplex/bernstein.py", "values[rows] = basis[0]", "values[rows] += basis[0]",
+     "equivalent: each row of a block is written at most once, into a zero, and 0.0 + v is v"),
+    # The lattice is checked at the call: blocks drawn lazily check the order and the cap
+    # only once --out is open, after the point.
+    ("src/bezsimplex/bernstein.py", "blocks = control_point_blocks(simplex, order)",
+     "blocks = (b for n in [order] for b in control_point_blocks(simplex, n))", "caught"),
+    # A row's multi-index is read off the walk of that row alone.
+    ("src/bezsimplex/lattice.py", "_colex_rows(order, dimension, row, row + 1)",
+     "_colex_rows(order, dimension, 0, row + 1)", "caught"),
 ]
 
 

@@ -236,6 +236,15 @@ class TestSampling:
         with pytest.raises(FunctionEvaluationError, match="nan"):
             sample_control_net(triangle, 3, Function("nan", lambda p: np.full(len(p), np.nan)))
 
+    def test_non_finite_net_past_the_cap_is_named(self, triangle, monkeypatch):
+        # The multi-index is read off the walk of its one row, so a net whose lattice
+        # passes SIZE_CAP gets the same message, not the cap's SizeOverflowError.
+        monkeypatch.setattr(lattice, "SIZE_CAP", 17)
+        values = np.array([1.0, 2.0, 3.0, np.inf, np.nan, 0.0])
+        with pytest.raises(FunctionEvaluationError,
+                           match=r"coefficient 3 \(multi-index \(1, 0, 1\)\) is inf"):
+            ControlNet(triangle, 2, values)
+
 
 class TestApplyDirect:
     def test_constant_is_reproduced(self, rng):

@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bezsimplex
-from bezsimplex import (ControlNet, basis_vector, closed_form_at_weights, control_points,
+from bezsimplex import (ControlNet, basis_vector, bernstein, closed_form_at_weights, control_points,
                         count_multi_indices, enumerate_multi_indices, evaluate_at_weights,
                         experiments, grid_weights, lattice, standard_simplex)
 from bezsimplex.bernstein import DE_CASTELJAU_MAX_ORDER, EVALUATORS, rounding_floor
 from bezsimplex.cli import main
 from bezsimplex.geometry import UNIT_ROUNDOFF
 
-from conftest import SOURCE, child_within_address_space, python_child, random_simplex
+from conftest import SOURCE, child_within_address_space, python_child, random_simplex, traced_peak
 
 try:  # numpy's SIMD dispatch: each CPU feature's name and whether it is on, and the targets
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -31,6 +31,7 @@ except ImportError:  # numpy < 2
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 TRIANGLE = {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
 INTERVAL = {"vertices": [[0.0], [1.0]]}
+TETRAHEDRON = np.vstack([np.zeros(3), np.eye(3)]).tolist()
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -569,6 +570,80 @@ class TestBasis:
         spec = '{"vertices": [[0, 0], [1, %s], [0, 1]]}' % bad
         assert main(["basis", "--simplex", spec, "--n", "2", "--point", "0.2,0.2"]) == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vertices, n, point, digest", [
+        (TRIANGLE["vertices"], 400, "0.3,0.2",
+         "690a0c180bfbdf1d393d2f6e1e9b526474848722e64b1979bc98bf66632d4b4c"),
+        (TRIANGLE["vertices"], 400, "0.6,0.0",
+         "91f6ab2b07f2585e25dec984cf186c9bd59005cbb8b59fd22029cd7f87ddd4cb"),
+        (TETRAHEDRON, 30, "0.2,0.3,0.1",
+         "ddbcb1fbbfcf2e43b6b8c51f9d4b7f3f94180d8e3b86f62ac9a7a0db12863c0e"),
+        (TETRAHEDRON, 30, "0.0,0.25,0.5",
+         "309f69008e61a92bbd59cf89d1e9117368149607196cc9dee022a41f26649d2a"),
+    ], ids=["triangle-400-interior", "triangle-400-face", "tetrahedron-30-interior",
+            "tetrahedron-30-face"])
+    def test_streamed_export_keeps_the_whole_lattice_bytes(self, tmp_path, vertices, n, point,
+                                                           digest):
+        # The sha256 of the export as the whole-lattice writer made it, before it streamed.
+        out = tmp_path / "basis.csv"
+        assert main(["basis", "--simplex", json.dumps({"vertices": vertices}), "--n", str(n),
+                     "--point", point, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("x", [[0.3, 0.2], [0.375, 0.625]], ids=["interior", "edge"])
+    def test_blocks_keep_the_whole_lattice_bits(self, tmp_path, monkeypatch, x):
+        # In blocks of 40 rows, each value has the bits of basis_vector over one block; on the
+        # edge k_0 > 0 rows are zeros and the face's rows are cut across blocks.
+        simplex = standard_simplex(2)
+        whole = basis_vector(simplex, 40, x)
+        assert [len(k) for k, _ in bernstein.basis_blocks(simplex, 40, x)] == [len(whole)]
+        monkeypatch.setattr(lattice, "_ENTRY_BUDGET", 1000)
+        out = tmp_path / "basis.csv"
+        assert main(["basis", "--simplex", json.dumps(TRIANGLE), "--n", "40",
+                     "--point", ",".join(map(repr, x)), "--out", str(out)]) == 0
+        assert [len(k) for k, _ in bernstein.basis_blocks(simplex, 40, x)][:-1] == [40] * 21
+        rows = zip(enumerate_multi_indices(40, 2).tolist(), whole.tolist())
+        assert out.read_text().splitlines() == ["k_0,k_1,k_2,basis_value"] + [
+            ",".join([*map(str, k), repr(v)]) for k, v in rows]
+
+    @pytest.mark.parametrize("simplex, n, point, cap, error", [
+        ("{bad", 0, "a,b", 17, "simplex: invalid JSON at line 1, column 2: Expecting property name"
+                               " enclosed in double quotes"),
+        (json.dumps(TRIANGLE), 0, "a,b", 17, "--point: non-numeric entry in 'a,b'"),
+        (json.dumps(TRIANGLE), 0, "2,2", 17, "order must be an integer >= 1, got 0"),
+        (json.dumps(TRIANGLE), 2, "2,2", 17, "lattice of order 2 in dimension 2 has 18 entries (cap 17)"),
+        (json.dumps(TRIANGLE), 2, "2,2", None,
+         "barycentric weight -3.000e+00 below -1e-09: point outside simplex"),
+        (json.dumps(TRIANGLE), 2, "nan,0.2", None,
+         "point coordinates must be finite: row 0 is [nan, 0.2]"),
+    ], ids=["simplex", "point-parse", "order-0", "past-the-cap", "outside-point", "non-finite-point"])
+    def test_refused_call_leaves_no_file(self, tmp_path, capsys, monkeypatch, simplex, n, point, cap,
+                                         error):
+        # Each call breaks its rule and every later one of simplex, point parse, order, cap and
+        # point validity, so its one error line names the first. The blocks are drawn only once
+        # --out is open: the call is checked before that. The cap is cut to 17 entries, so a cap
+        # checked at the first draw would write 6 rows.
+        monkeypatch.setattr(lattice, "SIZE_CAP", cap or lattice.SIZE_CAP)
+        out = tmp_path / "basis.csv"
+        assert main(["basis", "--simplex", simplex, "--n", str(n), "--point", point,
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("point", [[0.3, 0.2], [0.6, 0.0]], ids=["interior", "edge"])
+    def test_streamed_blocks_are_bounded(self, point):
+        # The triangle at n = 1000 has 501,501 rows, in blocks of control_point_blocks'
+        # rows = chunk_rows(8 D + 6): the block's own state, the previous block's included,
+        # fits _ENTRY_BUDGET doubles. Beside it x's fold holds per row the values, the previous
+        # block's values and the log multinomial, then either the log multinomial's D + 3
+        # temporaries or direct's table (D + 2), a face's row index and the copies that fill
+        # the table (D + 2): 2 D + 8 doubles at most. Direct's tile fits _ENTRY_BUDGET doubles,
+        # and the log-factorial table holds n + 1. Built whole, the lattice alone takes 12 MB.
+        simplex, order, dim = standard_simplex(2), 1000, 2
+        rows = lattice.chunk_rows(8 * dim + 6)
+        assert count_multi_indices(order, dim) > 20 * rows
+        peak = traced_peak(lambda: [None for _ in bernstein.basis_blocks(simplex, order, point)])
+        assert peak <= 8 * (2 * lattice._ENTRY_BUDGET + rows * (2 * dim + 8) + order + 1)
 
 
 class TestControlPoints:

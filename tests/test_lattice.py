@@ -80,6 +80,22 @@ class TestEnumeration:
         got = np.stack([columns[column] for column in range(dimension + 1)], axis=1)
         assert np.array_equal(got, enumerate_multi_indices(order, dimension)[lo:hi])
 
+    @given(order=st.integers(0, 40), dimension=st.integers(1, 6), data=st.data())
+    def test_multi_index_is_its_row_of_the_lattice(self, order, dimension, data):
+        count = count_multi_indices(order, dimension)
+        assume(count <= 400_000)
+        row = data.draw(st.integers(0, count - 1), label="row")
+        assert lattice.multi_index(order, dimension, row) == tuple(
+            enumerate_multi_indices(order, dimension)[row].tolist())
+
+    def test_multi_index_past_the_cap(self):
+        # One row's walk builds O(order) entries per coordinate, never the lattice.
+        count = count_multi_indices(10**5, 3)
+        assert count * 4 > lattice.SIZE_CAP
+        assert lattice.multi_index(10**5, 3, 0) == (10**5, 0, 0, 0)
+        assert lattice.multi_index(10**5, 3, count - 1) == (0, 0, 0, 10**5)
+        assert sum(lattice.multi_index(10**5, 3, count // 2)) == 10**5
+
     def test_layouts(self):
         # The direct evaluator's BLAS products take their last bits from the
         # operands' layout: the index table is a C-ordered (count, D+1) int64
