@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import ConfigError, DimensionMismatchError, FunctionEvaluationError
 from .geometry import UNIT_ROUNDOFF, Frozen, Simplex, clip_weights
 from .lattice import (GEMM_COLUMNS, check_order, chunk_rows, control_point_blocks, control_points,
                       count_multi_indices, enumerate_multi_indices, multi_index, multinomial_log_table,
-                      padded, row_chunks)
+                      padded)
 
 DIRECT = "direct"
 DE_CASTELJAU = "decasteljau"
@@ -85,8 +86,8 @@ def _direct_blocks(indices: np.ndarray, w: np.ndarray):
     # len(points); rows left out are structural zeros (a zero weight's log reads 0, and kept
     # rows have k_j = 0 there). A face's rows go in blocks of at most _FACE_ROWS, in order; a
     # consumer folds each block's sums into zeros (0.0 + v = v). A block's products take tiles
-    # of at most 64 points by its rows, both counts zero-padded to multiples of GEMM_COLUMNS,
-    # so no bits depend on the batch; its buffers go before the next block's.
+    # of at most 64 points, or the face's if fewer, by its rows, both counts zero-padded to
+    # multiples of GEMM_COLUMNS, so no bits depend on the batch; buffers go before the next block's.
     logm = multinomial_log_table(indices)
     bits = 1 << np.arange(w.shape[1] - 1, -1, -1)  # a face's integer sorts as its row of w != 0
     patterns, group = np.unique((w != 0.0) @ bits, return_inverse=True)
@@ -98,7 +99,7 @@ def _direct_blocks(indices: np.ndarray, w: np.ndarray):
             width = min(_FACE_ROWS, total - lo)
             table = np.zeros((len(live) + 1, padded(width)))
             table[:-1, :width], table[-1, :width] = indices[rows].T, logm[rows]  # pad: exp(0)
-            tile = min(64, chunk_rows(table.shape[1]))  # the budget's chunk length, capped
+            tile = min(64, padded(len(points)), chunk_rows(table.shape[1]))
             logw = np.zeros((-(-len(points) // tile) * tile, len(live)))
             np.log(w[points], out=logw[:len(points)], where=live)
             basis = np.empty((tile, table.shape[1]))
@@ -131,15 +132,16 @@ def basis_vector(simplex: Simplex, order: int, x) -> np.ndarray:
 def _binomials(order: int, low: int) -> np.ndarray:
     # C(m, i), i = 0..m, for m = low..order back to back, each rounded once: row `low` from
     # its exact ratios, each later row from the last by one add of Python integers (Pascal).
-    comb = np.ones((order + 1) * (order + 2) // 2 - low * (low + 1) // 2, dtype=object)
-    comb[:low + 1] = [*itertools.accumulate(range(low), lambda c, i: c * (low - i) // (i + 1),
-                                            initial=1)]
-    start = 0  # row m - 1 starts here
-    for m in range(low + 1, order + 1):
-        row = comb[start:start + m]
-        np.add(row[:-1], row[1:], out=comb[start + m + 1:start + 2 * m])
-        start += m
-    return comb.astype(float)
+    # Only the row being built is held as integers; each is rounded into the table when made.
+    comb = np.empty((order + 1) * (order + 2) // 2 - low * (low + 1) // 2)
+    row = [*itertools.accumulate(range(low), lambda c, i: c * (low - i) // (i + 1), initial=1)]
+    start = 0  # row m starts here
+    for m in range(low, order + 1):
+        comb[start:start + m + 1] = row
+        start += m + 1
+        row[1:] = map(operator.add, row, row[1:])
+        row.append(1)
+    return comb
 
 
 def _power_plan(coefficients: np.ndarray, order: int, dimension: int) -> tuple:
@@ -214,8 +216,9 @@ def evaluate_at_weights(net: ControlNet, weights, evaluator: str = DEFAULT_EVALU
         if order > DE_CASTELJAU_MAX_ORDER:
             raise SizeOverflowError(f"order > {DE_CASTELJAU_MAX_ORDER}: use --evaluator direct")
         kernel, per_point = _power_plan(net.coefficients, order, net.simplex.dimension)
-        for chunk in row_chunks(w.shape[0], per_point):
-            out[chunk] = _power_chunk(*kernel, w[chunk])
+        step = chunk_rows(per_point)
+        for lo in range(0, w.shape[0], step):
+            out[lo:lo + step] = _power_chunk(*kernel, w[lo:lo + step])
     else:
         raise ConfigError(f"unknown evaluator {evaluator!r}; use one of {EVALUATORS}")
     return out

@@ -19,7 +19,7 @@ from .geometry import Simplex
 # Refuse lattice arrays with more entries than this, rows times columns (desk-scale guarantee).
 SIZE_CAP = 100_000_000
 
-# Doubles of its own rows' state a streamed pass may hold per row_chunks chunk. Fixed tables (the
+# Doubles of its own rows' state a streamed pass may hold per chunk_rows chunk. Fixed tables (the
 # lattice, the net, direct's log multinomials, the de Casteljau plan) sit beside it, each O(net).
 _ENTRY_BUDGET = 1 << 19
 # Product columns are zero-padded to a multiple of this: OpenBLAS's AVX-512 kernel takes
@@ -146,12 +146,6 @@ def chunk_rows(per_row: int, capacity: int | None = None) -> int:
     return max(1, capacity // max(1, per_row) // GEMM_COLUMNS) * GEMM_COLUMNS
 
 
-def row_chunks(count: int, doubles_per_row: int) -> list:
-    """Slices of `count` rows, chunk_rows(doubles_per_row) each."""
-    step = chunk_rows(doubles_per_row)
-    return [slice(start, start + step) for start in range(0, count, step)]
-
-
 def grid_weights(resolution: int, dimension: int) -> np.ndarray:
     """Barycentric lattice of the given resolution: rows k/m over all |k| = m.
 
@@ -162,13 +156,13 @@ def grid_weights(resolution: int, dimension: int) -> np.ndarray:
 
 
 def grid_weight_blocks(resolution: int, dimension: int, beside: int = 0):
-    """grid_weights as consecutive float blocks, the row_chunks(count, D+1+beside) slices of the
-    grid: a block and the `beside` doubles a consumer holds next to each row fit _ENTRY_BUDGET
-    doubles, and each row of a product such as weights @ vertices keeps its whole-grid bits."""
+    """grid_weights as consecutive float blocks of chunk_rows(D+1+beside) rows, checked at the call:
+    a block and the `beside` doubles a consumer holds next to each row fit _ENTRY_BUDGET doubles,
+    and each row of a product such as weights @ vertices keeps its whole-grid bits."""
     check_order(resolution)
     count = _capped_count(resolution, dimension, dimension + 1)
-    for rows in row_chunks(count, dimension + 1 + beside):
-        yield _weights(resolution, dimension, rows.start, min(rows.stop, count))
+    step = chunk_rows(dimension + 1 + beside)
+    return (_weights(resolution, dimension, lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 def _weights(resolution: int, dimension: int, lo: int, hi: int) -> np.ndarray:
@@ -203,11 +197,8 @@ def control_points(simplex: Simplex, order: int) -> np.ndarray:
 def control_point_blocks(simplex: Simplex, order: int):
     """(indices, points) per block w of the grid of resolution order: the exact int64
     multi-indices rint(w n) and the points w @ vertices, each row with its bits in control_points.
-    The order and SIZE_CAP are checked at the call, not when the first block is drawn."""
-    check_order(order)
-    dim = simplex.dimension
-    _capped_count(order, dim, dim + 1)
+    The order and SIZE_CAP are checked at the call, by grid_weight_blocks."""
     # Beside a row's weights a block holds w n, its rint, the indices and the point, and the
     # previous block's weights, indices and point while it is built: 7 D + 5 doubles.
     return ((np.rint(w * order).astype(np.int64), w @ simplex.vertices)
-            for w in grid_weight_blocks(order, dim, 7 * dim + 5))
+            for w in grid_weight_blocks(order, simplex.dimension, 7 * simplex.dimension + 5))

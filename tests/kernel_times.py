@@ -85,8 +85,15 @@ def main():
         rss, wall = child_rss_and_wall(*call, "--config", interval)
         print(f"{' '.join(call)} on [0, 1], exp(2x), n 40 and 80, grid 2,000,000:"
               f" child peak RSS {rss:.1f} MB, wall {wall:.2f} s")
-    # Both lattice CSVs stream their rows: 501,501 rows of a triangle each.
+    # At n = 1000 the de Casteljau plan's tables are most of the process: its binomials are
+    # rounded row by row, only the row being built held as integers.
     triangle = json.dumps({"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]})
+    runge = json.dumps({"simplex": json.loads(triangle), "function": "runge", "n_values": [1000],
+                        "grid_resolution": 50})
+    rss, wall = child_rss_and_wall("converge", "--evaluator", "decasteljau", "--config", runge)
+    print(f"converge --evaluator decasteljau of runge on the standard triangle, n 1000, grid 50:"
+          f" child peak RSS {rss:.1f} MB, wall {wall:.2f} s")
+    # Both lattice CSVs stream their rows: 501,501 rows of a triangle each.
     for call in (["control-points", "--n", "1000"], ["basis", "--n", "1000", "--point", "0.3,0.2"]):
         rss, wall = child_rss_and_wall(*call, "--simplex", triangle)
         print(f"{' '.join(call)} on the standard triangle: child peak RSS {rss:.1f} MB, wall {wall:.2f} s")

@@ -40,7 +40,8 @@ MUTANTS = [
      'return [float(v) for v in text.split(",") if v.strip()]', "caught"),
     ("src/bezsimplex/experiments.py", '"passed": not any(row.violation for row in rows)}',
      '"passed": True}', "caught"),
-    ("src/bezsimplex/lattice.py", "_capped_count(order, dim, dim + 1)", "pass", "caught"),
+    ("src/bezsimplex/lattice.py", "count = _capped_count(resolution, dimension, dimension + 1)",
+     "count = count_multi_indices(resolution, dimension)", "caught"),
     ("src/bezsimplex/experiments.py", "values.shape != points.shape[:1]", "values.ndim != 1", "caught"),
     ("src/bezsimplex/exponentials.py", "if high > _LOG_DOUBLE_MAX:", "if high > _LOG_DOUBLE_MAX + 1:",
      "caught"),
@@ -61,8 +62,8 @@ MUTANTS = [
      "equivalent: at a tie s_j = p > 0, r = 1, so r**i and r**(m - i) are both 1; at s_j = p = 0 the"
      " orientations differ only in rows of k_0 + .. + k_j > 0, which the first later nonzero weight"
      " multiplies by r**e = 0"),
-    ("src/bezsimplex/bernstein.py", "tile = min(64, chunk_rows(table.shape[1]))",
-     "tile = min(48, chunk_rows(table.shape[1]))",
+    ("src/bezsimplex/bernstein.py", "tile = min(64, padded(len(points)), chunk_rows(table.shape[1]))",
+     "tile = min(48, padded(len(points)), chunk_rows(table.shape[1]))",
      "equivalent: the tile sets how many points share one product, a multiple of GEMM_COLUMNS"
      " at 48 as at 64; a point's value has the same bits alone, in any batch and at any place"
      " in a tile, so it does not follow the tile's length"),
@@ -73,8 +74,16 @@ MUTANTS = [
     # working-set bound, and chunks half the budget's length miss the spied chunk sizes.
     ("src/bezsimplex/bernstein.py", "return kernel, 4 * len(first_m)", "return kernel, len(first_m)",
      "caught"),
-    ("src/bezsimplex/bernstein.py", "row_chunks(w.shape[0], per_point)", "row_chunks(w.shape[0], 2 * per_point)",
+    ("src/bezsimplex/bernstein.py", "step = chunk_rows(per_point)", "step = chunk_rows(2 * per_point)",
      "caught"),
+    # A lone point's direct tile is GEMM_COLUMNS rows, not 64 or the budget's: a basis block's
+    # fold then fits its derived bound.
+    ("src/bezsimplex/bernstein.py", "tile = min(64, padded(len(points)), chunk_rows(table.shape[1]))",
+     "tile = min(64, chunk_rows(table.shape[1]))", "caught"),
+    # The plan's binomials hold one integer row at a time: keeping every row, as the whole
+    # Pascal triangle once was kept, passes the table's tracemalloc bound.
+    ("src/bezsimplex/bernstein.py", "row.append(1)",
+     "row.append(1); _binomials.__dict__.setdefault('rows', []).append(row[:])", "caught"),
     # basis_blocks writes x's tile into zeros at its face's rows: at the block's first rows
     # in place of them, a face point's values land on the wrong rows.
     ("src/bezsimplex/bernstein.py", "values[rows] = basis[0]", "values[:len(basis[0])] = basis[0]", "caught"),
@@ -87,6 +96,10 @@ MUTANTS = [
     # A row's multi-index is read off the walk of that row alone.
     ("src/bezsimplex/lattice.py", "_colex_rows(order, dimension, row, row + 1)",
      "_colex_rows(order, dimension, 0, row + 1)", "caught"),
+    # Every block source checks its lattice at the call: a grid_weight_blocks that is a
+    # generator again checks only at the first block, and so do the sources over it.
+    ("src/bezsimplex/lattice.py", "return (_weights(resolution, dimension, lo,",
+     "yield from (_weights(resolution, dimension, lo,", "caught"),
 ]
 
 

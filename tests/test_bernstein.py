@@ -2,6 +2,8 @@ import itertools
 import math
 import operator
 import re
+import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -406,6 +408,25 @@ class TestCollapsedKernel:
         for order in orders:
             low = order if dimension == 1 else 0
             assert bernstein._binomials(order, low).tobytes() == ratios(order, low).tobytes()
+
+    @pytest.mark.parametrize("order, low", [(320, 0), (1000, 0), (1022, 1022)])
+    def test_binomials_round_each_integer_row_as_it_is_made(self, order, low):
+        # Each row is rounded into the table as it is made. Beside the table the plan holds
+        # the row of Python integers it builds and the one it builds it from, each of at most
+        # order + 2 entries no larger than 2**order, and the references to them: the row, its
+        # copy shifted by one and the new row, each grown to at most 9/8 of its length plus 6,
+        # and the doubles a row is rounded through. Each object's header takes at most 128
+        # bytes. The whole triangle of integers, as it was held before, took 55 MB at order 1000.
+        tracemalloc.start()
+        try:
+            table = bernstein._binomials(order, low)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = order + 2
+        integers = 2 * entries * sys.getsizeof(2**order)
+        references = 3 * 8 * (entries * 9 // 8 + 6) + 8 * entries
+        assert peak <= table.nbytes + integers + references + 4 * 128
 
     @pytest.mark.parametrize("dimension, order", [(1, 5), (2, 7), (3, 6), (4, 3)])
     def test_stages_keep_enumeration_order(self, dimension, order, rng):

@@ -633,17 +633,21 @@ class TestBasis:
     @pytest.mark.parametrize("point", [[0.3, 0.2], [0.6, 0.0]], ids=["interior", "edge"])
     def test_streamed_blocks_are_bounded(self, point):
         # The triangle at n = 1000 has 501,501 rows, in blocks of control_point_blocks'
-        # rows = chunk_rows(8 D + 6): the block's own state, the previous block's included,
-        # fits _ENTRY_BUDGET doubles. Beside it x's fold holds per row the values, the previous
-        # block's values and the log multinomial, then either the log multinomial's D + 3
-        # temporaries or direct's table (D + 2), a face's row index and the copies that fill
-        # the table (D + 2): 2 D + 8 doubles at most. Direct's tile fits _ENTRY_BUDGET doubles,
-        # and the log-factorial table holds n + 1. Built whole, the lattice alone takes 12 MB.
+        # rows = chunk_rows(8 D + 6): while a block is built, its own state, the previous
+        # block's included, fits _ENTRY_BUDGET doubles. While x's fold runs, each row holds the
+        # block's weights, indices and point (3 D + 2), the previous block's indices (D + 1) and
+        # the fold's values, the previous block's values and the log multinomial, then either
+        # the log multinomial's D + 3 temporaries or direct's table (D + 2), a face's row index
+        # and the copies that fill the table (D + 2): 2 D + 8 doubles at most. One point's tile
+        # is GEMM_COLUMNS rows of the block's width, not 64 or the budget's. The log-factorial
+        # table holds n + 1 doubles, and the Python floats it is made from 4 (n + 1) more.
+        # Built whole, the lattice alone takes 12 MB.
         simplex, order, dim = standard_simplex(2), 1000, 2
         rows = lattice.chunk_rows(8 * dim + 6)
         assert count_multi_indices(order, dim) > 20 * rows
         peak = traced_peak(lambda: [None for _ in bernstein.basis_blocks(simplex, order, point)])
-        assert peak <= 8 * (2 * lattice._ENTRY_BUDGET + rows * (2 * dim + 8) + order + 1)
+        folded = rows * ((3 * dim + 2) + (dim + 1) + (2 * dim + 8) + lattice.GEMM_COLUMNS)
+        assert peak <= 8 * (max(lattice._ENTRY_BUDGET, folded) + 5 * (order + 1))
 
 
 class TestControlPoints:

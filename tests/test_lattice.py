@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -22,7 +23,8 @@ from bezsimplex import (
     standard_simplex,
 )
 
-from bezsimplex import lattice
+from bezsimplex import bernstein, lattice
+from bezsimplex.geometry import Simplex
 
 from conftest import child_within_address_space, exact_multinomial, random_simplex
 
@@ -356,13 +358,14 @@ class TestGrids:
     def test_blocks_stack_to_the_grid(self, dimension, resolution, parts):
         # The reference is the integer lattice over the resolution. A budget
         # of 1/parts of the grid cuts it anywhere, across slabs and lines: the
-        # blocks are its row_chunks(count, D+1) slices, each
+        # blocks are its slices of chunk_rows(D+1) rows, the last one short, each
         # within the budget or a single block of GEMM_COLUMNS rows.
         count = count_multi_indices(resolution, dimension)
         budget = max(1, count * (dimension + 1) // parts) if parts else lattice._ENTRY_BUDGET
         with mock.patch.object(lattice, "_ENTRY_BUDGET", budget):
             blocks = list(grid_weight_blocks(resolution, dimension))
-            chunks = lattice.row_chunks(count, dimension + 1)
+            step = lattice.chunk_rows(dimension + 1)
+        chunks = [slice(start, min(start + step, count)) for start in range(0, count, step)]
         whole = enumerate_multi_indices(resolution, dimension) / float(resolution)
         stacked = np.vstack(blocks)
         assert stacked.dtype == whole.dtype and stacked.shape == whole.shape
@@ -371,6 +374,39 @@ class TestGrids:
         for block, rows in zip(blocks, chunks):
             assert np.array_equal(block.view(np.int64), whole[rows].view(np.int64))
             assert block.size <= max(budget, lattice.GEMM_COLUMNS * (dimension + 1))
+
+    @pytest.mark.parametrize("blocks", [
+        lambda order: grid_weight_blocks(order, 2),
+        lambda order: lattice.control_point_blocks(standard_simplex(2), order),
+        lambda order: bernstein.basis_blocks(standard_simplex(2), order, [0.2, 0.3]),
+    ], ids=["grid_weight_blocks", "control_point_blocks", "basis_blocks"])
+    def test_block_sources_check_at_the_call(self, blocks):
+        # Every block source refuses its lattice when it is called, before any block is drawn,
+        # with the text of the whole-array builders. The order-2 triangle has 18 entries.
+        with pytest.raises(DimensionMismatchError) as refused:
+            blocks(0)
+        assert str(refused.value) == "order must be an integer >= 1, got 0"
+        with mock.patch.object(lattice, "SIZE_CAP", 17), pytest.raises(SizeOverflowError) as refused:
+            blocks(2)
+        assert str(refused.value) == "lattice of order 2 in dimension 2 has 18 entries (cap 17)"
+
+    def test_grid_and_control_point_bytes_are_pinned(self):
+        # sha256 digests of the bytes the builders made before every block source stepped by
+        # chunk_rows: the grid in its F layout (the buffer of its transpose), the control points
+        # and the 259 blocks of control_point_blocks under a budget of 4,000 doubles.
+        def digest(*arrays):
+            return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+        w = grid_weights(40, 3)
+        assert w.shape == (12341, 4) and w.flags.f_contiguous
+        assert digest(w.T) == "52f2879ce5d6ac1e31a5d2e1e8abc3ea465019d6fc67189502f827a9e4ef2cf0"
+        simplex = Simplex(np.array([[0.1, -0.3], [1.7, 0.2], [-0.4, 1.1]]))
+        assert digest(control_points(simplex, 300)) == (
+            "0d7ad2910b7464a41fabbe17315e8f6674afd8cea5a1942bd5e13e0f20322115")
+        with mock.patch.object(lattice, "_ENTRY_BUDGET", 4000):
+            blocks = [a for block in lattice.control_point_blocks(simplex, 300) for a in block]
+        assert len(blocks) == 2 * 259
+        assert digest(*blocks) == "b86da2cd781b6408d538ed081f653944638493eb794a188de961112991920212"
 
     def test_a_line_is_cut_within_the_budget(self):
         # 2,000,001 points on an interval are one line of 4,000,002 doubles
@@ -391,20 +427,23 @@ class TestGrids:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(count=st.integers(0, 3000), doubles=st.integers(0, 600), budget=st.integers(1, 5000))
-    def test_row_chunks_cover_the_rows(self, count, doubles, budget):
-        # Consecutive chunks of one step, the last one short: the largest
-        # multiple of GEMM_COLUMNS rows within the budget, or GEMM_COLUMNS rows.
+    def test_chunk_rows_steps_cover_the_rows(self, count, doubles, budget):
+        # A range of `count` rows stepped by chunk_rows, as every block source steps it, makes
+        # consecutive chunks of one step, the last one short: the largest multiple of
+        # GEMM_COLUMNS rows within the budget, or GEMM_COLUMNS rows.
         multiple = lattice.GEMM_COLUMNS
         with mock.patch.object(lattice, "_ENTRY_BUDGET", budget):
-            chunks = lattice.row_chunks(count, doubles)
-        step = chunks[0].stop if chunks else multiple
-        assert chunks == [slice(start, start + step) for start in range(0, count, step)]
+            step = lattice.chunk_rows(doubles)
+        chunks = [range(count)[start:start + step] for start in range(0, count, step)]
+        assert [row for chunk in chunks for row in chunk] == list(range(count))
+        assert all(len(chunk) == step for chunk in chunks[:-1])
+        assert not chunks or 0 < len(chunks[-1]) <= step
         assert step % multiple == 0 and step >= multiple
         per_row = max(1, doubles)
         assert step * per_row <= budget or step == multiple
-        assert (step + multiple) * per_row > budget or not chunks
+        assert (step + multiple) * per_row > budget
         # The 11 cases of a six-scale study at 32 doubles each, as before.
-        assert lattice.row_chunks(2000, 32 * 11)[0] == slice(0, 1488)
+        assert lattice.chunk_rows(32 * 11) == 1488
 
     def test_default_resolutions(self):
         assert default_grid_resolution(1) == 50
